@@ -44,14 +44,16 @@ from .errors import (
 from .modules import (
     ModuleVector,
     LinMap,
-    _act_divided_range,
     act_E,
     act_F,
     act_K,
     enumerate_basis,
+    format_index,
     gram_entry,
     inner_product,
+    render_terms,
     tensor,
+    theta,
 )
 from .qring import Laurent, ONE, ZERO, exact_div
 
@@ -65,6 +67,7 @@ __all__ = [
     "split_expand",
     "embed_refine",
     "CACHE_FORMAT_VERSION",
+    "clear_caches",
 ]
 
 Composition = orbits.Composition
@@ -73,39 +76,25 @@ OrbitIndex = orbits.OrbitIndex
 CACHE_FORMAT_VERSION = 1
 
 # Solved quasi-R coefficients, kappa_0 first.  Extended on demand and
-# never mutated otherwise, so shared reads are safe.
+# otherwise only truncated back to [ONE] by clear_caches.
 _KAPPA: list[Laurent] = [ONE]
 
-# Memoized Psi images of standard basis vectors, keyed by (d, cut).
-# Only populated for the solved (default) coefficients.
-_PSI_MEMO: dict[tuple[Composition, int], dict[OrbitIndex, ModuleVector]] = {}
+# Per-process results for the solved coefficients, keyed by
+# (kind, *args): ("psi", d, cut, idx) -> Psi(v_idx), ("table", d, r) ->
+# CanonicalTable, ("embed", d) -> LinMap, and ("pair", d1, d2, sign) ->
+# RMap (filled by rmatrix).  Emptied, with _KAPPA, by clear_caches.
+_MEMO: dict[tuple, object] = {}
 
-_TABLE_MEMO: dict[tuple[Composition, int], "CanonicalTable"] = {}
-_EMBED_MEMO: dict[Composition, LinMap] = {}
+
+def clear_caches() -> None:
+    """Forget every per-process result: memoized Psi images, canonical
+    tables, embeddings, pair braidings and the solved quasi-R
+    coefficients.  The disk cache is not touched."""
+    _MEMO.clear()
+    del _KAPPA[1:]
 
 
 # -- the quasi-R coefficients ----------------------------------------------------
-
-
-def _theta_apply(u: ModuleVector, cut: int, kappa: list[Laurent]) -> ModuleVector:
-    """Theta = sum_n kappa_n F^(n) (left block) E^(n) (right block)."""
-    l = len(u.d)
-    out = ModuleVector.zero(u.d)
-    n = 0
-    while True:
-        f_part = _act_divided_range(u, "F", n, 0, cut)
-        if f_part.is_zero():
-            break
-        term = _act_divided_range(f_part, "E", n, cut, l)
-        if term.is_zero():
-            break
-        if n >= len(kappa):
-            raise ValueError(
-                f"kappa sequence of length {len(kappa)} too short for Lambda_{u.d}"
-            )
-        out = out + term.scale(kappa[n])
-        n += 1
-    return out
 
 
 def _psi_basis(
@@ -113,18 +102,20 @@ def _psi_basis(
 ) -> ModuleVector:
     if len(d) == 1:
         return ModuleVector.basis(d, idx)
-    memo = _PSI_MEMO.setdefault((d, cut), {}) if memo_ok else None
-    if memo is not None and idx in memo:
-        return memo[idx]
+    key = ("psi", d, cut, idx)
+    if memo_ok:
+        cached = _MEMO.get(key)
+        if cached is not None:
+            return cached
     left = _psi_vector(
         ModuleVector.basis(d[:cut], idx[:cut]), kappa, 1, memo_ok
     )
     right = _psi_vector(
         ModuleVector.basis(d[cut:], idx[cut:]), kappa, 1, memo_ok
     )
-    out = _theta_apply(tensor(left, right), cut, kappa)
-    if memo is not None:
-        memo[idx] = out
+    out = theta(tensor(left, right), cut, kappa)
+    if memo_ok:
+        _MEMO[key] = out
     return out
 
 
@@ -132,7 +123,7 @@ def _psi_vector(
     u: ModuleVector, kappa: list[Laurent], cut: int, memo_ok: bool
 ) -> ModuleVector:
     out = ModuleVector.zero(u.d)
-    for idx, c in u.items():
+    for idx, c in u._terms.items():
         out = out + _psi_basis(u.d, idx, kappa, cut, memo_ok).scale(c.bar())
     return out
 
@@ -262,8 +253,6 @@ class CanonicalTable:
         return cls(d, r, order, rows)
 
     def render(self) -> str:
-        from .modules import format_index
-
         lines = [f"canonical basis d={format_index(self.d)} r={self.r}"]
         for idx in self.order:
             lines.append(f"b{format_index(idx)} = {self.rows[idx]}")
@@ -360,20 +349,38 @@ def canonical_basis(
         raise ValueError(f"level {r} out of range for {d}")
     if kappa is not None:
         return _compute_table(d, r, kappa)
-    key = (d, r)
-    table = _TABLE_MEMO.get(key)
+    key = ("table", d, r)
+    table = _MEMO.get(key)
     if table is not None:
         return table
     if cache_dir is not None:
         table = _cache_load(cache_dir, d, r)
         if table is not None:
-            _TABLE_MEMO[key] = table
+            _MEMO[key] = table
             return table
     table = _compute_table(d, r, None)
-    _TABLE_MEMO[key] = table
+    _MEMO[key] = table
     if cache_dir is not None:
         _cache_store(cache_dir, table)
     return table
+
+
+def _back_substitute(
+    u: ModuleVector,
+    order: tuple[OrbitIndex, ...],
+    rows: dict[OrbitIndex, ModuleVector],
+) -> dict[OrbitIndex, Laurent] | None:
+    """Coordinates of u over the vectors rows[idx], each unitriangular
+    along order: peel off coefficients from the top of order down.
+    Zeros are omitted; None when a remainder is left over."""
+    remainder = u
+    coords: dict[OrbitIndex, Laurent] = {}
+    for idx in reversed(order):
+        c = remainder.coeff(idx)
+        if not c.is_zero():
+            coords[idx] = c
+            remainder = remainder - rows[idx].scale(c)
+    return coords if remainder.is_zero() else None
 
 
 def canonical_coords(
@@ -382,14 +389,8 @@ def canonical_coords(
     """Expand u over the canonical basis of its level by unitriangular
     back-substitution; returns (index, coefficient) pairs in the table
     order, zeros omitted."""
-    remainder = u
-    coords: dict[OrbitIndex, Laurent] = {}
-    for idx in reversed(table.order):
-        c = remainder.coeff(idx)
-        if not c.is_zero():
-            coords[idx] = c
-            remainder = remainder - table.rows[idx].scale(c)
-    if not remainder.is_zero():
+    coords = _back_substitute(u, table.order, table.rows)
+    if coords is None:
         raise TriangularityViolationError(
             f"vector over Lambda_{u.d} escaped the level-{table.r} table"
         )
@@ -431,31 +432,16 @@ class SplitTable:
         }
 
     def render(self) -> str:
-        from .modules import format_index
-
         position = {idx: i for i, idx in enumerate(self.order)}
         lines = [f"split expansion d={format_index(self.d)} cut={self.cut} r={self.r}"]
         for idx in self.order:
-            chunks = []
-            for s, c in sorted(
-                self.rows[idx].items(), key=lambda kv: -position[kv[0]]
-            ):
-                body = f"b{format_index(s[: self.cut])}*b{format_index(s[self.cut :])}"
-                pairs = list(c.items())
-                if len(pairs) == 1:
-                    h, n_ = pairs[0]
-                    mono = Laurent({h: abs(n_)})
-                    coeff_txt = "" if mono == ONE else f"{mono} "
-                    negative = n_ < 0
-                else:
-                    coeff_txt = f"({c}) "
-                    negative = False
-                term = f"{coeff_txt}{body}"
-                if not chunks:
-                    chunks.append(f"-{term}" if negative else term)
-                else:
-                    chunks.append(f"- {term}" if negative else f"+ {term}")
-            lines.append(f"b{format_index(idx)} = {' '.join(chunks)}")
+            terms = render_terms(
+                (c, f"b{format_index(s[: self.cut])}*b{format_index(s[self.cut :])}")
+                for s, c in sorted(
+                    self.rows[idx].items(), key=lambda kv: -position[kv[0]]
+                )
+            )
+            lines.append(f"b{format_index(idx)} = {terms}")
         return "\n".join(lines) + "\n"
 
 
@@ -488,14 +474,8 @@ def split_expand(
 
     rows: dict[OrbitIndex, dict[OrbitIndex, Laurent]] = {}
     for idx in table.order:
-        remainder = table.rows[idx]
-        coords: dict[OrbitIndex, Laurent] = {}
-        for s in reversed(table.order):
-            c = remainder.coeff(s)
-            if not c.is_zero():
-                coords[s] = c
-                remainder = remainder - products[s].scale(c)
-        if not remainder.is_zero():
+        coords = _back_substitute(table.rows[idx], table.order, products)
+        if coords is None:
             raise TriangularityViolationError(
                 f"split of b{idx} on Lambda_{d} escaped the product basis"
             )
@@ -533,7 +513,8 @@ def embed_refine(d: Composition, *, cache_dir: str | None = None) -> LinMap:
     b_r to the b at the dense binary refinement of r.  Intertwining and
     isometry are asserted on construction, not assumed."""
     d = orbits.check_composition(d)
-    cached = _EMBED_MEMO.get(d)
+    key = ("embed", d)
+    cached = _MEMO.get(key)
     if cached is not None:
         return cached
     total = sum(d)
@@ -551,5 +532,5 @@ def embed_refine(d: Composition, *, cache_dir: str | None = None) -> LinMap:
             columns[idx] = image
     m = LinMap(d, target, columns)
     _assert_embedding(m)
-    _EMBED_MEMO[d] = m
+    _MEMO[key] = m
     return m

@@ -32,46 +32,22 @@ __all__ = ["main"]
 _ENV_CACHE = "QSL2_CACHE_DIR"
 
 
-def _parse_composition(text: str) -> tuple[int, ...]:
-    parts = text.split(",")
+def _parse_ints(text: str, item: str, what: str) -> tuple[int, ...]:
+    """A comma-separated list of integers; a bad entry is reported by
+    item name, 1-based position and the kind of list."""
     values = []
-    for pos, part in enumerate(parts, start=1):
+    for pos, part in enumerate(text.split(","), start=1):
         try:
             values.append(int(part))
         except ValueError:
             raise ValueError(
-                f"part {pos} of composition {text!r} is not an integer"
-            ) from None
-    return orbits.check_composition(tuple(values))
-
-
-def _parse_index(text: str, d: tuple[int, ...]) -> tuple[int, ...]:
-    parts = text.split(",")
-    values = []
-    for pos, part in enumerate(parts, start=1):
-        try:
-            values.append(int(part))
-        except ValueError:
-            raise ValueError(
-                f"part {pos} of index {text!r} is not an integer"
-            ) from None
-    try:
-        return orbits.check_index(d, tuple(values))
-    except AlgebraError as exc:
-        raise ValueError(str(exc)) from None
-
-
-def _parse_word(text: str) -> tuple[int, ...]:
-    parts = text.split(",")
-    values = []
-    for pos, part in enumerate(parts, start=1):
-        try:
-            values.append(int(part))
-        except ValueError:
-            raise ValueError(
-                f"letter {pos} of word {text!r} is not an integer"
+                f"{item} {pos} of {what} {text!r} is not an integer"
             ) from None
     return tuple(values)
+
+
+def _parse_composition(text: str) -> tuple[int, ...]:
+    return orbits.check_composition(_parse_ints(text, "part", "composition"))
 
 
 def _cache_dir(args: argparse.Namespace) -> str | None:
@@ -158,12 +134,8 @@ def _cmd_canon(args: argparse.Namespace) -> int:
 
 def _cmd_rmat(args: argparse.Namespace) -> int:
     d = _parse_composition(args.d)
-    word = _parse_word(args.word)
-    try:
-        move = r_move(d, word, args.sign)
-    except NonReducedWordError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
+    word = _parse_ints(args.word, "letter", "word")
+    move = r_move(d, word, args.sign)
     if args.format == "json":
         _emit_json(_map_json(move, args.basis))
     else:
@@ -188,7 +160,10 @@ def _cmd_split(args: argparse.Namespace) -> int:
 
 def _cmd_bar(args: argparse.Namespace) -> int:
     d = _parse_composition(args.d)
-    idx = _parse_index(args.vector, d)
+    try:
+        idx = orbits.check_index(d, _parse_ints(args.vector, "part", "index"))
+    except AlgebraError as exc:
+        raise ValueError(str(exc)) from None
     image = bar_involution(ModuleVector.basis(d, idx))
     if args.format == "json":
         _emit_json(image.to_json_obj())
@@ -406,10 +381,7 @@ def main(argv: list[str] | None = None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return args.func(args)
-    except NonReducedWordError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (NonReducedWordError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except AlgebraError as exc:

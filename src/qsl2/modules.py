@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
 from . import orbits
+from .orbits import format_index
 from .errors import AmbientMismatchError, IntegralityViolationError, NonDivisibleError
 from .qring import Laurent, ONE, ZERO, exact_div, q_power, quantum_binomial, quantum_factorial, quantum_integer
 
@@ -41,16 +42,11 @@ __all__ = [
     "inner_product",
     "gram_entry",
     "rho_twist",
-    "operator_linmap",
     "format_index",
 ]
 
 Composition = orbits.Composition
 OrbitIndex = orbits.OrbitIndex
-
-
-def format_index(idx: OrbitIndex) -> str:
-    return "(" + ",".join(map(str, idx)) + ")"
 
 
 def _accumulate(data: dict[OrbitIndex, Laurent], idx: OrbitIndex, c: Laurent) -> None:
@@ -192,29 +188,38 @@ class ModuleVector:
     def _render(self, symbol: str) -> str:
         if not self._terms:
             return "0"
-        chunks: list[str] = []
-        for idx, c in reversed(self.items()):
-            pairs = list(c.items())
-            if len(pairs) == 1:
-                h, n = pairs[0]
-                negative = n < 0
-                mono = Laurent({h: abs(n)})
-                body = "" if mono == ONE else f"{mono} "
-            else:
-                negative = False
-                body = f"({c}) "
-            term = f"{body}{symbol}{format_index(idx)}"
-            if not chunks:
-                chunks.append(f"-{term}" if negative else term)
-            else:
-                chunks.append(f"- {term}" if negative else f"+ {term}")
-        return " ".join(chunks)
+        return render_terms(
+            (c, f"{symbol}{format_index(idx)}") for idx, c in reversed(self.items())
+        )
 
     def __str__(self) -> str:
         return self._render("v")
 
     def __repr__(self) -> str:
         return f"ModuleVector[{self}]"
+
+
+def render_terms(terms: Iterable[tuple[Laurent, str]]) -> str:
+    """Join (coefficient, label) pairs as a signed sum: a monomial
+    coefficient prints bare with its sign pulled out front, 1 prints
+    nothing, and a longer polynomial prints in parentheses."""
+    chunks: list[str] = []
+    for c, label in terms:
+        pairs = list(c.items())
+        if len(pairs) == 1:
+            h, n = pairs[0]
+            negative = n < 0
+            mono = Laurent({h: abs(n)})
+            body = "" if mono == ONE else f"{mono} "
+        else:
+            negative = False
+            body = f"({c}) "
+        term = f"{body}{label}"
+        if not chunks:
+            chunks.append(f"-{term}" if negative else term)
+        else:
+            chunks.append(f"- {term}" if negative else f"+ {term}")
+    return " ".join(chunks)
 
 
 def enumerate_basis(d: Composition, r: int) -> list[OrbitIndex]:
@@ -309,6 +314,30 @@ def _act_divided_range(
         ) from e
 
 
+def theta(u: ModuleVector, cut: int, coeffs: list[Laurent]) -> ModuleVector:
+    """sum_n coeffs[n] F^(n) (slots before cut) E^(n) (slots from cut on).
+    The sum stops at the first n whose term vanishes; a nonzero term
+    beyond the end of coeffs is a ValueError."""
+    l = len(u.d)
+    out = ModuleVector.zero(u.d)
+    n = 0
+    while True:
+        f_part = _act_divided_range(u, "F", n, 0, cut)
+        if f_part.is_zero():
+            break
+        term = _act_divided_range(f_part, "E", n, cut, l)
+        if term.is_zero():
+            break
+        if n >= len(coeffs):
+            raise ValueError(
+                f"coefficient sequence of length {len(coeffs)} too short "
+                f"for Lambda_{u.d}"
+            )
+        out = out + term.scale(coeffs[n])
+        n += 1
+    return out
+
+
 def act_divided(u: ModuleVector, gen: str, n: int) -> ModuleVector:
     """E^(n) or F^(n): iterate, then exactly divide by [n]!."""
     if gen not in ("E", "F"):
@@ -398,21 +427,3 @@ class LinMap:
             for idx in enumerate_basis(d, r)
         }
         return cls(d, d, cols)
-
-
-def operator_linmap(
-    op: Callable[[ModuleVector], ModuleVector],
-    d: Composition,
-    levels: Iterable[int] | None = None,
-    target: Composition | None = None,
-) -> LinMap:
-    """Materialize an operator into a LinMap by applying it columnwise."""
-    d = orbits.check_composition(d)
-    if levels is None:
-        levels = range(sum(d) + 1)
-    cols = {
-        idx: op(ModuleVector.basis(d, idx))
-        for r in levels
-        for idx in enumerate_basis(d, r)
-    }
-    return LinMap(d, tuple(target) if target is not None else d, cols)

@@ -42,6 +42,10 @@ Composition = tuple[int, ...]
 OrbitIndex = tuple[int, ...]
 
 
+def format_index(idx: OrbitIndex) -> str:
+    return "(" + ",".join(map(str, idx)) + ")"
+
+
 def check_composition(d: Composition) -> Composition:
     d = tuple(d)
     if len(d) < 1 or any(not isinstance(x, int) or x < 0 for x in d):
@@ -152,15 +156,12 @@ def poset_json_obj(d: Composition, r: int) -> dict:
     }
 
 
-def _node(idx: OrbitIndex) -> str:
-    return "(" + ",".join(map(str, idx)) + ")"
-
-
 def poset_dot(d: Composition, r: int) -> str:
     lines = [f"digraph closure_d{'_'.join(map(str, d))}_r{r} {{"]
     for idx in linear_extension(d, r):
-        lines.append(f'  "{_node(idx)}" [label="{_node(idx)} dim={orbit_dim(d, idx)}"];')
+        node = format_index(idx)
+        lines.append(f'  "{node}" [label="{node} dim={orbit_dim(d, idx)}"];')
     for s, t in covering_relations(d, r):
-        lines.append(f'  "{_node(s)}" -> "{_node(t)}";')
+        lines.append(f'  "{format_index(s)}" -> "{format_index(t)}";')
     lines.append("}")
     return "\n".join(lines) + "\n"

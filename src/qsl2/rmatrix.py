@@ -23,18 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import orbits
-from .canonical import CanonicalTable, canonical_basis, canonical_coords
+from .canonical import _MEMO, CanonicalTable, canonical_basis, canonical_coords
 from .errors import (
     HalfPowerLeakError,
     InverseCheckFailedError,
     NonReducedWordError,
 )
-from .modules import (
-    LinMap,
-    ModuleVector,
-    _act_divided_range,
-    enumerate_basis,
-)
+from .modules import LinMap, ModuleVector, enumerate_basis, theta
 from .qring import Laurent, ZERO, q_half, q_power, quantum_factorial
 
 __all__ = [
@@ -113,26 +108,6 @@ class RMap:
 # -- the pair braiding ---------------------------------------------------------
 
 
-def _theta_r_step(u: ModuleVector) -> ModuleVector:
-    out = ModuleVector.zero(u.d)
-    n = 0
-    while True:
-        f_part = _act_divided_range(u, "F", n, 0, 1)
-        if f_part.is_zero():
-            break
-        term = _act_divided_range(f_part, "E", n, 1, 2)
-        if term.is_zero():
-            break
-        coeff = (
-            q_power(n * (n - 1) // 2)
-            * _Q_MINUS_QINV ** n
-            * quantum_factorial(n)
-        )
-        out = out + term.scale(coeff)
-        n += 1
-    return out
-
-
 def _cartan_step(u: ModuleVector) -> ModuleVector:
     c1, c2 = u.d
     data = {
@@ -148,13 +123,6 @@ def _swap_step(u: ModuleVector) -> ModuleVector:
     return ModuleVector._make((c2, c1), data)
 
 
-_PAIR_STEPS = {
-    "theta": _theta_r_step,
-    "cartan": _cartan_step,
-    "swap": _swap_step,
-}
-
-
 def _r_plus_columns(
     d1: int,
     d2: int,
@@ -166,19 +134,27 @@ def _r_plus_columns(
     keyword hooks exist so tests can inject a wrong composition order or
     drop the scalar and watch the advertised failures appear."""
     scalar = Laurent({3 * d1 * d2: (-1) ** (d1 * d2)})
+    # Theta_R is the Theta of the bar involution with these coefficients
+    # in place of kappa.
+    coeffs = [
+        q_power(n * (n - 1) // 2) * _Q_MINUS_QINV ** n * quantum_factorial(n)
+        for n in range(min(d1, d2) + 1)
+    ]
+    steps = {
+        "theta": lambda u: theta(u, 1, coeffs),
+        "cartan": _cartan_step,
+        "swap": _swap_step,
+    }
     columns: dict[OrbitIndex, ModuleVector] = {}
     for r in range(d1 + d2 + 1):
         for idx in enumerate_basis((d1, d2), r):
             u = ModuleVector.basis((d1, d2), idx)
             for step in step_order:
-                u = _PAIR_STEPS[step](u)
+                u = steps[step](u)
             if with_scalar:
                 u = u.scale(scalar)
             columns[idx] = u
     return columns
-
-
-_PAIR_MEMO: dict[tuple[int, int, str], RMap] = {}
 
 
 def r_plus_pair(d1: int, d2: int) -> RMap:
@@ -186,8 +162,8 @@ def r_plus_pair(d1: int, d2: int) -> RMap:
     matrix entry must land in Z[q, q^-1]."""
     if d1 < 0 or d2 < 0:
         raise ValueError("factor dimensions must be nonnegative")
-    key = (d1, d2, "plus")
-    cached = _PAIR_MEMO.get(key)
+    key = ("pair", d1, d2, "plus")
+    cached = _MEMO.get(key)
     if cached is not None:
         return cached
     columns = _r_plus_columns(d1, d2)
@@ -199,7 +175,7 @@ def r_plus_pair(d1: int, d2: int) -> RMap:
                     f"has a half power of q"
                 )
     out = RMap("plus", (d1, d2), (d2, d1), LinMap((d1, d2), (d2, d1), columns))
-    _PAIR_MEMO[key] = out
+    _MEMO[key] = out
     return out
 
 
@@ -218,8 +194,8 @@ def r_minus_pair(d1: int, d2: int) -> RMap:
     sides before being returned."""
     if d1 < 0 or d2 < 0:
         raise ValueError("factor dimensions must be nonnegative")
-    key = (d1, d2, "minus")
-    cached = _PAIR_MEMO.get(key)
+    key = ("pair", d1, d2, "minus")
+    cached = _MEMO.get(key)
     if cached is not None:
         return cached
     plus = r_plus_pair(d1, d2)
@@ -253,7 +229,7 @@ def r_minus_pair(d1: int, d2: int) -> RMap:
         raise InverseCheckFailedError(
             f"R_-({d1},{d2}) after R_+({d2},{d1}) is not the identity"
         )
-    _PAIR_MEMO[key] = out
+    _MEMO[key] = out
     return out
 
 

@@ -434,13 +434,13 @@ def suite_rmatrix(max_total: int) -> SuiteResult:
             inverse_word = tuple(reversed(ws[0]))
             minus = r_move(move.target, inverse_word, "minus")
             res.check(
-                minus.map.compose(move.map) == _identity_map(d),
+                minus.map.compose(move.map) == LinMap.identity(d),
                 f"R_- R_+ != Id for {perm} on {d}",
             )
             plus_back = r_move(move.target, inverse_word, "plus")
             minus_fwd = r_move(d, ws[0], "minus")
             res.check(
-                plus_back.map.compose(minus_fwd.map) == _identity_map(d),
+                plus_back.map.compose(minus_fwd.map) == LinMap.identity(d),
                 f"R_+ R_- != Id for {perm} on {d}",
             )
             for r in range(total + 1):
@@ -464,10 +464,6 @@ def suite_rmatrix(max_total: int) -> SuiteResult:
                         f"half power leak at {idx} for {perm} on {d}",
                     )
     return res
-
-
-def _identity_map(d: Composition) -> LinMap:
-    return LinMap.identity(d)
 
 
 def _highest_weight_scalar(d: Composition, perm: tuple[int, ...]) -> Laurent:

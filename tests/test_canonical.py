@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+import qsl2.canonical as canonical_mod
 from qsl2 import (
     CanonicalTable,
     Laurent,
@@ -14,9 +15,11 @@ from qsl2 import (
     bar_involution,
     canonical_basis,
     canonical_coords,
+    clear_caches,
     compute_quasi_r,
     embed_refine,
     inner_product,
+    r_plus_pair,
     split_expand,
 )
 from qsl2.canonical import CACHE_FORMAT_VERSION, _cache_path
@@ -215,13 +218,30 @@ def test_canonical_render():
     )
 
 
+# -- per-process memo store ----------------------------------------------------
+
+
+def test_clear_caches_empties_store_and_resets_kappa():
+    first = canonical_basis((2, 2), 2)
+    r_plus_pair(1, 2)
+    embed_refine((2, 1))
+    kinds = {key[0] for key in canonical_mod._MEMO}
+    assert kinds == {"psi", "table", "pair", "embed"}
+    assert len(canonical_mod._KAPPA) > 1
+    clear_caches()
+    assert canonical_mod._MEMO == {}
+    assert canonical_mod._KAPPA == [ONE]
+    again = canonical_basis((2, 2), 2)
+    assert again is not first
+    assert again == first
+    assert again.render() == first.render()
+
+
 # -- disk cache ----------------------------------------------------------------
 
 
-def test_cache_roundtrip(tmp_path, monkeypatch):
-    import qsl2.canonical as canonical_mod
-
-    monkeypatch.setattr(canonical_mod, "_TABLE_MEMO", {})
+def test_cache_roundtrip(tmp_path):
+    clear_caches()
     cache = str(tmp_path)
     t1 = canonical_basis((4, 1), 2, cache_dir=cache)
     path = _cache_path(cache, (4, 1), 2)
@@ -266,7 +286,9 @@ def test_cache_ignores_corruption_and_version_skew(tmp_path):
 def test_kappa_override_changes_table_without_poisoning_caches(tmp_path):
     ks = compute_quasi_r(1)
     flipped = [ks[0], neg(ks[1])]
+    stored = len(canonical_mod._MEMO)
     wrong = canonical_basis((1, 1), 1, kappa=flipped)
+    assert len(canonical_mod._MEMO) == stored
     assert wrong.rows[(0, 1)] == V((1, 1), (0, 1)) + V((1, 1), (1, 0)).scale(
         neg(QINV)
     )
@@ -275,6 +297,11 @@ def test_kappa_override_changes_table_without_poisoning_caches(tmp_path):
     assert not os.path.exists(_cache_path(str(tmp_path), (1, 1), 1)) or (
         canonical_basis((1, 1), 1) == clean
     )
+
+
+def test_theta_rejects_short_coefficient_list():
+    with pytest.raises(ValueError, match="too short"):
+        bar_involution(V((2, 2), (0, 2)), kappa=[ONE])
 
 
 def test_kappa_fault_raises_on_non_antisymmetric_obstruction():

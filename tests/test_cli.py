@@ -9,8 +9,8 @@ import sys
 
 import pytest
 
-import qsl2.canonical as canonical_mod
 import qsl2.cli as cli_mod
+from qsl2 import clear_caches
 from qsl2.cli import main
 from qsl2.errors import HalfPowerLeakError
 from qsl2.verify import SuiteResult
@@ -128,7 +128,7 @@ def test_cache_flag_wins_over_environment(tmp_path, monkeypatch, capsys):
     flag_dir.mkdir()
     env_dir.mkdir()
     monkeypatch.setenv("QSL2_CACHE_DIR", str(env_dir))
-    monkeypatch.setattr(canonical_mod, "_TABLE_MEMO", {})
+    clear_caches()
     code, out, _ = run(
         ["canon", "--d", "5,2", "--r", "1", "--cache-dir", str(flag_dir)],
         capsys,
@@ -141,7 +141,7 @@ def test_cache_environment_variable_used_without_flag(tmp_path, monkeypatch, cap
     env_dir = tmp_path / "envonly"
     env_dir.mkdir()
     monkeypatch.setenv("QSL2_CACHE_DIR", str(env_dir))
-    monkeypatch.setattr(canonical_mod, "_TABLE_MEMO", {})
+    clear_caches()
     code, _, _ = run(["canon", "--d", "4,3", "--r", "2"], capsys)
     assert code == 0
     assert (env_dir / "canonical_v1_d4-3_r2.json").exists()

@@ -18,7 +18,6 @@ from qsl2.modules import (
     format_index,
     gram_entry,
     inner_product,
-    operator_linmap,
     rho_twist,
     tensor,
 )
@@ -229,7 +228,15 @@ def test_linmap():
     ident = LinMap.identity((1, 1))
     u = v((1, 1), 0, 1).scale(Q)
     assert ident.apply(u) == u
-    e_map = operator_linmap(act_E, (1, 1))
+    e_map = LinMap(
+        (1, 1),
+        (1, 1),
+        {
+            idx: act_E(ModuleVector.basis((1, 1), idx))
+            for r in range(3)
+            for idx in enumerate_basis((1, 1), r)
+        },
+    )
     assert e_map.apply(v((1, 1), 1, 1)) == act_E(v((1, 1), 1, 1))
     composed = e_map.compose(e_map)
     assert composed.apply(v((1, 1), 1, 1)) == act_E(

@@ -16,14 +16,23 @@ solved level by level; conventions in the literature differ by signs
 and q-powers, so the solve anchors the convention to the module action
 itself and raises ConventionUnderdeterminedError on any ambiguity.
 
-Canonical basis elements b_r are computed by the standard triangular
-algorithm: walk the level in closure order, and repair beta = v_r by
-subtracting bar-self-corrections p b_s, where p is the strictly
-negative-exponent half of the obstruction coefficient g, the unique
-member p of q^-1 Z[q^-1] with bar(p) - p = -g.  Each b_r is fixed by
-Psi, is unitriangular over the standard basis, and the off-diagonal
-coefficients land in q^-1 Z_{>=0}[q^-1] (a checked property, not an
-input).
+Canonical basis elements are computed by the standard coefficient
+recursion (Kazhdan-Lusztig; Lusztig, Introduction to Quantum Groups,
+ch. 27).  The level's Psi matrix a_{s,t}, the coefficient of v_s in
+Psi(v_t), is built once from the memoized Psi columns, and each column
+is checked to be unitriangular: a_{t,t} = 1 and the support lies in the
+lower closure of t.  Then b_r = sum_s p_{s,r} v_s with p_{r,r} = 1, and
+walking s downward in the linear extension, p_{s,r} is the strictly
+negative-exponent half of the obstruction
+
+    g_s = sum_{s < t <= r} a_{s,t} bar(p_{t,r}),
+
+the unique member of q^-1 Z[q^-1] with p_{s,r} - bar(p_{s,r}) = g_s.
+Each nonzero g_s is checked to sit strictly below r in the closure
+order, to be bar-antisymmetric and to have zero constant term; with the
+column check, Psi(b_r) = b_r holds exactly by construction.  The
+off-diagonal coefficients land in q^-1 Z_{>=0}[q^-1] (a checked
+property, not an input).
 """
 
 from __future__ import annotations
@@ -44,6 +53,8 @@ from .errors import (
 from .modules import (
     ModuleVector,
     LinMap,
+    _accumulate,
+    _gram,
     act_E,
     act_F,
     act_K,
@@ -55,7 +66,15 @@ from .modules import (
     tensor,
     theta,
 )
-from .qring import Laurent, ONE, ZERO, exact_div
+from .qring import (
+    Laurent,
+    ONE,
+    ZERO,
+    exact_div,
+    quantum_binomial,
+    quantum_factorial,
+    quantum_integer,
+)
 
 __all__ = [
     "compute_quasi_r",
@@ -86,12 +105,21 @@ _KAPPA: list[Laurent] = [ONE]
 _MEMO: dict[tuple, object] = {}
 
 
+# The memoized constants of qring and modules, held here as the cached
+# functions themselves so clear_caches reaches them whatever later
+# rebinds the module attributes.
+_CONSTANT_MEMOS = (quantum_integer, quantum_factorial, quantum_binomial, _gram)
+
+
 def clear_caches() -> None:
     """Forget every per-process result: memoized Psi images, canonical
-    tables, embeddings, pair braidings and the solved quasi-R
-    coefficients.  The disk cache is not touched."""
+    tables, embeddings, pair braidings, the solved quasi-R coefficients,
+    the quantum integers, factorials and binomials and the Gram entries.
+    The disk cache is not touched."""
     _MEMO.clear()
     del _KAPPA[1:]
+    for memo in _CONSTANT_MEMOS:
+        memo.cache_clear()
 
 
 # -- the quasi-R coefficients ----------------------------------------------------
@@ -259,26 +287,50 @@ class CanonicalTable:
         return "\n".join(lines) + "\n"
 
 
+def _psi_below(
+    d: Composition, t: OrbitIndex, kappa: list[Laurent], memo_ok: bool
+) -> dict[OrbitIndex, Laurent]:
+    """Column t of the Psi matrix without its diagonal entry, after
+    checking that the column is unitriangular: a_{t,t} = 1 and every
+    other entry lies strictly below t in the closure order."""
+    column = dict(_psi_basis(d, t, kappa, 1, memo_ok)._terms)
+    diagonal = column.pop(t, ZERO)
+    if diagonal != ONE:
+        raise TriangularityViolationError(
+            f"Psi(v{t}) on Lambda_{d} has diagonal coefficient {diagonal}, not 1"
+        )
+    for s in column:
+        if not orbits.closure_leq(d, s, t):
+            raise TriangularityViolationError(
+                f"Psi(v{t}) on Lambda_{d} is supported at {s}, "
+                f"outside the lower closure"
+            )
+    return column
+
+
 def _compute_table(
     d: Composition, r: int, kappa: list[Laurent] | None
 ) -> CanonicalTable:
     order = tuple(orbits.linear_extension(d, r))
-    position = {idx: i for i, idx in enumerate(order)}
+    memo_ok = kappa is None
+    if kappa is None:
+        kappa = compute_quasi_r(sum(d) // 2)
+    below = {t: _psi_below(d, t, kappa, memo_ok) for t in order}
     rows: dict[OrbitIndex, ModuleVector] = {}
-    for r_idx in order:
-        beta = ModuleVector.basis(d, r_idx)
-        for _ in range(len(order) + 1):
-            delta = bar_involution(beta, kappa=kappa) - beta
-            if delta.is_zero():
-                break
-            for s in delta.support():
-                if s == r_idx or not orbits.closure_leq(d, s, r_idx):
-                    raise TriangularityViolationError(
-                        f"obstruction for b{s} vs {r_idx} on Lambda_{d} "
-                        f"is supported outside the strict lower closure"
-                    )
-            s = max(delta.support(), key=position.get)
-            g = delta.coeff(s)
+    for top, r_idx in enumerate(order):
+        coeffs = {r_idx: ONE}
+        # obstruction[s] accumulates a_{s,t} bar(p_{t,r}) over the t
+        # already solved; every t above s is solved before s is reached
+        obstruction = dict(below[r_idx])
+        for s in reversed(order[:top]):
+            g = obstruction.pop(s, None)
+            if g is None:
+                continue
+            if not orbits.closure_leq(d, s, r_idx):
+                raise TriangularityViolationError(
+                    f"obstruction for b{s} vs {r_idx} on Lambda_{d} "
+                    f"is supported outside the strict lower closure"
+                )
             if not g.is_bar_antisymmetric():
                 raise ObstructionNotAntisymmetricError(
                     f"obstruction ({g}) at {s} for b{r_idx} on Lambda_{d}"
@@ -287,12 +339,12 @@ def _compute_table(
                 raise NonzeroConstantTermError(
                     f"obstruction ({g}) at {s} for b{r_idx} on Lambda_{d}"
                 )
-            beta = beta + rows[s].scale(g.negative_half())
-        else:
-            raise TriangularityViolationError(
-                f"correction loop for b{r_idx} on Lambda_{d} failed to terminate"
-            )
-        rows[r_idx] = beta
+            p = g.negative_half()
+            coeffs[s] = p
+            p_bar = p.bar()
+            for u, a in below[s].items():
+                _accumulate(obstruction, u, a * p_bar)
+        rows[r_idx] = ModuleVector._make(d, coeffs)
     return CanonicalTable(d, r, order, rows)
 
 
@@ -315,9 +367,12 @@ def _cache_load(cache_dir: str, d: Composition, r: int) -> CanonicalTable | None
 
 
 def _cache_store(cache_dir: str, table: CanonicalTable) -> None:
-    os.makedirs(cache_dir, exist_ok=True)
     obj = {"version": CACHE_FORMAT_VERSION, **table.to_json_obj()}
-    fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
+    try:
+        os.makedirs(cache_dir, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
+    except OSError:
+        return
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             json.dump(obj, fh, indent=2)

@@ -48,15 +48,16 @@ class ConventionUnderdeterminedError(AlgebraError):
 
 
 class TriangularityViolationError(AlgebraError):
-    """A bar obstruction is supported outside the strict lower closure."""
+    """A Psi column or bar obstruction is not unitriangular along the
+    closure order."""
 
 
 class ObstructionNotAntisymmetricError(AlgebraError):
-    """A correction-step coefficient is not negated by the bar map."""
+    """A bar obstruction coefficient is not negated by the bar map."""
 
 
 class NonzeroConstantTermError(AlgebraError):
-    """A correction-step coefficient has a nonzero constant term."""
+    """A bar obstruction coefficient has a nonzero constant term."""
 
 
 class HalfPowerLeakError(AlgebraError):

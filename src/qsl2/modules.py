@@ -23,6 +23,7 @@ bar twist.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable, Mapping
 
 from . import orbits
@@ -351,7 +352,12 @@ def act_divided(u: ModuleVector, gen: str, n: int) -> ModuleVector:
 def gram_entry(d: Composition, idx: OrbitIndex) -> Laurent:
     """(v_idx, v_idx) = product over factors of binom(d_k, r_k)_q q^(-r_k(d_k-r_k))."""
     d = orbits.check_composition(d)
-    idx = orbits.check_index(d, idx)
+    return _gram(d, orbits.check_index(d, idx))
+
+
+@lru_cache(maxsize=None)
+def _gram(d: Composition, idx: OrbitIndex) -> Laurent:
+    """gram_entry on checked arguments, memoized for the process."""
     out = ONE
     for dk, rk in zip(d, idx):
         out = out * quantum_binomial(dk, rk) * q_power(-rk * (dk - rk))

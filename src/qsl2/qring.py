@@ -10,11 +10,14 @@ act without a field extension; a predicate gates re-entry into A.
 The quantum integer [n] = (q^n - q^-n)/(q - q^-1) = q^(n-1) + q^(n-3)
 + ... + q^(1-n), the factorial [n]! and the binomial are computed here
 exactly; the binomial uses the product formula with iterated exact
-division, so a failed division is always a bug, never rounding.
+division, so a failed division is always a bug, never rounding.  The
+three constants are memoized for the process (qsl2.clear_caches empties
+the memos); Laurent values are never mutated, so sharing them is safe.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, Iterator, Mapping
 
 from .errors import NonDivisibleError
@@ -41,7 +44,8 @@ class Laurent:
 
     def __init__(self, terms: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
         data: dict[int, int] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
+        is_map = type(terms) is dict or isinstance(terms, Mapping)
+        items = terms.items() if is_map else terms
         for h, c in items:
             if not isinstance(h, int) or not isinstance(c, int):
                 raise TypeError("half-exponents and coefficients must be int")
@@ -262,6 +266,7 @@ def q_half(h: int) -> Laurent:
     return Laurent({h: 1})
 
 
+@lru_cache(maxsize=None, typed=True)
 def quantum_integer(n: int) -> Laurent:
     """[n] = q^(n-1) + q^(n-3) + ... + q^(1-n); [0] = 0."""
     if n < 0:
@@ -269,6 +274,7 @@ def quantum_integer(n: int) -> Laurent:
     return Laurent({2 * (n - 1 - 2 * i): 1 for i in range(n)})
 
 
+@lru_cache(maxsize=None, typed=True)
 def quantum_factorial(n: int) -> Laurent:
     """[n]! = [1][2]...[n]; [0]! = 1."""
     if n < 0:
@@ -279,6 +285,7 @@ def quantum_factorial(n: int) -> Laurent:
     return out
 
 
+@lru_cache(maxsize=None, typed=True)
 def quantum_binomial(n: int, r: int) -> Laurent:
     """The quantum binomial via the product formula, one exact division
     per factor so integrality is checked at every step."""

@@ -8,6 +8,7 @@ import random
 import pytest
 
 import qsl2.canonical as canonical_mod
+from qsl2 import orbits
 from qsl2 import (
     CanonicalTable,
     Laurent,
@@ -24,11 +25,21 @@ from qsl2 import (
 )
 from qsl2.canonical import CACHE_FORMAT_VERSION, _cache_path
 from qsl2.errors import (
+    NonzeroConstantTermError,
     ObstructionNotAntisymmetricError,
     TriangularityViolationError,
 )
-from qsl2.modules import act_E, act_F, act_K, enumerate_basis
-from qsl2.qring import ONE, Q, QINV, ZERO, q_power, quantum_factorial
+from qsl2.modules import _gram, act_E, act_F, act_K, enumerate_basis
+from qsl2.qring import (
+    ONE,
+    Q,
+    QINV,
+    ZERO,
+    q_power,
+    quantum_binomial,
+    quantum_factorial,
+    quantum_integer,
+)
 
 V = ModuleVector.basis
 
@@ -218,6 +229,63 @@ def test_canonical_render():
     )
 
 
+# -- reference solve -----------------------------------------------------------
+
+
+def _reference_table(d, r, kappa=None):
+    """The correction loop the package used before the coefficient
+    recursion: repair beta = v_r by p b_s at the highest obstruction s
+    until Psi(beta) = beta, re-applying Psi to all of beta each time."""
+    order = tuple(orbits.linear_extension(d, r))
+    position = {idx: i for i, idx in enumerate(order)}
+    rows = {}
+    for r_idx in order:
+        beta = V(d, r_idx)
+        for _ in range(len(order) + 1):
+            delta = bar_involution(beta, kappa=kappa) - beta
+            if delta.is_zero():
+                break
+            for s in delta.support():
+                if s == r_idx or not orbits.closure_leq(d, s, r_idx):
+                    raise TriangularityViolationError(f"{s} vs {r_idx}")
+            s = max(delta.support(), key=position.get)
+            g = delta.coeff(s)
+            if not g.is_bar_antisymmetric():
+                raise ObstructionNotAntisymmetricError(f"({g}) at {s}")
+            if not g.has_zero_constant_term():
+                raise NonzeroConstantTermError(f"({g}) at {s}")
+            beta = beta + rows[s].scale(g.negative_half())
+        else:
+            raise TriangularityViolationError(f"no convergence for b{r_idx}")
+        rows[r_idx] = beta
+    return CanonicalTable(d, r, order, rows)
+
+
+def _compositions(total):
+    if total == 0:
+        yield ()
+        return
+    for first in range(1, total + 1):
+        for rest in _compositions(total - first):
+            yield (first,) + rest
+
+
+def test_recursion_matches_reference_correction_loop():
+    for total in range(1, 7):
+        for d in _compositions(total):
+            for r in range(total + 1):
+                assert canonical_basis(d, r) == _reference_table(d, r)
+    assert canonical_basis((1,) * 8, 4) == _reference_table((1,) * 8, 4)
+
+
+def test_recursion_matches_reference_under_kappa_override():
+    ks = compute_quasi_r(2)
+    flipped = [ks[0], neg(ks[1]), ks[2]]
+    wrong = canonical_basis((2, 2), 2, kappa=flipped)
+    assert wrong == _reference_table((2, 2), 2, kappa=flipped)
+    assert wrong != canonical_basis((2, 2), 2)
+
+
 # -- per-process memo store ----------------------------------------------------
 
 
@@ -228,9 +296,13 @@ def test_clear_caches_empties_store_and_resets_kappa():
     kinds = {key[0] for key in canonical_mod._MEMO}
     assert kinds == {"psi", "table", "pair", "embed"}
     assert len(canonical_mod._KAPPA) > 1
+    constants = (quantum_integer, quantum_factorial, quantum_binomial, _gram)
+    assert all(memo.cache_info().currsize > 0 for memo in constants)
     clear_caches()
     assert canonical_mod._MEMO == {}
     assert canonical_mod._KAPPA == [ONE]
+    for memo in constants:
+        assert memo.cache_info().currsize == 0
     again = canonical_basis((2, 2), 2)
     assert again is not first
     assert again == first
@@ -302,6 +374,14 @@ def test_kappa_override_changes_table_without_poisoning_caches(tmp_path):
 def test_theta_rejects_short_coefficient_list():
     with pytest.raises(ValueError, match="too short"):
         bar_involution(V((2, 2), (0, 2)), kappa=[ONE])
+
+
+def test_kappa_fault_raises_on_non_unitriangular_psi_column():
+    ks = compute_quasi_r(1)
+    stored = len(canonical_mod._MEMO)
+    with pytest.raises(TriangularityViolationError, match="diagonal"):
+        canonical_basis((1, 1), 1, kappa=[Laurent.from_int(2), ks[1]])
+    assert len(canonical_mod._MEMO) == stored
 
 
 def test_kappa_fault_raises_on_non_antisymmetric_obstruction():

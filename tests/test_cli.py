@@ -147,6 +147,19 @@ def test_cache_environment_variable_used_without_flag(tmp_path, monkeypatch, cap
     assert (env_dir / "canonical_v1_d4-3_r2.json").exists()
 
 
+def test_cache_dir_that_is_a_regular_file_is_ignored(tmp_path):
+    argv = ["canon", "--d", "1,1", "--r", "1"]
+    plain = _subprocess_cli(argv)
+    assert plain.returncode == 0
+    blocker = tmp_path / "not_a_directory"
+    blocker.write_text("occupied\n", encoding="utf-8")
+    proc = _subprocess_cli([*argv, "--cache-dir", str(blocker)])
+    assert proc.returncode == 0
+    assert proc.stdout == plain.stdout
+    assert proc.stderr == ""
+    assert blocker.read_text(encoding="utf-8") == "occupied\n"
+
+
 # -- exit codes --------------------------------------------------------------------
 
 

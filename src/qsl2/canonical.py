@@ -28,11 +28,15 @@ negative-exponent half of the obstruction
     g_s = sum_{s < t <= r} a_{s,t} bar(p_{t,r}),
 
 the unique member of q^-1 Z[q^-1] with p_{s,r} - bar(p_{s,r}) = g_s.
-Each nonzero g_s is checked to sit strictly below r in the closure
-order, to be bar-antisymmetric and to have zero constant term; with the
-column check, Psi(b_r) = b_r holds exactly by construction.  The
-off-diagonal coefficients land in q^-1 Z_{>=0}[q^-1] (a checked
-property, not an input).
+Each g_s is accumulated as a raw map from half-exponents to integers,
+one multiply-add per pair of terms, and becomes a Laurent element only
+when s is reached.  Each nonzero g_s is checked to sit strictly below r
+in the closure order, to be bar-antisymmetric and to have zero constant
+term; with the column check, Psi(b_r) = b_r holds exactly by
+construction.  Both closure tests compare prefix sums computed once per
+index of the level (orbits.prefix_sums), and an entry at an index off
+the level fails the column check.  The off-diagonal coefficients land
+in q^-1 Z_{>=0}[q^-1] (a checked property, not an input).
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from collections import defaultdict
 from dataclasses import dataclass
 
 from . import orbits
@@ -53,7 +58,6 @@ from .errors import (
 from .modules import (
     ModuleVector,
     LinMap,
-    _accumulate,
     _gram,
     act_E,
     act_F,
@@ -288,19 +292,31 @@ class CanonicalTable:
 
 
 def _psi_below(
-    d: Composition, t: OrbitIndex, kappa: list[Laurent], memo_ok: bool
+    d: Composition,
+    t: OrbitIndex,
+    kappa: list[Laurent],
+    memo_ok: bool,
+    prefix: dict[OrbitIndex, tuple[int, ...]],
 ) -> dict[OrbitIndex, Laurent]:
     """Column t of the Psi matrix without its diagonal entry, after
     checking that the column is unitriangular: a_{t,t} = 1 and every
-    other entry lies strictly below t in the closure order."""
+    other entry lies strictly below t in the closure order.  prefix maps
+    each index of the level to its prefix sums."""
     column = dict(_psi_basis(d, t, kappa, 1, memo_ok)._terms)
     diagonal = column.pop(t, ZERO)
     if diagonal != ONE:
         raise TriangularityViolationError(
             f"Psi(v{t}) on Lambda_{d} has diagonal coefficient {diagonal}, not 1"
         )
+    top = prefix[t]
     for s in column:
-        if not orbits.closure_leq(d, s, t):
+        sums = prefix.get(s)
+        if sums is None:
+            raise TriangularityViolationError(
+                f"Psi(v{t}) on Lambda_{d} is supported at {s}, "
+                f"off level {sum(t)}"
+            )
+        if not orbits.prefix_dominates(sums, top):
             raise TriangularityViolationError(
                 f"Psi(v{t}) on Lambda_{d} is supported at {s}, "
                 f"outside the lower closure"
@@ -315,18 +331,29 @@ def _compute_table(
     memo_ok = kappa is None
     if kappa is None:
         kappa = compute_quasi_r(sum(d) // 2)
-    below = {t: _psi_below(d, t, kappa, memo_ok) for t in order}
+    # the closure tests compare prefix sums computed once per index,
+    # which also tells an index of this level from any other
+    prefix = {idx: orbits.prefix_sums(idx) for idx in order}
+    below = {t: _psi_below(d, t, kappa, memo_ok, prefix) for t in order}
     rows: dict[OrbitIndex, ModuleVector] = {}
     for top, r_idx in enumerate(order):
         coeffs = {r_idx: ONE}
-        # obstruction[s] accumulates a_{s,t} bar(p_{t,r}) over the t
-        # already solved; every t above s is solved before s is reached
-        obstruction = dict(below[r_idx])
+        top_sums = prefix[r_idx]
+        # obstruction[s] is the raw sum {half-exponent: coefficient} of
+        # a_{s,t} bar(p_{t,r}) over the t already solved; every t above
+        # s is solved before s is reached.  Products are accumulated
+        # term by term, and a Laurent is built only when s is popped.
+        obstruction = {
+            s: defaultdict(int, a._terms) for s, a in below[r_idx].items()
+        }
         for s in reversed(order[:top]):
-            g = obstruction.pop(s, None)
-            if g is None:
+            raw = obstruction.pop(s, None)
+            if raw is None:
                 continue
-            if not orbits.closure_leq(d, s, r_idx):
+            g = Laurent(raw)
+            if g.is_zero():
+                continue
+            if not orbits.prefix_dominates(prefix[s], top_sums):
                 raise TriangularityViolationError(
                     f"obstruction for b{s} vs {r_idx} on Lambda_{d} "
                     f"is supported outside the strict lower closure"
@@ -341,9 +368,14 @@ def _compute_table(
                 )
             p = g.negative_half()
             coeffs[s] = p
-            p_bar = p.bar()
+            p_bar = [(-h, c) for h, c in p._terms.items()]
             for u, a in below[s].items():
-                _accumulate(obstruction, u, a * p_bar)
+                acc = obstruction.get(u)
+                if acc is None:
+                    acc = obstruction[u] = defaultdict(int)
+                for h1, c1 in a._terms.items():
+                    for h2, c2 in p_bar:
+                        acc[h1 + h2] += c1 * c2
         rows[r_idx] = ModuleVector._make(d, coeffs)
     return CanonicalTable(d, r, order, rows)
 

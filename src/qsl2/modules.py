@@ -62,8 +62,9 @@ def _accumulate(data: dict[OrbitIndex, Laurent], idx: OrbitIndex, c: Laurent) ->
 class ModuleVector:
     """A finite linear combination of standard basis vectors of Lambda_d.
 
-    Canonical form stores no zero coefficients.  Vectors are immutable;
-    all operations return fresh instances.
+    Canonical form stores no zero coefficients.  Vectors are immutable,
+    so operations may share them: scaling by 1 returns the vector itself,
+    and every other operation returns a fresh instance.
     """
 
     __slots__ = ("d", "_terms")
@@ -150,6 +151,8 @@ class ModuleVector:
     def scale(self, c: Laurent | int) -> "ModuleVector":
         if isinstance(c, int):
             c = Laurent.from_int(c)
+        if c == ONE:
+            return self
         if c.is_zero():
             return ModuleVector.zero(self.d)
         return ModuleVector._make(self.d, {idx: x * c for idx, x in self._terms.items()})

@@ -19,7 +19,7 @@ the closure order since a proper closure drops the dimension.
 from __future__ import annotations
 
 import math
-from itertools import product
+from itertools import accumulate, product
 
 from .errors import AmbientMismatchError, TotalMismatchError
 
@@ -29,6 +29,8 @@ __all__ = [
     "check_composition",
     "check_index",
     "closure_leq",
+    "prefix_sums",
+    "prefix_dominates",
     "orbit_dim",
     "cell_count",
     "dense_cell",
@@ -62,6 +64,17 @@ def check_index(d: Composition, r: OrbitIndex) -> OrbitIndex:
     return r
 
 
+def prefix_sums(r: OrbitIndex) -> tuple[int, ...]:
+    """The running sums r_1, r_1 + r_2, ... that the closure order compares."""
+    return tuple(accumulate(r))
+
+
+def prefix_dominates(ps: tuple[int, ...], pr: tuple[int, ...]) -> bool:
+    """The closure test on prefix sums of two indices of one level: every
+    entry of ps is at least the matching entry of pr."""
+    return all(a >= b for a, b in zip(ps, pr))
+
+
 def closure_leq(d: Composition, s: OrbitIndex, r: OrbitIndex) -> bool:
     """True when the orbit of s is contained in the closure of the orbit
     of r: every prefix sum of s is at least that of r."""
@@ -70,14 +83,7 @@ def closure_leq(d: Composition, s: OrbitIndex, r: OrbitIndex) -> bool:
     r = check_index(d, r)
     if sum(s) != sum(r):
         raise TotalMismatchError(f"indices {s} and {r} have different totals")
-    acc_s = 0
-    acc_r = 0
-    for sk, rk in zip(s, r):
-        acc_s += sk
-        acc_r += rk
-        if acc_s < acc_r:
-            return False
-    return True
+    return prefix_dominates(prefix_sums(s), prefix_sums(r))
 
 
 def orbit_dim(d: Composition, r: OrbitIndex) -> int:

@@ -109,9 +109,14 @@ class Laurent:
         return None
 
     def __add__(self, other) -> "Laurent":
-        o = self._coerce(other)
+        o = other if type(other) is Laurent else self._coerce(other)
         if o is None:
             return NotImplemented
+        # values are immutable, so adding zero may return the other operand
+        if not o._terms:
+            return self
+        if not self._terms:
+            return o
         data = dict(self._terms)
         for h, c in o._terms.items():
             nc = data.get(h, 0) + c
@@ -145,12 +150,28 @@ class Laurent:
         return o + (-self)
 
     def __mul__(self, other) -> "Laurent":
-        o = self._coerce(other)
+        o = other if type(other) is Laurent else self._coerce(other)
         if o is None:
             return NotImplemented
+        short, long = self._terms, o._terms
+        if len(short) > len(long):
+            short, long = long, short
+        if not short:
+            return ZERO
+        if len(short) == 1:
+            # a monomial times anything: one shift and scale, and no
+            # cancellation is possible; multiplying by ONE returns the
+            # other operand itself, which is safe as values are immutable
+            ((h1, c1),) = short.items()
+            if h1 == 0 and c1 == 1:
+                return self if long is self._terms else o
+            out = Laurent.__new__(Laurent)
+            out._terms = {h1 + h2: c1 * c2 for h2, c2 in long.items()}
+            out._hash = None
+            return out
         data: dict[int, int] = {}
-        for h1, c1 in self._terms.items():
-            for h2, c2 in o._terms.items():
+        for h1, c1 in short.items():
+            for h2, c2 in long.items():
                 h = h1 + h2
                 nc = data.get(h, 0) + c1 * c2
                 if nc:
@@ -183,8 +204,14 @@ class Laurent:
         return self._terms == o._terms
 
     def __hash__(self) -> int:
+        # equal values hash equal: __eq__ coerces ints, so a constant
+        # {0: c} must hash like c (and zero like 0)
         if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
+            terms = self._terms
+            if terms.keys() <= {0}:
+                self._hash = hash(terms.get(0, 0))
+            else:
+                self._hash = hash(frozenset(terms.items()))
         return self._hash
 
     def __bool__(self) -> bool:

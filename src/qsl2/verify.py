@@ -364,6 +364,9 @@ def suite_canonical(max_total: int) -> SuiteResult:
                         ),
                         f"split coefficients at {idx} in {d} cut {cut}",
                     )
+                # (b_s' * b_s'', b_t' * b_t''), once per pair (s, t)
+                # whose left parts share a level
+                products: dict[tuple, Laurent] = {}
                 for idx in split.order:
                     for jdx in split.order:
                         direct = inner_product(
@@ -371,16 +374,20 @@ def suite_canonical(max_total: int) -> SuiteResult:
                         )
                         paired = ZERO
                         for s, c in split.rows[idx].items():
+                            a = sum(s[:cut])
                             for t, e in split.rows[jdx].items():
-                                lt = canonical_basis(left_d, sum(s[:cut]))
-                                rt = canonical_basis(right_d, sum(s[cut:]))
-                                if sum(s[:cut]) != sum(t[:cut]):
+                                if a != sum(t[:cut]):
                                     continue
-                                paired = paired + c * e * inner_product(
-                                    lt.rows[s[:cut]], lt.rows[t[:cut]]
-                                ) * inner_product(
-                                    rt.rows[s[cut:]], rt.rows[t[cut:]]
-                                )
+                                w = products.get((s, t))
+                                if w is None:
+                                    lt = canonical_basis(left_d, a)
+                                    rt = canonical_basis(right_d, r - a)
+                                    w = products[(s, t)] = inner_product(
+                                        lt.rows[s[:cut]], lt.rows[t[:cut]]
+                                    ) * inner_product(
+                                        rt.rows[s[cut:]], rt.rows[t[cut:]]
+                                    )
+                                paired = paired + c * e * w
                         res.check(
                             direct == paired,
                             f"split pairing ({idx},{jdx}) in {d} cut {cut}",

@@ -384,6 +384,33 @@ def test_kappa_fault_raises_on_non_unitriangular_psi_column():
     assert len(canonical_mod._MEMO) == stored
 
 
+@pytest.mark.parametrize(
+    "planted, pattern",
+    [((0, 1, 0), "outside the lower closure"), ((1, 1, 0), "off level 1")],
+)
+def test_psi_column_support_outside_closure_raises(monkeypatch, planted, pattern):
+    d = (1, 1, 1)
+    bottom = (1, 0, 0)
+    clear_caches()
+    canonical_basis((2, 1), 1)
+    stored = len(canonical_mod._MEMO)
+
+    def faulty(d_, idx, kappa, cut, memo_ok):
+        column = V(d_, idx)
+        if idx == bottom:
+            column = column + V(d_, planted).scale(QINV)
+        return column
+
+    monkeypatch.setattr(canonical_mod, "_psi_basis", faulty)
+    with pytest.raises(TriangularityViolationError) as info:
+        canonical_basis(d, 1)
+    message = str(info.value)
+    assert "Lambda_(1, 1, 1)" in message
+    assert f"supported at {planted}" in message
+    assert pattern in message
+    assert len(canonical_mod._MEMO) == stored
+
+
 def test_kappa_fault_raises_on_non_antisymmetric_obstruction():
     with pytest.raises(ObstructionNotAntisymmetricError):
         canonical_basis((1, 1), 1, kappa=[ONE, ONE])

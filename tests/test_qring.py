@@ -59,6 +59,75 @@ def test_arithmetic():
         Q ** -1
 
 
+def _reference_terms(x):
+    if isinstance(x, int):
+        return {0: x} if x else {}
+    return dict(x.items())
+
+
+def _reference_mul(a, b):
+    """The general double loop of Laurent.__mul__, kept as the reference
+    for its unit and monomial fast paths."""
+    data = {}
+    for h1, c1 in _reference_terms(a).items():
+        for h2, c2 in _reference_terms(b).items():
+            h = h1 + h2
+            nc = data.get(h, 0) + c1 * c2
+            if nc:
+                data[h] = nc
+            elif h in data:
+                del data[h]
+    return data
+
+
+def _reference_add(a, b):
+    """The dict add of Laurent.__add__, kept as the reference for its
+    zero fast path."""
+    data = _reference_terms(a)
+    for h, c in _reference_terms(b).items():
+        nc = data.get(h, 0) + c
+        if nc:
+            data[h] = nc
+        elif h in data:
+            del data[h]
+    return data
+
+
+def test_fast_paths_match_reference_loops():
+    rng = random.Random(9120)
+    pool = [ZERO, ONE, -ONE, Q, QINV, q_half(1), q_half(-3), Laurent({0: 1, 1: 0})]
+    pool += [Laurent({rng.randrange(-9, 10): rng.choice([-3, -1, 1, 2])}) for _ in range(8)]
+    pool += [_random_laurent(rng) for _ in range(16)]
+    pool += [0, 1, -1, 5]
+    pairs = [(a, b) for a in pool for b in pool]
+    pairs += [(rng.choice(pool), rng.choice(pool)) for _ in range(400)]
+    for a, b in pairs:
+        if isinstance(a, int) and isinstance(b, int):
+            continue
+        before = (_reference_terms(a), _reference_terms(b))
+        product = a * b
+        total = a + b
+        assert type(product) is Laurent and type(total) is Laurent
+        assert dict(product.items()) == _reference_mul(a, b)
+        assert dict(total.items()) == _reference_add(a, b)
+        assert product == Laurent(_reference_mul(a, b))
+        assert hash(product) == hash(Laurent(_reference_mul(a, b)))
+        assert hash(total) == hash(Laurent(_reference_add(a, b)))
+        assert (_reference_terms(a), _reference_terms(b)) == before
+
+
+def test_hash_agrees_with_int_equality():
+    assert ONE == 1 and hash(ONE) == hash(1)
+    assert ZERO == 0 and hash(ZERO) == hash(0)
+    assert hash(Laurent({0: -7})) == hash(-7)
+    assert 1 in {ONE}
+    assert ONE in {1: "x"}
+    assert 0 in {ZERO}
+    assert {ONE: "x"}[1] == "x"
+    assert Laurent({0: 3}) in {3}
+    assert Q not in {1, 0}
+
+
 def test_powers_of_q():
     assert q_power(1) == Q
     assert q_power(-1) == QINV

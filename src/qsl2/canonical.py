@@ -49,6 +49,7 @@ from dataclasses import dataclass
 
 from . import orbits
 from .errors import (
+    AlgebraError,
     ConventionUnderdeterminedError,
     EmbeddingCheckFailedError,
     NonzeroConstantTermError,
@@ -59,6 +60,7 @@ from .modules import (
     ModuleVector,
     LinMap,
     _gram,
+    _step_scalar,
     act_E,
     act_F,
     act_K,
@@ -96,7 +98,7 @@ __all__ = [
 Composition = orbits.Composition
 OrbitIndex = orbits.OrbitIndex
 
-CACHE_FORMAT_VERSION = 1
+CACHE_FORMAT_VERSION = 2
 
 # Solved quasi-R coefficients, kappa_0 first.  Extended on demand and
 # otherwise only truncated back to [ONE] by clear_caches.
@@ -112,14 +114,23 @@ _MEMO: dict[tuple, object] = {}
 # The memoized constants of qring and modules, held here as the cached
 # functions themselves so clear_caches reaches them whatever later
 # rebinds the module attributes.
-_CONSTANT_MEMOS = (quantum_integer, quantum_factorial, quantum_binomial, _gram)
+_CONSTANT_MEMOS = (
+    quantum_integer,
+    quantum_factorial,
+    quantum_binomial,
+    _gram,
+    _step_scalar,
+    orbits._orbit_dim,
+    orbits._linear_extension,
+)
 
 
 def clear_caches() -> None:
     """Forget every per-process result: memoized Psi images, canonical
     tables, embeddings, pair braidings, the solved quasi-R coefficients,
-    the quantum integers, factorials and binomials and the Gram entries.
-    The disk cache is not touched."""
+    the quantum integers, factorials and binomials, the Gram entries,
+    the E/F step scalars, the orbit dimensions and the linear
+    extensions.  The disk cache is not touched."""
     _MEMO.clear()
     del _KAPPA[1:]
     for memo in _CONSTANT_MEMOS:
@@ -171,20 +182,21 @@ def _solve_next_kappa() -> None:
     trial0 = _KAPPA + [ZERO]
     trial1 = _KAPPA + [ONE]
 
+    basis = [idx for level in range(2 * n + 1) for idx in enumerate_basis(d, level)]
+    # Psi under each trial, one column per basis vector, built once:
+    # Psi(x) = sum_s bar(x_s) Psi(v_s) is the column map applied to bar(x)
+    psi0, psi1 = (
+        LinMap(d, d, {idx: _psi_basis(d, idx, trial, 1, False) for idx in basis})
+        for trial in (trial0, trial1)
+    )
     equations: list[tuple[Laurent, Laurent]] = []
-    for level in range(2 * n + 1):
-        for idx in enumerate_basis(d, level):
-            u = ModuleVector.basis(d, idx)
-            for op in (act_F, act_E):
-                xu = op(u)
-                lhs0 = _psi_vector(xu, trial0, 1, False)
-                lhs1 = _psi_vector(xu, trial1, 1, False)
-                rhs0 = op(_psi_vector(u, trial0, 1, False))
-                rhs1 = op(_psi_vector(u, trial1, 1, False))
-                zero_part = lhs0 - rhs0
-                slope = (lhs1 - rhs1) - zero_part
-                for s in zero_part.support() | slope.support():
-                    equations.append((slope.coeff(s), -zero_part.coeff(s)))
+    for idx in basis:
+        for op in (act_F, act_E):
+            xu_bar = op(ModuleVector.basis(d, idx)).map_coefficients(Laurent.bar)
+            zero_part = psi0.apply(xu_bar) - op(psi0.columns[idx])
+            slope = (psi1.apply(xu_bar) - op(psi1.columns[idx])) - zero_part
+            for s in zero_part.support() | slope.support():
+                equations.append((slope.coeff(s), -zero_part.coeff(s)))
 
     value: Laurent | None = None
     for a, b in equations:
@@ -385,21 +397,63 @@ def _cache_path(cache_dir: str, d: Composition, r: int) -> str:
     return os.path.join(cache_dir, name)
 
 
+def _kappa_pairs(d: Composition) -> list[list]:
+    """The quasi-R coefficients a table of Lambda_d is solved with, in
+    JSON form; a cached table is keyed on them."""
+    return [k.to_pairs() for k in compute_quasi_r(sum(d) // 2)]
+
+
+def _is_canonical(table: CanonicalTable) -> bool:
+    """True when table.order is the linear extension and every row is
+    v_idx plus terms strictly below idx in the closure order, with
+    coefficients in q^-1 Z>=0[q^-1], and is fixed by Psi.  Those
+    properties determine the canonical basis, so a table that has them
+    all is the table the solve would compute."""
+    d = table.d
+    if list(table.order) != orbits.linear_extension(d, table.r):
+        return False
+    prefix = {idx: orbits.prefix_sums(idx) for idx in table.order}
+    for idx, row in table.rows.items():
+        if row.coeff(idx) != ONE:
+            return False
+        for s, c in row._terms.items():
+            if s == idx:
+                continue
+            sums = prefix.get(s)
+            if sums is None or not orbits.prefix_dominates(sums, prefix[idx]):
+                return False
+            if not c.is_in_qinv_z_nonneg():
+                return False
+        if bar_involution(row) != row:
+            return False
+    return True
+
+
 def _cache_load(cache_dir: str, d: Composition, r: int) -> CanonicalTable | None:
+    """The cached table of (d, r), or None when the file is missing,
+    unreadable, of another format version or kappa convention, or holds
+    a table that fails _is_canonical."""
     try:
         with open(_cache_path(cache_dir, d, r), "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-        if obj.get("version") != CACHE_FORMAT_VERSION:
+        if not isinstance(obj, dict) or obj.get("version") != CACHE_FORMAT_VERSION:
             return None
         if tuple(obj.get("d", ())) != d or obj.get("r") != r:
             return None
-        return CanonicalTable.from_json_obj(obj)
-    except (OSError, ValueError, KeyError, TypeError):
+        if obj.get("kappa") != _kappa_pairs(d):
+            return None
+        table = CanonicalTable.from_json_obj(obj)
+    except (OSError, ValueError, KeyError, TypeError, AlgebraError):
         return None
+    return table if _is_canonical(table) else None
 
 
 def _cache_store(cache_dir: str, table: CanonicalTable) -> None:
-    obj = {"version": CACHE_FORMAT_VERSION, **table.to_json_obj()}
+    obj = {
+        "version": CACHE_FORMAT_VERSION,
+        "kappa": _kappa_pairs(table.d),
+        **table.to_json_obj(),
+    }
     try:
         os.makedirs(cache_dir, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
@@ -427,7 +481,9 @@ def canonical_basis(
     """The canonical basis table of Lambda_d at level r.
 
     Results are memoized per process; cache_dir adds an advisory disk
-    cache (versioned, unreadable or mismatched files are recomputed).
+    cache, keyed on the format version and the quasi-R coefficients.
+    Every loaded table is checked (see _is_canonical); an unreadable,
+    mismatched or failing file is recomputed and rewritten.
     A kappa override disables every cache, so injected faults cannot
     poison real tables.
     """

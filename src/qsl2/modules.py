@@ -22,6 +22,7 @@ bar twist.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping
@@ -105,7 +106,7 @@ class ModuleVector:
     # -- views ----------------------------------------------------------------
 
     def _order_key(self, idx: OrbitIndex):
-        return (sum(idx), orbits.orbit_dim(self.d, idx), idx)
+        return (sum(idx), orbits._orbit_dim(self.d, idx), idx)
 
     def items(self) -> list[tuple[OrbitIndex, Laurent]]:
         """Terms in canonical order: level, then the linear extension."""
@@ -257,6 +258,13 @@ def act_K(u: ModuleVector, sign: int = 1) -> ModuleVector:
     return ModuleVector._make(u.d, data)
 
 
+@lru_cache(maxsize=None)
+def _step_scalar(m: int, k: int) -> Laurent:
+    """[m] q^k, the scalar one step of E or F puts on a term; memoized
+    for the process."""
+    return quantum_integer(m) * q_power(k)
+
+
 def _act_e_range(u: ModuleVector, lo: int, hi: int) -> ModuleVector:
     """E through the comultiplication, restricted to slots lo..hi-1.
     The slot being lowered contributes [d_k - r_k + 1]; slots before it
@@ -268,7 +276,7 @@ def _act_e_range(u: ModuleVector, lo: int, hi: int) -> ModuleVector:
         for k in range(lo, hi):
             rk = idx[k]
             if rk > 0:
-                scalar = c * quantum_integer(d[k] - rk + 1) * q_power(kweight)
+                scalar = c * _step_scalar(d[k] - rk + 1, kweight)
                 _accumulate(data, idx[:k] + (rk - 1,) + idx[k + 1 :], scalar)
             kweight += d[k] - 2 * rk
     return ModuleVector._make(d, data)
@@ -285,7 +293,7 @@ def _act_f_range(u: ModuleVector, lo: int, hi: int) -> ModuleVector:
             rk = idx[k]
             tail -= d[k] - 2 * rk
             if rk < d[k]:
-                scalar = c * quantum_integer(rk + 1) * q_power(-tail)
+                scalar = c * _step_scalar(rk + 1, -tail)
                 _accumulate(data, idx[:k] + (rk + 1,) + idx[k + 1 :], scalar)
     return ModuleVector._make(d, data)
 
@@ -372,13 +380,21 @@ def inner_product(u: ModuleVector, w: ModuleVector) -> Laurent:
     the diagonal.  No bar twist on either argument."""
     if u.d != w.d:
         raise AmbientMismatchError(f"inner product across {u.d} and {w.d}")
-    out = ZERO
+    # both vectors hold checked indices over the checked u.d, so the
+    # memoized Gram entries are read directly; the products accumulate
+    # as raw {half-exponent: coefficient} and one Laurent is built
+    acc: defaultdict[int, int] = defaultdict(int)
     small, large = (u, w) if len(u._terms) <= len(w._terms) else (w, u)
     for idx, c in small._terms.items():
         cw = large._terms.get(idx)
         if cw is not None:
-            out = out + c * cw * gram_entry(u.d, idx)
-    return out
+            gram = _gram(u.d, idx)._terms.items()
+            for h1, c1 in c._terms.items():
+                for h2, c2 in cw._terms.items():
+                    c12 = c1 * c2
+                    for h3, c3 in gram:
+                        acc[h1 + h2 + h3] += c12 * c3
+    return Laurent(acc)
 
 
 def rho_twist(gen: str) -> Callable[[ModuleVector], ModuleVector]:
@@ -411,10 +427,11 @@ class LinMap:
     def apply(self, u: ModuleVector) -> ModuleVector:
         if u.d != self.source:
             raise AmbientMismatchError(f"map on {self.source} applied to {u.d}")
-        out = ModuleVector.zero(self.target)
+        data: dict[OrbitIndex, Laurent] = {}
         for idx, c in u._terms.items():
-            out = out + self.columns[idx].scale(c)
-        return out
+            for s, x in self.columns[idx]._terms.items():
+                _accumulate(data, s, x * c)
+        return ModuleVector._make(self.target, data)
 
     def compose(self, inner: "LinMap") -> "LinMap":
         """self after inner."""

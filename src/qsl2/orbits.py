@@ -19,6 +19,7 @@ the closure order since a proper closure drops the dimension.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from itertools import accumulate, product
 
 from .errors import AmbientMismatchError, TotalMismatchError
@@ -88,7 +89,12 @@ def closure_leq(d: Composition, s: OrbitIndex, r: OrbitIndex) -> bool:
 
 def orbit_dim(d: Composition, r: OrbitIndex) -> int:
     d = check_composition(d)
-    r = check_index(d, r)
+    return _orbit_dim(d, check_index(d, r))
+
+
+@lru_cache(maxsize=None)
+def _orbit_dim(d: Composition, r: OrbitIndex) -> int:
+    """orbit_dim on checked arguments, memoized for the process."""
     within = sum(rk * (dk - rk) for rk, dk in zip(r, d))
     across = sum(r[j] * (d[i] - r[i]) for j in range(len(d)) for i in range(j))
     return within + across
@@ -126,9 +132,16 @@ def _indices_at_level(d: Composition, r: int) -> list[OrbitIndex]:
 def linear_extension(d: Composition, r: int) -> list[OrbitIndex]:
     """All level-r indices, smallest closure first: sorted by orbit_dim
     ascending with lexicographic tie-break.  Deterministic, and a linear
-    extension of closure_leq."""
-    d = check_composition(d)
-    return sorted(_indices_at_level(d, r), key=lambda idx: (orbit_dim(d, idx), idx))
+    extension of closure_leq.  Each call returns a fresh list."""
+    return list(_linear_extension(check_composition(d), r))
+
+
+@lru_cache(maxsize=None)
+def _linear_extension(d: Composition, r: int) -> tuple[OrbitIndex, ...]:
+    """linear_extension on a checked composition, memoized for the process."""
+    return tuple(
+        sorted(_indices_at_level(d, r), key=lambda idx: (_orbit_dim(d, idx), idx))
+    )
 
 
 def covering_relations(d: Composition, r: int) -> list[tuple[OrbitIndex, OrbitIndex]]:

@@ -44,7 +44,7 @@ class Laurent:
 
     def __init__(self, terms: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
         data: dict[int, int] = {}
-        is_map = type(terms) is dict or isinstance(terms, Mapping)
+        is_map = isinstance(terms, dict) or isinstance(terms, Mapping)
         items = terms.items() if is_map else terms
         for h, c in items:
             if not isinstance(h, int) or not isinstance(c, int):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 from . import orbits
@@ -76,13 +77,24 @@ class SuiteResult:
 def compositions(max_total: int) -> list[Composition]:
     """All compositions with positive parts and 1 <= total <= max_total,
     in a deterministic order."""
-    out: list[Composition] = []
-    for total in range(1, max_total + 1):
-        for l in range(1, total + 1):
-            for parts in itertools.product(range(1, total + 1), repeat=l):
-                if sum(parts) == total:
-                    out.append(parts)
-    return out
+    return [
+        parts
+        for total in range(1, max_total + 1)
+        for l in range(1, total + 1)
+        for parts in _parts(total, l)
+    ]
+
+
+def _parts(total: int, l: int) -> list[Composition]:
+    """The compositions of total into l positive parts, in lexicographic
+    order."""
+    if l == 1:
+        return [(total,)]
+    return [
+        (first,) + rest
+        for first in range(1, total - l + 2)
+        for rest in _parts(total - first, l - 1)
+    ]
 
 
 def _random_laurent(rng: random.Random) -> Laurent:
@@ -140,48 +152,55 @@ def suite_ring(max_total: int) -> SuiteResult:
     return res
 
 
+def _closure_table(d: Composition, idxs: list[tuple[int, ...]]) -> dict:
+    """closure_leq on every ordered pair of one level, one call each."""
+    return {(s, t): orbits.closure_leq(d, s, t) for s in idxs for t in idxs}
+
+
 def suite_orbits(max_total: int) -> SuiteResult:
     res = SuiteResult("orbits")
+    # the fine level (1,)*total at r, shared by every d of that total
+    fine_leq: dict[tuple[int, int], dict] = {}
     for d in compositions(max_total):
         total = sum(d)
+        fine = (1,) * total
         for r in range(total + 1):
             idxs = enumerate_basis(d, r)
             res.check(
                 sum(orbits.cell_count(d, i) for i in idxs) == math.comb(total, r),
                 f"cell counts at d={d} r={r}",
             )
+            leq = _closure_table(d, idxs)
+            dims = {i: orbits.orbit_dim(d, i) for i in idxs}
             for s, t in itertools.product(idxs, repeat=2):
-                if orbits.closure_leq(d, s, t) and orbits.closure_leq(d, t, s):
+                if leq[s, t] and leq[t, s]:
                     res.check(s == t, f"antisymmetry {s},{t} in {d}")
-                if s != t and orbits.closure_leq(d, s, t):
+                if s != t and leq[s, t]:
                     res.check(
-                        orbits.orbit_dim(d, s) < orbits.orbit_dim(d, t),
+                        dims[s] < dims[t],
                         f"dim not strictly monotone {s} < {t} in {d}",
                     )
-            for s, t, u in itertools.product(idxs, repeat=3):
-                if orbits.closure_leq(d, s, t) and orbits.closure_leq(d, t, u):
-                    res.check(
-                        orbits.closure_leq(d, s, u),
-                        f"transitivity {s},{t},{u} in {d}",
-                    )
-            fine = (1,) * total
+            above = {t: [u for u in idxs if leq[t, u]] for t in idxs}
+            for s in idxs:
+                for t in above[s]:
+                    for u in above[t]:
+                        res.check(leq[s, u], f"transitivity {s},{t},{u} in {d}")
+            fleq = fine_leq.get((total, r))
+            if fleq is None:
+                fleq = fine_leq[total, r] = _closure_table(
+                    fine, enumerate_basis(fine, r)
+                )
+            refinements = {i: _binary_refinements(d, i) for i in idxs}
             for idx in idxs:
                 dense = orbits.dense_cell(d, idx)
-                refinements = _binary_refinements(d, idx)
                 res.check(
-                    all(
-                        orbits.closure_leq(fine, ref, dense)
-                        for ref in refinements
-                    ),
+                    all(fleq[ref, dense] for ref in refinements[idx]),
                     f"dense_cell not maximal for {idx} in {d}",
                 )
                 for s in idxs:
-                    if s != idx and orbits.closure_leq(d, s, idx):
+                    if s != idx and leq[s, idx]:
                         res.check(
-                            all(
-                                not orbits.closure_leq(fine, dense, ref)
-                                for ref in _binary_refinements(d, s)
-                            ),
+                            all(not fleq[dense, ref] for ref in refinements[s]),
                             f"refinement of {s} above dense_cell({idx}) in {d}",
                         )
     return res
@@ -210,34 +229,30 @@ def suite_modules(max_total: int) -> SuiteResult:
         for r in range(total + 1):
             idxs = enumerate_basis(d, r)
             dim += len(idxs)
+            w = total - 2 * r
+            scalar = exact_div(q_power(w) - q_power(-w), qm) if w != 0 else ZERO
             for idx in idxs:
                 u = ModuleVector.basis(d, idx)
+                eu, fu, ku = act_E(u), act_F(u), act_K(u)
                 res.check(
-                    act_K(act_E(u)) == act_E(act_K(u)).scale(q_power(2)),
+                    act_K(eu) == act_E(ku).scale(q_power(2)),
                     f"KE != q^2 EK at {idx} in {d}",
                 )
                 res.check(
-                    act_K(act_F(u)) == act_F(act_K(u)).scale(q_power(-2)),
+                    act_K(fu) == act_F(ku).scale(q_power(-2)),
                     f"KF != q^-2 FK at {idx} in {d}",
                 )
-                w = total - 2 * r
-                commutator = act_E(act_F(u)) - act_F(act_E(u))
-                scalar = (
-                    exact_div(q_power(w) - q_power(-w), qm)
-                    if w != 0
-                    else ZERO
-                )
+                commutator = act_E(fu) - act_F(eu)
                 res.check(
                     commutator == u.scale(scalar),
                     f"EF-FE at {idx} in {d}",
                 )
                 for gen in ("E", "F"):
+                    powers = [act_divided(u, gen, k) for k in range(3)]
                     for n in range(3):
                         for m in range(3 - n):
-                            lhs = act_divided(act_divided(u, gen, m), gen, n)
-                            rhs = act_divided(u, gen, n + m).scale(
-                                quantum_binomial(n + m, n)
-                            )
+                            lhs = act_divided(powers[m], gen, n)
+                            rhs = powers[n + m].scale(quantum_binomial(n + m, n))
                             res.check(
                                 lhs == rhs,
                                 f"{gen}^({n}){gen}^({m}) at {idx} in {d}",
@@ -247,13 +262,17 @@ def suite_modules(max_total: int) -> SuiteResult:
                 rho = rho_twist(x)
                 if not 0 <= r + shift <= total:
                     continue
+                targets = [
+                    (jdx, ModuleVector.basis(d, jdx))
+                    for jdx in enumerate_basis(d, r + shift)
+                ]
+                rho_w = [rho(w_vec) for _, w_vec in targets]
                 for idx in idxs:
                     u = ModuleVector.basis(d, idx)
-                    for jdx in enumerate_basis(d, r + shift):
-                        w_vec = ModuleVector.basis(d, jdx)
+                    op_u = op(u)
+                    for (jdx, w_vec), rw in zip(targets, rho_w):
                         res.check(
-                            inner_product(op(u), w_vec)
-                            == inner_product(u, rho(w_vec)),
+                            inner_product(op_u, w_vec) == inner_product(u, rw),
                             f"adjointness of {x} at ({idx},{jdx}) in {d}",
                         )
         res.check(
@@ -312,8 +331,18 @@ def suite_canonical(max_total: int) -> SuiteResult:
     res = SuiteResult("canonical")
     for d in compositions(max_total):
         total = sum(d)
+        # (b_idx, b_jdx) for every ordered pair of rows of each level,
+        # read by the pairing check and by the split checks below; the
+        # form is symmetric, so each unordered pair is computed once
+        grams: dict[int, dict[tuple, Laurent]] = {}
         for r in range(total + 1):
             table = canonical_basis(d, r)
+            gram = grams[r] = {}
+            for i, idx in enumerate(table.order):
+                for jdx in table.order[i:]:
+                    gram[idx, jdx] = gram[jdx, idx] = inner_product(
+                        table.rows[idx], table.rows[jdx]
+                    )
             for idx in table.order:
                 row = table.rows[idx]
                 res.check(
@@ -332,7 +361,7 @@ def suite_canonical(max_total: int) -> SuiteResult:
                         f"coefficient ({c}) at {s} in b{idx} of {d}",
                     )
                 for jdx in table.order:
-                    pairing = inner_product(row, table.rows[jdx])
+                    pairing = gram[idx, jdx]
                     expected_delta = ONE if idx == jdx else ZERO
                     res.check(
                         (pairing - expected_delta).is_in_qinv_z_nonneg(),
@@ -347,8 +376,10 @@ def suite_canonical(max_total: int) -> SuiteResult:
                 )
         for cut in range(1, len(d)):
             left_d, right_d = d[:cut], d[cut:]
+            # (b_x, b_y) of the factor tables, shared by the levels of the cut
+            left_pairs: dict[tuple, Laurent] = {}
+            right_pairs: dict[tuple, Laurent] = {}
             for r in range(total + 1):
-                table = canonical_basis(d, r)
                 split = split_expand(d, cut, r)
                 for idx in split.order:
                     coords = split.rows[idx]
@@ -367,32 +398,51 @@ def suite_canonical(max_total: int) -> SuiteResult:
                 # (b_s' * b_s'', b_t' * b_t''), once per pair (s, t)
                 # whose left parts share a level
                 products: dict[tuple, Laurent] = {}
+                by_level = {
+                    idx: _by_left_level(split.rows[idx], cut) for idx in split.order
+                }
                 for idx in split.order:
                     for jdx in split.order:
-                        direct = inner_product(
-                            table.rows[idx], table.rows[jdx]
-                        )
-                        paired = ZERO
-                        for s, c in split.rows[idx].items():
-                            a = sum(s[:cut])
-                            for t, e in split.rows[jdx].items():
-                                if a != sum(t[:cut]):
-                                    continue
-                                w = products.get((s, t))
-                                if w is None:
-                                    lt = canonical_basis(left_d, a)
-                                    rt = canonical_basis(right_d, r - a)
-                                    w = products[(s, t)] = inner_product(
-                                        lt.rows[s[:cut]], lt.rows[t[:cut]]
-                                    ) * inner_product(
-                                        rt.rows[s[cut:]], rt.rows[t[cut:]]
-                                    )
-                                paired = paired + c * e * w
+                        paired: defaultdict[int, int] = defaultdict(int)
+                        for a, terms in by_level[idx].items():
+                            for s, c in terms:
+                                for t, e in by_level[jdx].get(a, ()):
+                                    w = products.get((s, t))
+                                    if w is None:
+                                        w = products[s, t] = _row_pairing(
+                                            left_pairs, left_d, s[:cut], t[:cut]
+                                        ) * _row_pairing(
+                                            right_pairs, right_d, s[cut:], t[cut:]
+                                        )
+                                    for h1, c1 in (c * e)._terms.items():
+                                        for h2, c2 in w._terms.items():
+                                            paired[h1 + h2] += c1 * c2
                         res.check(
-                            direct == paired,
+                            grams[r][idx, jdx] == Laurent(paired),
                             f"split pairing ({idx},{jdx}) in {d} cut {cut}",
                         )
     return res
+
+
+def _by_left_level(
+    coords: dict[tuple[int, ...], Laurent], cut: int
+) -> dict[int, list[tuple[tuple[int, ...], Laurent]]]:
+    """The terms of a split row grouped by the level of their left part."""
+    out: dict[int, list] = {}
+    for s, c in coords.items():
+        out.setdefault(sum(s[:cut]), []).append((s, c))
+    return out
+
+
+def _row_pairing(
+    cache: dict[tuple, Laurent], d: Composition, x: tuple[int, ...], y: tuple[int, ...]
+) -> Laurent:
+    """(b_x, b_y) on Lambda_d for two indices of one level, memoized in cache."""
+    w = cache.get((x, y))
+    if w is None:
+        table = canonical_basis(d, sum(x))
+        w = cache[x, y] = inner_product(table.rows[x], table.rows[y])
+    return w
 
 
 def _reduced_words(l: int) -> list[tuple[int, ...]]:

@@ -29,7 +29,7 @@ from qsl2.errors import (
     ObstructionNotAntisymmetricError,
     TriangularityViolationError,
 )
-from qsl2.modules import _gram, act_E, act_F, act_K, enumerate_basis
+from qsl2.modules import _gram, _step_scalar, act_E, act_F, act_K, enumerate_basis
 from qsl2.qring import (
     ONE,
     Q,
@@ -296,7 +296,15 @@ def test_clear_caches_empties_store_and_resets_kappa():
     kinds = {key[0] for key in canonical_mod._MEMO}
     assert kinds == {"psi", "table", "pair", "embed"}
     assert len(canonical_mod._KAPPA) > 1
-    constants = (quantum_integer, quantum_factorial, quantum_binomial, _gram)
+    constants = (
+        quantum_integer,
+        quantum_factorial,
+        quantum_binomial,
+        _gram,
+        _step_scalar,
+        orbits._orbit_dim,
+        orbits._linear_extension,
+    )
     assert all(memo.cache_info().currsize > 0 for memo in constants)
     clear_caches()
     assert canonical_mod._MEMO == {}
@@ -317,7 +325,7 @@ def test_cache_roundtrip(tmp_path):
     cache = str(tmp_path)
     t1 = canonical_basis((4, 1), 2, cache_dir=cache)
     path = _cache_path(cache, (4, 1), 2)
-    assert os.path.basename(path) == "canonical_v1_d4-1_r2.json"
+    assert os.path.basename(path) == "canonical_v2_d4-1_r2.json"
     assert os.path.exists(path)
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
@@ -349,6 +357,93 @@ def test_cache_ignores_corruption_and_version_skew(tmp_path):
         obj = {"version": CACHE_FORMAT_VERSION, **t.to_json_obj()}
         obj["r"] = 1
         json.dump(obj, fh)
+    assert _cache_load(cache, (2, 1), 2) is None
+
+
+def _row(obj, r_index):
+    return next(row for row in obj["rows"] if row["r_index"] == r_index)
+
+
+def _term(obj, r_index, s_index):
+    return next(t for t in _row(obj, r_index)["terms"] if t["r"] == s_index)
+
+
+def _set_coeff(pairs):
+    def tamper(obj):
+        _term(obj, [1, 1], [2, 0])["coeff"] = pairs
+
+    return tamper
+
+
+def _add_term(r_index, s_index):
+    def tamper(obj):
+        _row(obj, r_index)["terms"].append({"r": s_index, "coeff": [[-2, "1"]]})
+
+    return tamper
+
+
+def _set_kappa(obj):
+    obj["kappa"][1] = [[2, "1"], [-2, "-1"]]
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        # in q^-1 Z>=0[q^-1] and unitriangular: only Psi(b) = b fails
+        _set_coeff([[-2, "5"]]),
+        _set_coeff([[-2, "-1"], [-6, "1"]]),
+        # b(1,1) + b(2,0): fixed by Psi, but the coefficient has a constant term
+        _set_coeff([[0, "1"], [-2, "1"], [-6, "1"]]),
+        _set_coeff([[2, "1"]]),
+        lambda obj: _term(obj, [1, 1], [1, 1]).update(coeff=[[0, "2"]]),
+        _add_term([2, 0], [1, 1]),
+        _add_term([1, 1], [2, 1]),
+        lambda obj: obj["rows"].reverse(),
+        lambda obj: obj["rows"].pop(),
+        _set_kappa,
+        lambda obj: obj.pop("kappa"),
+    ],
+    ids=[
+        "not-bar-fixed",
+        "negative-coefficient",
+        "bar-fixed-constant-term",
+        "positive-exponent",
+        "diagonal",
+        "outside-closure",
+        "off-level",
+        "order",
+        "missing-row",
+        "kappa-mismatch",
+        "kappa-missing",
+    ],
+)
+def test_cache_rejects_tampered_table_and_rewrites_it(tmp_path, tamper):
+    cache = str(tmp_path)
+    clear_caches()
+    good = canonical_basis((2, 2), 2, cache_dir=cache)
+    path = _cache_path(cache, (2, 2), 2)
+    with open(path, "r", encoding="utf-8") as fh:
+        stored = fh.read()
+    obj = json.loads(stored)
+    tamper(obj)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh)
+    from qsl2.canonical import _cache_load
+
+    assert _cache_load(cache, (2, 2), 2) is None
+    clear_caches()
+    assert canonical_basis((2, 2), 2, cache_dir=cache) == good
+    with open(path, "r", encoding="utf-8") as fh:
+        assert fh.read() == stored
+
+
+def test_cache_rejects_a_file_that_is_not_an_object(tmp_path):
+    cache = str(tmp_path)
+    canonical_basis((2, 1), 2, cache_dir=cache)
+    with open(_cache_path(cache, (2, 1), 2), "w", encoding="utf-8") as fh:
+        json.dump([CACHE_FORMAT_VERSION], fh)
+    from qsl2.canonical import _cache_load
+
     assert _cache_load(cache, (2, 1), 2) is None
 
 

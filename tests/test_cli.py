@@ -11,6 +11,7 @@ import pytest
 
 import qsl2.cli as cli_mod
 from qsl2 import clear_caches
+from qsl2.canonical import CACHE_FORMAT_VERSION
 from qsl2.cli import main
 from qsl2.errors import HalfPowerLeakError
 from qsl2.verify import SuiteResult
@@ -110,7 +111,7 @@ def test_cold_and_warm_cache_agree_across_processes(tmp_path):
     argv = ["canon", "--d", "3,3", "--r", "3", "--format", "json"]
     cold = _subprocess_cli(argv, env)
     assert cold.returncode == 0
-    cache_file = tmp_path / "canonical_v1_d3-3_r3.json"
+    cache_file = tmp_path / "canonical_v2_d3-3_r3.json"
     assert cache_file.exists()
     warm = _subprocess_cli(argv, env)
     assert warm.returncode == 0
@@ -144,7 +145,7 @@ def test_cache_environment_variable_used_without_flag(tmp_path, monkeypatch, cap
     clear_caches()
     code, _, _ = run(["canon", "--d", "4,3", "--r", "2"], capsys)
     assert code == 0
-    assert (env_dir / "canonical_v1_d4-3_r2.json").exists()
+    assert (env_dir / "canonical_v2_d4-3_r2.json").exists()
 
 
 def test_cache_dir_that_is_a_regular_file_is_ignored(tmp_path):
@@ -158,6 +159,33 @@ def test_cache_dir_that_is_a_regular_file_is_ignored(tmp_path):
     assert proc.stdout == plain.stdout
     assert proc.stderr == ""
     assert blocker.read_text(encoding="utf-8") == "occupied\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["canon", "--d", "2,2", "--r", "2"],
+        ["split", "--d", "2,2", "--at", "1", "--r", "2"],
+    ],
+)
+def test_tampered_cache_file_is_ignored_and_rewritten(tmp_path, argv):
+    plain = _subprocess_cli(argv)
+    assert plain.returncode == 0
+    cached = [*argv, "--cache-dir", str(tmp_path)]
+    assert _subprocess_cli(cached).stdout == plain.stdout
+    cache_file = tmp_path / f"canonical_v{CACHE_FORMAT_VERSION}_d2-2_r2.json"
+    stored = cache_file.read_text(encoding="utf-8")
+    obj = json.loads(stored)
+    # b(1,1) = v(1,1) + (q^-1 + q^-3) v(2,0) becomes v(1,1) + 5q^-1 v(2,0):
+    # unitriangular and positive, but not fixed by the bar involution
+    row = next(row for row in obj["rows"] if row["r_index"] == [1, 1])
+    term = next(t for t in row["terms"] if t["r"] == [2, 0])
+    term["coeff"] = [[-2, "5"]]
+    cache_file.write_text(json.dumps(obj), encoding="utf-8")
+    proc = _subprocess_cli(cached)
+    assert proc.returncode == 0
+    assert proc.stdout == plain.stdout
+    assert cache_file.read_text(encoding="utf-8") == stored
 
 
 # -- exit codes --------------------------------------------------------------------

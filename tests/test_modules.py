@@ -267,3 +267,80 @@ def test_rendering():
     assert multi == "v(1,1) + (q^-1 + q^-3) v(2,0)"
     negative = str(v((1, 1), 0, 1) - v((1, 1), 1, 0).scale(Q))
     assert negative == "v(0,1) - q v(1,0)"
+
+
+# -- trusted kernels against reference loops -----------------------------------
+
+
+def _reference_inner_product(u, w):
+    """The bilinear form as a plain loop over gram_entry and Laurent adds."""
+    out = ZERO
+    for idx, c in u.items():
+        out = out + c * w.coeff(idx) * gram_entry(u.d, idx)
+    return out
+
+
+def _random_vector(rng, d, level):
+    out = ModuleVector.zero(d)
+    for idx in enumerate_basis(d, level):
+        if rng.random() < 0.6:
+            c = Laurent(
+                {rng.randrange(-8, 9): rng.randrange(-9, 10) for _ in range(3)}
+            )
+            out = out + ModuleVector.basis(d, idx).scale(c)
+    return out
+
+
+def test_inner_product_matches_reference_loop():
+    rng = random.Random(6061)
+    for d in [(1,), (2,), (2, 1), (1, 2, 1), (3, 2), (1, 1, 1, 1)]:
+        for level in range(sum(d) + 1):
+            basis = enumerate_basis(d, level)
+            pool = [ModuleVector.zero(d)]
+            pool += [ModuleVector.basis(d, idx) for idx in basis]
+            pool += [
+                ModuleVector.basis(d, rng.choice(basis)).scale(
+                    Laurent({rng.randrange(-6, 7): rng.randrange(-5, 6) or 1})
+                )
+                for _ in range(3)
+            ]
+            pool += [_random_vector(rng, d, level) for _ in range(4)]
+            for a in pool:
+                for b in pool:
+                    assert inner_product(a, b) == _reference_inner_product(a, b)
+
+
+def _reference_act(u, gen):
+    """E or F term by term, with the step scalar built from
+    quantum_integer(m) * q_power(k) for every term."""
+    d, l = u.d, len(u.d)
+    out = ModuleVector.zero(d)
+    for idx, c in u.items():
+        for k in range(l):
+            rk = idx[k]
+            if gen == "E":
+                if rk == 0:
+                    continue
+                m, target = d[k] - rk + 1, rk - 1
+                kw = sum(d[i] - 2 * idx[i] for i in range(k))
+            else:
+                if rk == d[k]:
+                    continue
+                m, target = rk + 1, rk + 1
+                kw = -sum(d[i] - 2 * idx[i] for i in range(k + 1, l))
+            step = quantum_integer(m) * q_power(kw)
+            image = idx[:k] + (target,) + idx[k + 1 :]
+            out = out + ModuleVector.basis(d, image).scale(c * step)
+    return out
+
+
+def test_act_e_f_match_reference_step_scalars():
+    rng = random.Random(8830)
+    for d in [(1,), (3,), (2, 1), (1, 2, 1), (2, 0, 3), (1, 1, 1, 1)]:
+        for level in range(sum(d) + 1):
+            vectors = [ModuleVector.zero(d)]
+            vectors += [ModuleVector.basis(d, idx) for idx in enumerate_basis(d, level)]
+            vectors += [_random_vector(rng, d, level) for _ in range(3)]
+            for u in vectors:
+                assert act_E(u) == _reference_act(u, "E")
+                assert act_F(u) == _reference_act(u, "F")

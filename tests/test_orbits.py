@@ -125,6 +125,15 @@ def test_linear_extension():
             assert not (closure_leq((1, 1, 1, 1), t, s) and s != t)
 
 
+def test_linear_extension_returns_a_fresh_list():
+    first = linear_extension((2, 1, 1), 2)
+    expected = list(first)
+    first.reverse()
+    first.append((9, 9, 9))
+    assert linear_extension((2, 1, 1), 2) == expected
+    assert linear_extension((2, 1, 1), 2) is not linear_extension((2, 1, 1), 2)
+
+
 def test_partial_order_axioms():
     for d in [(2, 2), (1, 2, 1), (3, 2)]:
         for r in range(sum(d) + 1):

@@ -1,10 +1,29 @@
 """The self-check suites: result bookkeeping, the composition sweep,
 and a full pass at small scope."""
 
+import itertools
+import os
+
 import pytest
 
-from qsl2 import SuiteResult, compositions, run_all
+import qsl2.canonical as canonical_mod
+import qsl2.verify as verify_mod
+from qsl2 import (
+    CanonicalTable,
+    ModuleVector,
+    SuiteResult,
+    canonical_basis,
+    clear_caches,
+    cli,
+    compositions,
+    orbits,
+    run_all,
+)
+from qsl2.modules import act_F, act_K
+from qsl2.qring import Q, QINV
 from qsl2.verify import SUITES, _FAILURE_CAP
+
+README = os.path.join(os.path.dirname(__file__), "..", "README.md")
 
 
 def test_suite_result_counts_and_caps_failures():
@@ -36,6 +55,16 @@ def test_compositions_sweep():
     assert all(all(p >= 1 for p in c) for c in compositions(5))
     assert all(1 <= sum(c) <= 5 for c in compositions(5))
     assert len(set(compositions(5))) == len(compositions(5))
+    # the same list, in the same order, as filtering every tuple of parts
+    for max_total in range(1, 7):
+        brute = [
+            parts
+            for total in range(1, max_total + 1)
+            for l in range(1, total + 1)
+            for parts in itertools.product(range(1, total + 1), repeat=l)
+            if sum(parts) == total
+        ]
+        assert compositions(max_total) == brute
 
 
 def test_run_all_small_scope_passes():
@@ -57,3 +86,73 @@ def test_suites_are_deterministic():
     a = SUITES["ring"](3)
     b = SUITES["ring"](3)
     assert (a.checks, a.failures) == (b.checks, b.failures)
+
+
+# -- the suites catch injected faults -------------------------------------------
+
+
+def test_run_all_check_counts_are_pinned():
+    counts = {r.name: r.checks for r in run_all(4)}
+    assert counts == {
+        "bar": 634,
+        "canonical": 1521,
+        "embed": 138,
+        "modules": 2487,
+        "orbits": 784,
+        "ring": 569,
+        "rmatrix": 1924,
+    }
+
+
+def test_suite_orbits_catches_a_closure_rule_that_is_always_true(monkeypatch):
+    monkeypatch.setattr(orbits, "closure_leq", lambda d, s, t: True)
+    res = SUITES["orbits"](3)
+    assert not res.passed
+    assert any(w.startswith("antisymmetry") for w in res.failures)
+
+
+def test_suite_modules_catches_a_wrong_adjoint_of_e(monkeypatch):
+    right = verify_mod.rho_twist
+
+    def wrong(gen):
+        # rho(E) = qKF with the q scale dropped
+        if gen == "E":
+            return lambda u: act_K(act_F(u))
+        return right(gen)
+
+    monkeypatch.setattr(verify_mod, "rho_twist", wrong)
+    res = SUITES["modules"](2)
+    assert not res.passed
+    assert res.failures
+    assert all(w.startswith("adjointness of E") for w in res.failures)
+
+
+def test_suite_canonical_catches_a_perturbed_row(monkeypatch):
+    clear_caches()
+    d = (1, 1)
+    good = canonical_basis(d, 1)
+    assert good.rows[(0, 1)] == ModuleVector.basis(d, (0, 1)) + ModuleVector.basis(
+        d, (1, 0)
+    ).scale(QINV)
+    rows = dict(good.rows)
+    rows[(0, 1)] = ModuleVector.basis(d, (0, 1)) + ModuleVector.basis(d, (1, 0)).scale(Q)
+    bad = CanonicalTable(d, 1, good.order, rows)
+    monkeypatch.setitem(canonical_mod._MEMO, ("table", d, 1), bad)
+    res = SUITES["canonical"](2)
+    assert not res.passed
+    assert any(w.startswith("(b(0, 1), b(0, 1)) =") for w in res.failures)
+    assert any(w.startswith("split coefficients at (0, 1)") for w in res.failures)
+    clear_caches()
+
+
+# -- the README shows what verify prints ----------------------------------------
+
+
+def test_readme_verify_block_matches_cli(capsys):
+    with open(README, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    prompt = "$ qsl2 verify --max-total 5\n"
+    block = text[text.index(prompt) + len(prompt) :]
+    block = block[: block.index("```")]
+    assert cli.main(["verify", "--max-total", "5"]) == 0
+    assert capsys.readouterr().out == block

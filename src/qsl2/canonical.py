@@ -16,14 +16,26 @@ solved level by level; conventions in the literature differ by signs
 and q-powers, so the solve anchors the convention to the module action
 itself and raises ConventionUnderdeterminedError on any ambiguity.
 
-Canonical basis elements are computed by the standard coefficient
-recursion (Kazhdan-Lusztig; Lusztig, Introduction to Quantum Groups,
-ch. 27).  The level's Psi matrix a_{s,t}, the coefficient of v_s in
-Psi(v_t), is built once from the memoized Psi columns, and each column
-is checked to be unitriangular: a_{t,t} = 1 and the support lies in the
-lower closure of t.  Then b_r = sum_s p_{s,r} v_s with p_{r,r} = 1, and
-walking s downward in the linear extension, p_{s,r} is the strictly
-negative-exponent half of the obstruction
+Canonical tables are solved one factor at a time (Lusztig,
+Introduction to Quantum Groups, 27.3).  Write Lambda_d = Lambda_(d_0)
+tensor Lambda_d'' with d'' = d[1:], and take the product basis
+P_s = v_(s_0) tensor b''_(s[1:]) over the canonical basis b'' of d''
+at level r - s_0 (a one-factor table is the standard basis).  Psi is
+Theta applied to two bar-fixed factors, which is how _psi_basis nests
+at cut 1, so for any kappa under which the d'' tables solve
+
+    Psi(P_t) = sum_n kappa_n [t_0 + n choose n] v_(t_0 + n) tensor E^(n) b''_(t[1:]),
+
+with E^(n) b'' read in the canonical coordinates of d'' (memoized per
+d'', index and n).  A column has a handful of entries, where the
+standard-basis column fills the whole lower closure.  Each column is
+checked to be unitriangular: a_{t,t} = 1 and the support lies in the
+lower closure of t, on the level.  Both bases are unitriangular over
+one another with off-diagonal entries in q^-1 Z[q^-1], so the bar-fixed
+b_r in P_r + q^-1 Z[q^-1]-span is the canonical basis element.  Then
+b_r = sum_s p_{s,r} P_s with p_{r,r} = 1, and walking s downward in
+the linear extension, p_{s,r} is the strictly negative-exponent half of
+the obstruction
 
     g_s = sum_{s < t <= r} a_{s,t} bar(p_{t,r}),
 
@@ -35,8 +47,11 @@ in the closure order, to be bar-antisymmetric and to have zero constant
 term; with the column check, Psi(b_r) = b_r holds exactly by
 construction.  Both closure tests compare prefix sums computed once per
 index of the level (orbits.prefix_sums), and an entry at an index off
-the level fails the column check.  The off-diagonal coefficients land
-in q^-1 Z_{>=0}[q^-1] (a checked property, not an input).
+the level fails the column check.  Each row is then expanded once into
+the standard basis through the d'' rows.  The off-diagonal coefficients
+land in q^-1 Z_{>=0}[q^-1] (a checked property, not an input).  The
+standard-basis Psi columns serve bar_involution, which checks every
+table loaded from the disk cache independently of the solve.
 """
 
 from __future__ import annotations
@@ -61,6 +76,7 @@ from .modules import (
     LinMap,
     _gram,
     _step_scalar,
+    act_divided,
     act_E,
     act_F,
     act_K,
@@ -106,7 +122,8 @@ _KAPPA: list[Laurent] = [ONE]
 
 # Per-process results for the solved coefficients, keyed by
 # (kind, *args): ("psi", d, cut, idx) -> Psi(v_idx), ("table", d, r) ->
-# CanonicalTable, ("embed", d) -> LinMap, and ("pair", d1, d2, sign) ->
+# CanonicalTable, ("E", d, idx, n) -> the canonical coordinates of
+# E^(n) b_idx, ("embed", d) -> LinMap, and ("pair", d1, d2, sign) ->
 # RMap (filled by rmatrix).  Emptied, with _KAPPA, by clear_caches.
 _MEMO: dict[tuple, object] = {}
 
@@ -127,10 +144,11 @@ _CONSTANT_MEMOS = (
 
 def clear_caches() -> None:
     """Forget every per-process result: memoized Psi images, canonical
-    tables, embeddings, pair braidings, the solved quasi-R coefficients,
-    the quantum integers, factorials and binomials, the Gram entries,
-    the E/F step scalars, the orbit dimensions and the linear
-    extensions.  The disk cache is not touched."""
+    tables, E^(n) coordinates, embeddings, pair braidings, the solved
+    quasi-R coefficients, the quantum integers, factorials and
+    binomials, the Gram entries, the E/F step scalars, the orbit
+    dimensions and the linear extensions.  The disk cache is not
+    touched."""
     _MEMO.clear()
     del _KAPPA[1:]
     for memo in _CONSTANT_MEMOS:
@@ -303,61 +321,152 @@ class CanonicalTable:
         return "\n".join(lines) + "\n"
 
 
-def _psi_below(
+def _add_scaled(
+    acc: dict[OrbitIndex, defaultdict],
+    c: Laurent,
+    terms: dict[OrbitIndex, Laurent],
+    head: OrbitIndex = (),
+) -> None:
+    """acc[head + w] += c * terms[w] for every w, on raw maps
+    {half-exponent: coefficient}; a Laurent is built only when an entry
+    of acc is read."""
+    c_terms = c._terms.items()
+    for w, e in terms.items():
+        raw = acc.get(head + w)
+        if raw is None:
+            raw = acc[head + w] = defaultdict(int)
+        for h1, c1 in c_terms:
+            for h2, c2 in e._terms.items():
+                raw[h1 + h2] += c1 * c2
+
+
+def _sub_table(
+    d: Composition, r: int, kappa: list[Laurent], store: dict
+) -> CanonicalTable:
+    """The table of (d, r) from store, solved into it on a miss."""
+    key = ("table", d, r)
+    table = store.get(key)
+    if table is None:
+        table = store[key] = _compute_table(d, r, kappa, store)
+    return table
+
+
+def _e_coords(
+    d: Composition, t: OrbitIndex, n: int, kappa: list[Laurent], store: dict
+) -> dict[OrbitIndex, Laurent]:
+    """E^(n) b_t on Lambda_d in the canonical coordinates of its level,
+    zeros omitted; empty when E^(n) b_t = 0.  Memoized in store."""
+    key = ("E", d, t, n)
+    coords = store.get(key)
+    if coords is None:
+        r = sum(t)
+        image = act_divided(_sub_table(d, r, kappa, store).rows[t], "E", n)
+        coords = (
+            dict(canonical_coords(_sub_table(d, r - n, kappa, store), image))
+            if not image.is_zero()
+            else {}
+        )
+        store[key] = coords
+    return coords
+
+
+def _product_column(
+    d: Composition, t: OrbitIndex, kappa: list[Laurent], store: dict
+) -> dict[OrbitIndex, Laurent]:
+    """Psi(P_t) in the product basis, P_s = v_(s_0) tensor b''_(s[1:]):
+
+        Psi(P_t) = sum_n kappa_n [t_0 + n choose n] P_(t_0 + n, u'') e_(n, u'')
+
+    where E^(n) b''_(t[1:]) = sum_u'' e_(n, u'') b''_u''.  The sum stops
+    at the first n whose term vanishes; a nonzero term beyond the end of
+    kappa is a ValueError, as in theta."""
+    t0, rest = t[0], t[1:]
+    column: dict[OrbitIndex, Laurent] = {}
+    n = 0
+    while t0 + n <= d[0]:
+        coords = {rest: ONE} if n == 0 else _e_coords(d[1:], rest, n, kappa, store)
+        if not coords:
+            break
+        if n >= len(kappa):
+            raise ValueError(
+                f"coefficient sequence of length {len(kappa)} too short "
+                f"for Lambda_{d}"
+            )
+        scalar = kappa[n] * quantum_binomial(t0 + n, n)
+        for u, e in coords.items():
+            c = scalar * e
+            if not c.is_zero():
+                column[(t0 + n,) + u] = c
+        n += 1
+    return column
+
+
+def _product_below(
     d: Composition,
     t: OrbitIndex,
     kappa: list[Laurent],
-    memo_ok: bool,
+    store: dict,
     prefix: dict[OrbitIndex, tuple[int, ...]],
 ) -> dict[OrbitIndex, Laurent]:
-    """Column t of the Psi matrix without its diagonal entry, after
-    checking that the column is unitriangular: a_{t,t} = 1 and every
-    other entry lies strictly below t in the closure order.  prefix maps
-    each index of the level to its prefix sums."""
-    column = dict(_psi_basis(d, t, kappa, 1, memo_ok)._terms)
+    """Column t of the product-basis Psi matrix without its diagonal
+    entry, after checking that the column is unitriangular: a_{t,t} = 1
+    and every other entry lies strictly below t in the closure order.
+    prefix maps each index of the level to its prefix sums."""
+    column = _product_column(d, t, kappa, store)
     diagonal = column.pop(t, ZERO)
     if diagonal != ONE:
         raise TriangularityViolationError(
-            f"Psi(v{t}) on Lambda_{d} has diagonal coefficient {diagonal}, not 1"
+            f"Psi(P{t}) on Lambda_{d} has diagonal coefficient {diagonal}, not 1"
         )
     top = prefix[t]
     for s in column:
         sums = prefix.get(s)
         if sums is None:
             raise TriangularityViolationError(
-                f"Psi(v{t}) on Lambda_{d} is supported at {s}, "
+                f"Psi(P{t}) on Lambda_{d} is supported at {s}, "
                 f"off level {sum(t)}"
             )
         if not orbits.prefix_dominates(sums, top):
             raise TriangularityViolationError(
-                f"Psi(v{t}) on Lambda_{d} is supported at {s}, "
+                f"Psi(P{t}) on Lambda_{d} is supported at {s}, "
                 f"outside the lower closure"
             )
     return column
 
 
 def _compute_table(
-    d: Composition, r: int, kappa: list[Laurent] | None
+    d: Composition, r: int, kappa: list[Laurent] | None, store: dict
 ) -> CanonicalTable:
+    """Solve the table of (d, r); store holds the factor tables and
+    E^(n) coordinates (_MEMO, or a per-call dict under a kappa
+    override)."""
     order = tuple(orbits.linear_extension(d, r))
-    memo_ok = kappa is None
+    if len(d) == 1:
+        return CanonicalTable(
+            d, r, order, {idx: ModuleVector._make(d, {idx: ONE}) for idx in order}
+        )
     if kappa is None:
         kappa = compute_quasi_r(sum(d) // 2)
     # the closure tests compare prefix sums computed once per index,
     # which also tells an index of this level from any other
     prefix = {idx: orbits.prefix_sums(idx) for idx in order}
-    below = {t: _psi_below(d, t, kappa, memo_ok, prefix) for t in order}
+    below = {t: _product_below(d, t, kappa, store, prefix) for t in order}
+    factors = {
+        a: _sub_table(d[1:], r - a, kappa, store)
+        for a in range(max(0, r - sum(d[1:])), min(r, d[0]) + 1)
+    }
+    # every row is keyed by the index tuples of order, one copy per level
+    shared = {idx: idx for idx in order}
     rows: dict[OrbitIndex, ModuleVector] = {}
     for top, r_idx in enumerate(order):
         coeffs = {r_idx: ONE}
         top_sums = prefix[r_idx]
         # obstruction[s] is the raw sum {half-exponent: coefficient} of
         # a_{s,t} bar(p_{t,r}) over the t already solved; every t above
-        # s is solved before s is reached.  Products are accumulated
-        # term by term, and a Laurent is built only when s is popped.
-        obstruction = {
-            s: defaultdict(int, a._terms) for s, a in below[r_idx].items()
-        }
+        # s is solved before s is reached, and a Laurent is built only
+        # when s is popped.
+        obstruction: dict[OrbitIndex, defaultdict] = {}
+        _add_scaled(obstruction, ONE, below[r_idx])
         for s in reversed(order[:top]):
             raw = obstruction.pop(s, None)
             if raw is None:
@@ -380,15 +489,18 @@ def _compute_table(
                 )
             p = g.negative_half()
             coeffs[s] = p
-            p_bar = [(-h, c) for h, c in p._terms.items()]
-            for u, a in below[s].items():
-                acc = obstruction.get(u)
-                if acc is None:
-                    acc = obstruction[u] = defaultdict(int)
-                for h1, c1 in a._terms.items():
-                    for h2, c2 in p_bar:
-                        acc[h1 + h2] += c1 * c2
-        rows[r_idx] = ModuleVector._make(d, coeffs)
+            _add_scaled(obstruction, p.bar(), below[s])
+        # b_r = sum_s p_s v_(s_0) tensor b''_(s[1:]), one raw map per index
+        expanded: dict[OrbitIndex, defaultdict] = {}
+        for s, p in coeffs.items():
+            _add_scaled(expanded, p, factors[s[0]].rows[s[1:]]._terms, s[:1])
+        data = {}
+        for idx, raw in expanded.items():
+            c = Laurent(raw)
+            if not c.is_zero():
+                # the diagonal 1 is the shared ONE, as every table stores it
+                data[shared[idx]] = ONE if c == ONE else c
+        rows[r_idx] = ModuleVector._make(d, data)
     return CanonicalTable(d, r, order, rows)
 
 
@@ -491,7 +603,7 @@ def canonical_basis(
     if not 0 <= r <= sum(d):
         raise ValueError(f"level {r} out of range for {d}")
     if kappa is not None:
-        return _compute_table(d, r, kappa)
+        return _compute_table(d, r, kappa, {})
     key = ("table", d, r)
     table = _MEMO.get(key)
     if table is not None:
@@ -501,7 +613,7 @@ def canonical_basis(
         if table is not None:
             _MEMO[key] = table
             return table
-    table = _compute_table(d, r, None)
+    table = _compute_table(d, r, None, _MEMO)
     _MEMO[key] = table
     if cache_dir is not None:
         _cache_store(cache_dir, table)
@@ -515,15 +627,24 @@ def _back_substitute(
 ) -> dict[OrbitIndex, Laurent] | None:
     """Coordinates of u over the vectors rows[idx], each unitriangular
     along order: peel off coefficients from the top of order down.
-    Zeros are omitted; None when a remainder is left over."""
-    remainder = u
+    Zeros are omitted; None when a remainder is left over.  The
+    remainder is kept as raw maps (see _add_scaled)."""
+    remainder: dict[OrbitIndex, defaultdict] = {
+        idx: defaultdict(int, c._terms) for idx, c in u._terms.items()
+    }
     coords: dict[OrbitIndex, Laurent] = {}
     for idx in reversed(order):
-        c = remainder.coeff(idx)
-        if not c.is_zero():
-            coords[idx] = c
-            remainder = remainder - rows[idx].scale(c)
-    return coords if remainder.is_zero() else None
+        raw = remainder.get(idx)
+        if raw is None:
+            continue
+        c = Laurent(raw)
+        if c.is_zero():
+            continue
+        coords[idx] = c
+        _add_scaled(remainder, -c, rows[idx]._terms)
+    if any(any(raw.values()) for raw in remainder.values()):
+        return None
+    return coords
 
 
 def canonical_coords(
@@ -630,7 +751,14 @@ def split_expand(
 
 
 def _assert_embedding(m: LinMap) -> None:
-    src, tgt = m.source, m.target
+    src = m.source
+    # every column at its source index's level, so that pairs of columns
+    # across levels pair to zero by orthogonality of the standard basis
+    for idx, image in m.columns.items():
+        if image.levels() - {sum(idx)}:
+            raise EmbeddingCheckFailedError(
+                f"embedding of Lambda_{src} sends {idx} off level {sum(idx)}"
+            )
     for idx, image in m.columns.items():
         u = ModuleVector.basis(src, idx)
         for name, op in (("K", act_K), ("E", act_E), ("F", act_F)):
@@ -640,15 +768,18 @@ def _assert_embedding(m: LinMap) -> None:
                 raise EmbeddingCheckFailedError(
                     f"embedding of Lambda_{src} fails to intertwine {name} at {idx}"
                 )
-    cols = list(m.columns)
-    for i in cols:
-        for j in cols:
-            lhs = inner_product(m.columns[i], m.columns[j])
-            rhs = gram_entry(src, i) if i == j else ZERO
-            if lhs != rhs:
-                raise EmbeddingCheckFailedError(
-                    f"embedding of Lambda_{src} is not an isometry at ({i}, {j})"
-                )
+    by_level: dict[int, list[OrbitIndex]] = {}
+    for idx in m.columns:
+        by_level.setdefault(sum(idx), []).append(idx)
+    for cols in by_level.values():
+        for i in cols:
+            for j in cols:
+                lhs = inner_product(m.columns[i], m.columns[j])
+                rhs = gram_entry(src, i) if i == j else ZERO
+                if lhs != rhs:
+                    raise EmbeddingCheckFailedError(
+                        f"embedding of Lambda_{src} is not an isometry at ({i}, {j})"
+                    )
 
 
 def embed_refine(d: Composition, *, cache_dir: str | None = None) -> LinMap:

@@ -14,6 +14,7 @@ import math
 import random
 from collections import defaultdict
 from dataclasses import dataclass, field
+from typing import Callable
 
 from . import orbits
 from .canonical import (
@@ -65,11 +66,16 @@ class SuiteResult:
     def passed(self) -> bool:
         return not self.failures and not self.truncated
 
-    def check(self, ok: bool, witness: str) -> None:
+    def check(self, ok: bool, witness: str | Callable[[], str]) -> None:
+        """Count one check.  A failing check records its witness, which
+        may be a zero-argument callable so that passing checks format
+        nothing; it is called at once, while its variables still hold."""
         self.checks += 1
         if not ok:
             if len(self.failures) < _FAILURE_CAP:
-                self.failures.append(witness)
+                self.failures.append(
+                    witness if isinstance(witness, str) else witness()
+                )
             else:
                 self.truncated = True
 
@@ -123,32 +129,36 @@ def suite_ring(max_total: int) -> SuiteResult:
     rng = random.Random(_SEED)
     for trial in range(60):
         a, b, c = (_random_laurent(rng) for _ in range(3))
-        res.check((a + b) - b == a, f"(a+b)-b != a at trial {trial}")
-        res.check((a * b) * c == a * (b * c), f"associativity at trial {trial}")
+        res.check((a + b) - b == a, lambda: f"(a+b)-b != a at trial {trial}")
+        res.check((a * b) * c == a * (b * c), lambda: f"associativity at trial {trial}")
         res.check(
             (a * b).bar() == a.bar() * b.bar(),
-            f"bar not multiplicative at trial {trial}",
+            lambda: f"bar not multiplicative at trial {trial}",
         )
-        res.check(a.bar().bar() == a, f"bar not involutive at trial {trial}")
+        res.check(a.bar().bar() == a, lambda: f"bar not involutive at trial {trial}")
         if not b.is_zero():
             res.check(
-                exact_div(a * b, b) == a, f"exact_div round trip at trial {trial}"
+                exact_div(a * b, b) == a,
+                lambda: f"exact_div round trip at trial {trial}",
             )
     for n in range(13):
         qi = quantum_integer(n)
-        res.check(qi.bar() == qi, f"[{n}] not bar invariant")
+        res.check(qi.bar() == qi, lambda: f"[{n}] not bar invariant")
         for r in range(n + 1):
             lhs = quantum_binomial(n, r)
             res.check(
                 lhs == quantum_binomial(n, n - r),
-                f"binomial symmetry at ({n},{r})",
+                lambda: f"binomial symmetry at ({n},{r})",
             )
             quotient = exact_div(
                 quantum_factorial(n),
                 quantum_factorial(r) * quantum_factorial(n - r),
             )
-            res.check(lhs == quotient, f"binomial vs factorial quotient ({n},{r})")
-            res.check(lhs.bar() == lhs, f"binomial bar invariance ({n},{r})")
+            res.check(
+                lhs == quotient,
+                lambda: f"binomial vs factorial quotient ({n},{r})",
+            )
+            res.check(lhs.bar() == lhs, lambda: f"binomial bar invariance ({n},{r})")
     return res
 
 
@@ -168,23 +178,23 @@ def suite_orbits(max_total: int) -> SuiteResult:
             idxs = enumerate_basis(d, r)
             res.check(
                 sum(orbits.cell_count(d, i) for i in idxs) == math.comb(total, r),
-                f"cell counts at d={d} r={r}",
+                lambda: f"cell counts at d={d} r={r}",
             )
             leq = _closure_table(d, idxs)
             dims = {i: orbits.orbit_dim(d, i) for i in idxs}
             for s, t in itertools.product(idxs, repeat=2):
                 if leq[s, t] and leq[t, s]:
-                    res.check(s == t, f"antisymmetry {s},{t} in {d}")
+                    res.check(s == t, lambda: f"antisymmetry {s},{t} in {d}")
                 if s != t and leq[s, t]:
                     res.check(
                         dims[s] < dims[t],
-                        f"dim not strictly monotone {s} < {t} in {d}",
+                        lambda: f"dim not strictly monotone {s} < {t} in {d}",
                     )
             above = {t: [u for u in idxs if leq[t, u]] for t in idxs}
             for s in idxs:
                 for t in above[s]:
                     for u in above[t]:
-                        res.check(leq[s, u], f"transitivity {s},{t},{u} in {d}")
+                        res.check(leq[s, u], lambda: f"transitivity {s},{t},{u} in {d}")
             fleq = fine_leq.get((total, r))
             if fleq is None:
                 fleq = fine_leq[total, r] = _closure_table(
@@ -195,13 +205,13 @@ def suite_orbits(max_total: int) -> SuiteResult:
                 dense = orbits.dense_cell(d, idx)
                 res.check(
                     all(fleq[ref, dense] for ref in refinements[idx]),
-                    f"dense_cell not maximal for {idx} in {d}",
+                    lambda: f"dense_cell not maximal for {idx} in {d}",
                 )
                 for s in idxs:
                     if s != idx and leq[s, idx]:
                         res.check(
                             all(not fleq[dense, ref] for ref in refinements[s]),
-                            f"refinement of {s} above dense_cell({idx}) in {d}",
+                            lambda: f"refinement of {s} above dense_cell({idx}) in {d}",
                         )
     return res
 
@@ -236,16 +246,16 @@ def suite_modules(max_total: int) -> SuiteResult:
                 eu, fu, ku = act_E(u), act_F(u), act_K(u)
                 res.check(
                     act_K(eu) == act_E(ku).scale(q_power(2)),
-                    f"KE != q^2 EK at {idx} in {d}",
+                    lambda: f"KE != q^2 EK at {idx} in {d}",
                 )
                 res.check(
                     act_K(fu) == act_F(ku).scale(q_power(-2)),
-                    f"KF != q^-2 FK at {idx} in {d}",
+                    lambda: f"KF != q^-2 FK at {idx} in {d}",
                 )
                 commutator = act_E(fu) - act_F(eu)
                 res.check(
                     commutator == u.scale(scalar),
-                    f"EF-FE at {idx} in {d}",
+                    lambda: f"EF-FE at {idx} in {d}",
                 )
                 for gen in ("E", "F"):
                     powers = [act_divided(u, gen, k) for k in range(3)]
@@ -255,7 +265,7 @@ def suite_modules(max_total: int) -> SuiteResult:
                             rhs = powers[n + m].scale(quantum_binomial(n + m, n))
                             res.check(
                                 lhs == rhs,
-                                f"{gen}^({n}){gen}^({m}) at {idx} in {d}",
+                                lambda: f"{gen}^({n}){gen}^({m}) at {idx} in {d}",
                             )
             for x, shift in (("K", 0), ("E", -1), ("F", 1)):
                 op = {"K": act_K, "E": act_E, "F": act_F}[x]
@@ -273,11 +283,11 @@ def suite_modules(max_total: int) -> SuiteResult:
                     for (jdx, w_vec), rw in zip(targets, rho_w):
                         res.check(
                             inner_product(op_u, w_vec) == inner_product(u, rw),
-                            f"adjointness of {x} at ({idx},{jdx}) in {d}",
+                            lambda: f"adjointness of {x} at ({idx},{jdx}) in {d}",
                         )
         res.check(
             dim == math.prod(dk + 1 for dk in d),
-            f"total dimension of Lambda_{d}",
+            lambda: f"total dimension of Lambda_{d}",
         )
     return res
 
@@ -292,7 +302,7 @@ def suite_bar(max_total: int) -> SuiteResult:
                 u = ModuleVector.basis(d, idx)
                 pu = bar_involution(u)
                 res.check(
-                    bar_involution(pu) == u, f"Psi^2 at {idx} in {d}"
+                    bar_involution(pu) == u, lambda: f"Psi^2 at {idx} in {d}"
                 )
                 delta = pu - u
                 res.check(
@@ -300,7 +310,7 @@ def suite_bar(max_total: int) -> SuiteResult:
                         s != idx and orbits.closure_leq(d, s, idx)
                         for s in delta.support()
                     ),
-                    f"bar matrix not unitriangular at {idx} in {d}",
+                    lambda: f"bar matrix not unitriangular at {idx} in {d}",
                 )
                 for x, op in (("K", act_K), ("E", act_E), ("F", act_F)):
                     lhs = bar_involution(op(u))
@@ -309,12 +319,12 @@ def suite_bar(max_total: int) -> SuiteResult:
                         if x == "K"
                         else op(bar_involution(u))
                     )
-                    res.check(lhs == rhs, f"Psi {x} at {idx} in {d}")
+                    res.check(lhs == rhs, lambda: f"Psi {x} at {idx} in {d}")
         v = _random_vector(rng, d)
         c = _random_laurent(rng)
         res.check(
             bar_involution(v.scale(c)) == bar_involution(v).scale(c.bar()),
-            f"anti-linearity on {d}",
+            lambda: f"anti-linearity on {d}",
         )
         if len(d) == 3:
             for r in range(total + 1):
@@ -322,7 +332,7 @@ def suite_bar(max_total: int) -> SuiteResult:
                     u = ModuleVector.basis(d, idx)
                     res.check(
                         bar_involution(u, cut=1) == bar_involution(u, cut=2),
-                        f"nesting dependence at {idx} in {d}",
+                        lambda: f"nesting dependence at {idx} in {d}",
                     )
     return res
 
@@ -346,11 +356,11 @@ def suite_canonical(max_total: int) -> SuiteResult:
             for idx in table.order:
                 row = table.rows[idx]
                 res.check(
-                    row.coeff(idx) == ONE, f"diagonal at {idx} level {r} in {d}"
+                    row.coeff(idx) == ONE, lambda: f"diagonal at {idx} level {r} in {d}"
                 )
                 res.check(
                     bar_involution(row) == row,
-                    f"b{idx} not bar fixed in {d}",
+                    lambda: f"b{idx} not bar fixed in {d}",
                 )
                 for s, c in row.items():
                     if s == idx:
@@ -358,21 +368,21 @@ def suite_canonical(max_total: int) -> SuiteResult:
                     res.check(
                         orbits.closure_leq(d, s, idx)
                         and c.is_in_qinv_z_nonneg(),
-                        f"coefficient ({c}) at {s} in b{idx} of {d}",
+                        lambda: f"coefficient ({c}) at {s} in b{idx} of {d}",
                     )
                 for jdx in table.order:
                     pairing = gram[idx, jdx]
                     expected_delta = ONE if idx == jdx else ZERO
                     res.check(
                         (pairing - expected_delta).is_in_qinv_z_nonneg(),
-                        f"(b{idx}, b{jdx}) = {pairing} in {d}",
+                        lambda: f"(b{idx}, b{jdx}) = {pairing} in {d}",
                     )
             if r in (0, total):
                 res.check(
                     len(table.order) == 1
                     and table.rows[table.order[0]]
                     == ModuleVector.basis(d, table.order[0]),
-                    f"degenerate level {r} in {d}",
+                    lambda: f"degenerate level {r} in {d}",
                 )
         for cut in range(1, len(d)):
             left_d, right_d = d[:cut], d[cut:]
@@ -385,7 +395,7 @@ def suite_canonical(max_total: int) -> SuiteResult:
                     coords = split.rows[idx]
                     res.check(
                         coords.get(idx) == ONE,
-                        f"split leading coefficient at {idx} in {d} cut {cut}",
+                        lambda: f"split leading coefficient at {idx} in {d} cut {cut}",
                     )
                     res.check(
                         all(
@@ -393,7 +403,7 @@ def suite_canonical(max_total: int) -> SuiteResult:
                             and (s == idx or c.is_in_qinv_z_nonneg())
                             for s, c in coords.items()
                         ),
-                        f"split coefficients at {idx} in {d} cut {cut}",
+                        lambda: f"split coefficients at {idx} in {d} cut {cut}",
                     )
                 # (b_s' * b_s'', b_t' * b_t''), once per pair (s, t)
                 # whose left parts share a level
@@ -419,7 +429,7 @@ def suite_canonical(max_total: int) -> SuiteResult:
                                             paired[h1 + h2] += c1 * c2
                         res.check(
                             grams[r][idx, jdx] == Laurent(paired),
-                            f"split pairing ({idx},{jdx}) in {d} cut {cut}",
+                            lambda: f"split pairing ({idx},{jdx}) in {d} cut {cut}",
                         )
     return res
 
@@ -478,7 +488,7 @@ def suite_rmatrix(max_total: int) -> SuiteResult:
             for other in moves[1:]:
                 res.check(
                     other.map == moves[0].map,
-                    f"word dependence for {perm} on {d}",
+                    lambda: f"word dependence for {perm} on {d}",
                 )
             move = moves[0]
             res.check(
@@ -486,19 +496,19 @@ def suite_rmatrix(max_total: int) -> SuiteResult:
                 == ModuleVector.basis(move.target, (0,) * len(d)).scale(
                     _highest_weight_scalar(d, perm)
                 ),
-                f"highest-weight scalar for {perm} on {d}",
+                lambda: f"highest-weight scalar for {perm} on {d}",
             )
             inverse_word = tuple(reversed(ws[0]))
             minus = r_move(move.target, inverse_word, "minus")
             res.check(
                 minus.map.compose(move.map) == LinMap.identity(d),
-                f"R_- R_+ != Id for {perm} on {d}",
+                lambda: f"R_- R_+ != Id for {perm} on {d}",
             )
             plus_back = r_move(move.target, inverse_word, "plus")
             minus_fwd = r_move(d, ws[0], "minus")
             res.check(
                 plus_back.map.compose(minus_fwd.map) == LinMap.identity(d),
-                f"R_+ R_- != Id for {perm} on {d}",
+                lambda: f"R_+ R_- != Id for {perm} on {d}",
             )
             for r in range(total + 1):
                 for idx in enumerate_basis(d, r):
@@ -506,19 +516,19 @@ def suite_rmatrix(max_total: int) -> SuiteResult:
                     img = move.apply(u)
                     res.check(
                         all(sum(s) == r for s in img.support()),
-                        f"weight broken at {idx} for {perm} on {d}",
+                        lambda: f"weight broken at {idx} for {perm} on {d}",
                     )
                     for x, op in (("K", act_K), ("E", act_E), ("F", act_F)):
                         res.check(
                             move.apply(op(u)) == op(move.apply(u)),
-                            f"intertwining {x} at {idx} for {perm} on {d}",
+                            lambda: f"intertwining {x} at {idx} for {perm} on {d}",
                         )
                     res.check(
                         all(
                             c.is_in_a()
                             for s, c in img.items()
                         ),
-                        f"half power leak at {idx} for {perm} on {d}",
+                        lambda: f"half power leak at {idx} for {perm} on {d}",
                     )
     return res
 
@@ -549,9 +559,9 @@ def suite_embed(max_total: int) -> SuiteResult:
                 res.check(
                     m.apply(table.rows[idx])
                     == fine_table.rows[orbits.dense_cell(d, idx)],
-                    f"b{idx} not sent to its dense refinement in {d}",
+                    lambda: f"b{idx} not sent to its dense refinement in {d}",
                 )
-        res.check(True, f"construction checks of embed_refine({d})")
+        res.check(True, lambda: f"construction checks of embed_refine({d})")
         if len(d) == 2 and max(d) <= 2:
             for sign in ("plus", "minus"):
                 move = r_move(d, [1], sign)
@@ -560,7 +570,7 @@ def suite_embed(max_total: int) -> SuiteResult:
                 rhs = lifted.map.compose(m)
                 res.check(
                     lhs == rhs,
-                    f"refinement compatibility of R_{sign} on {d}",
+                    lambda: f"refinement compatibility of R_{sign} on {d}",
                 )
     return res
 

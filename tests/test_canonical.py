@@ -25,11 +25,21 @@ from qsl2 import (
 )
 from qsl2.canonical import CACHE_FORMAT_VERSION, _cache_path
 from qsl2.errors import (
+    AlgebraError,
+    EmbeddingCheckFailedError,
     NonzeroConstantTermError,
     ObstructionNotAntisymmetricError,
     TriangularityViolationError,
 )
-from qsl2.modules import _gram, _step_scalar, act_E, act_F, act_K, enumerate_basis
+from qsl2.modules import (
+    LinMap,
+    _gram,
+    _step_scalar,
+    act_E,
+    act_F,
+    act_K,
+    enumerate_basis,
+)
 from qsl2.qring import (
     ONE,
     Q,
@@ -261,6 +271,56 @@ def _reference_table(d, r, kappa=None):
     return CanonicalTable(d, r, order, rows)
 
 
+def _psi_below(d, t, kappa, memo_ok, prefix):
+    """Column t of the standard-basis Psi matrix without its diagonal
+    entry, after checking that it is unitriangular."""
+    column = dict(canonical_mod._psi_basis(d, t, kappa, 1, memo_ok)._terms)
+    diagonal = column.pop(t, ZERO)
+    if diagonal != ONE:
+        raise TriangularityViolationError(
+            f"Psi(v{t}) on Lambda_{d} has diagonal coefficient {diagonal}, not 1"
+        )
+    for s in column:
+        sums = prefix.get(s)
+        if sums is None:
+            raise TriangularityViolationError(f"Psi(v{t}) off level at {s}")
+        if not orbits.prefix_dominates(sums, prefix[t]):
+            raise TriangularityViolationError(f"Psi(v{t}) outside closure at {s}")
+    return column
+
+
+def _reference_recursion(d, r, kappa=None):
+    """The solve the package used before the product basis: the same
+    coefficient recursion over the standard-basis Psi matrix, whose
+    columns fill the whole lower closure."""
+    order = tuple(orbits.linear_extension(d, r))
+    memo_ok = kappa is None
+    if kappa is None:
+        kappa = compute_quasi_r(sum(d) // 2)
+    prefix = {idx: orbits.prefix_sums(idx) for idx in order}
+    below = {t: _psi_below(d, t, kappa, memo_ok, prefix) for t in order}
+    rows = {}
+    for top, r_idx in enumerate(order):
+        coeffs = {r_idx: ONE}
+        obstruction = dict(below[r_idx])
+        for s in reversed(order[:top]):
+            g = obstruction.pop(s, ZERO)
+            if g.is_zero():
+                continue
+            if not orbits.prefix_dominates(prefix[s], prefix[r_idx]):
+                raise TriangularityViolationError(f"{s} vs {r_idx}")
+            if not g.is_bar_antisymmetric():
+                raise ObstructionNotAntisymmetricError(f"({g}) at {s}")
+            if not g.has_zero_constant_term():
+                raise NonzeroConstantTermError(f"({g}) at {s}")
+            p = g.negative_half()
+            coeffs[s] = p
+            for u, a in below[s].items():
+                obstruction[u] = obstruction.get(u, ZERO) + a * p.bar()
+        rows[r_idx] = ModuleVector(d, coeffs)
+    return CanonicalTable(d, r, order, rows)
+
+
 def _compositions(total):
     if total == 0:
         yield ()
@@ -286,6 +346,39 @@ def test_recursion_matches_reference_under_kappa_override():
     assert wrong != canonical_basis((2, 2), 2)
 
 
+def test_product_solve_matches_standard_basis_recursion():
+    cases = [
+        (d, r) for t in range(1, 8) for d in _compositions(t) for r in range(t + 1)
+    ]
+    cases += [((0, 2, 0, 1), r) for r in range(4)] + [((1,) * 9, 4)]
+    for d, r in cases:
+        assert canonical_basis(d, r) == _reference_recursion(d, r), (d, r)
+
+
+def _outcome(solve, d, r, kappa):
+    try:
+        return solve(d, r, kappa=kappa)
+    except (AlgebraError, ValueError) as e:  # the error type is compared
+        return type(e)
+
+
+def test_product_solve_matches_standard_basis_recursion_under_kappa_override():
+    # criterion 11's negated kappa_1: an equal wrong table on (2,2), and
+    # the same error type at every level of (2,1,2) that fails
+    ks = compute_quasi_r(2)
+    flipped = [ks[0], neg(ks[1]), ks[2]]
+    wrong = canonical_basis((2, 2), 2, kappa=flipped)
+    assert wrong == _reference_recursion((2, 2), 2, kappa=flipped)
+    assert wrong != canonical_basis((2, 2), 2)
+    raised = 0
+    for r in range(6):
+        new = _outcome(canonical_basis, (2, 1, 2), r, flipped)
+        old = _outcome(_reference_recursion, (2, 1, 2), r, flipped)
+        assert new == old
+        raised += isinstance(new, type)
+    assert raised == 4
+
+
 # -- per-process memo store ----------------------------------------------------
 
 
@@ -293,8 +386,9 @@ def test_clear_caches_empties_store_and_resets_kappa():
     first = canonical_basis((2, 2), 2)
     r_plus_pair(1, 2)
     embed_refine((2, 1))
+    bar_involution(V((1, 1), (0, 1)))
     kinds = {key[0] for key in canonical_mod._MEMO}
-    assert kinds == {"psi", "table", "pair", "embed"}
+    assert kinds == {"psi", "table", "E", "pair", "embed"}
     assert len(canonical_mod._KAPPA) > 1
     constants = (
         quantum_integer,
@@ -315,6 +409,46 @@ def test_clear_caches_empties_store_and_resets_kappa():
     assert again is not first
     assert again == first
     assert again.render() == first.render()
+
+
+# -- E^(n) in canonical coordinates ---------------------------------------------
+
+
+def _assert_e_coords_positive(memo):
+    """Every memoized E^(n) canonical coordinate lies in N[q, q^-1]."""
+    entries = [
+        (key, u, c)
+        for key, coords in memo.items()
+        if key[0] == "E"
+        for u, c in coords.items()
+    ]
+    assert entries
+    for key, u, c in entries:
+        assert c.is_in_a() and all(n > 0 for n in c._terms.values()), (key, u, c)
+
+
+def test_e_coordinates_are_positive():
+    # the decomposition theorem: E^(n) acts on the canonical basis with
+    # structure constants in N[q, q^-1]
+    clear_caches()
+    for total in range(1, 7):
+        for d in _compositions(total):
+            for r in range(total + 1):
+                canonical_basis(d, r)
+    _assert_e_coords_positive(canonical_mod._MEMO)
+    assert len([k for k in canonical_mod._MEMO if k[0] == "E"]) > 100
+
+
+def test_e_coordinate_positivity_check_catches_a_negated_entry():
+    clear_caches()
+    canonical_basis((1, 2, 2), 3)
+    memo = {k: dict(v) for k, v in canonical_mod._MEMO.items() if k[0] == "E"}
+    _assert_e_coords_positive(memo)
+    key = max(memo, key=lambda k: len(memo[k]))
+    u = next(iter(memo[key]))
+    memo[key][u] = neg(memo[key][u])
+    with pytest.raises(AssertionError):
+        _assert_e_coords_positive(memo)
 
 
 # -- disk cache ----------------------------------------------------------------
@@ -469,6 +603,8 @@ def test_kappa_override_changes_table_without_poisoning_caches(tmp_path):
 def test_theta_rejects_short_coefficient_list():
     with pytest.raises(ValueError, match="too short"):
         bar_involution(V((2, 2), (0, 2)), kappa=[ONE])
+    with pytest.raises(ValueError, match="too short"):
+        canonical_basis((2, 2), 2, kappa=[ONE])
 
 
 def test_kappa_fault_raises_on_non_unitriangular_psi_column():
@@ -487,16 +623,18 @@ def test_psi_column_support_outside_closure_raises(monkeypatch, planted, pattern
     d = (1, 1, 1)
     bottom = (1, 0, 0)
     clear_caches()
-    canonical_basis((2, 1), 1)
+    # the factor tables of (1,1,1) at level 1, so only the top solve fails
+    canonical_basis((1, 1), 0)
+    canonical_basis((1, 1), 1)
     stored = len(canonical_mod._MEMO)
 
-    def faulty(d_, idx, kappa, cut, memo_ok):
-        column = V(d_, idx)
+    def faulty(d_, idx, kappa, store):
+        column = {idx: ONE}
         if idx == bottom:
-            column = column + V(d_, planted).scale(QINV)
+            column[planted] = QINV
         return column
 
-    monkeypatch.setattr(canonical_mod, "_psi_basis", faulty)
+    monkeypatch.setattr(canonical_mod, "_product_column", faulty)
     with pytest.raises(TriangularityViolationError) as info:
         canonical_basis(d, 1)
     message = str(info.value)
@@ -616,6 +754,17 @@ def test_embed_refine_is_isometric_and_intertwines():
                     assert inner_product(u, w) == inner_product(
                         m.apply(u), m.apply(w)
                     )
+
+
+def test_embedding_check_rejects_a_column_across_two_levels():
+    clear_caches()
+    m = embed_refine((2, 1))
+    columns = dict(m.columns)
+    # the image of v(1,0) gains a term one level up
+    columns[(1, 0)] = columns[(1, 0)] + V((1, 1, 1), (1, 1, 0)).scale(QINV)
+    with pytest.raises(EmbeddingCheckFailedError, match=r"sends \(1, 0\) off level 1"):
+        canonical_mod._assert_embedding(LinMap(m.source, m.target, columns))
+    canonical_mod._assert_embedding(m)
 
 
 def test_embed_refine_rejects_zero_total():

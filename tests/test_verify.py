@@ -27,17 +27,23 @@ README = os.path.join(os.path.dirname(__file__), "..", "README.md")
 
 
 def test_suite_result_counts_and_caps_failures():
+    def boom():
+        raise AssertionError("a witness was formatted for an unrecorded check")
+
     s = SuiteResult("demo")
     s.check(True, "never recorded")
-    assert s.checks == 1 and s.passed and s.failures == []
+    s.check(True, boom)
+    assert s.checks == 2 and s.passed and s.failures == []
     s.check(False, "first witness")
+    s.check(False, lambda: f"lazy witness {(1, 2)} at {Q}")
     assert not s.passed
-    assert s.failures == ["first witness"]
+    assert s.failures == ["first witness", "lazy witness (1, 2) at q"]
     for i in range(_FAILURE_CAP + 10):
         s.check(False, f"w{i}")
     assert len(s.failures) == _FAILURE_CAP
     assert s.truncated
-    assert s.checks == 2 + _FAILURE_CAP + 10
+    s.check(False, boom)
+    assert s.checks == 5 + _FAILURE_CAP + 10
 
 
 def test_compositions_sweep():
@@ -142,6 +148,28 @@ def test_suite_canonical_catches_a_perturbed_row(monkeypatch):
     assert not res.passed
     assert any(w.startswith("(b(0, 1), b(0, 1)) =") for w in res.failures)
     assert any(w.startswith("split coefficients at (0, 1)") for w in res.failures)
+    clear_caches()
+
+
+def test_failing_lazy_witnesses_render_the_eager_text(monkeypatch):
+    # the exact witnesses the suite printed when every one was an f-string
+    clear_caches()
+    d = (1, 1)
+    good = canonical_basis(d, 1)
+    rows = dict(good.rows)
+    rows[(0, 1)] = ModuleVector.basis(d, (0, 1)) + ModuleVector.basis(d, (1, 0)).scale(Q)
+    bad = CanonicalTable(d, 1, good.order, rows)
+    monkeypatch.setitem(canonical_mod._MEMO, ("table", d, 1), bad)
+    res = SUITES["canonical"](2)
+    assert res.checks == 50 and not res.truncated
+    assert res.failures == [
+        "(b(1, 0), b(0, 1)) = q in (1, 1)",
+        "b(0, 1) not bar fixed in (1, 1)",
+        "coefficient (q) at (1, 0) in b(0, 1) of (1, 1)",
+        "(b(0, 1), b(1, 0)) = q in (1, 1)",
+        "(b(0, 1), b(0, 1)) = q^2 + 1 in (1, 1)",
+        "split coefficients at (0, 1) in (1, 1) cut 1",
+    ]
     clear_caches()
 
 

@@ -40,16 +40,30 @@ the obstruction
     g_s = sum_{s < t <= r} a_{s,t} bar(p_{t,r}),
 
 the unique member of q^-1 Z[q^-1] with p_{s,r} - bar(p_{s,r}) = g_s.
-Each g_s is accumulated as a raw map from half-exponents to integers,
-one multiply-add per pair of terms, and becomes a Laurent element only
-when s is reached.  Each nonzero g_s is checked to sit strictly below r
-in the closure order, to be bar-antisymmetric and to have zero constant
-term; with the column check, Psi(b_r) = b_r holds exactly by
-construction.  Both closure tests compare prefix sums computed once per
+Each g_s with two or more summands is accumulated as a raw map from
+half-exponents to integers, one multiply-add per pair of terms, and
+becomes a Laurent element only when s is reached.  Each nonzero g_s is
+checked to sit strictly below r in the closure order, to be
+bar-antisymmetric and to have zero constant term; with the column
+check, Psi(b_r) = b_r holds exactly by construction.  Both closure tests compare prefix sums computed once per
 index of the level (orbits.prefix_sums), and an entry at an index off
 the level fails the column check.  Each row is then expanded once into
 the standard basis through the d'' rows.  The off-diagonal coefficients
-land in q^-1 Z_{>=0}[q^-1] (a checked property, not an input).  The
+land in q^-1 Z_{>=0}[q^-1] (a checked property, not an input).
+
+The product coordinates p_{s,r} of every solved table are kept, and
+E^(n) b is computed from them in product coordinates, never from a
+standard-basis row.  The coproduct Delta(E) = E tensor 1 + K tensor E
+gives Delta(E^(n)) = sum_(a+b=n) q^(ab) E^(a) K^b tensor E^(b), so
+
+    E^(n) P_s = sum_(a+b=n) q^(ab + b(d_0 - 2s_0)) [d_0 - s_0 + a choose a]
+                v_(s_0 - a) tensor E^(b) b''_(s[1:]),
+
+with E^(b) b'' from the same memo (on one factor, the binomial
+[d_0 - t_0 + n choose n] alone).  The sum is back-substituted against
+the product coordinates of the level below, which have a handful of
+entries per row.  A table loaded from the disk cache has no product
+coordinates; it is solved again when a larger solve needs them.  The
 standard-basis Psi columns serve bar_involution, which checks every
 table loaded from the disk cache independently of the solve.
 """
@@ -61,6 +75,7 @@ import os
 import tempfile
 from collections import defaultdict
 from dataclasses import dataclass
+from typing import Mapping, Reversible
 
 from . import orbits
 from .errors import (
@@ -76,7 +91,6 @@ from .modules import (
     LinMap,
     _gram,
     _step_scalar,
-    act_divided,
     act_E,
     act_F,
     act_K,
@@ -93,6 +107,7 @@ from .qring import (
     ONE,
     ZERO,
     exact_div,
+    q_power,
     quantum_binomial,
     quantum_factorial,
     quantum_integer,
@@ -122,9 +137,11 @@ _KAPPA: list[Laurent] = [ONE]
 
 # Per-process results for the solved coefficients, keyed by
 # (kind, *args): ("psi", d, cut, idx) -> Psi(v_idx), ("table", d, r) ->
-# CanonicalTable, ("E", d, idx, n) -> the canonical coordinates of
-# E^(n) b_idx, ("embed", d) -> LinMap, and ("pair", d1, d2, sign) ->
-# RMap (filled by rmatrix).  Emptied, with _KAPPA, by clear_caches.
+# CanonicalTable, ("P", d, r) -> the product coordinates
+# {idx: {s: p_{s,idx}}} of that table (len(d) > 1), ("E", d, idx, n) ->
+# the canonical coordinates of E^(n) b_idx (len(d) > 1), ("embed", d)
+# -> LinMap, and ("pair", d1, d2, sign) -> RMap (filled by rmatrix).
+# Emptied, with _KAPPA, by clear_caches.
 _MEMO: dict[tuple, object] = {}
 
 
@@ -144,11 +161,11 @@ _CONSTANT_MEMOS = (
 
 def clear_caches() -> None:
     """Forget every per-process result: memoized Psi images, canonical
-    tables, E^(n) coordinates, embeddings, pair braidings, the solved
-    quasi-R coefficients, the quantum integers, factorials and
-    binomials, the Gram entries, the E/F step scalars, the orbit
-    dimensions and the linear extensions.  The disk cache is not
-    touched."""
+    tables, their product coordinates, E^(n) coordinates, embeddings,
+    pair braidings, the solved quasi-R coefficients, the quantum
+    integers, factorials and binomials, the Gram entries, the E/F step
+    scalars, the orbit dimensions and the linear extensions.  The disk
+    cache is not touched."""
     _MEMO.clear()
     del _KAPPA[1:]
     for memo in _CONSTANT_MEMOS:
@@ -322,22 +339,35 @@ class CanonicalTable:
 
 
 def _add_scaled(
-    acc: dict[OrbitIndex, defaultdict],
+    acc: dict[OrbitIndex, Laurent | defaultdict],
     c: Laurent,
     terms: dict[OrbitIndex, Laurent],
     head: OrbitIndex = (),
 ) -> None:
-    """acc[head + w] += c * terms[w] for every w, on raw maps
-    {half-exponent: coefficient}; a Laurent is built only when an entry
-    of acc is read."""
-    c_terms = c._terms.items()
+    """acc[head + w] += c * terms[w] for every w.  An entry of acc is
+    the Laurent c * terms[w] while it has one summand (terms[w] itself
+    when c is 1, shared as values are immutable), and from the second
+    summand on a raw map {half-exponent: coefficient} that starts as a
+    copy of that Laurent's terms and is never one of them; _entry reads
+    either kind."""
+    c_items = c._terms.items()
+    unit = c._terms == ONE._terms
     for w, e in terms.items():
-        raw = acc.get(head + w)
+        key = head + w
+        raw = acc.get(key)
         if raw is None:
-            raw = acc[head + w] = defaultdict(int)
-        for h1, c1 in c_terms:
+            acc[key] = e if unit else c * e
+            continue
+        if type(raw) is Laurent:
+            raw = acc[key] = defaultdict(int, raw._terms)
+        for h1, c1 in c_items:
             for h2, c2 in e._terms.items():
                 raw[h1 + h2] += c1 * c2
+
+
+def _entry(raw: Laurent | defaultdict) -> Laurent:
+    """An entry of an _add_scaled accumulator as a Laurent."""
+    return raw if type(raw) is Laurent else Laurent._from_raw(raw)
 
 
 def _sub_table(
@@ -351,21 +381,59 @@ def _sub_table(
     return table
 
 
+def _product_rows(
+    d: Composition, r: int, kappa: list[Laurent], store: dict
+) -> dict[OrbitIndex, dict[OrbitIndex, Laurent]]:
+    """The product coordinates {t: {s: p_{s,t}}} of (d, r), from store,
+    with t in the order of the table.  A table loaded from the disk
+    cache has none, so a miss solves the table into store again."""
+    key = ("P", d, r)
+    rows = store.get(key)
+    if rows is None:
+        table = _compute_table(d, r, kappa, store)
+        store.setdefault(("table", d, r), table)
+        rows = store[key]
+    return rows
+
+
 def _e_coords(
     d: Composition, t: OrbitIndex, n: int, kappa: list[Laurent], store: dict
 ) -> dict[OrbitIndex, Laurent]:
-    """E^(n) b_t on Lambda_d in the canonical coordinates of its level,
-    zeros omitted; empty when E^(n) b_t = 0.  Memoized in store."""
+    """E^(n) b_t on Lambda_d in the canonical coordinates of level
+    sum(t) - n, zeros omitted; empty when E^(n) b_t = 0.  One factor
+    is the standard basis, E^(n) v_t0 = [d_0 - t_0 + n choose n]
+    v_(t_0 - n).  Otherwise E^(n) is applied to b_t = sum_s p_{s,t} P_s
+    term by term through the coproduct (see the module docstring) and
+    back-substituted against the product coordinates of the level
+    below.  Memoized in store for len(d) > 1."""
+    d0, t0 = d[0], t[0]
+    if len(d) == 1:
+        return {(t0 - n,): quantum_binomial(d0 - t0 + n, n)} if n <= t0 else {}
     key = ("E", d, t, n)
     coords = store.get(key)
     if coords is None:
         r = sum(t)
-        image = act_divided(_sub_table(d, r, kappa, store).rows[t], "E", n)
-        coords = (
-            dict(canonical_coords(_sub_table(d, r - n, kappa, store), image))
-            if not image.is_zero()
-            else {}
-        )
+        image: dict[OrbitIndex, Laurent | defaultdict] = {}
+        for s, p in _product_rows(d, r, kappa, store)[t].items():
+            s0, rest = s[0], s[1:]
+            for a in range(min(n, s0) + 1):
+                b = n - a
+                part = {rest: ONE} if b == 0 else _e_coords(d[1:], rest, b, kappa, store)
+                if part:
+                    scalar = (
+                        p
+                        * q_power(a * b + b * (d0 - 2 * s0))
+                        * quantum_binomial(d0 - s0 + a, a)
+                    )
+                    _add_scaled(image, scalar, part, (s0 - a,))
+        coords = {}
+        if image:
+            lower = _product_rows(d, r - n, kappa, store)
+            coords = _back_substitute(image, lower, lower)
+            if coords is None:
+                raise TriangularityViolationError(
+                    f"E^({n}) b{t} on Lambda_{d} escaped the level-{r - n} table"
+                )
         store[key] = coords
     return coords
 
@@ -437,9 +505,10 @@ def _product_below(
 def _compute_table(
     d: Composition, r: int, kappa: list[Laurent] | None, store: dict
 ) -> CanonicalTable:
-    """Solve the table of (d, r); store holds the factor tables and
-    E^(n) coordinates (_MEMO, or a per-call dict under a kappa
-    override)."""
+    """Solve the table of (d, r) and keep its product coordinates in
+    store under ("P", d, r); store holds the factor tables, product
+    coordinates and E^(n) coordinates (_MEMO, or a per-call dict under
+    a kappa override)."""
     order = tuple(orbits.linear_extension(d, r))
     if len(d) == 1:
         return CanonicalTable(
@@ -458,20 +527,23 @@ def _compute_table(
     # every row is keyed by the index tuples of order, one copy per level
     shared = {idx: idx for idx in order}
     rows: dict[OrbitIndex, ModuleVector] = {}
+    product_rows: dict[OrbitIndex, dict[OrbitIndex, Laurent]] = {}
     for top, r_idx in enumerate(order):
         coeffs = {r_idx: ONE}
         top_sums = prefix[r_idx]
-        # obstruction[s] is the raw sum {half-exponent: coefficient} of
+        # obstruction[s] is the sum (an _add_scaled entry) of
         # a_{s,t} bar(p_{t,r}) over the t already solved; every t above
-        # s is solved before s is reached, and a Laurent is built only
-        # when s is popped.
-        obstruction: dict[OrbitIndex, defaultdict] = {}
+        # s is solved before s is reached, and every entry lies below
+        # the s last popped, so an empty obstruction ends the walk.
+        obstruction: dict[OrbitIndex, Laurent | defaultdict] = {}
         _add_scaled(obstruction, ONE, below[r_idx])
         for s in reversed(order[:top]):
+            if not obstruction:
+                break
             raw = obstruction.pop(s, None)
             if raw is None:
                 continue
-            g = Laurent(raw)
+            g = _entry(raw)
             if g.is_zero():
                 continue
             if not orbits.prefix_dominates(prefix[s], top_sums):
@@ -490,17 +562,19 @@ def _compute_table(
             p = g.negative_half()
             coeffs[s] = p
             _add_scaled(obstruction, p.bar(), below[s])
-        # b_r = sum_s p_s v_(s_0) tensor b''_(s[1:]), one raw map per index
-        expanded: dict[OrbitIndex, defaultdict] = {}
+        product_rows[r_idx] = coeffs
+        # b_r = sum_s p_s v_(s_0) tensor b''_(s[1:]), one entry per index
+        expanded: dict[OrbitIndex, Laurent | defaultdict] = {}
         for s, p in coeffs.items():
             _add_scaled(expanded, p, factors[s[0]].rows[s[1:]]._terms, s[:1])
         data = {}
         for idx, raw in expanded.items():
-            c = Laurent(raw)
+            c = _entry(raw)
             if not c.is_zero():
                 # the diagonal 1 is the shared ONE, as every table stores it
-                data[shared[idx]] = ONE if c == ONE else c
+                data[shared[idx]] = ONE if c._terms == ONE._terms else c
         rows[r_idx] = ModuleVector._make(d, data)
+    store[("P", d, r)] = product_rows
     return CanonicalTable(d, r, order, rows)
 
 
@@ -621,28 +695,28 @@ def canonical_basis(
 
 
 def _back_substitute(
-    u: ModuleVector,
-    order: tuple[OrbitIndex, ...],
-    rows: dict[OrbitIndex, ModuleVector],
+    remainder: dict[OrbitIndex, Laurent | defaultdict],
+    order: Reversible[OrbitIndex],
+    rows: Mapping[OrbitIndex, Mapping[OrbitIndex, Laurent]],
 ) -> dict[OrbitIndex, Laurent] | None:
-    """Coordinates of u over the vectors rows[idx], each unitriangular
-    along order: peel off coefficients from the top of order down.
-    Zeros are omitted; None when a remainder is left over.  The
-    remainder is kept as raw maps (see _add_scaled)."""
-    remainder: dict[OrbitIndex, defaultdict] = {
-        idx: defaultdict(int, c._terms) for idx, c in u._terms.items()
-    }
+    """Coordinates of remainder, an _add_scaled accumulator, over the
+    term maps rows[idx], each unitriangular along order: peel off
+    coefficients from the top of order down, consuming remainder.
+    Zeros are omitted; None when a remainder is left over."""
     coords: dict[OrbitIndex, Laurent] = {}
     for idx in reversed(order):
         raw = remainder.get(idx)
         if raw is None:
             continue
-        c = Laurent(raw)
+        c = _entry(raw)
         if c.is_zero():
             continue
         coords[idx] = c
-        _add_scaled(remainder, -c, rows[idx]._terms)
-    if any(any(raw.values()) for raw in remainder.values()):
+        _add_scaled(remainder, -c, rows[idx])
+    if any(
+        raw if type(raw) is Laurent else any(raw.values())
+        for raw in remainder.values()
+    ):
         return None
     return coords
 
@@ -653,7 +727,9 @@ def canonical_coords(
     """Expand u over the canonical basis of its level by unitriangular
     back-substitution; returns (index, coefficient) pairs in the table
     order, zeros omitted."""
-    coords = _back_substitute(u, table.order, table.rows)
+    coords = _back_substitute(
+        dict(u._terms), table.order, {idx: row._terms for idx, row in table.rows.items()}
+    )
     if coords is None:
         raise TriangularityViolationError(
             f"vector over Lambda_{u.d} escaped the level-{table.r} table"
@@ -728,17 +804,17 @@ def split_expand(
     left_d, right_d = d[:cut], d[cut:]
 
     table = canonical_basis(d, r, cache_dir=cache_dir)
-    products: dict[OrbitIndex, ModuleVector] = {}
+    products: dict[OrbitIndex, dict[OrbitIndex, Laurent]] = {}
     for a in range(max(0, r - sum(right_d)), min(r, sum(left_d)) + 1):
         left_t = canonical_basis(left_d, a, cache_dir=cache_dir)
         right_t = canonical_basis(right_d, r - a, cache_dir=cache_dir)
         for ls in left_t.order:
             for rs in right_t.order:
-                products[ls + rs] = tensor(left_t.rows[ls], right_t.rows[rs])
+                products[ls + rs] = tensor(left_t.rows[ls], right_t.rows[rs])._terms
 
     rows: dict[OrbitIndex, dict[OrbitIndex, Laurent]] = {}
     for idx in table.order:
-        coords = _back_substitute(table.rows[idx], table.order, products)
+        coords = _back_substitute(dict(table.rows[idx]._terms), table.order, products)
         if coords is None:
             raise TriangularityViolationError(
                 f"split of b{idx} on Lambda_{d} escaped the product basis"

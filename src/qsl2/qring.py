@@ -61,6 +61,20 @@ class Laurent:
     # -- construction helpers -------------------------------------------------
 
     @classmethod
+    def _from_raw(cls, raw: Mapping[int, int]) -> "Laurent":
+        """The element of a raw map {half-exponent: coefficient} whose
+        keys and values are already ints; zeros are dropped and raw is
+        copied, never kept.  No type checks: callers pass only maps built
+        from the terms of other Laurent values."""
+        terms = dict(raw)
+        if 0 in terms.values():
+            terms = {h: c for h, c in terms.items() if c}
+        out = cls.__new__(cls)
+        out._terms = terms
+        out._hash = None
+        return out
+
+    @classmethod
     def from_int(cls, n: int) -> "Laurent":
         return cls({0: n})
 

@@ -35,6 +35,7 @@ from qsl2.modules import (
     LinMap,
     _gram,
     _step_scalar,
+    act_divided,
     act_E,
     act_F,
     act_K,
@@ -388,7 +389,7 @@ def test_clear_caches_empties_store_and_resets_kappa():
     embed_refine((2, 1))
     bar_involution(V((1, 1), (0, 1)))
     kinds = {key[0] for key in canonical_mod._MEMO}
-    assert kinds == {"psi", "table", "E", "pair", "embed"}
+    assert kinds == {"psi", "table", "P", "E", "pair", "embed"}
     assert len(canonical_mod._KAPPA) > 1
     constants = (
         quantum_integer,
@@ -449,6 +450,87 @@ def test_e_coordinate_positivity_check_catches_a_negated_entry():
     memo[key][u] = neg(memo[key][u])
     with pytest.raises(AssertionError):
         _assert_e_coords_positive(memo)
+
+
+def _reference_e_coords(d, t, n):
+    """E^(n) b_t by the route the solve used before the coproduct:
+    act_divided on the standard-basis row of b_t, then back-substitution
+    against the standard-basis rows of the level below."""
+    image = act_divided(canonical_basis(d, sum(t)).rows[t], "E", n)
+    if image.is_zero():
+        return {}
+    return dict(canonical_coords(canonical_basis(d, sum(t) - n), image))
+
+
+def test_e_coordinates_match_the_standard_basis_route():
+    clear_caches()
+    for total in range(1, 8):
+        for d in _compositions(total):
+            for r in range(total + 1):
+                canonical_basis(d, r)
+    canonical_basis((1,) * 9, 4)
+    keys = [k for k in canonical_mod._MEMO if k[0] == "E"]
+    assert len(keys) > 1000
+    # q^(ab) with a, b > 0 first matters for E^(2) on a part of size 2
+    assert any(n >= 2 and d[0] >= 2 for _, d, _, n in keys)
+    for key in keys:
+        _, d, t, n = key
+        assert canonical_mod._MEMO[key] == _reference_e_coords(d, t, n), key
+
+
+def test_product_coordinates_fall_back_for_tables_from_the_disk_cache(tmp_path):
+    cache = str(tmp_path)
+    small, big = (1, 1, 1), (1, 1, 1, 1)
+    clear_caches()
+    cold = canonical_basis(big, 2).render()
+    clear_caches()
+    for r in range(4):
+        canonical_basis(small, r, cache_dir=cache)
+    assert len(os.listdir(cache)) == 4
+    clear_caches()
+    loaded = [canonical_basis(small, r, cache_dir=cache) for r in range(4)]
+    assert not [k for k in canonical_mod._MEMO if k[0] == "P"]
+    assert canonical_basis(big, 2).render() == cold
+    # the solve of big at level 2 reads the product coordinates of small
+    # at levels 1 and 2, and solves them again; the loaded tables stay
+    for r in (1, 2):
+        assert ("P", small, r) in canonical_mod._MEMO
+    for r in range(4):
+        assert canonical_mod._MEMO[("table", small, r)] is loaded[r]
+
+
+def test_add_scaled_matches_reference_loop_without_aliasing():
+    rng = random.Random(5150)
+    coeffs = [ZERO, ONE, neg(ONE), Q, QINV, Laurent({1: 1}), Laurent({-3: -2})]
+    coeffs += [Laurent({rng.randrange(-9, 10): rng.choice([-3, -1, 1, 2])}) for _ in range(6)]
+    coeffs += [
+        Laurent({rng.randrange(-7, 8): rng.randrange(-3, 4) for _ in range(rng.randrange(0, 5))})
+        for _ in range(6)
+    ]
+    indices = [(i,) for i in range(5)]
+    for trial in range(200):
+        rows = [
+            {w: rng.choice(coeffs[1:]) for w in rng.sample(indices, rng.randrange(1, 5))}
+            for _ in range(4)
+        ]
+        before = [{w: dict(e._terms) for w, e in row.items()} for row in rows]
+        acc, ref = {}, {}
+        for _ in range(rng.randrange(1, 7)):
+            c, row, head = rng.choice(coeffs), rng.choice(rows), rng.choice([(), (7,)])
+            canonical_mod._add_scaled(acc, c, row, head)
+            # the general loop on plain int maps
+            for w, e in row.items():
+                raw = ref.setdefault(head + w, {})
+                for h1, c1 in c.items():
+                    for h2, c2 in e.items():
+                        raw[h1 + h2] = raw.get(h1 + h2, 0) + c1 * c2
+        assert set(acc) == set(ref)
+        for key, value in acc.items():
+            expected = {h: x for h, x in ref[key].items() if x}
+            assert canonical_mod._entry(value)._terms == expected, (trial, key)
+        # an accumulator entry may be a row's own Laurent, but a later
+        # summand never writes into that Laurent's terms
+        assert [{w: dict(e._terms) for w, e in row.items()} for row in rows] == before
 
 
 # -- disk cache ----------------------------------------------------------------

@@ -2,6 +2,7 @@
 quantum combinatorics, exact division, serialization, rendering."""
 
 import random
+from collections import defaultdict
 
 import pytest
 
@@ -114,6 +115,24 @@ def test_fast_paths_match_reference_loops():
         assert hash(product) == hash(Laurent(_reference_mul(a, b)))
         assert hash(total) == hash(Laurent(_reference_add(a, b)))
         assert (_reference_terms(a), _reference_terms(b)) == before
+
+
+def test_trusted_constructor_matches_general_constructor():
+    rng = random.Random(4417)
+    raws = [{}, {0: 0}, {0: 1}, {0: -1}, {1: 1}, {-3: -2}, {2: 0, -5: 3}, {7: 0, 0: 0}]
+    raws += [
+        {rng.randrange(-9, 10): rng.randrange(-3, 4) for _ in range(rng.randrange(0, 7))}
+        for _ in range(200)
+    ]
+    for raw in raws:
+        for given in (dict(raw), defaultdict(int, raw)):
+            x = Laurent._from_raw(given)
+            ref = Laurent(raw)
+            assert type(x) is Laurent and type(x._terms) is dict
+            assert x._terms == ref._terms and hash(x) == hash(ref)
+            assert x._terms is not given
+            given[99] = 1
+            assert 99 not in x._terms
 
 
 def test_hash_agrees_with_int_equality():

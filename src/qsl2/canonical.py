@@ -62,24 +62,17 @@ gives Delta(E^(n)) = sum_(a+b=n) q^(ab) E^(a) K^b tensor E^(b), so
 with E^(b) b'' from the same memo (on one factor, the binomial
 [d_0 - t_0 + n choose n] alone).  The sum is back-substituted against
 the product coordinates of the level below, which have a handful of
-entries per row.  A table loaded from the disk cache has no product
-coordinates; it is solved again when a larger solve needs them.  The
-standard-basis Psi columns serve bar_involution, which checks every
-table loaded from the disk cache independently of the solve.
+entries per row.  The standard-basis Psi columns serve bar_involution.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import tempfile
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Mapping, Reversible
 
 from . import orbits
 from .errors import (
-    AlgebraError,
     ConventionUnderdeterminedError,
     EmbeddingCheckFailedError,
     NonzeroConstantTermError,
@@ -122,14 +115,11 @@ __all__ = [
     "SplitTable",
     "split_expand",
     "embed_refine",
-    "CACHE_FORMAT_VERSION",
     "clear_caches",
 ]
 
 Composition = orbits.Composition
 OrbitIndex = orbits.OrbitIndex
-
-CACHE_FORMAT_VERSION = 2
 
 # Solved quasi-R coefficients, kappa_0 first.  Extended on demand and
 # otherwise only truncated back to [ONE] by clear_caches.
@@ -164,8 +154,7 @@ def clear_caches() -> None:
     tables, their product coordinates, E^(n) coordinates, embeddings,
     pair braidings, the solved quasi-R coefficients, the quantum
     integers, factorials and binomials, the Gram entries, the E/F step
-    scalars, the orbit dimensions and the linear extensions.  The disk
-    cache is not touched."""
+    scalars, the orbit dimensions and the linear extensions."""
     _MEMO.clear()
     del _KAPPA[1:]
     for memo in _CONSTANT_MEMOS:
@@ -371,7 +360,7 @@ def _entry(raw: Laurent | defaultdict) -> Laurent:
 
 
 def _sub_table(
-    d: Composition, r: int, kappa: list[Laurent], store: dict
+    d: Composition, r: int, kappa: list[Laurent] | None, store: dict
 ) -> CanonicalTable:
     """The table of (d, r) from store, solved into it on a miss."""
     key = ("table", d, r)
@@ -384,16 +373,11 @@ def _sub_table(
 def _product_rows(
     d: Composition, r: int, kappa: list[Laurent], store: dict
 ) -> dict[OrbitIndex, dict[OrbitIndex, Laurent]]:
-    """The product coordinates {t: {s: p_{s,t}}} of (d, r), from store,
-    with t in the order of the table.  A table loaded from the disk
-    cache has none, so a miss solves the table into store again."""
-    key = ("P", d, r)
-    rows = store.get(key)
-    if rows is None:
-        table = _compute_table(d, r, kappa, store)
-        store.setdefault(("table", d, r), table)
-        rows = store[key]
-    return rows
+    """The product coordinates {t: {s: p_{s,t}}} of (d, r), with t in
+    the order of the table; solving the table into store keeps them
+    there under ("P", d, r)."""
+    _sub_table(d, r, kappa, store)
+    return store[("P", d, r)]
 
 
 def _e_coords(
@@ -578,120 +562,23 @@ def _compute_table(
     return CanonicalTable(d, r, order, rows)
 
 
-def _cache_path(cache_dir: str, d: Composition, r: int) -> str:
-    name = f"canonical_v{CACHE_FORMAT_VERSION}_d{'-'.join(map(str, d))}_r{r}.json"
-    return os.path.join(cache_dir, name)
-
-
-def _kappa_pairs(d: Composition) -> list[list]:
-    """The quasi-R coefficients a table of Lambda_d is solved with, in
-    JSON form; a cached table is keyed on them."""
-    return [k.to_pairs() for k in compute_quasi_r(sum(d) // 2)]
-
-
-def _is_canonical(table: CanonicalTable) -> bool:
-    """True when table.order is the linear extension and every row is
-    v_idx plus terms strictly below idx in the closure order, with
-    coefficients in q^-1 Z>=0[q^-1], and is fixed by Psi.  Those
-    properties determine the canonical basis, so a table that has them
-    all is the table the solve would compute."""
-    d = table.d
-    if list(table.order) != orbits.linear_extension(d, table.r):
-        return False
-    prefix = {idx: orbits.prefix_sums(idx) for idx in table.order}
-    for idx, row in table.rows.items():
-        if row.coeff(idx) != ONE:
-            return False
-        for s, c in row._terms.items():
-            if s == idx:
-                continue
-            sums = prefix.get(s)
-            if sums is None or not orbits.prefix_dominates(sums, prefix[idx]):
-                return False
-            if not c.is_in_qinv_z_nonneg():
-                return False
-        if bar_involution(row) != row:
-            return False
-    return True
-
-
-def _cache_load(cache_dir: str, d: Composition, r: int) -> CanonicalTable | None:
-    """The cached table of (d, r), or None when the file is missing,
-    unreadable, of another format version or kappa convention, or holds
-    a table that fails _is_canonical."""
-    try:
-        with open(_cache_path(cache_dir, d, r), "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-        if not isinstance(obj, dict) or obj.get("version") != CACHE_FORMAT_VERSION:
-            return None
-        if tuple(obj.get("d", ())) != d or obj.get("r") != r:
-            return None
-        if obj.get("kappa") != _kappa_pairs(d):
-            return None
-        table = CanonicalTable.from_json_obj(obj)
-    except (OSError, ValueError, KeyError, TypeError, AlgebraError):
-        return None
-    return table if _is_canonical(table) else None
-
-
-def _cache_store(cache_dir: str, table: CanonicalTable) -> None:
-    obj = {
-        "version": CACHE_FORMAT_VERSION,
-        "kappa": _kappa_pairs(table.d),
-        **table.to_json_obj(),
-    }
-    try:
-        os.makedirs(cache_dir, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
-    except OSError:
-        return
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(obj, fh, indent=2)
-            fh.write("\n")
-        os.replace(tmp, _cache_path(cache_dir, table.d, table.r))
-    except OSError:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-
-
 def canonical_basis(
     d: Composition,
     r: int,
     *,
-    cache_dir: str | None = None,
     kappa: list[Laurent] | None = None,
 ) -> CanonicalTable:
     """The canonical basis table of Lambda_d at level r.
 
-    Results are memoized per process; cache_dir adds an advisory disk
-    cache, keyed on the format version and the quasi-R coefficients.
-    Every loaded table is checked (see _is_canonical); an unreadable,
-    mismatched or failing file is recomputed and rewritten.
-    A kappa override disables every cache, so injected faults cannot
-    poison real tables.
+    Results are memoized per process.  A kappa override bypasses the
+    memo, so injected faults cannot poison real tables.
     """
     d = orbits.check_composition(d)
     if not 0 <= r <= sum(d):
         raise ValueError(f"level {r} out of range for {d}")
     if kappa is not None:
         return _compute_table(d, r, kappa, {})
-    key = ("table", d, r)
-    table = _MEMO.get(key)
-    if table is not None:
-        return table
-    if cache_dir is not None:
-        table = _cache_load(cache_dir, d, r)
-        if table is not None:
-            _MEMO[key] = table
-            return table
-    table = _compute_table(d, r, None, _MEMO)
-    _MEMO[key] = table
-    if cache_dir is not None:
-        _cache_store(cache_dir, table)
-    return table
+    return _sub_table(d, r, None, _MEMO)
 
 
 def _back_substitute(
@@ -789,8 +676,6 @@ def split_expand(
     d: Composition,
     cut: int,
     r: int,
-    *,
-    cache_dir: str | None = None,
 ) -> SplitTable:
     """Expand each b_r of Lambda_d over the tensor products of the two
     canonical bases after the cut.  Unitriangular back-substitution
@@ -803,11 +688,11 @@ def split_expand(
         raise ValueError(f"level {r} out of range for {d}")
     left_d, right_d = d[:cut], d[cut:]
 
-    table = canonical_basis(d, r, cache_dir=cache_dir)
+    table = canonical_basis(d, r)
     products: dict[OrbitIndex, dict[OrbitIndex, Laurent]] = {}
     for a in range(max(0, r - sum(right_d)), min(r, sum(left_d)) + 1):
-        left_t = canonical_basis(left_d, a, cache_dir=cache_dir)
-        right_t = canonical_basis(right_d, r - a, cache_dir=cache_dir)
+        left_t = canonical_basis(left_d, a)
+        right_t = canonical_basis(right_d, r - a)
         for ls in left_t.order:
             for rs in right_t.order:
                 products[ls + rs] = tensor(left_t.rows[ls], right_t.rows[rs])._terms
@@ -858,7 +743,7 @@ def _assert_embedding(m: LinMap) -> None:
                     )
 
 
-def embed_refine(d: Composition, *, cache_dir: str | None = None) -> LinMap:
+def embed_refine(d: Composition) -> LinMap:
     """The canonical embedding Lambda_d -> Lambda_(1,...,1) sending each
     b_r to the b at the dense binary refinement of r.  Intertwining and
     isometry are asserted on construction, not assumed."""
@@ -873,8 +758,8 @@ def embed_refine(d: Composition, *, cache_dir: str | None = None) -> LinMap:
     target = (1,) * total
     columns: dict[OrbitIndex, ModuleVector] = {}
     for r in range(total + 1):
-        table = canonical_basis(d, r, cache_dir=cache_dir)
-        fine = canonical_basis(target, r, cache_dir=cache_dir)
+        table = canonical_basis(d, r)
+        fine = canonical_basis(target, r)
         for idx in table.order:
             image = ModuleVector.zero(target)
             for s, c in canonical_coords(table, ModuleVector.basis(d, idx)):

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import orbits
@@ -28,8 +27,6 @@ from .rmatrix import matrix_in_basis, r_move
 from .verify import run_all
 
 __all__ = ["main"]
-
-_ENV_CACHE = "QSL2_CACHE_DIR"
 
 
 def _parse_ints(text: str, item: str, what: str) -> tuple[int, ...]:
@@ -48,13 +45,6 @@ def _parse_ints(text: str, item: str, what: str) -> tuple[int, ...]:
 
 def _parse_composition(text: str) -> tuple[int, ...]:
     return orbits.check_composition(_parse_ints(text, "part", "composition"))
-
-
-def _cache_dir(args: argparse.Namespace) -> str | None:
-    explicit = getattr(args, "cache_dir", None)
-    if explicit:
-        return explicit
-    return os.environ.get(_ENV_CACHE) or None
 
 
 def _emit_json(obj) -> None:
@@ -124,7 +114,7 @@ def _map_json(linmap, basis: str) -> list[dict]:
 
 def _cmd_canon(args: argparse.Namespace) -> int:
     d = _parse_composition(args.d)
-    table = canonical_basis(d, args.r, cache_dir=_cache_dir(args))
+    table = canonical_basis(d, args.r)
     if args.format == "json":
         _emit_json(table.to_json_obj())
     else:
@@ -150,7 +140,7 @@ def _cmd_rmat(args: argparse.Namespace) -> int:
 
 def _cmd_split(args: argparse.Namespace) -> int:
     d = _parse_composition(args.d)
-    table = split_expand(d, args.at, args.r, cache_dir=_cache_dir(args))
+    table = split_expand(d, args.at, args.r)
     if args.format == "json":
         _emit_json(table.to_json_obj())
     else:
@@ -174,7 +164,7 @@ def _cmd_bar(args: argparse.Namespace) -> int:
 
 def _cmd_embed(args: argparse.Namespace) -> int:
     d = _parse_composition(args.d)
-    m = embed_refine(d, cache_dir=_cache_dir(args))
+    m = embed_refine(d)
     if args.format == "json":
         _emit_json(_map_json(m, args.basis))
     else:
@@ -194,7 +184,7 @@ def _cmd_inner(args: argparse.Namespace) -> int:
     if args.basis == "standard":
         vectors = {i: ModuleVector.basis(d, i) for i in idxs}
     else:
-        table = canonical_basis(d, args.r, cache_dir=_cache_dir(args))
+        table = canonical_basis(d, args.r)
         vectors = dict(table.rows)
     mat = [
         [inner_product(vectors[i], vectors[j]) for j in idxs] for i in idxs
@@ -287,10 +277,11 @@ def _add_format(sub: argparse.ArgumentParser, extra: tuple[str, ...] = ()) -> No
 
 
 def _add_cache(sub: argparse.ArgumentParser) -> None:
+    # accepted so that existing invocations still run; every table is solved
     sub.add_argument(
         "--cache-dir",
         default=None,
-        help=f"directory for the table cache (or ${_ENV_CACHE})",
+        help="ignored: tables are always solved, not cached",
     )
 
 

@@ -343,8 +343,8 @@ def matrix_in_basis(
             s_table = canonical_basis(linmap.source, r)
             t_table = canonical_basis(linmap.target, r)
             coords = {
-                j: dict(canonical_coords(t_table, linmap.apply(s_table.rows[j])))
-                for j in src_order
+                j: dict(pairs)
+                for j, pairs in _canonical_action(linmap, s_table, t_table).items()
             }
             entry = lambda i, j: coords[j].get(i, ZERO)
         out[r] = [[entry(i, j) for j in src_order] for i in tgt_order]

@@ -2,7 +2,6 @@
 expansion, and the refinement embedding."""
 
 import json
-import os
 import random
 
 import pytest
@@ -23,7 +22,6 @@ from qsl2 import (
     r_plus_pair,
     split_expand,
 )
-from qsl2.canonical import CACHE_FORMAT_VERSION, _cache_path
 from qsl2.errors import (
     AlgebraError,
     EmbeddingCheckFailedError,
@@ -412,6 +410,22 @@ def test_clear_caches_empties_store_and_resets_kappa():
     assert again.render() == first.render()
 
 
+def test_every_memoized_table_keeps_its_product_coordinates():
+    # _product_rows reads ("P", d, r) right after _sub_table has the table
+    clear_caches()
+    canonical_basis((1,) * 7, 3)
+    split_expand((2, 1, 1), 1, 2)
+    embed_refine((2, 1))
+    tables = [
+        key
+        for key in canonical_mod._MEMO
+        if key[0] == "table" and len(key[1]) > 1
+    ]
+    assert len(tables) > 10
+    for _, d, r in tables:
+        assert ("P", d, r) in canonical_mod._MEMO, (d, r)
+
+
 # -- E^(n) in canonical coordinates ---------------------------------------------
 
 
@@ -478,27 +492,6 @@ def test_e_coordinates_match_the_standard_basis_route():
         assert canonical_mod._MEMO[key] == _reference_e_coords(d, t, n), key
 
 
-def test_product_coordinates_fall_back_for_tables_from_the_disk_cache(tmp_path):
-    cache = str(tmp_path)
-    small, big = (1, 1, 1), (1, 1, 1, 1)
-    clear_caches()
-    cold = canonical_basis(big, 2).render()
-    clear_caches()
-    for r in range(4):
-        canonical_basis(small, r, cache_dir=cache)
-    assert len(os.listdir(cache)) == 4
-    clear_caches()
-    loaded = [canonical_basis(small, r, cache_dir=cache) for r in range(4)]
-    assert not [k for k in canonical_mod._MEMO if k[0] == "P"]
-    assert canonical_basis(big, 2).render() == cold
-    # the solve of big at level 2 reads the product coordinates of small
-    # at levels 1 and 2, and solves them again; the loaded tables stay
-    for r in (1, 2):
-        assert ("P", small, r) in canonical_mod._MEMO
-    for r in range(4):
-        assert canonical_mod._MEMO[("table", small, r)] is loaded[r]
-
-
 def test_add_scaled_matches_reference_loop_without_aliasing():
     rng = random.Random(5150)
     coeffs = [ZERO, ONE, neg(ONE), Q, QINV, Laurent({1: 1}), Laurent({-3: -2})]
@@ -533,153 +526,21 @@ def test_add_scaled_matches_reference_loop_without_aliasing():
         assert [{w: dict(e._terms) for w, e in row.items()} for row in rows] == before
 
 
-# -- disk cache ----------------------------------------------------------------
-
-
-def test_cache_roundtrip(tmp_path):
-    clear_caches()
-    cache = str(tmp_path)
-    t1 = canonical_basis((4, 1), 2, cache_dir=cache)
-    path = _cache_path(cache, (4, 1), 2)
-    assert os.path.basename(path) == "canonical_v2_d4-1_r2.json"
-    assert os.path.exists(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    assert obj["version"] == CACHE_FORMAT_VERSION
-    assert CanonicalTable.from_json_obj(obj) == t1
-
-    from qsl2.canonical import _cache_load
-
-    assert _cache_load(cache, (4, 1), 2) == t1
-
-
-def test_cache_ignores_corruption_and_version_skew(tmp_path):
-    cache = str(tmp_path)
-    t = canonical_basis((2, 1), 2, cache_dir=cache)
-    path = _cache_path(cache, (2, 1), 2)
-
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("{ not json")
-    from qsl2.canonical import _cache_load
-
-    assert _cache_load(cache, (2, 1), 2) is None
-
-    with open(path, "w", encoding="utf-8") as fh:
-        obj = {"version": CACHE_FORMAT_VERSION + 1, **t.to_json_obj()}
-        json.dump(obj, fh)
-    assert _cache_load(cache, (2, 1), 2) is None
-
-    with open(path, "w", encoding="utf-8") as fh:
-        obj = {"version": CACHE_FORMAT_VERSION, **t.to_json_obj()}
-        obj["r"] = 1
-        json.dump(obj, fh)
-    assert _cache_load(cache, (2, 1), 2) is None
-
-
-def _row(obj, r_index):
-    return next(row for row in obj["rows"] if row["r_index"] == r_index)
-
-
-def _term(obj, r_index, s_index):
-    return next(t for t in _row(obj, r_index)["terms"] if t["r"] == s_index)
-
-
-def _set_coeff(pairs):
-    def tamper(obj):
-        _term(obj, [1, 1], [2, 0])["coeff"] = pairs
-
-    return tamper
-
-
-def _add_term(r_index, s_index):
-    def tamper(obj):
-        _row(obj, r_index)["terms"].append({"r": s_index, "coeff": [[-2, "1"]]})
-
-    return tamper
-
-
-def _set_kappa(obj):
-    obj["kappa"][1] = [[2, "1"], [-2, "-1"]]
-
-
-@pytest.mark.parametrize(
-    "tamper",
-    [
-        # in q^-1 Z>=0[q^-1] and unitriangular: only Psi(b) = b fails
-        _set_coeff([[-2, "5"]]),
-        _set_coeff([[-2, "-1"], [-6, "1"]]),
-        # b(1,1) + b(2,0): fixed by Psi, but the coefficient has a constant term
-        _set_coeff([[0, "1"], [-2, "1"], [-6, "1"]]),
-        _set_coeff([[2, "1"]]),
-        lambda obj: _term(obj, [1, 1], [1, 1]).update(coeff=[[0, "2"]]),
-        _add_term([2, 0], [1, 1]),
-        _add_term([1, 1], [2, 1]),
-        lambda obj: obj["rows"].reverse(),
-        lambda obj: obj["rows"].pop(),
-        _set_kappa,
-        lambda obj: obj.pop("kappa"),
-    ],
-    ids=[
-        "not-bar-fixed",
-        "negative-coefficient",
-        "bar-fixed-constant-term",
-        "positive-exponent",
-        "diagonal",
-        "outside-closure",
-        "off-level",
-        "order",
-        "missing-row",
-        "kappa-mismatch",
-        "kappa-missing",
-    ],
-)
-def test_cache_rejects_tampered_table_and_rewrites_it(tmp_path, tamper):
-    cache = str(tmp_path)
-    clear_caches()
-    good = canonical_basis((2, 2), 2, cache_dir=cache)
-    path = _cache_path(cache, (2, 2), 2)
-    with open(path, "r", encoding="utf-8") as fh:
-        stored = fh.read()
-    obj = json.loads(stored)
-    tamper(obj)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh)
-    from qsl2.canonical import _cache_load
-
-    assert _cache_load(cache, (2, 2), 2) is None
-    clear_caches()
-    assert canonical_basis((2, 2), 2, cache_dir=cache) == good
-    with open(path, "r", encoding="utf-8") as fh:
-        assert fh.read() == stored
-
-
-def test_cache_rejects_a_file_that_is_not_an_object(tmp_path):
-    cache = str(tmp_path)
-    canonical_basis((2, 1), 2, cache_dir=cache)
-    with open(_cache_path(cache, (2, 1), 2), "w", encoding="utf-8") as fh:
-        json.dump([CACHE_FORMAT_VERSION], fh)
-    from qsl2.canonical import _cache_load
-
-    assert _cache_load(cache, (2, 1), 2) is None
-
-
 # -- fault injection -----------------------------------------------------------
 
 
-def test_kappa_override_changes_table_without_poisoning_caches(tmp_path):
+def test_kappa_override_changes_table_without_poisoning_caches():
     ks = compute_quasi_r(1)
     flipped = [ks[0], neg(ks[1])]
+    clean = canonical_basis((1, 1), 1)
+    assert clean.rows[(0, 1)] == V((1, 1), (0, 1)) + V((1, 1), (1, 0)).scale(QINV)
     stored = len(canonical_mod._MEMO)
     wrong = canonical_basis((1, 1), 1, kappa=flipped)
-    assert len(canonical_mod._MEMO) == stored
     assert wrong.rows[(0, 1)] == V((1, 1), (0, 1)) + V((1, 1), (1, 0)).scale(
         neg(QINV)
     )
-    clean = canonical_basis((1, 1), 1, cache_dir=str(tmp_path))
-    assert clean.rows[(0, 1)] == V((1, 1), (0, 1)) + V((1, 1), (1, 0)).scale(QINV)
-    assert not os.path.exists(_cache_path(str(tmp_path), (1, 1), 1)) or (
-        canonical_basis((1, 1), 1) == clean
-    )
+    assert len(canonical_mod._MEMO) == stored
+    assert canonical_mod._MEMO[("table", (1, 1), 1)] == clean
 
 
 def test_theta_rejects_short_coefficient_list():

@@ -1,5 +1,6 @@
-"""Command-line surface: golden outputs, byte determinism, cache
-behavior, and the exit-code contract."""
+"""Command-line surface: golden outputs, byte determinism, the ignored
+--cache-dir option and QSL2_CACHE_DIR variable, and the exit-code
+contract."""
 
 import importlib.util
 import json
@@ -10,8 +11,6 @@ import sys
 import pytest
 
 import qsl2.cli as cli_mod
-from qsl2 import clear_caches
-from qsl2.canonical import CACHE_FORMAT_VERSION
 from qsl2.cli import main
 from qsl2.errors import HalfPowerLeakError
 from qsl2.verify import SuiteResult
@@ -103,89 +102,53 @@ def test_subprocess_entry_point_matches_golden():
     assert proc.stdout == golden("rmat_d1-1_w1_plus_can.json")
 
 
-# -- cache -------------------------------------------------------------------------
+# -- the ignored cache options ------------------------------------------------------
 
 
-def test_cold_and_warm_cache_agree_across_processes(tmp_path):
-    env = {"QSL2_CACHE_DIR": str(tmp_path)}
-    argv = ["canon", "--d", "3,3", "--r", "3", "--format", "json"]
-    cold = _subprocess_cli(argv, env)
-    assert cold.returncode == 0
-    cache_file = tmp_path / "canonical_v2_d3-3_r3.json"
-    assert cache_file.exists()
-    warm = _subprocess_cli(argv, env)
-    assert warm.returncode == 0
-    assert warm.stdout == cold.stdout
-
-    cache_file.write_text("{ corrupted", encoding="utf-8")
-    recovered = _subprocess_cli(argv, env)
-    assert recovered.returncode == 0
-    assert recovered.stdout == cold.stdout
-
-
-def test_cache_flag_wins_over_environment(tmp_path, monkeypatch, capsys):
-    flag_dir = tmp_path / "flag"
-    env_dir = tmp_path / "env"
-    flag_dir.mkdir()
-    env_dir.mkdir()
-    monkeypatch.setenv("QSL2_CACHE_DIR", str(env_dir))
-    clear_caches()
-    code, out, _ = run(
-        ["canon", "--d", "5,2", "--r", "1", "--cache-dir", str(flag_dir)],
-        capsys,
-    )
-    assert code == 0
-    assert list(flag_dir.iterdir()) and not list(env_dir.iterdir())
-
-
-def test_cache_environment_variable_used_without_flag(tmp_path, monkeypatch, capsys):
-    env_dir = tmp_path / "envonly"
-    env_dir.mkdir()
-    monkeypatch.setenv("QSL2_CACHE_DIR", str(env_dir))
-    clear_caches()
-    code, _, _ = run(["canon", "--d", "4,3", "--r", "2"], capsys)
-    assert code == 0
-    assert (env_dir / "canonical_v2_d4-3_r2.json").exists()
-
-
-def test_cache_dir_that_is_a_regular_file_is_ignored(tmp_path):
-    argv = ["canon", "--d", "1,1", "--r", "1"]
-    plain = _subprocess_cli(argv)
-    assert plain.returncode == 0
-    blocker = tmp_path / "not_a_directory"
-    blocker.write_text("occupied\n", encoding="utf-8")
-    proc = _subprocess_cli([*argv, "--cache-dir", str(blocker)])
-    assert proc.returncode == 0
-    assert proc.stdout == plain.stdout
-    assert proc.stderr == ""
-    assert blocker.read_text(encoding="utf-8") == "occupied\n"
+def _snapshot(path):
+    """Every entry under path with its bytes and modification time."""
+    if path.is_file():
+        return {path: (path.read_bytes(), path.stat().st_mtime_ns)}
+    return {
+        p: (p.read_bytes() if p.is_file() else None, p.stat().st_mtime_ns)
+        for p in [path, *path.rglob("*")]
+    }
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "name",
     [
-        ["canon", "--d", "2,2", "--r", "2"],
-        ["split", "--d", "2,2", "--at", "1", "--r", "2"],
+        "canon_d2-2_r2.txt",
+        "split_d2-2_at1_r2.txt",
+        "embed_d2_can.txt",
+        "inner_d2-2_r2_can.txt",
     ],
 )
-def test_tampered_cache_file_is_ignored_and_rewritten(tmp_path, argv):
+def test_cache_options_are_ignored(tmp_path, name):
+    argv = _REGEN.CLI_CASES[name]
     plain = _subprocess_cli(argv)
     assert plain.returncode == 0
-    cached = [*argv, "--cache-dir", str(tmp_path)]
-    assert _subprocess_cli(cached).stdout == plain.stdout
-    cache_file = tmp_path / f"canonical_v{CACHE_FORMAT_VERSION}_d2-2_r2.json"
-    stored = cache_file.read_text(encoding="utf-8")
-    obj = json.loads(stored)
-    # b(1,1) = v(1,1) + (q^-1 + q^-3) v(2,0) becomes v(1,1) + 5q^-1 v(2,0):
-    # unitriangular and positive, but not fixed by the bar involution
-    row = next(row for row in obj["rows"] if row["r_index"] == [1, 1])
-    term = next(t for t in row["terms"] if t["r"] == [2, 0])
-    term["coeff"] = [[-2, "5"]]
-    cache_file.write_text(json.dumps(obj), encoding="utf-8")
-    proc = _subprocess_cli(cached)
-    assert proc.returncode == 0
-    assert proc.stdout == plain.stdout
-    assert cache_file.read_text(encoding="utf-8") == stored
+    assert plain.stdout == golden(name)
+    fresh = tmp_path / "fresh"
+    fresh.mkdir()
+    blocker = tmp_path / "not_a_directory"
+    blocker.write_text("occupied\n", encoding="utf-8")
+    env_dir = tmp_path / "env"
+    env_dir.mkdir()
+    ways = [
+        ("flag, fresh directory", [*argv, "--cache-dir", str(fresh)], None, fresh),
+        ("flag, regular file", [*argv, "--cache-dir", str(blocker)], None, blocker),
+        ("environment", argv, {"QSL2_CACHE_DIR": str(env_dir)}, env_dir),
+    ]
+    for way, way_argv, env, path in ways:
+        before = _snapshot(path)
+        proc = _subprocess_cli(way_argv, env)
+        assert (proc.returncode, proc.stderr) == (0, ""), way
+        assert proc.stdout == plain.stdout, way
+        assert _snapshot(path) == before, way
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "env", "fresh", "not_a_directory",
+    ]
 
 
 # -- exit codes --------------------------------------------------------------------

@@ -148,6 +148,9 @@ def test_suite_canonical_catches_a_perturbed_row(monkeypatch):
     assert not res.passed
     assert any(w.startswith("(b(0, 1), b(0, 1)) =") for w in res.failures)
     assert any(w.startswith("split coefficients at (0, 1)") for w in res.failures)
+    # restore the good table before clearing, so that no table is left
+    # in the memo without its product coordinates
+    monkeypatch.undo()
     clear_caches()
 
 
@@ -170,6 +173,9 @@ def test_failing_lazy_witnesses_render_the_eager_text(monkeypatch):
         "(b(0, 1), b(0, 1)) = q^2 + 1 in (1, 1)",
         "split coefficients at (0, 1) in (1, 1) cut 1",
     ]
+    # restore the good table before clearing, so that no table is left
+    # in the memo without its product coordinates
+    monkeypatch.undo()
     clear_caches()
 
 

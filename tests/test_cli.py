@@ -151,6 +151,38 @@ def test_cache_options_are_ignored(tmp_path, name):
     ]
 
 
+def test_cold_and_warm_cache_agree_across_processes(tmp_path):
+    env = {"QSL2_CACHE_DIR": str(tmp_path)}
+    argv = ["canon", "--d", "3,3", "--r", "3", "--format", "json"]
+    cold = _subprocess_cli(argv, env)
+    assert cold.returncode == 0
+    assert list(tmp_path.iterdir()) == []
+    warm = _subprocess_cli(argv, env)
+    assert warm.returncode == 0
+    assert warm.stdout == cold.stdout
+
+    # A file where the old cache kept this table is neither read nor rewritten.
+    stale = tmp_path / "canonical_v2_d3-3_r3.json"
+    stale.write_text("{ corrupted", encoding="utf-8")
+    again = _subprocess_cli(argv, env)
+    assert again.returncode == 0
+    assert again.stdout == cold.stdout
+    assert stale.read_text(encoding="utf-8") == "{ corrupted"
+
+
+def test_cache_dir_that_is_a_regular_file_is_ignored(tmp_path):
+    argv = ["canon", "--d", "1,1", "--r", "1"]
+    plain = _subprocess_cli(argv)
+    assert plain.returncode == 0
+    blocker = tmp_path / "not_a_directory"
+    blocker.write_text("occupied\n", encoding="utf-8")
+    proc = _subprocess_cli([*argv, "--cache-dir", str(blocker)])
+    assert proc.returncode == 0
+    assert proc.stdout == plain.stdout
+    assert proc.stderr == ""
+    assert blocker.read_text(encoding="utf-8") == "occupied\n"
+
+
 # -- exit codes --------------------------------------------------------------------
 
 

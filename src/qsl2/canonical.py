@@ -51,10 +51,11 @@ the level fails the column check.  Each row is then expanded once into
 the standard basis through the d'' rows.  The off-diagonal coefficients
 land in q^-1 Z_{>=0}[q^-1] (a checked property, not an input).
 
-The product coordinates p_{s,r} of every solved table are kept, and
-E^(n) b is computed from them in product coordinates, never from a
-standard-basis row.  The coproduct Delta(E) = E tensor 1 + K tensor E
-gives Delta(E^(n)) = sum_(a+b=n) q^(ab) E^(a) K^b tensor E^(b), so
+Every solved table keeps its product coordinates p_{s,r} in its
+product field, and E^(n) b is computed from them in product
+coordinates, never from a standard-basis row.  The coproduct
+Delta(E) = E tensor 1 + K tensor E gives
+Delta(E^(n)) = sum_(a+b=n) q^(ab) E^(a) K^b tensor E^(b), so
 
     E^(n) P_s = sum_(a+b=n) q^(ab + b(d_0 - 2s_0)) [d_0 - s_0 + a choose a]
                 v_(s_0 - a) tensor E^(b) b''_(s[1:]),
@@ -68,7 +69,7 @@ entries per row.  The standard-basis Psi columns serve bar_involution.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Reversible
 
 from . import orbits
@@ -87,6 +88,7 @@ from .modules import (
     act_E,
     act_F,
     act_K,
+    combine,
     enumerate_basis,
     format_index,
     gram_entry,
@@ -127,11 +129,10 @@ _KAPPA: list[Laurent] = [ONE]
 
 # Per-process results for the solved coefficients, keyed by
 # (kind, *args): ("psi", d, cut, idx) -> Psi(v_idx), ("table", d, r) ->
-# CanonicalTable, ("P", d, r) -> the product coordinates
-# {idx: {s: p_{s,idx}}} of that table (len(d) > 1), ("E", d, idx, n) ->
-# the canonical coordinates of E^(n) b_idx (len(d) > 1), ("embed", d)
-# -> LinMap, and ("pair", d1, d2, sign) -> RMap (filled by rmatrix).
-# Emptied, with _KAPPA, by clear_caches.
+# CanonicalTable (with its product coordinates when len(d) > 1),
+# ("E", d, idx, n) -> the canonical coordinates of E^(n) b_idx
+# (len(d) > 1), ("embed", d) -> LinMap, and ("pair", d1, d2, sign) ->
+# RMap (filled by rmatrix).  Emptied, with _KAPPA, by clear_caches.
 _MEMO: dict[tuple, object] = {}
 
 
@@ -151,7 +152,7 @@ _CONSTANT_MEMOS = (
 
 def clear_caches() -> None:
     """Forget every per-process result: memoized Psi images, canonical
-    tables, their product coordinates, E^(n) coordinates, embeddings,
+    tables with their product coordinates, E^(n) coordinates, embeddings,
     pair braidings, the solved quasi-R coefficients, the quantum
     integers, factorials and binomials, the Gram entries, the E/F step
     scalars, the orbit dimensions and the linear extensions."""
@@ -189,10 +190,13 @@ def _psi_basis(
 def _psi_vector(
     u: ModuleVector, kappa: list[Laurent], cut: int, memo_ok: bool
 ) -> ModuleVector:
-    out = ModuleVector.zero(u.d)
-    for idx, c in u._terms.items():
-        out = out + _psi_basis(u.d, idx, kappa, cut, memo_ok).scale(c.bar())
-    return out
+    return combine(
+        u.d,
+        (
+            (c.bar(), _psi_basis(u.d, idx, kappa, cut, memo_ok))
+            for idx, c in u._terms.items()
+        ),
+    )
 
 
 def _solve_next_kappa() -> None:
@@ -283,13 +287,17 @@ class CanonicalTable:
     """For fixed (d, r): b_idx = v_idx + sum over lower s of c_{idx,s} v_s.
 
     rows maps each index to the full standard-basis expansion of b_idx,
-    in the linear-extension order of `order`.
+    in the linear-extension order of `order`.  For len(d) > 1, product
+    maps each index t, in that order, to the coordinates {s: p_{s,t}}
+    of b_t over the product basis P_s of the solve; it is None for one
+    factor and takes no part in equality.
     """
 
     d: Composition
     r: int
     order: tuple[OrbitIndex, ...]
     rows: dict[OrbitIndex, ModuleVector]
+    product: dict | None = field(default=None, compare=False, repr=False)
 
     def coefficient(self, r_idx: OrbitIndex, s_idx: OrbitIndex) -> Laurent:
         return self.rows[tuple(r_idx)].coeff(s_idx)
@@ -306,19 +314,6 @@ class CanonicalTable:
                 for idx in self.order
             ],
         }
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "CanonicalTable":
-        d = tuple(obj["d"])
-        r = obj["r"]
-        order = tuple(tuple(row["r_index"]) for row in obj["rows"])
-        rows = {
-            tuple(row["r_index"]): ModuleVector.from_json_obj(
-                {"d": obj["d"], "terms": row["terms"]}
-            )
-            for row in obj["rows"]
-        }
-        return cls(d, r, order, rows)
 
     def render(self) -> str:
         lines = [f"canonical basis d={format_index(self.d)} r={self.r}"]
@@ -370,16 +365,6 @@ def _sub_table(
     return table
 
 
-def _product_rows(
-    d: Composition, r: int, kappa: list[Laurent], store: dict
-) -> dict[OrbitIndex, dict[OrbitIndex, Laurent]]:
-    """The product coordinates {t: {s: p_{s,t}}} of (d, r), with t in
-    the order of the table; solving the table into store keeps them
-    there under ("P", d, r)."""
-    _sub_table(d, r, kappa, store)
-    return store[("P", d, r)]
-
-
 def _e_coords(
     d: Composition, t: OrbitIndex, n: int, kappa: list[Laurent], store: dict
 ) -> dict[OrbitIndex, Laurent]:
@@ -398,7 +383,7 @@ def _e_coords(
     if coords is None:
         r = sum(t)
         image: dict[OrbitIndex, Laurent | defaultdict] = {}
-        for s, p in _product_rows(d, r, kappa, store)[t].items():
+        for s, p in _sub_table(d, r, kappa, store).product[t].items():
             s0, rest = s[0], s[1:]
             for a in range(min(n, s0) + 1):
                 b = n - a
@@ -412,7 +397,7 @@ def _e_coords(
                     _add_scaled(image, scalar, part, (s0 - a,))
         coords = {}
         if image:
-            lower = _product_rows(d, r - n, kappa, store)
+            lower = _sub_table(d, r - n, kappa, store).product
             coords = _back_substitute(image, lower, lower)
             if coords is None:
                 raise TriangularityViolationError(
@@ -489,10 +474,9 @@ def _product_below(
 def _compute_table(
     d: Composition, r: int, kappa: list[Laurent] | None, store: dict
 ) -> CanonicalTable:
-    """Solve the table of (d, r) and keep its product coordinates in
-    store under ("P", d, r); store holds the factor tables, product
-    coordinates and E^(n) coordinates (_MEMO, or a per-call dict under
-    a kappa override)."""
+    """Solve the table of (d, r), product coordinates included; store
+    holds the factor tables and E^(n) coordinates (_MEMO, or a per-call
+    dict under a kappa override)."""
     order = tuple(orbits.linear_extension(d, r))
     if len(d) == 1:
         return CanonicalTable(
@@ -558,8 +542,7 @@ def _compute_table(
                 # the diagonal 1 is the shared ONE, as every table stores it
                 data[shared[idx]] = ONE if c._terms == ONE._terms else c
         rows[r_idx] = ModuleVector._make(d, data)
-    store[("P", d, r)] = product_rows
-    return CanonicalTable(d, r, order, rows)
+    return CanonicalTable(d, r, order, rows, product_rows)
 
 
 def canonical_basis(
@@ -574,8 +557,7 @@ def canonical_basis(
     memo, so injected faults cannot poison real tables.
     """
     d = orbits.check_composition(d)
-    if not 0 <= r <= sum(d):
-        raise ValueError(f"level {r} out of range for {d}")
+    orbits.check_level(d, r)
     if kappa is not None:
         return _compute_table(d, r, kappa, {})
     return _sub_table(d, r, None, _MEMO)
@@ -622,6 +604,37 @@ def canonical_coords(
             f"vector over Lambda_{u.d} escaped the level-{table.r} table"
         )
     return [(idx, coords[idx]) for idx in table.order if idx in coords]
+
+
+def _canonical_action(
+    m: LinMap, s_table: CanonicalTable, t_table: CanonicalTable
+) -> dict[OrbitIndex, list[tuple[OrbitIndex, Laurent]]]:
+    """The canonical coordinates, in t_table, of m applied to each row
+    of s_table."""
+    return {
+        idx: canonical_coords(t_table, m.apply(s_table.rows[idx]))
+        for idx in s_table.order
+    }
+
+
+def _standard_columns(
+    table: CanonicalTable,
+    images: Mapping[OrbitIndex, ModuleVector],
+    target: Composition,
+) -> dict[OrbitIndex, ModuleVector]:
+    """The standard columns of a map given on the canonical basis of
+    table, images[s] being the image of b_s over target: v_idx is
+    expanded over that basis and its images are combined."""
+    return {
+        idx: combine(
+            target,
+            (
+                (c, images[s])
+                for s, c in canonical_coords(table, ModuleVector.basis(table.d, idx))
+            ),
+        )
+        for idx in table.order
+    }
 
 
 # -- split expansion -----------------------------------------------------------------
@@ -684,8 +697,7 @@ def split_expand(
     d = orbits.check_composition(d)
     if not 1 <= cut < len(d):
         raise ValueError(f"cut {cut} out of range for {len(d)} slots")
-    if not 0 <= r <= sum(d):
-        raise ValueError(f"level {r} out of range for {d}")
+    orbits.check_level(d, r)
     left_d, right_d = d[:cut], d[cut:]
 
     table = canonical_basis(d, r)
@@ -760,11 +772,8 @@ def embed_refine(d: Composition) -> LinMap:
     for r in range(total + 1):
         table = canonical_basis(d, r)
         fine = canonical_basis(target, r)
-        for idx in table.order:
-            image = ModuleVector.zero(target)
-            for s, c in canonical_coords(table, ModuleVector.basis(d, idx)):
-                image = image + fine.rows[orbits.dense_cell(d, s)].scale(c)
-            columns[idx] = image
+        images = {s: fine.rows[orbits.dense_cell(d, s)] for s in table.order}
+        columns.update(_standard_columns(table, images, target))
     m = LinMap(d, target, columns)
     _assert_embedding(m)
     _MEMO[key] = m

@@ -65,15 +65,6 @@ def _matrix_obj(
     }
 
 
-def _column_vector(target_d, row_idx, mat, col: int) -> ModuleVector:
-    out = ModuleVector.zero(target_d)
-    for i, idx in enumerate(row_idx):
-        entry = mat[i][col]
-        if not entry.is_zero():
-            out = out + ModuleVector.basis(target_d, idx).scale(entry)
-    return out
-
-
 def _render_map(header: str, linmap, basis: str) -> str:
     """Mapping-style listing, one line per source basis element."""
     mats = matrix_in_basis(linmap, basis)
@@ -84,7 +75,9 @@ def _render_map(header: str, linmap, basis: str) -> str:
         col_idx = enumerate_basis(source, r)
         row_idx = enumerate_basis(target, r)
         for j, jdx in enumerate(col_idx):
-            image = _column_vector(target, row_idx, mats[r], j)
+            image = ModuleVector(
+                target, ((idx, row[j]) for idx, row in zip(row_idx, mats[r]))
+            )
             rendered = image._render(symbol)
             lines.append(
                 f"level {r}: {symbol}{format_index(jdx)} -> {rendered}"
@@ -178,8 +171,7 @@ def _cmd_embed(args: argparse.Namespace) -> int:
 
 def _cmd_inner(args: argparse.Namespace) -> int:
     d = _parse_composition(args.d)
-    if not 0 <= args.r <= sum(d):
-        raise ValueError(f"level {args.r} out of range for {d}")
+    orbits.check_level(d, args.r)
     idxs = enumerate_basis(d, args.r)
     if args.basis == "standard":
         vectors = {i: ModuleVector.basis(d, i) for i in idxs}
@@ -214,8 +206,7 @@ def _cmd_inner(args: argparse.Namespace) -> int:
 
 def _cmd_orbits(args: argparse.Namespace) -> int:
     d = _parse_composition(args.d)
-    if not 0 <= args.r <= sum(d):
-        raise ValueError(f"level {args.r} out of range for {d}")
+    orbits.check_level(d, args.r)
     if args.format == "json":
         _emit_json(orbits.poset_json_obj(d, args.r))
     elif args.format == "dot":

@@ -37,6 +37,7 @@ __all__ = [
     "LinMap",
     "enumerate_basis",
     "tensor",
+    "combine",
     "act_K",
     "act_E",
     "act_F",
@@ -182,12 +183,6 @@ class ModuleVector:
             "terms": [{"r": list(idx), "coeff": c.to_pairs()} for idx, c in self.items()],
         }
 
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "ModuleVector":
-        d = tuple(obj["d"])
-        terms = [(tuple(t["r"]), Laurent.from_pairs(t["coeff"])) for t in obj["terms"]]
-        return cls(d, terms)
-
     # -- display -----------------------------------------------------------------
 
     def _render(self, symbol: str) -> str:
@@ -240,6 +235,18 @@ def tensor(u: ModuleVector, w: ModuleVector) -> ModuleVector:
     for iu, cu in u._terms.items():
         for iw, cw in w._terms.items():
             _accumulate(data, iu + iw, cu * cw)
+    return ModuleVector._make(d, data)
+
+
+def combine(d: Composition, pairs: Iterable[tuple[Laurent, ModuleVector]]) -> ModuleVector:
+    """The linear combination sum c u over (c, u) in pairs, every u over
+    d, accumulated into one dict; empty pairs give the zero vector."""
+    data: dict[OrbitIndex, Laurent] = {}
+    for c, u in pairs:
+        if u.d != d:
+            raise AmbientMismatchError(f"cannot add a vector over {u.d} to one over {d}")
+        for idx, x in u._terms.items():
+            _accumulate(data, idx, x * c)
     return ModuleVector._make(d, data)
 
 
@@ -331,7 +338,7 @@ def theta(u: ModuleVector, cut: int, coeffs: list[Laurent]) -> ModuleVector:
     The sum stops at the first n whose term vanishes; a nonzero term
     beyond the end of coeffs is a ValueError."""
     l = len(u.d)
-    out = ModuleVector.zero(u.d)
+    terms: list[tuple[Laurent, ModuleVector]] = []
     n = 0
     while True:
         f_part = _act_divided_range(u, "F", n, 0, cut)
@@ -345,9 +352,9 @@ def theta(u: ModuleVector, cut: int, coeffs: list[Laurent]) -> ModuleVector:
                 f"coefficient sequence of length {len(coeffs)} too short "
                 f"for Lambda_{u.d}"
             )
-        out = out + term.scale(coeffs[n])
+        terms.append((coeffs[n], term))
         n += 1
-    return out
+    return combine(u.d, terms)
 
 
 def act_divided(u: ModuleVector, gen: str, n: int) -> ModuleVector:
@@ -427,11 +434,9 @@ class LinMap:
     def apply(self, u: ModuleVector) -> ModuleVector:
         if u.d != self.source:
             raise AmbientMismatchError(f"map on {self.source} applied to {u.d}")
-        data: dict[OrbitIndex, Laurent] = {}
-        for idx, c in u._terms.items():
-            for s, x in self.columns[idx]._terms.items():
-                _accumulate(data, s, x * c)
-        return ModuleVector._make(self.target, data)
+        return combine(
+            self.target, ((c, self.columns[idx]) for idx, c in u._terms.items())
+        )
 
     def compose(self, inner: "LinMap") -> "LinMap":
         """self after inner."""
@@ -443,13 +448,11 @@ class LinMap:
         return LinMap(inner.source, self.target, cols)
 
     @classmethod
-    def identity(cls, d: Composition, levels: Iterable[int] | None = None) -> "LinMap":
+    def identity(cls, d: Composition) -> "LinMap":
         d = orbits.check_composition(d)
-        if levels is None:
-            levels = range(sum(d) + 1)
         cols = {
             idx: ModuleVector.basis(d, idx)
-            for r in levels
+            for r in range(sum(d) + 1)
             for idx in enumerate_basis(d, r)
         }
         return cls(d, d, cols)

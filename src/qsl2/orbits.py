@@ -29,6 +29,7 @@ __all__ = [
     "OrbitIndex",
     "check_composition",
     "check_index",
+    "check_level",
     "closure_leq",
     "prefix_sums",
     "prefix_dominates",
@@ -63,6 +64,12 @@ def check_index(d: Composition, r: OrbitIndex) -> OrbitIndex:
     if any(not isinstance(x, int) or not 0 <= x <= dk for x, dk in zip(r, d)):
         raise ValueError(f"index {r} out of range for ambient {d}")
     return r
+
+
+def check_level(d: Composition, r: int) -> None:
+    """Reject a weight level outside 0 <= r <= sum(d)."""
+    if not 0 <= r <= sum(d):
+        raise ValueError(f"level {r} out of range for {d}")
 
 
 def prefix_sums(r: OrbitIndex) -> tuple[int, ...]:

@@ -78,11 +78,6 @@ class Laurent:
     def from_int(cls, n: int) -> "Laurent":
         return cls({0: n})
 
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[int, str]]) -> "Laurent":
-        """Inverse of to_pairs; coefficients arrive as decimal strings."""
-        return cls({int(h): int(c) for h, c in pairs})
-
     # -- canonical views ------------------------------------------------------
 
     def items(self) -> Iterator[tuple[int, int]]:

@@ -23,13 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import orbits
-from .canonical import _MEMO, CanonicalTable, canonical_basis, canonical_coords
+from .canonical import _MEMO, _canonical_action, _standard_columns, canonical_basis
 from .errors import (
     HalfPowerLeakError,
     InverseCheckFailedError,
     NonReducedWordError,
 )
-from .modules import LinMap, ModuleVector, enumerate_basis, theta
+from .modules import LinMap, ModuleVector, combine, enumerate_basis, theta
 from .qring import Laurent, ZERO, q_half, q_power, quantum_factorial
 
 __all__ = [
@@ -179,15 +179,6 @@ def r_plus_pair(d1: int, d2: int) -> RMap:
     return out
 
 
-def _canonical_action(
-    m: LinMap, s_table: CanonicalTable, t_table: CanonicalTable
-) -> dict[OrbitIndex, list[tuple[OrbitIndex, Laurent]]]:
-    return {
-        idx: canonical_coords(t_table, m.apply(s_table.rows[idx]))
-        for idx in s_table.order
-    }
-
-
 def r_minus_pair(d1: int, d2: int) -> RMap:
     """The negative braiding: entrywise bar of the canonical matrix of
     the positive one.  Checked to invert r_plus_pair(d2, d1) on both
@@ -204,18 +195,11 @@ def r_minus_pair(d1: int, d2: int) -> RMap:
     for r in range(d1 + d2 + 1):
         s_table = canonical_basis(src, r)
         t_table = canonical_basis(tgt, r)
-        on_b = _canonical_action(plus.map, s_table, t_table)
         minus_on_b = {
-            idx: _combine(t_table, [(s, c.bar()) for s, c in coords])
-            for idx, coords in on_b.items()
+            idx: combine(tgt, ((c.bar(), t_table.rows[s]) for s, c in coords))
+            for idx, coords in _canonical_action(plus.map, s_table, t_table).items()
         }
-        for idx in s_table.order:
-            image = ModuleVector.zero(tgt)
-            for s, c in canonical_coords(
-                s_table, ModuleVector.basis(src, idx)
-            ):
-                image = image + minus_on_b[s].scale(c)
-            columns[idx] = image
+        columns.update(_standard_columns(s_table, minus_on_b, tgt))
     out = RMap("minus", src, tgt, LinMap(src, tgt, columns))
 
     partner = r_plus_pair(d2, d1)
@@ -230,15 +214,6 @@ def r_minus_pair(d1: int, d2: int) -> RMap:
             f"R_-({d1},{d2}) after R_+({d2},{d1}) is not the identity"
         )
     _MEMO[key] = out
-    return out
-
-
-def _combine(
-    table: CanonicalTable, coords: list[tuple[OrbitIndex, Laurent]]
-) -> ModuleVector:
-    out = ModuleVector.zero(table.d)
-    for idx, c in coords:
-        out = out + table.rows[idx].scale(c)
     return out
 
 
@@ -334,11 +309,7 @@ def matrix_in_basis(
         src_order = enumerate_basis(linmap.source, r)
         tgt_order = enumerate_basis(linmap.target, r)
         if basis == "standard":
-            images = {
-                j: linmap.apply(ModuleVector.basis(linmap.source, j))
-                for j in src_order
-            }
-            entry = lambda i, j: images[j].coeff(i)
+            entry = lambda i, j: linmap.columns[j].coeff(i)
         else:
             s_table = canonical_basis(linmap.source, r)
             t_table = canonical_basis(linmap.target, r)

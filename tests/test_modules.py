@@ -14,6 +14,7 @@ from qsl2.modules import (
     act_E,
     act_F,
     act_K,
+    combine,
     enumerate_basis,
     format_index,
     gram_entry,
@@ -251,10 +252,14 @@ def test_linmap():
 def test_serialization_roundtrip():
     u = v((2, 2), 1, 1).scale(Laurent({-2: 1, -6: 1})) + v((2, 2), 2, 0)
     obj = u.to_json_obj()
-    assert obj["d"] == [2, 2]
-    assert ModuleVector.from_json_obj(obj) == u
-    z = ModuleVector.zero((3,))
-    assert ModuleVector.from_json_obj(z.to_json_obj()) == z
+    assert obj == {
+        "d": [2, 2],
+        "terms": [
+            {"r": [2, 0], "coeff": [[0, "1"]]},
+            {"r": [1, 1], "coeff": [[-6, "1"], [-2, "1"]]},
+        ],
+    }
+    assert ModuleVector.zero((3,)).to_json_obj() == {"d": [3], "terms": []}
 
 
 def test_rendering():
@@ -289,6 +294,39 @@ def _random_vector(rng, d, level):
             )
             out = out + ModuleVector.basis(d, idx).scale(c)
     return out
+
+
+def _reference_combine(d, pairs):
+    """sum c u as the loop combine replaced: one vector add per pair."""
+    out = ModuleVector.zero(d)
+    for c, u in pairs:
+        out = out + u.scale(c)
+    return out
+
+
+def test_combine_matches_reference_loop():
+    rng = random.Random(2718)
+    for d in [(1,), (2, 1), (1, 2, 1), (1, 1, 1, 1)]:
+        for level in range(sum(d) + 1):
+            pool = [_random_vector(rng, d, level) for _ in range(4)]
+            for k in range(6):
+                pairs = [
+                    (
+                        Laurent({rng.randrange(-4, 5): rng.randrange(-3, 4)}),
+                        rng.choice(pool),
+                    )
+                    for _ in range(k)
+                ]
+                assert combine(d, pairs) == _reference_combine(d, pairs)
+            u = pool[0] + ModuleVector.basis(d, enumerate_basis(d, level)[0])
+            # u - q u + (q - 1) u cancels to zero
+            pairs = [(ONE, u), (-Q, u), (Q - ONE, u)]
+            assert combine(d, pairs).is_zero()
+            assert combine(d, pairs)._terms == {}
+            assert _reference_combine(d, pairs).is_zero()
+    assert combine((2, 1), []) == ModuleVector.zero((2, 1))
+    with pytest.raises(AmbientMismatchError):
+        combine((2, 1), [(ONE, v((1, 2), 0, 0))])
 
 
 def test_inner_product_matches_reference_loop():

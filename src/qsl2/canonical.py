@@ -69,7 +69,6 @@ entries per row.  The standard-basis Psi columns serve bar_involution.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
 from typing import Mapping, Reversible
 
 from . import orbits
@@ -83,6 +82,7 @@ from .errors import (
 from .modules import (
     ModuleVector,
     LinMap,
+    _Record,
     _gram,
     _step_scalar,
     act_E,
@@ -282,22 +282,28 @@ def bar_involution(
 # -- canonical bases ----------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=True)
-class CanonicalTable:
+class CanonicalTable(_Record):
     """For fixed (d, r): b_idx = v_idx + sum over lower s of c_{idx,s} v_s.
 
     rows maps each index to the full standard-basis expansion of b_idx,
     in the linear-extension order of `order`.  For len(d) > 1, product
     maps each index t, in that order, to the coordinates {s: p_{s,t}}
     of b_t over the product basis P_s of the solve; it is None for one
-    factor and takes no part in equality.
+    factor and takes no part in equality, hash or repr.
     """
 
-    d: Composition
-    r: int
-    order: tuple[OrbitIndex, ...]
-    rows: dict[OrbitIndex, ModuleVector]
-    product: dict | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("d", "r", "order", "rows", "product")
+    _compared = ("d", "r", "order", "rows")
+
+    def __init__(
+        self,
+        d: Composition,
+        r: int,
+        order: tuple[OrbitIndex, ...],
+        rows: dict[OrbitIndex, ModuleVector],
+        product: dict | None = None,
+    ):
+        self._set(d=d, r=r, order=order, rows=rows, product=product)
 
     def coefficient(self, r_idx: OrbitIndex, s_idx: OrbitIndex) -> Laurent:
         return self.rows[tuple(r_idx)].coeff(s_idx)
@@ -640,16 +646,21 @@ def _standard_columns(
 # -- split expansion -----------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=True)
-class SplitTable:
+class SplitTable(_Record):
     """Rows re-express b_r over the product basis b_{s'} tensor b_{s''}
     after cutting the slots at `cut`; keys are full concatenated s."""
 
-    d: Composition
-    cut: int
-    r: int
-    order: tuple[OrbitIndex, ...]
-    rows: dict[OrbitIndex, dict[OrbitIndex, Laurent]]
+    __slots__ = ("d", "cut", "r", "order", "rows")
+
+    def __init__(
+        self,
+        d: Composition,
+        cut: int,
+        r: int,
+        order: tuple[OrbitIndex, ...],
+        rows: dict[OrbitIndex, dict[OrbitIndex, Laurent]],
+    ):
+        self._set(d=d, cut=cut, r=r, order=order, rows=rows)
 
     def to_json_obj(self) -> dict:
         position = {idx: i for i, idx in enumerate(self.order)}

@@ -23,7 +23,6 @@ bar twist.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping
 
@@ -419,17 +418,66 @@ def rho_twist(gen: str) -> Callable[[ModuleVector], ModuleVector]:
 # -- exact linear maps ----------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=True)
-class LinMap:
+class _Record:
+    """Base of the value records.  A subclass lists its fields in
+    __slots__, in constructor order, and sets them in __init__ with
+    _set; `_compared` (default: every field) names the fields that take
+    part in equality, hash and repr.  Assignment raises AttributeError,
+    and __reduce__ rebuilds a record from its fields for copy and
+    pickle."""
+
+    __slots__ = ()
+    _compared: tuple[str, ...] = ()
+
+    def _set(self, **fields) -> None:
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def _key(self) -> tuple:
+        names = self._compared or self.__slots__
+        return tuple(getattr(self, name) for name in names)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{name}={getattr(self, name)!r}"
+            for name in self._compared or self.__slots__
+        )
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class LinMap(_Record):
     """A column map between standard bases: domain index -> image vector.
 
     Columns may span several weight levels; apply is linear over every
     stored column and raises on indices outside the column set.
     """
 
-    source: Composition
-    target: Composition
-    columns: dict[OrbitIndex, ModuleVector]
+    __slots__ = ("source", "target", "columns")
+
+    def __init__(
+        self,
+        source: Composition,
+        target: Composition,
+        columns: dict[OrbitIndex, ModuleVector],
+    ):
+        self._set(source=source, target=target, columns=columns)
 
     def apply(self, u: ModuleVector) -> ModuleVector:
         if u.d != self.source:

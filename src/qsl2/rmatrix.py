@@ -20,8 +20,6 @@ confirms by comparing reduced words.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import orbits
 from .canonical import _MEMO, _canonical_action, _standard_columns, canonical_basis
 from .errors import (
@@ -29,7 +27,7 @@ from .errors import (
     InverseCheckFailedError,
     NonReducedWordError,
 )
-from .modules import LinMap, ModuleVector, combine, enumerate_basis, theta
+from .modules import LinMap, ModuleVector, _Record, combine, enumerate_basis, theta
 from .qring import Laurent, ZERO, q_half, q_power, quantum_factorial
 
 __all__ = [
@@ -48,22 +46,19 @@ OrbitIndex = orbits.OrbitIndex
 _Q_MINUS_QINV = Laurent({2: 1, -2: -1})
 
 
-@dataclass(frozen=True, eq=True)
-class PermWord:
+class PermWord(_Record):
     """A word in the adjacent transpositions s_1 .. s_(slots-1), letters
     1-based and applied left to right."""
 
-    slots: int
-    letters: tuple[int, ...]
+    __slots__ = ("slots", "letters")
 
-    def __post_init__(self) -> None:
-        if self.slots < 1:
+    def __init__(self, slots: int, letters: tuple[int, ...]):
+        if slots < 1:
             raise ValueError("a word needs at least one slot")
-        for a in self.letters:
-            if not 1 <= a <= self.slots - 1:
-                raise ValueError(
-                    f"letter {a} out of range for {self.slots} slots"
-                )
+        for a in letters:
+            if not 1 <= a <= slots - 1:
+                raise ValueError(f"letter {a} out of range for {slots} slots")
+        self._set(slots=slots, letters=letters)
 
     def permutation(self) -> tuple[int, ...]:
         """arrangement[pos] = the original slot now sitting at pos."""
@@ -91,15 +86,16 @@ class PermWord:
         return tuple(d[arr[pos]] for pos in range(self.slots))
 
 
-@dataclass(frozen=True, eq=True)
-class RMap:
+class RMap(_Record):
     """A braiding move: sign, source and target compositions, and the
     underlying standard-basis column map."""
 
-    sign: str
-    source: Composition
-    target: Composition
-    map: LinMap
+    __slots__ = ("sign", "source", "target", "map")
+
+    def __init__(
+        self, sign: str, source: Composition, target: Composition, map: LinMap
+    ):
+        self._set(sign=sign, source=source, target=target, map=map)
 
     def apply(self, u: ModuleVector) -> ModuleVector:
         return self.map.apply(u)
@@ -227,12 +223,9 @@ def _extend_pair(pair: LinMap, c: Composition, a: int) -> LinMap:
     columns: dict[OrbitIndex, ModuleVector] = {}
     for r in range(sum(c) + 1):
         for idx in enumerate_basis(c, r):
-            pair_image = pair.apply(
-                ModuleVector.basis((c[a - 1], c[a]), (idx[a - 1], idx[a]))
-            )
             data = {
                 idx[: a - 1] + pidx + idx[a + 1 :]: coeff
-                for pidx, coeff in pair_image.items()
+                for pidx, coeff in pair.columns[idx[a - 1], idx[a]].items()
             }
             columns[idx] = ModuleVector._make(new_c, data)
     return LinMap(c, new_c, columns)
@@ -256,8 +249,10 @@ def r_move(
             f"word {list(word.letters)} has length {len(word.letters)} "
             f"but only {word.inversions()} inversions"
         )
+    if not word.letters:
+        return RMap(sign, d, d, LinMap.identity(d))
+    total = None
     current = d
-    total = LinMap.identity(d)
     for a in word.letters:
         pair = (
             r_plus_pair(current[a - 1], current[a])
@@ -265,7 +260,7 @@ def r_move(
             else r_minus_pair(current[a - 1], current[a])
         )
         step = _extend_pair(pair.map, current, a)
-        total = step.compose(total)
+        total = step if total is None else step.compose(total)
         current = step.target
     return RMap(sign, d, current, total)
 

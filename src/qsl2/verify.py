@@ -13,7 +13,6 @@ import itertools
 import math
 import random
 from collections import defaultdict
-from dataclasses import dataclass, field
 from typing import Callable
 
 from . import orbits
@@ -27,6 +26,7 @@ from .errors import AlgebraError
 from .modules import (
     LinMap,
     ModuleVector,
+    _Record,
     act_divided,
     act_E,
     act_F,
@@ -55,12 +55,26 @@ _FAILURE_CAP = 25
 _SEED = 58214
 
 
-@dataclass
-class SuiteResult:
-    name: str
-    checks: int = 0
-    failures: list[str] = field(default_factory=list)
-    truncated: bool = False
+class SuiteResult(_Record):
+    """The running tally of one suite.  Unlike the other records it is
+    mutable, and so unhashable; equality and repr are field-wise."""
+
+    __slots__ = ("name", "checks", "failures", "truncated")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(
+        self,
+        name: str,
+        checks: int = 0,
+        failures: list[str] | None = None,
+        truncated: bool = False,
+    ):
+        self.name = name
+        self.checks = checks
+        self.failures = [] if failures is None else failures
+        self.truncated = truncated
 
     @property
     def passed(self) -> bool:
@@ -478,6 +492,7 @@ def suite_rmatrix(max_total: int) -> SuiteResult:
         if len(d) > 3:
             continue
         total = sum(d)
+        identity = LinMap.identity(d)
         words = _reduced_words(len(d))
         by_perm: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
         for w in words:
@@ -500,13 +515,13 @@ def suite_rmatrix(max_total: int) -> SuiteResult:
             inverse_word = tuple(reversed(ws[0]))
             minus = r_move(move.target, inverse_word, "minus")
             res.check(
-                minus.map.compose(move.map) == LinMap.identity(d),
+                minus.map.compose(move.map) == identity,
                 lambda: f"R_- R_+ != Id for {perm} on {d}",
             )
             plus_back = r_move(move.target, inverse_word, "plus")
             minus_fwd = r_move(d, ws[0], "minus")
             res.check(
-                plus_back.map.compose(minus_fwd.map) == LinMap.identity(d),
+                plus_back.map.compose(minus_fwd.map) == identity,
                 lambda: f"R_+ R_- != Id for {perm} on {d}",
             )
             for r in range(total + 1):
@@ -519,7 +534,7 @@ def suite_rmatrix(max_total: int) -> SuiteResult:
                     )
                     for x, op in (("K", act_K), ("E", act_E), ("F", act_F)):
                         res.check(
-                            move.apply(op(u)) == op(move.apply(u)),
+                            move.apply(op(u)) == op(img),
                             lambda: f"intertwining {x} at {idx} for {perm} on {d}",
                         )
                     res.check(

@@ -1,6 +1,6 @@
-"""Command-line surface: golden outputs, byte determinism, the ignored
---cache-dir option and QSL2_CACHE_DIR variable, and the exit-code
-contract."""
+"""Command-line surface: golden outputs, byte determinism, a light
+import, the ignored --cache-dir option and QSL2_CACHE_DIR variable, and
+the exit-code contract."""
 
 import importlib.util
 import json
@@ -100,6 +100,28 @@ def test_subprocess_entry_point_matches_golden():
     )
     assert proc.returncode == 0
     assert proc.stdout == golden("rmat_d1-1_w1_plus_can.json")
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    """Every CLI request is a cold process, so the import stays light:
+    under -S (no site packages preloading anything) importing the CLI
+    must not load dataclasses or the inspect machinery it drags in."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.abspath(SRC_DIR)
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-S",
+            "-c",
+            "import sys, qsl2.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))",
+        ],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 # -- the ignored cache options ------------------------------------------------------

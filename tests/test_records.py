@@ -38,7 +38,9 @@ def _records():
         "CanonicalTable": (
             table,
             CanonicalTable(table.d, table.r, table.order, dict(table.rows)),
-            CanonicalTable(table.d, table.r, table.order[::-1], table.rows, table.product),
+            CanonicalTable(
+                table.d, table.r, table.order[::-1], table.rows, table.product
+            ),
         ),
         "SplitTable": (
             split,
@@ -48,7 +50,9 @@ def _records():
         "PermWord": (PermWord(3, (1, 2)), PermWord(3, (1, 2)), PermWord(3, (2, 1))),
         "RMap": (
             pair,
-            RMap("plus", (1, 1), (1, 1), LinMap((1, 1), (1, 1), dict(pair.map.columns))),
+            RMap(
+                "plus", (1, 1), (1, 1), LinMap((1, 1), (1, 1), dict(pair.map.columns))
+            ),
             RMap("minus", (1, 1), (1, 1), pair.map),
         ),
     }

@@ -69,6 +69,10 @@ CLI_CASES = {
         "rmat", "--d", "2,2", "--word", "1", "--sign", "plus",
         "--basis", "canonical",
     ],
+    "rmat_d2-2_w1_minus_can.txt": [
+        "rmat", "--d", "2,2", "--word", "1", "--sign", "minus",
+        "--basis", "canonical",
+    ],
     "bar_d1-1_v0-1.txt": ["bar", "--d", "1,1", "--vector", "0,1"],
     "bar_d1-1_v0-1.json": [
         "bar", "--d", "1,1", "--vector", "0,1", "--format", "json",
@@ -84,6 +88,9 @@ CLI_CASES = {
     "orbits_d2-2_r2.dot": ["orbits", "--d", "2,2", "--r", "2", "--format", "dot"],
     "embed_d2_can.txt": ["embed", "--d", "2", "--basis", "canonical"],
     "embed_d2-1_std.json": ["embed", "--d", "2,1", "--format", "json"],
+    "embed_d2-2_can.json": [
+        "embed", "--d", "2,2", "--basis", "canonical", "--format", "json",
+    ],
     "verify_t3.txt": ["verify", "--max-total", "3"],
 }
 

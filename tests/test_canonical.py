@@ -37,6 +37,7 @@ from qsl2.modules import (
     act_E,
     act_F,
     act_K,
+    combine,
     enumerate_basis,
 )
 from qsl2.qring import (
@@ -709,6 +710,35 @@ def test_embed_refine_is_isometric_and_intertwines():
                     assert inner_product(u, w) == inner_product(
                         m.apply(u), m.apply(w)
                     )
+
+
+def _reference_embed(d):
+    """The standard columns of the refinement embedding as the package
+    once built them, from the canonical tables: each b_s goes to the
+    canonical basis element at its dense refinement, and v_idx is
+    expanded over the canonical basis of its level and its images
+    combined."""
+    target = (1,) * sum(d)
+    columns = {}
+    for r in range(sum(d) + 1):
+        table = canonical_basis(d, r)
+        fine = canonical_basis(target, r)
+        for idx in table.order:
+            columns[idx] = combine(
+                target,
+                (
+                    (c, fine.rows[orbits.dense_cell(d, s)])
+                    for s, c in canonical_coords(table, V(d, idx))
+                ),
+            )
+    return columns
+
+
+def test_embed_refine_matches_the_canonical_table_route():
+    ds = [d for total in range(1, 8) for d in _compositions(total)]
+    ds += [(0, 2, 0, 1), (2, 0), (0, 3), (1, 0, 1)]
+    for d in ds:
+        assert embed_refine(d).columns == _reference_embed(d), d
 
 
 def test_embedding_check_rejects_a_column_across_two_levels():

@@ -7,6 +7,8 @@ from qsl2 import (
     Laurent,
     ModuleVector,
     PermWord,
+    canonical_basis,
+    canonical_coords,
     lift_word,
     matrix_in_basis,
     r_minus_pair,
@@ -14,7 +16,7 @@ from qsl2 import (
     r_plus_pair,
 )
 from qsl2.errors import NonReducedWordError
-from qsl2.modules import LinMap, act_E, act_F, act_K, enumerate_basis
+from qsl2.modules import LinMap, act_E, act_F, act_K, combine, enumerate_basis
 from qsl2.qring import ONE, ZERO, q_power
 from qsl2.rmatrix import _r_plus_columns
 
@@ -135,6 +137,43 @@ def test_pair_inverse_both_ways():
         n = r_minus_pair(d2, d1)
         assert n.map.compose(p.map).columns == LinMap.identity((d1, d2)).columns
         assert p.map.compose(n.map).columns == LinMap.identity((d2, d1)).columns
+
+
+def _reference_r_minus(d1, d2):
+    """The standard columns of R_- as the package once built them, from
+    the canonical tables: each b_s goes to the entrywise bar of the
+    canonical coordinates of R_+ b_s, and v_idx is expanded over the
+    canonical basis of its level and its images combined."""
+    plus = r_plus_pair(d1, d2).map
+    src, tgt = (d1, d2), (d2, d1)
+    columns = {}
+    for r in range(d1 + d2 + 1):
+        s_table = canonical_basis(src, r)
+        t_table = canonical_basis(tgt, r)
+        minus_on_b = {
+            s: combine(
+                tgt,
+                (
+                    (c.bar(), t_table.rows[t])
+                    for t, c in canonical_coords(t_table, plus.apply(s_table.rows[s]))
+                ),
+            )
+            for s in s_table.order
+        }
+        for idx in s_table.order:
+            columns[idx] = combine(
+                tgt,
+                ((c, minus_on_b[s]) for s, c in canonical_coords(s_table, V(src, idx))),
+            )
+    return columns
+
+
+def test_r_minus_matches_the_canonical_table_route():
+    for d1 in range(5):
+        for d2 in range(5):
+            if d1 or d2:
+                minus = r_minus_pair(d1, d2).map
+                assert minus.columns == _reference_r_minus(d1, d2), (d1, d2)
 
 
 def test_pair_intertwines_module_actions():

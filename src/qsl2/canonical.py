@@ -69,7 +69,7 @@ entries per row.  The standard-basis Psi columns serve bar_involution.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Mapping, Reversible
+from collections.abc import Mapping, Reversible
 
 from . import orbits
 from .errors import (
@@ -166,34 +166,28 @@ def clear_caches() -> None:
 
 
 def _psi_basis(
-    d: Composition, idx: OrbitIndex, kappa: list[Laurent], cut: int, memo_ok: bool
+    d: Composition, idx: OrbitIndex, kappa: list[Laurent], cut: int, store: dict
 ) -> ModuleVector:
+    """Psi(v_idx) under kappa, memoized in store (_MEMO for the solved
+    coefficients, a fresh dict per call or trial under any other)."""
     if len(d) == 1:
         return ModuleVector.basis(d, idx)
     key = ("psi", d, cut, idx)
-    if memo_ok:
-        cached = _MEMO.get(key)
-        if cached is not None:
-            return cached
-    left = _psi_vector(
-        ModuleVector.basis(d[:cut], idx[:cut]), kappa, 1, memo_ok
-    )
-    right = _psi_vector(
-        ModuleVector.basis(d[cut:], idx[cut:]), kappa, 1, memo_ok
-    )
-    out = theta(tensor(left, right), cut, kappa)
-    if memo_ok:
-        _MEMO[key] = out
+    out = store.get(key)
+    if out is None:
+        left = _psi_vector(ModuleVector.basis(d[:cut], idx[:cut]), kappa, 1, store)
+        right = _psi_vector(ModuleVector.basis(d[cut:], idx[cut:]), kappa, 1, store)
+        out = store[key] = theta(tensor(left, right), cut, kappa)
     return out
 
 
 def _psi_vector(
-    u: ModuleVector, kappa: list[Laurent], cut: int, memo_ok: bool
+    u: ModuleVector, kappa: list[Laurent], cut: int, store: dict
 ) -> ModuleVector:
     return combine(
         u.d,
         (
-            (c.bar(), _psi_basis(u.d, idx, kappa, cut, memo_ok))
+            (c.bar(), _psi_basis(u.d, idx, kappa, cut, store))
             for idx, c in u._terms.items()
         ),
     )
@@ -214,8 +208,8 @@ def _solve_next_kappa() -> None:
     # Psi under each trial, one column per basis vector, built once:
     # Psi(x) = sum_s bar(x_s) Psi(v_s) is the column map applied to bar(x)
     psi0, psi1 = (
-        LinMap(d, d, {idx: _psi_basis(d, idx, trial, 1, False) for idx in basis})
-        for trial in (trial0, trial1)
+        LinMap(d, d, {idx: _psi_basis(d, idx, trial, 1, store) for idx in basis})
+        for trial, store in ((trial0, {}), (trial1, {}))
     )
     equations: list[tuple[Laurent, Laurent]] = []
     for idx in basis:
@@ -269,14 +263,14 @@ def bar_involution(
     """Psi(u).  cut chooses where the top-level Theta splits the slots
     (the result is nesting independent for the solved coefficients);
     kappa overrides the solved coefficients, for fault injection in
-    tests, and bypasses all memoization."""
+    tests, and memoizes only within the call."""
     l = len(u.d)
     if l > 1 and not 1 <= cut < l:
         raise ValueError(f"cut {cut} out of range for {l} slots")
-    memo_ok = kappa is None
+    store = {} if kappa is not None else _MEMO
     if kappa is None:
         kappa = compute_quasi_r(sum(u.d) // 2)
-    return _psi_vector(u, kappa, cut if l > 1 else 1, memo_ok)
+    return _psi_vector(u, kappa, cut if l > 1 else 1, store)
 
 
 # -- canonical bases ----------------------------------------------------------------

@@ -23,8 +23,8 @@ bar twist.
 from __future__ import annotations
 
 from collections import defaultdict
+from collections.abc import Callable, Iterable, Mapping
 from functools import lru_cache
-from typing import Callable, Iterable, Mapping
 
 from . import orbits
 from .orbits import format_index

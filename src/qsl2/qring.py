@@ -18,7 +18,7 @@ the memos); Laurent values are never mutated, so sharing them is safe.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 
 from .errors import NonDivisibleError
 

@@ -13,7 +13,7 @@ import itertools
 import math
 import random
 from collections import defaultdict
-from typing import Callable
+from collections.abc import Callable
 
 from . import orbits
 from .canonical import (

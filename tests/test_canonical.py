@@ -269,10 +269,10 @@ def _reference_table(d, r, kappa=None):
     return CanonicalTable(d, r, order, rows)
 
 
-def _psi_below(d, t, kappa, memo_ok, prefix):
+def _psi_below(d, t, kappa, store, prefix):
     """Column t of the standard-basis Psi matrix without its diagonal
     entry, after checking that it is unitriangular."""
-    column = dict(canonical_mod._psi_basis(d, t, kappa, 1, memo_ok)._terms)
+    column = dict(canonical_mod._psi_basis(d, t, kappa, 1, store)._terms)
     diagonal = column.pop(t, ZERO)
     if diagonal != ONE:
         raise TriangularityViolationError(
@@ -292,11 +292,11 @@ def _reference_recursion(d, r, kappa=None):
     coefficient recursion over the standard-basis Psi matrix, whose
     columns fill the whole lower closure."""
     order = tuple(orbits.linear_extension(d, r))
-    memo_ok = kappa is None
+    store = {} if kappa is not None else canonical_mod._MEMO
     if kappa is None:
         kappa = compute_quasi_r(sum(d) // 2)
     prefix = {idx: orbits.prefix_sums(idx) for idx in order}
-    below = {t: _psi_below(d, t, kappa, memo_ok, prefix) for t in order}
+    below = {t: _psi_below(d, t, kappa, store, prefix) for t in order}
     rows = {}
     for top, r_idx in enumerate(order):
         coeffs = {r_idx: ONE}

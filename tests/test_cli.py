@@ -105,7 +105,9 @@ def test_subprocess_entry_point_matches_golden():
 def test_cli_import_leaves_out_dataclasses_and_inspect():
     """Every CLI request is a cold process, so the import stays light:
     under -S (no site packages preloading anything) importing the CLI
-    must not load dataclasses or the inspect machinery it drags in."""
+    must not load dataclasses, the inspect machinery it drags in, or
+    typing (annotations are never evaluated, and the abstract base
+    classes come from collections.abc)."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.abspath(SRC_DIR)
     proc = subprocess.run(
@@ -114,7 +116,7 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
             "-S",
             "-c",
             "import sys, qsl2.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))",
+            "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))",
         ],
         capture_output=True,
         text=True,

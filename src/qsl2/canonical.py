@@ -64,12 +64,20 @@ with E^(b) b'' from the same memo (on one factor, the binomial
 [d_0 - t_0 + n choose n] alone).  The sum is back-substituted against
 the product coordinates of the level below, which have a handful of
 entries per row.  The standard-basis Psi columns serve bar_involution.
+
+The refinement embedding comes from the module structure alone: on each
+nonzero part it is the intertwiner v_a -> F^(a) v_(0,...,0) into that
+many single-box factors, and on Lambda_d the tensor product of these.
+It reads no canonical table: that it carries each b_r to the canonical
+basis element at the dense refinement of r is a consequence of purity,
+which the embed suite of verify checks, not a definition.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from collections.abc import Mapping, Reversible
+from functools import reduce
 
 from . import orbits
 from .errors import (
@@ -88,6 +96,7 @@ from .modules import (
     act_E,
     act_F,
     act_K,
+    act_divided,
     combine,
     enumerate_basis,
     format_index,
@@ -606,37 +615,6 @@ def canonical_coords(
     return [(idx, coords[idx]) for idx in table.order if idx in coords]
 
 
-def _canonical_action(
-    m: LinMap, s_table: CanonicalTable, t_table: CanonicalTable
-) -> dict[OrbitIndex, list[tuple[OrbitIndex, Laurent]]]:
-    """The canonical coordinates, in t_table, of m applied to each row
-    of s_table."""
-    return {
-        idx: canonical_coords(t_table, m.apply(s_table.rows[idx]))
-        for idx in s_table.order
-    }
-
-
-def _standard_columns(
-    table: CanonicalTable,
-    images: Mapping[OrbitIndex, ModuleVector],
-    target: Composition,
-) -> dict[OrbitIndex, ModuleVector]:
-    """The standard columns of a map given on the canonical basis of
-    table, images[s] being the image of b_s over target: v_idx is
-    expanded over that basis and its images are combined."""
-    return {
-        idx: combine(
-            target,
-            (
-                (c, images[s])
-                for s, c in canonical_coords(table, ModuleVector.basis(table.d, idx))
-            ),
-        )
-        for idx in table.order
-    }
-
-
 # -- split expansion -----------------------------------------------------------------
 
 
@@ -761,9 +739,13 @@ def _assert_embedding(m: LinMap) -> None:
 
 
 def embed_refine(d: Composition) -> LinMap:
-    """The canonical embedding Lambda_d -> Lambda_(1,...,1) sending each
-    b_r to the b at the dense binary refinement of r.  Intertwining and
-    isometry are asserted on construction, not assumed."""
+    """The refinement embedding Lambda_d -> Lambda_(1,...,1): the tensor
+    product, over the nonzero parts d_k, of the intertwiner into d_k
+    ones that sends v_a to F^(a) v_(0,...,0) and so fixes the highest
+    weight vector.  No canonical table is read; that each b_r goes to
+    the b at the dense binary refinement of r is a theorem, which the
+    embed suite of verify checks.  Intertwining and isometry are
+    asserted on construction, not assumed."""
     d = orbits.check_composition(d)
     key = ("embed", d)
     cached = _MEMO.get(key)
@@ -772,14 +754,17 @@ def embed_refine(d: Composition) -> LinMap:
     total = sum(d)
     if total == 0:
         raise ValueError("refinement of a zero composition has no slots")
-    target = (1,) * total
-    columns: dict[OrbitIndex, ModuleVector] = {}
-    for r in range(total + 1):
-        table = canonical_basis(d, r)
-        fine = canonical_basis(target, r)
-        images = {s: fine.rows[orbits.dense_cell(d, s)] for s in table.order}
-        columns.update(_standard_columns(table, images, target))
-    m = LinMap(d, target, columns)
+    # images[n][a] = F^(a) v_(0,...,0) on n single-box factors
+    images = {}
+    for n in set(d) - {0}:
+        top = ModuleVector.basis((1,) * n, (0,) * n)
+        images[n] = [act_divided(top, "F", a) for a in range(n + 1)]
+    columns = {
+        idx: reduce(tensor, [images[n][a] for n, a in zip(d, idx) if n])
+        for r in range(total + 1)
+        for idx in enumerate_basis(d, r)
+    }
+    m = LinMap(d, (1,) * total, columns)
     _assert_embedding(m)
     _MEMO[key] = m
     return m

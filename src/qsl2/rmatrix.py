@@ -10,24 +10,26 @@ and must cancel; any odd half-exponent surviving to a matrix entry
 raises HalfPowerLeakError, which is how a mis-ordered composition
 announces itself.
 
-The negative braiding is the entrywise bar of the canonical-basis
-matrix of the positive one, and is checked to be its exact two-sided
-inverse on construction.  Longer moves compose pair braidings letter by
-letter along a reduced word, tracking the evolving composition; the
-result depends only on the permutation, which the verification suite
-confirms by comparing reduced words.
+The negative braiding is Psi R_+ Psi, built from the bar involutions
+of source and target and no canonical table.  Both canonical bases are
+Psi-fixed, so its canonical-basis matrix is the entrywise bar of the
+positive one's; it is checked to be the exact two-sided inverse of the
+positive braiding on construction.  Longer moves compose pair
+braidings letter by letter along a reduced word, tracking the evolving
+composition; the result depends only on the permutation, which the
+verification suite confirms by comparing reduced words.
 """
 
 from __future__ import annotations
 
 from . import orbits
-from .canonical import _MEMO, _canonical_action, _standard_columns, canonical_basis
+from .canonical import _MEMO, bar_involution, canonical_basis, canonical_coords
 from .errors import (
     HalfPowerLeakError,
     InverseCheckFailedError,
     NonReducedWordError,
 )
-from .modules import LinMap, ModuleVector, _Record, combine, enumerate_basis, theta
+from .modules import LinMap, ModuleVector, _Record, enumerate_basis, theta
 from .qring import Laurent, ZERO, q_half, q_power, quantum_factorial
 
 __all__ = [
@@ -176,26 +178,22 @@ def r_plus_pair(d1: int, d2: int) -> RMap:
 
 
 def r_minus_pair(d1: int, d2: int) -> RMap:
-    """The negative braiding: entrywise bar of the canonical matrix of
-    the positive one.  Checked to invert r_plus_pair(d2, d1) on both
-    sides before being returned."""
+    """The negative braiding Psi R_+ Psi, whose canonical matrix is the
+    entrywise bar of that of r_plus_pair(d1, d2).  Checked to invert
+    r_plus_pair(d2, d1) on both sides before being returned."""
     if d1 < 0 or d2 < 0:
         raise ValueError("factor dimensions must be nonnegative")
     key = ("pair", d1, d2, "minus")
     cached = _MEMO.get(key)
     if cached is not None:
         return cached
-    plus = r_plus_pair(d1, d2)
+    plus = r_plus_pair(d1, d2).map
     src, tgt = (d1, d2), (d2, d1)
-    columns: dict[OrbitIndex, ModuleVector] = {}
-    for r in range(d1 + d2 + 1):
-        s_table = canonical_basis(src, r)
-        t_table = canonical_basis(tgt, r)
-        minus_on_b = {
-            idx: combine(tgt, ((c.bar(), t_table.rows[s]) for s, c in coords))
-            for idx, coords in _canonical_action(plus.map, s_table, t_table).items()
-        }
-        columns.update(_standard_columns(s_table, minus_on_b, tgt))
+    columns = {
+        idx: bar_involution(plus.apply(bar_involution(ModuleVector.basis(src, idx))))
+        for r in range(d1 + d2 + 1)
+        for idx in enumerate_basis(src, r)
+    }
     out = RMap("minus", src, tgt, LinMap(src, tgt, columns))
 
     partner = r_plus_pair(d2, d1)
@@ -309,8 +307,8 @@ def matrix_in_basis(
             s_table = canonical_basis(linmap.source, r)
             t_table = canonical_basis(linmap.target, r)
             coords = {
-                j: dict(pairs)
-                for j, pairs in _canonical_action(linmap, s_table, t_table).items()
+                j: dict(canonical_coords(t_table, linmap.apply(s_table.rows[j])))
+                for j in s_table.order
             }
             entry = lambda i, j: coords[j].get(i, ZERO)
         out[r] = [[entry(i, j) for j in src_order] for i in tgt_order]

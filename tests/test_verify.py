@@ -154,6 +154,24 @@ def test_suite_canonical_catches_a_perturbed_row(monkeypatch):
     clear_caches()
 
 
+def test_suite_embed_catches_a_perturbed_row(monkeypatch):
+    # neither the embedding nor R_- reads a canonical table, so a wrong
+    # level-1 table of (1,1) fails exactly one dense-refinement check
+    clear_caches()
+    d = (1, 1)
+    good = canonical_basis(d, 1)
+    rows = dict(good.rows)
+    rows[(0, 1)] = ModuleVector.basis(d, (0, 1)) + ModuleVector.basis(d, (1, 0)).scale(Q)
+    bad = CanonicalTable(d, 1, good.order, rows)
+    monkeypatch.setitem(canonical_mod._MEMO, ("table", d, 1), bad)
+    res = SUITES["embed"](2)
+    assert res.failures == ["b(1,) not sent to its dense refinement in (2,)"]
+    # restore the good table before clearing, so that no table is left
+    # in the memo without its product coordinates
+    monkeypatch.undo()
+    clear_caches()
+
+
 def test_failing_lazy_witnesses_render_the_eager_text(monkeypatch):
     # the exact witnesses the suite printed when every one was an f-string
     clear_caches()

@@ -276,7 +276,7 @@ def bar_involution(
     l = len(u.d)
     if l > 1 and not 1 <= cut < l:
         raise ValueError(f"cut {cut} out of range for {l} slots")
-    store = {} if kappa is not None else _MEMO
+    store = _MEMO if kappa is None else {}
     if kappa is None:
         kappa = compute_quasi_r(sum(u.d) // 2)
     return _psi_vector(u, kappa, cut if l > 1 else 1, store)

@@ -17,8 +17,8 @@ the memos); Laurent values are never mutated, so sharing them is safe.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from collections.abc import Iterable, Iterator, Mapping
+from functools import lru_cache
 
 from .errors import NonDivisibleError
 

@@ -12,9 +12,18 @@ rather than assumes.
 The coefficients kappa_n are not hard-coded.  kappa_0 = 1, and each
 kappa_n is the unique solution of the intertwining condition
 Psi(x u) = bar(x) Psi(u), x in {E, F}, on the pair module Lambda_(n,n),
-solved level by level; conventions in the literature differ by signs
-and q-powers, so the solve anchors the convention to the module action
-itself and raises ConventionUnderdeterminedError on any ambiguity.
+solved level by level.  There Theta's n-th term is nonzero only on
+v_(0,n), as F^(n) v_0 tensor E^(n) v_n taken from the module action,
+so one evaluation of Psi under kappa_n = 0 and that term give every
+equation, affine in kappa_n.  A unit-coefficient equation pins the
+value, and every equation is then checked with it.  Conventions in the
+literature differ by signs and q-powers, so the solve anchors the
+convention to the module action itself and raises
+ConventionUnderdeterminedError when no equation has a unit coefficient,
+when an equation fails, or when the value leaves Z[q, q^-1].  A table
+solve asks only for the kappa_n its product columns read,
+n <= max_k min(d_k, d_(k+1) + ... + d_l); bar_involution asks for
+n <= sum(d) // 2.
 
 Canonical tables are solved one factor at a time (Lusztig,
 Introduction to Quantum Groups, 27.3).  Write Lambda_d = Lambda_(d_0)
@@ -204,44 +213,65 @@ def _psi_vector(
 
 def _solve_next_kappa() -> None:
     """Determine kappa_n for n = len(_KAPPA) from the intertwining
-    condition on Lambda_(n,n).  Psi depends affinely on the unknown, so
-    two evaluations (kappa_n = 0 and kappa_n = 1) give every linear
-    equation; the first equation with a unit coefficient pins the value
-    and all remaining equations must agree."""
+    condition Psi(x u) = x Psi(u), x in {E, F} (both bar-invariant), on
+    Lambda_(n,n).
+
+    Theta's n-th term F^(n) v_a tensor E^(n) v_b vanishes unless a = 0
+    and b = n, so kappa_n enters Psi only as kappa_n t in the column of
+    v_(0,n), with t = F^(n) v_0 tensor E^(n) v_n taken from the module
+    action.  The Psi columns are built once, under kappa_n = 0.  Each
+    equation through that column is affine in kappa_n with slope read
+    off t, and the first with a unit coefficient pins the value.  Then
+    kappa_n t joins its column and every equation, on every basis
+    vector, must hold exactly."""
     n = len(_KAPPA)
     d = (n, n)
-    trial0 = _KAPPA + [ZERO]
-    trial1 = _KAPPA + [ONE]
-
+    top = (0, n)
     basis = [idx for level in range(2 * n + 1) for idx in enumerate_basis(d, level)]
-    # Psi under each trial, one column per basis vector, built once:
-    # Psi(x) = sum_s bar(x_s) Psi(v_s) is the column map applied to bar(x)
-    psi0, psi1 = (
-        LinMap(d, d, {idx: _psi_basis(d, idx, trial, 1, store) for idx in basis})
-        for trial, store in ((trial0, {}), (trial1, {}))
+    columns = {idx: _psi_basis(d, idx, _KAPPA + [ZERO], 1, {}) for idx in basis}
+    term = tensor(
+        act_divided(ModuleVector.basis((n,), (0,)), "F", n),
+        act_divided(ModuleVector.basis((n,), (n,)), "E", n),
     )
-    equations: list[tuple[Laurent, Laurent]] = []
-    for idx in basis:
-        for op in (act_F, act_E):
-            xu_bar = op(ModuleVector.basis(d, idx)).map_coefficients(Laurent.bar)
-            zero_part = psi0.apply(xu_bar) - op(psi0.columns[idx])
-            slope = (psi1.apply(xu_bar) - op(psi1.columns[idx])) - zero_part
-            for s in zero_part.support() | slope.support():
-                equations.append((slope.coeff(s), -zero_part.coeff(s)))
+    # one equation per basis vector and generator, as bar(x v_idx):
+    # Psi(x v_idx) = sum_s bar(x_s) Psi(v_s) is the column map applied
+    # to bar(x v_idx)
+    equations = [
+        (idx, name, op, op(ModuleVector.basis(d, idx)).map_coefficients(Laurent.bar))
+        for idx in basis
+        for name, op in (("F", act_F), ("E", act_E))
+    ]
 
+    def residual(psi: LinMap, idx: OrbitIndex, op, xu_bar) -> ModuleVector:
+        return psi.apply(xu_bar) - op(psi.columns[idx])
+
+    psi = LinMap(d, d, columns)
     value: Laurent | None = None
-    for a, b in equations:
-        if len(list(a.items())) == 1 and abs(list(a.items())[0][1]) == 1:
-            value = exact_div(b, a)
+    for idx, _, op, xu_bar in equations:
+        slope = term.scale(xu_bar.coeff(top))
+        if idx == top:
+            slope = slope - op(term)
+        if slope.is_zero():
+            continue
+        zero_part = residual(psi, idx, op, xu_bar)
+        for s, a in slope.items():
+            terms = list(a.items())
+            if len(terms) == 1 and abs(terms[0][1]) == 1:
+                value = exact_div(-zero_part.coeff(s), a)
+                break
+        if value is not None:
             break
     if value is None:
         raise ConventionUnderdeterminedError(
             f"no unit-coefficient equation determines kappa_{n}"
         )
-    for a, b in equations:
-        if value * a != b:
+    columns[top] = columns[top] + term.scale(value)
+    psi = LinMap(d, d, columns)
+    for idx, name, op, xu_bar in equations:
+        if not residual(psi, idx, op, xu_bar).is_zero():
             raise ConventionUnderdeterminedError(
-                f"inconsistent equations for kappa_{n}: ({a}) k = ({b}) vs k = {value}"
+                f"kappa_{n} = {value} fails Psi {name} = {name} Psi at {idx} "
+                f"on Lambda_{d}"
             )
     if not value.is_in_a():
         raise ConventionUnderdeterminedError(
@@ -252,7 +282,8 @@ def _solve_next_kappa() -> None:
 
 def compute_quasi_r(n_max: int) -> list[Laurent]:
     """kappa_0 .. kappa_(n_max); kappa_0 = 1 and the rest are solved
-    once and cached for the process."""
+    once each, one Psi evaluation of Lambda_(n,n) apiece, and cached for
+    the process.  Callers ask only as far as they read."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     while len(_KAPPA) <= n_max:
@@ -492,7 +523,10 @@ def _compute_table(
             d, r, order, {idx: ModuleVector._make(d, {idx: ONE}) for idx in order}
         )
     if kappa is None:
-        kappa = compute_quasi_r(sum(d) // 2)
+        # _product_column at slot k reads kappa_n only while n <= d_k and
+        # E^(n) is nonzero on the slots after k
+        reach = max(min(dk, sum(d[k + 1 :])) for k, dk in enumerate(d))
+        kappa = compute_quasi_r(reach)
     # the closure tests compare prefix sums computed once per index,
     # which also tells an index of this level from any other
     prefix = {idx: orbits.prefix_sums(idx) for idx in order}

@@ -337,42 +337,44 @@ def exact_div(a: Laurent, d: Laurent) -> Laurent:
     """The unique c with c * d = a, when it exists in the ring.
 
     Polynomial long division after shifting both operands to valuation
-    zero; any nonzero remainder or non-integer leading quotient raises
-    NonDivisibleError, which always signals an upstream bug.
+    zero: the dense remainder is reduced by the nonzero terms of d only,
+    and the quotient collects its nonzero terms as it goes.  Any nonzero
+    remainder or non-integer leading quotient raises NonDivisibleError,
+    which always signals an upstream bug.
     """
     if d.is_zero():
         raise ZeroDivisionError("exact division by the zero element")
     if a.is_zero():
         return ZERO
 
-    a_lo, a_hi = a.min_half_exponent(), a.max_half_exponent()
-    d_lo, d_hi = d.min_half_exponent(), d.max_half_exponent()
+    a_terms, d_terms = a._terms, d._terms
+    a_lo, a_hi = min(a_terms), max(a_terms)
+    d_lo, d_hi = min(d_terms), max(d_terms)
     deg_a = a_hi - a_lo
     deg_d = d_hi - d_lo
     if deg_a < deg_d:
         raise NonDivisibleError(f"({a}) is not divisible by ({d})")
 
-    # Dense coefficient lists for x = q^(1/2), lowest degree first.
+    # Dense remainder for x = q^(1/2), lowest degree first; the divisor
+    # below its leading term as (degree, coefficient) pairs.
     num = [0] * (deg_a + 1)
-    for h, c in a.items():
+    for h, c in a_terms.items():
         num[h - a_lo] = c
-    den = [0] * (deg_d + 1)
-    for h, c in d.items():
-        den[h - d_lo] = c
+    lead = d_terms[d_hi]
+    tail = [(h - d_lo, c) for h, c in d_terms.items() if h != d_hi]
 
-    quot = [0] * (deg_a - deg_d + 1)
-    lead = den[deg_d]
+    shift = a_lo - d_lo
+    quot: dict[int, int] = {}
     for i in range(deg_a - deg_d, -1, -1):
         top = num[i + deg_d]
         if top == 0:
             continue
         if top % lead:
             raise NonDivisibleError(f"({a}) is not divisible by ({d})")
-        quot[i] = top // lead
-        for j, dc in enumerate(den):
-            num[i + j] -= quot[i] * dc
-    if any(num):
+        c = quot[shift + i] = top // lead
+        for j, dc in tail:
+            num[i + j] -= c * dc
+    # every degree from deg_d up was cancelled as the leading term
+    if any(num[:deg_d]):
         raise NonDivisibleError(f"({a}) is not divisible by ({d})")
-
-    shift = a_lo - d_lo
-    return Laurent({shift + i: c for i, c in enumerate(quot)})
+    return Laurent._from_raw(quot)

@@ -24,6 +24,7 @@ from qsl2 import (
 )
 from qsl2.errors import (
     AlgebraError,
+    ConventionUnderdeterminedError,
     EmbeddingCheckFailedError,
     NonzeroConstantTermError,
     ObstructionNotAntisymmetricError,
@@ -45,6 +46,7 @@ from qsl2.qring import (
     Q,
     QINV,
     ZERO,
+    exact_div,
     q_power,
     quantum_binomial,
     quantum_factorial,
@@ -69,18 +71,102 @@ def test_quasi_r_frozen_values():
     assert ks[3] == Laurent({6: -1, 2: 1, -2: 1, -10: -1, -14: -1, -18: 1})
 
 
-def test_quasi_r_closed_form():
+def _closed_form_kappa(n):
     # kappa_n = (-1)^n q^(-n(n-1)/2) (q - q^-1)^n [n]!
-    ks = compute_quasi_r(5)
-    base = Q - QINV
-    for n in range(6):
-        expected = ONE
-        for _ in range(n):
-            expected = expected * base
-        expected = expected * quantum_factorial(n) * Laurent({-n * (n - 1): 1})
-        if n % 2:
-            expected = neg(expected)
-        assert ks[n] == expected
+    expected = (Q - QINV) ** n * quantum_factorial(n) * Laurent({-n * (n - 1): 1})
+    return neg(expected) if n % 2 else expected
+
+
+def test_quasi_r_closed_form():
+    ks = compute_quasi_r(8)
+    for n in range(9):
+        assert ks[n] == _closed_form_kappa(n)
+
+
+def _reference_next_kappa(kappa):
+    """The two-trial solve of kappa_n, n = len(kappa): Psi on
+    Lambda_(n,n) under kappa_n = 0 and kappa_n = 1 gives every equation
+    as an intercept and a slope; the first unit slope pins the value
+    and every other equation must agree."""
+    n = len(kappa)
+    d = (n, n)
+    basis = [idx for level in range(2 * n + 1) for idx in enumerate_basis(d, level)]
+    psi0, psi1 = (
+        LinMap(d, d, {idx: canonical_mod._psi_basis(d, idx, trial, 1, {}) for idx in basis})
+        for trial in (kappa + [ZERO], kappa + [ONE])
+    )
+    equations = []
+    for idx in basis:
+        for op in (act_F, act_E):
+            xu_bar = op(V(d, idx)).map_coefficients(Laurent.bar)
+            zero_part = psi0.apply(xu_bar) - op(psi0.columns[idx])
+            slope = (psi1.apply(xu_bar) - op(psi1.columns[idx])) - zero_part
+            for s in zero_part.support() | slope.support():
+                equations.append((slope.coeff(s), -zero_part.coeff(s)))
+    value = None
+    for a, b in equations:
+        terms = list(a.items())
+        if len(terms) == 1 and abs(terms[0][1]) == 1:
+            value = exact_div(b, a)
+            break
+    if value is None:
+        raise ConventionUnderdeterminedError(f"no unit equation for kappa_{n}")
+    for a, b in equations:
+        if value * a != b:
+            raise ConventionUnderdeterminedError(f"inconsistent kappa_{n}")
+    if not value.is_in_a():
+        raise ConventionUnderdeterminedError(f"kappa_{n} escaped Z[q, q^-1]")
+    return value
+
+
+def test_one_evaluation_solve_matches_two_trial_reference():
+    clear_caches()
+    reference = [ONE]
+    while len(reference) <= 7:
+        reference.append(_reference_next_kappa(reference))
+    solved = compute_quasi_r(7)
+    assert len(solved) == len(reference) == 8
+    for n, (new, old) in enumerate(zip(solved, reference)):
+        assert new == old, n
+
+
+def test_wrong_f_action_leaves_kappa_underdetermined(monkeypatch):
+    # F scaled by q breaks Psi F = F Psi for every kappa, so no solve
+    # may return a value; the solved prefix stays at kappa_0
+    real_f = canonical_mod.act_F
+    clear_caches()
+    monkeypatch.setattr(canonical_mod, "act_F", lambda u: real_f(u).scale(Q))
+    with pytest.raises(ConventionUnderdeterminedError):
+        compute_quasi_r(2)
+    assert canonical_mod._KAPPA == [ONE]
+    clear_caches()
+
+
+@pytest.mark.parametrize(
+    "solve, solved",
+    [
+        (lambda: canonical_basis((1,) * 9, 4), 2),
+        (lambda: canonical_basis((3, 1), 2), 2),
+        (lambda: canonical_basis((2, 2), 2), 3),
+        (lambda: bar_involution(V((1, 1, 1, 1), (0, 1, 0, 1))), 3),
+    ],
+    ids=["1x9-r4", "3-1-r2", "2-2-r2", "bar-1-1-1-1"],
+)
+def test_kappa_is_solved_only_as_far_as_it_is_read(solve, solved):
+    # a table reads kappa_n for n <= max_k min(d_k, d_(k+1) + ... + d_l);
+    # bar_involution keeps n <= sum(d) // 2
+    clear_caches()
+    solve()
+    assert len(canonical_mod._KAPPA) == solved
+
+
+def test_kappa_override_solves_no_coefficient():
+    clear_caches()
+    given = [_closed_form_kappa(n) for n in range(3)]
+    table = canonical_basis((2, 2), 2, kappa=given)
+    assert canonical_mod._KAPPA == [ONE]
+    assert canonical_mod._MEMO == {}
+    assert table == canonical_basis((2, 2), 2)
 
 
 def test_quasi_r_prefix_stability_and_validation():
@@ -382,6 +468,8 @@ def test_product_solve_matches_standard_basis_recursion_under_kappa_override():
 
 def test_clear_caches_empties_store_and_resets_kappa():
     first = canonical_basis((2, 2), 2)
+    # a factor with two slots, so that some E^(n) coordinates are memoized
+    canonical_basis((1, 1, 1), 2)
     r_plus_pair(1, 2)
     embed_refine((2, 1))
     bar_involution(V((1, 1), (0, 1)))

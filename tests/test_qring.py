@@ -236,6 +236,46 @@ def test_exact_div():
         exact_div(Q + ONE, Q + Q)
 
 
+def test_exact_div_leftover_remainder():
+    # q^2 + 1 = (q + 1)(q - 1) + 2, and q^4 + q^2 + 1 = (q^2 + 1) q^2 + 1:
+    # every leading quotient is an integer, the remainder is not zero
+    with pytest.raises(NonDivisibleError):
+        exact_div(Q * Q + ONE, Q + ONE)
+    with pytest.raises(NonDivisibleError):
+        exact_div(q_power(4) + q_power(2) + ONE, q_power(2) + ONE)
+
+
+def test_exact_div_non_integer_leading_quotient():
+    two = Laurent.from_int(2)
+    # 2q^2 + 2q + 1 = (2q + 1) q + (q + 1), and 1 is not a multiple of 2
+    with pytest.raises(NonDivisibleError):
+        exact_div(two * Q * Q + two * Q + ONE, two * Q + ONE)
+    with pytest.raises(NonDivisibleError):
+        exact_div(Laurent.from_int(3) * Q, two)
+    assert exact_div(two * Q * Q + Laurent.from_int(3) * Q + ONE, two * Q + ONE) == Q + ONE
+
+
+def test_exact_div_divisor_with_gaps():
+    gappy = Laurent({6: 1, 0: -2, -6: 1})
+    assert exact_div(q_power(4) - ONE, q_power(2) + ONE) == q_power(2) - ONE
+    for c in (ONE, Q, Laurent({4: 3, -2: -1}), Laurent({8: 1, 0: 5, -10: -2})):
+        quotient = exact_div(c * gappy, gappy)
+        assert quotient == c
+        assert 0 not in quotient._terms.values()
+
+
+def test_exact_div_odd_half_exponents():
+    root = Laurent({1: 1, -1: 1})  # q^(1/2) + q^(-1/2)
+    c = Laurent({3: 2, -1: -1, -5: 1})
+    assert exact_div(c * root, root) == c
+    # q^(5/2) + q^(1/2) = q^(3/2) (q + q^-1)
+    assert exact_div(Laurent({5: 1, 1: 1}), Q + QINV) == Laurent({3: 1})
+    with pytest.raises(NonDivisibleError):
+        exact_div(Laurent({1: 1, 0: 1}), Laurent({1: 1, 0: -1}))
+    with pytest.raises(NonDivisibleError):
+        exact_div(Laurent({3: 1, 0: 1}), root)
+
+
 def test_serialization():
     a = Laurent({3: -2, -1: 10 ** 30, 0: 7})
     pairs = a.to_pairs()

@@ -20,10 +20,10 @@ value, and every equation is then checked with it.  Conventions in the
 literature differ by signs and q-powers, so the solve anchors the
 convention to the module action itself and raises
 ConventionUnderdeterminedError when no equation has a unit coefficient,
-when an equation fails, or when the value leaves Z[q, q^-1].  A table
-solve asks only for the kappa_n its product columns read,
-n <= max_k min(d_k, d_(k+1) + ... + d_l); bar_involution asks for
-n <= sum(d) // 2.
+when an equation fails, or when the value leaves Z[q, q^-1].  Callers
+solve only the kappa_n that Psi reads (_kappa_reach): at cut 1,
+n <= max_k min(d_k, d_(k+1) + ... + d_l), which also bounds a table's
+product columns and is min(d_0, d_1) on a pair.
 
 Canonical tables are solved one factor at a time (Lusztig,
 Introduction to Quantum Groups, 27.3).  Write Lambda_d = Lambda_(d_0)
@@ -72,7 +72,8 @@ Delta(E^(n)) = sum_(a+b=n) q^(ab) E^(a) K^b tensor E^(b), so
 with E^(b) b'' from the same memo (on one factor, the binomial
 [d_0 - t_0 + n choose n] alone).  The sum is back-substituted against
 the product coordinates of the level below, which have a handful of
-entries per row.  The standard-basis Psi columns serve bar_involution.
+entries per row.  The standard-basis Psi columns serve bar_involution
+and the pair braiding of rmatrix, whose Theta step is bar Psi.
 
 The refinement embedding comes from the module structure alone: on each
 nonzero part it is the intertwiner v_a -> F^(a) v_(0,...,0) into that
@@ -291,6 +292,17 @@ def compute_quasi_r(n_max: int) -> list[Laurent]:
     return list(_KAPPA[: n_max + 1])
 
 
+def _kappa_reach(d: Composition, cut: int) -> int:
+    """The largest n with kappa_n read by Psi on Lambda_d: Theta's n-th
+    term vanishes past either side's total, at the top cut and at each
+    nested cut 1."""
+
+    def nested(e: Composition) -> int:
+        return max((min(ek, sum(e[k + 1 :])) for k, ek in enumerate(e)), default=0)
+
+    return max(min(sum(d[:cut]), sum(d[cut:])), nested(d[:cut]), nested(d[cut:]))
+
+
 # -- the bar involution -----------------------------------------------------------
 
 
@@ -305,12 +317,14 @@ def bar_involution(
     kappa overrides the solved coefficients, for fault injection in
     tests, and memoizes only within the call."""
     l = len(u.d)
-    if l > 1 and not 1 <= cut < l:
+    if l == 1:
+        cut = 1
+    elif not 1 <= cut < l:
         raise ValueError(f"cut {cut} out of range for {l} slots")
     store = _MEMO if kappa is None else {}
     if kappa is None:
-        kappa = compute_quasi_r(sum(u.d) // 2)
-    return _psi_vector(u, kappa, cut if l > 1 else 1, store)
+        kappa = compute_quasi_r(_kappa_reach(u.d, cut))
+    return _psi_vector(u, kappa, cut, store)
 
 
 # -- canonical bases ----------------------------------------------------------------
@@ -523,10 +537,7 @@ def _compute_table(
             d, r, order, {idx: ModuleVector._make(d, {idx: ONE}) for idx in order}
         )
     if kappa is None:
-        # _product_column at slot k reads kappa_n only while n <= d_k and
-        # E^(n) is nonzero on the slots after k
-        reach = max(min(dk, sum(d[k + 1 :])) for k, dk in enumerate(d))
-        kappa = compute_quasi_r(reach)
+        kappa = compute_quasi_r(_kappa_reach(d, 1))
     # the closure tests compare prefix sums computed once per index,
     # which also tells an index of this level from any other
     prefix = {idx: orbits.prefix_sums(idx) for idx in order}

@@ -335,7 +335,9 @@ def _act_divided_range(
 def theta(u: ModuleVector, cut: int, coeffs: list[Laurent]) -> ModuleVector:
     """sum_n coeffs[n] F^(n) (slots before cut) E^(n) (slots from cut on).
     The sum stops at the first n whose term vanishes; a nonzero term
-    beyond the end of coeffs is a ValueError."""
+    beyond the end of coeffs is a ValueError.  The E^(n) half of a term
+    with a zero coefficient is skipped: F and E act on disjoint slots and
+    commute, so once a term vanishes every later one does too."""
     l = len(u.d)
     terms: list[tuple[Laurent, ModuleVector]] = []
     n = 0
@@ -343,6 +345,9 @@ def theta(u: ModuleVector, cut: int, coeffs: list[Laurent]) -> ModuleVector:
         f_part = _act_divided_range(u, "F", n, 0, cut)
         if f_part.is_zero():
             break
+        if n < len(coeffs) and coeffs[n].is_zero():
+            n += 1
+            continue
         term = _act_divided_range(f_part, "E", n, cut, l)
         if term.is_zero():
             break

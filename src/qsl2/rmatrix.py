@@ -2,13 +2,16 @@
 
 The positive braiding of a pair Lambda_(d1,d2) -> Lambda_(d2,d1) is the
 universal formula read right to left: first the quasi-R style operator
-Theta_R = sum_n q^(n(n-1)/2) (q - q^-1)^n [n]! F^(n) tensor E^(n), then
-the Cartan correction v_a tensor v_b -> q^((d1-2a)(d2-2b)/2) on weight
-lines, then the slot transposition, and finally the global scalar
-(-q^(3/2))^(d1 d2).  Half powers of q appear in the middle two steps
-and must cancel; any odd half-exponent surviving to a matrix entry
-raises HalfPowerLeakError, which is how a mis-ordered composition
-announces itself.
+Theta_R = sum_n bar(kappa_n) F^(n) tensor E^(n), then the Cartan
+correction v_a tensor v_b -> q^((d1-2a)(d2-2b)/2) on weight lines, then
+the slot transposition, and finally the global scalar
+(-q^(3/2))^(d1 d2).  There is no closed form for Theta_R: on a pair both
+slots are single factors, whose divided-power entries are bar-invariant
+quantum binomials, so Theta_R is bar composed with the bar involution
+Psi, read from the memoized Psi columns of the solved kappa.  Half
+powers of q appear in the middle two steps and must cancel; any odd
+half-exponent surviving to a matrix entry raises HalfPowerLeakError,
+which is how a mis-ordered composition announces itself.
 
 The negative braiding is Psi R_+ Psi, built from the bar involutions
 of source and target and no canonical table.  Both canonical bases are
@@ -29,8 +32,8 @@ from .errors import (
     InverseCheckFailedError,
     NonReducedWordError,
 )
-from .modules import LinMap, ModuleVector, _Record, enumerate_basis, theta
-from .qring import Laurent, ZERO, q_half, q_power, quantum_factorial
+from .modules import LinMap, ModuleVector, _Record, enumerate_basis
+from .qring import Laurent, ZERO, q_half
 
 __all__ = [
     "PermWord",
@@ -44,8 +47,6 @@ __all__ = [
 
 Composition = orbits.Composition
 OrbitIndex = orbits.OrbitIndex
-
-_Q_MINUS_QINV = Laurent({2: 1, -2: -1})
 
 
 class PermWord(_Record):
@@ -132,14 +133,10 @@ def _r_plus_columns(
     keyword hooks exist so tests can inject a wrong composition order or
     drop the scalar and watch the advertised failures appear."""
     scalar = Laurent({3 * d1 * d2: (-1) ** (d1 * d2)})
-    # Theta_R is the Theta of the bar involution with these coefficients
-    # in place of kappa.
-    coeffs = [
-        q_power(n * (n - 1) // 2) * _Q_MINUS_QINV ** n * quantum_factorial(n)
-        for n in range(min(d1, d2) + 1)
-    ]
     steps = {
-        "theta": lambda u: theta(u, 1, coeffs),
+        # F^(n) tensor E^(n) has bar-invariant entries on single factors,
+        # so Theta_R = bar Psi here, and bar Psi is linear
+        "theta": lambda u: bar_involution(u).map_coefficients(Laurent.bar),
         "cartan": _cartan_step,
         "swap": _swap_step,
     }
@@ -157,7 +154,9 @@ def _r_plus_columns(
 
 def r_plus_pair(d1: int, d2: int) -> RMap:
     """The positive braiding Lambda_(d1,d2) -> Lambda_(d2,d1); every
-    matrix entry must land in Z[q, q^-1]."""
+    matrix entry must land in Z[q, q^-1].  Reads kappa_1 .. kappa_min(d1, d2)
+    through the bar involution, so a cold call may solve them and raise
+    ConventionUnderdeterminedError from that solve."""
     if d1 < 0 or d2 < 0:
         raise ValueError("factor dimensions must be nonnegative")
     key = ("pair", d1, d2, "plus")

@@ -498,7 +498,24 @@ def suite_rmatrix(max_total: int) -> SuiteResult:
         for w in words:
             by_perm.setdefault(PermWord(len(d), w).permutation(), []).append(w)
         for perm, ws in by_perm.items():
-            moves = [r_move(d, w) for w in ws]
+            # a typed error from r_move is one recorded failure, not an abort
+            target = PermWord(len(d), ws[0]).apply_to(d)
+            inverse_word = tuple(reversed(ws[0]))
+            calls = [(d, w, "plus") for w in ws] + [
+                (target, inverse_word, "minus"),
+                (target, inverse_word, "plus"),
+                (d, ws[0], "minus"),
+            ]
+            built = []
+            for call in calls:
+                try:
+                    built.append(r_move(*call))
+                except AlgebraError as e:
+                    res.check(False, f"r_move{call} raised {type(e).__name__}")
+                    break
+            if len(built) < len(calls):
+                continue
+            *moves, minus, plus_back, minus_fwd = built
             for other in moves[1:]:
                 res.check(
                     other.map == moves[0].map,
@@ -512,14 +529,10 @@ def suite_rmatrix(max_total: int) -> SuiteResult:
                 ),
                 lambda: f"highest-weight scalar for {perm} on {d}",
             )
-            inverse_word = tuple(reversed(ws[0]))
-            minus = r_move(move.target, inverse_word, "minus")
             res.check(
                 minus.map.compose(move.map) == identity,
                 lambda: f"R_- R_+ != Id for {perm} on {d}",
             )
-            plus_back = r_move(move.target, inverse_word, "plus")
-            minus_fwd = r_move(d, ws[0], "minus")
             res.check(
                 plus_back.map.compose(minus_fwd.map) == identity,
                 lambda: f"R_+ R_- != Id for {perm} on {d}",
@@ -578,8 +591,13 @@ def suite_embed(max_total: int) -> SuiteResult:
         res.check(True, lambda: f"construction checks of embed_refine({d})")
         if len(d) == 2 and max(d) <= 2:
             for sign in ("plus", "minus"):
-                move = r_move(d, [1], sign)
-                lifted = r_move(fine, lift_word(d, [1]), sign)
+                try:
+                    move = r_move(d, [1], sign)
+                    lifted = r_move(fine, lift_word(d, [1]), sign)
+                except AlgebraError as e:
+                    name = type(e).__name__
+                    res.check(False, f"R_{sign} on {d} or its lift raised {name}")
+                    continue
                 lhs = embed_refine(move.target).compose(move.map)
                 rhs = lifted.map.compose(m)
                 res.check(

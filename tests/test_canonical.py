@@ -7,6 +7,7 @@ import random
 import pytest
 
 import qsl2.canonical as canonical_mod
+import qsl2.modules as modules_mod
 from qsl2 import orbits
 from qsl2 import (
     CanonicalTable,
@@ -81,6 +82,9 @@ def test_quasi_r_closed_form():
     ks = compute_quasi_r(8)
     for n in range(9):
         assert ks[n] == _closed_form_kappa(n)
+        # the closed-form coefficient of the braiding's Theta_R = bar Psi
+        theta_r = q_power(n * (n - 1) // 2) * (Q - QINV) ** n * quantum_factorial(n)
+        assert ks[n].bar() == theta_r
 
 
 def _reference_next_kappa(kappa):
@@ -130,6 +134,25 @@ def test_one_evaluation_solve_matches_two_trial_reference():
         assert new == old, n
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_kappa_solve_builds_the_top_term_once(monkeypatch, n):
+    # Theta's n-th term on Lambda_(n,n) is F^(n) v_0 tensor E^(n) v_n:
+    # the solve builds E^(n) v_n once, and theta skips the E^(n) half
+    # under the trial coefficient kappa_n = 0
+    real = modules_mod._act_divided_range
+    built = []
+
+    def counting(u, gen, k, lo, hi):
+        if gen == "E" and k == n:
+            built.append(u.d)
+        return real(u, gen, k, lo, hi)
+
+    clear_caches()
+    monkeypatch.setattr(modules_mod, "_act_divided_range", counting)
+    compute_quasi_r(n)
+    assert built == [(n,)]
+
+
 def test_wrong_f_action_leaves_kappa_underdetermined(monkeypatch):
     # F scaled by q breaks Psi F = F Psi for every kappa, so no solve
     # may return a value; the solved prefix stays at kappa_0
@@ -148,13 +171,16 @@ def test_wrong_f_action_leaves_kappa_underdetermined(monkeypatch):
         (lambda: canonical_basis((1,) * 9, 4), 2),
         (lambda: canonical_basis((3, 1), 2), 2),
         (lambda: canonical_basis((2, 2), 2), 3),
-        (lambda: bar_involution(V((1, 1, 1, 1), (0, 1, 0, 1))), 3),
+        (lambda: bar_involution(V((1, 1, 1, 1), (0, 1, 0, 1))), 2),
+        (lambda: bar_involution(V((1, 1, 1, 1), (0, 1, 0, 1)), cut=2), 3),
+        (lambda: r_plus_pair(1, 5), 2),
     ],
-    ids=["1x9-r4", "3-1-r2", "2-2-r2", "bar-1-1-1-1"],
+    ids=["1x9-r4", "3-1-r2", "2-2-r2", "bar-1-1-1-1", "bar-1-1-1-1-cut2", "rplus-1-5"],
 )
 def test_kappa_is_solved_only_as_far_as_it_is_read(solve, solved):
-    # a table reads kappa_n for n <= max_k min(d_k, d_(k+1) + ... + d_l);
-    # bar_involution keeps n <= sum(d) // 2
+    # a table, and Psi nested at cut 1, read kappa_n for
+    # n <= max_k min(d_k, d_(k+1) + ... + d_l); a top cut c adds
+    # min(d_0 + ... + d_(c-1), d_c + ... + d_l) (canonical._kappa_reach)
     clear_caches()
     solve()
     assert len(canonical_mod._KAPPA) == solved

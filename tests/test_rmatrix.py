@@ -16,9 +16,9 @@ from qsl2 import (
     r_plus_pair,
 )
 from qsl2.errors import NonReducedWordError
-from qsl2.modules import LinMap, act_E, act_F, act_K, combine, enumerate_basis
-from qsl2.qring import ONE, ZERO, q_power
-from qsl2.rmatrix import _r_plus_columns
+from qsl2.modules import LinMap, act_E, act_F, act_K, combine, enumerate_basis, theta
+from qsl2.qring import ONE, Q, QINV, ZERO, q_power, quantum_factorial
+from qsl2.rmatrix import _cartan_step, _r_plus_columns, _swap_step
 
 V = ModuleVector.basis
 
@@ -137,6 +137,28 @@ def test_pair_inverse_both_ways():
         n = r_minus_pair(d2, d1)
         assert n.map.compose(p.map).columns == LinMap.identity((d1, d2)).columns
         assert p.map.compose(n.map).columns == LinMap.identity((d2, d1)).columns
+
+
+def _reference_r_plus(d1, d2):
+    """The standard columns of R_+ as the package once built them, from
+    the closed form Theta_R = sum_n q^(n(n-1)/2) (q - q^-1)^n [n]!
+    F^(n) tensor E^(n), then the Cartan step, the swap and the scalar."""
+    coeffs = [
+        q_power(n * (n - 1) // 2) * (Q - QINV) ** n * quantum_factorial(n)
+        for n in range(min(d1, d2) + 1)
+    ]
+    scalar = Laurent({3 * d1 * d2: (-1) ** (d1 * d2)})
+    return {
+        idx: _swap_step(_cartan_step(theta(V((d1, d2), idx), 1, coeffs))).scale(scalar)
+        for r in range(d1 + d2 + 1)
+        for idx in enumerate_basis((d1, d2), r)
+    }
+
+
+def test_r_plus_matches_the_closed_form_theta():
+    for d1 in range(6):
+        for d2 in range(6):
+            assert _r_plus_columns(d1, d2) == _reference_r_plus(d1, d2), (d1, d2)
 
 
 def _reference_r_minus(d1, d2):

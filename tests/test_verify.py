@@ -7,6 +7,7 @@ import os
 import pytest
 
 import qsl2.canonical as canonical_mod
+import qsl2.rmatrix as rmatrix_mod
 import qsl2.verify as verify_mod
 from qsl2 import (
     CanonicalTable,
@@ -16,6 +17,7 @@ from qsl2 import (
     clear_caches,
     cli,
     compositions,
+    compute_quasi_r,
     orbits,
     run_all,
 )
@@ -170,6 +172,49 @@ def test_suite_embed_catches_a_perturbed_row(monkeypatch):
     # in the memo without its product coordinates
     monkeypatch.undo()
     clear_caches()
+
+
+@pytest.fixture
+def cleared():
+    """Empty caches before and after, so no planted fault outlives the test."""
+    clear_caches()
+    yield
+    clear_caches()
+
+
+def test_suite_rmatrix_records_an_error_from_r_move(monkeypatch, capsys, cleared):
+    # R_+ without its scalar leaks half powers; the typed error is one
+    # recorded failure, and verify goes on to the other suites
+    real = rmatrix_mod._r_plus_columns
+    monkeypatch.setattr(
+        rmatrix_mod, "_r_plus_columns", lambda d1, d2: real(d1, d2, with_scalar=False)
+    )
+    res = SUITES["rmatrix"](2)
+    assert res.failures == ["r_move((1, 1), (1,), 'plus') raised HalfPowerLeakError"]
+    res = SUITES["embed"](2)
+    assert res.failures == [
+        f"R_{sign} on (1, 1) or its lift raised HalfPowerLeakError"
+        for sign in ("plus", "minus")
+    ]
+    # so the command prints every suite's line and fails, not a traceback
+    assert cli.main(["verify", "--max-total", "2"]) == 1
+    out = capsys.readouterr().out
+    suites = [line.split()[1] for line in out.splitlines() if line.startswith("suite ")]
+    assert suites == sorted(SUITES)
+    assert out.endswith("FAILED at max total 2\n")
+
+
+def test_suite_rmatrix_catches_a_negated_kappa(cleared):
+    # both braidings read the solved kappa through Psi, so R_- stays the
+    # inverse of R_+ and the planted sign shows as broken intertwining
+    compute_quasi_r(1)
+    canonical_mod._KAPPA[1] = -canonical_mod._KAPPA[1]
+    res = SUITES["rmatrix"](2)
+    assert res.checks == 77
+    assert len(res.failures) == 4
+    assert all(
+        w.startswith("intertwining ") and w.endswith(" on (1, 1)") for w in res.failures
+    ), res.failures
 
 
 def test_failing_lazy_witnesses_render_the_eager_text(monkeypatch):

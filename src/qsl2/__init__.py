@@ -71,7 +71,6 @@ from .canonical import (
 )
 from .rmatrix import (
     PermWord,
-    RMap,
     lift_word,
     matrix_in_basis,
     r_minus_pair,
@@ -100,7 +99,6 @@ __all__ = [
     "PermWord",
     "Q",
     "QINV",
-    "RMap",
     "SplitTable",
     "SuiteResult",
     "TotalMismatchError",

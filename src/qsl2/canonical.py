@@ -1,13 +1,14 @@
 """Bar involution, canonical bases, split expansion, refinement embedding.
 
 The bar involution Psi on Lambda_d is anti-linear (coefficients are
-barred), fixes every standard basis vector of a single factor, and on a
-tensor product is the naive factorwise bar corrected by the quasi-R
-operator Theta = sum_n kappa_n F^(n) tensor E^(n), applied with F^(n)
-on the left block and E^(n) on the right block of a chosen cut.  The
-recursion nests left to right by default; coassociativity makes the
-result independent of the nesting, which the verification suite checks
-rather than assumes.
+barred) and fixes every standard basis vector of a single factor.  On a
+tensor product, a chosen cut splits the slots into a left and a right
+block, and Psi(v_r) is the quasi-R operator
+Theta = sum_n kappa_n F^(n) tensor E^(n) applied to Psi of the left
+block's part of v_r and Psi of the right block's part.  The recursion
+nests left to right by default; coassociativity makes the result
+independent of the nesting, which the verification suite checks rather
+than assumes.
 
 The coefficients kappa_n are not hard-coded.  kappa_0 = 1, and each
 kappa_n is the unique solution of the intertwining condition
@@ -91,6 +92,7 @@ from functools import reduce
 
 from . import orbits
 from .errors import (
+    AmbientMismatchError,
     ConventionUnderdeterminedError,
     EmbeddingCheckFailedError,
     NonzeroConstantTermError,
@@ -151,7 +153,7 @@ _KAPPA: list[Laurent] = [ONE]
 # CanonicalTable (with its product coordinates when len(d) > 1),
 # ("E", d, idx, n) -> the canonical coordinates of E^(n) b_idx
 # (len(d) > 1), ("embed", d) -> LinMap, and ("pair", d1, d2, sign) ->
-# RMap (filled by rmatrix).  Emptied, with _KAPPA, by clear_caches.
+# LinMap (filled by rmatrix).  Emptied, with _KAPPA, by clear_caches.
 _MEMO: dict[tuple, object] = {}
 
 
@@ -196,7 +198,7 @@ def _psi_basis(
     if out is None:
         left = _psi_vector(ModuleVector.basis(d[:cut], idx[:cut]), kappa, 1, store)
         right = _psi_vector(ModuleVector.basis(d[cut:], idx[cut:]), kappa, 1, store)
-        out = store[key] = theta(tensor(left, right), cut, kappa)
+        out = store[key] = theta(left, right, kappa)
     return out
 
 
@@ -650,6 +652,10 @@ def canonical_coords(
     """Expand u over the canonical basis of its level by unitriangular
     back-substitution; returns (index, coefficient) pairs in the table
     order, zeros omitted."""
+    if u.d != table.d:
+        raise AmbientMismatchError(
+            f"vector over Lambda_{u.d} against the table of Lambda_{table.d}"
+        )
     coords = _back_substitute(
         dict(u._terms), table.order, {idx: row._terms for idx, row in table.rows.items()}
     )

@@ -7,11 +7,13 @@ Lambda_d for a single part d has basis v_0, ..., v_d with
 and v_(-1) = v_(d+1) = 0.  For a composition d = (d_1, ..., d_l) the
 module Lambda_d is the tensor product of the Lambda_(d_k); the standard
 basis v_r is indexed by orbit indices r = (r_1, ..., r_l).  E and F act
-through the comultiplication: E picks up a K on every factor to the left
-of the slot it lowers, F picks up a K^-1 on every factor to the right.
-Divided powers iterate the action and then divide every coefficient by
-the quantum factorial; a failed division is an integrality bug and is
-surfaced as such rather than repaired.
+on the whole module through the comultiplication: E picks up a K on
+every factor to the left of the slot it lowers, F picks up a K^-1 on
+every factor to the right.  Divided powers iterate the action and then
+divide every coefficient by the quantum factorial; a failed division is
+an integrality bug and is surfaced as such rather than repaired.  The
+quasi-R operator theta acts on two factor vectors u and w, as
+sum_n c_n F^(n) u tensor E^(n) w.
 
 The twisted adjoint rho (rho(K) = K, rho(E) = qKF, rho(F) = qK^-1 E)
 makes the inner product contravariant: (x u, w) = (u, rho(x) w).  On
@@ -271,16 +273,15 @@ def _step_scalar(m: int, k: int) -> Laurent:
     return quantum_integer(m) * q_power(k)
 
 
-def _act_e_range(u: ModuleVector, lo: int, hi: int) -> ModuleVector:
-    """E through the comultiplication, restricted to slots lo..hi-1.
-    The slot being lowered contributes [d_k - r_k + 1]; slots before it
-    inside the range contribute their K-weight."""
+def act_E(u: ModuleVector) -> ModuleVector:
+    """E through the comultiplication.  The slot being lowered
+    contributes [d_k - r_k + 1]; slots before it contribute their
+    K-weight."""
     d = u.d
     data: dict[OrbitIndex, Laurent] = {}
     for idx, c in u._terms.items():
         kweight = 0
-        for k in range(lo, hi):
-            rk = idx[k]
+        for k, rk in enumerate(idx):
             if rk > 0:
                 scalar = c * _step_scalar(d[k] - rk + 1, kweight)
                 _accumulate(data, idx[:k] + (rk - 1,) + idx[k + 1 :], scalar)
@@ -288,15 +289,15 @@ def _act_e_range(u: ModuleVector, lo: int, hi: int) -> ModuleVector:
     return ModuleVector._make(d, data)
 
 
-def _act_f_range(u: ModuleVector, lo: int, hi: int) -> ModuleVector:
-    """F through the comultiplication on slots lo..hi-1; slots after the
-    raised one inside the range contribute their inverse K-weight."""
+def act_F(u: ModuleVector) -> ModuleVector:
+    """F through the comultiplication; slots after the raised one
+    contribute their inverse K-weight."""
     d = u.d
+    total = sum(d)
     data: dict[OrbitIndex, Laurent] = {}
     for idx, c in u._terms.items():
-        tail = sum(d[i] - 2 * idx[i] for i in range(lo, hi))
-        for k in range(lo, hi):
-            rk = idx[k]
+        tail = total - 2 * sum(idx)
+        for k, rk in enumerate(idx):
             tail -= d[k] - 2 * rk
             if rk < d[k]:
                 scalar = c * _step_scalar(rk + 1, -tail)
@@ -304,23 +305,16 @@ def _act_f_range(u: ModuleVector, lo: int, hi: int) -> ModuleVector:
     return ModuleVector._make(d, data)
 
 
-def act_E(u: ModuleVector) -> ModuleVector:
-    return _act_e_range(u, 0, len(u.d))
-
-
-def act_F(u: ModuleVector) -> ModuleVector:
-    return _act_f_range(u, 0, len(u.d))
-
-
-def _act_divided_range(
-    u: ModuleVector, gen: str, n: int, lo: int, hi: int
-) -> ModuleVector:
+def act_divided(u: ModuleVector, gen: str, n: int) -> ModuleVector:
+    """E^(n) or F^(n): iterate, then exactly divide by [n]!."""
+    if gen not in ("E", "F"):
+        raise ValueError(f"unknown generator {gen!r}")
     if n < 0:
         raise ValueError("divided power needs n >= 0")
-    step = {"E": _act_e_range, "F": _act_f_range}[gen]
+    step = act_E if gen == "E" else act_F
     v = u
     for _ in range(n):
-        v = step(v, lo, hi)
+        v = step(v)
     if n <= 1 or v.is_zero():
         return v
     fact = quantum_factorial(n)
@@ -332,40 +326,36 @@ def _act_divided_range(
         ) from e
 
 
-def theta(u: ModuleVector, cut: int, coeffs: list[Laurent]) -> ModuleVector:
-    """sum_n coeffs[n] F^(n) (slots before cut) E^(n) (slots from cut on).
-    The sum stops at the first n whose term vanishes; a nonzero term
-    beyond the end of coeffs is a ValueError.  The E^(n) half of a term
-    with a zero coefficient is skipped: F and E act on disjoint slots and
-    commute, so once a term vanishes every later one does too."""
-    l = len(u.d)
+def theta(
+    left: ModuleVector, right: ModuleVector, coeffs: list[Laurent]
+) -> ModuleVector:
+    """sum_n coeffs[n] F^(n) left tensor E^(n) right, on
+    Lambda_(left.d + right.d).  The sum stops at the first n whose F or
+    E half vanishes; a nonzero term beyond the end of coeffs is a
+    ValueError.  The E^(n) half of a term with a zero coefficient is
+    skipped: once F^(n) left or E^(n) right vanishes, so does every
+    later one."""
+    d = left.d + right.d
     terms: list[tuple[Laurent, ModuleVector]] = []
     n = 0
     while True:
-        f_part = _act_divided_range(u, "F", n, 0, cut)
+        f_part = act_divided(left, "F", n)
         if f_part.is_zero():
             break
         if n < len(coeffs) and coeffs[n].is_zero():
             n += 1
             continue
-        term = _act_divided_range(f_part, "E", n, cut, l)
-        if term.is_zero():
+        e_part = act_divided(right, "E", n)
+        if e_part.is_zero():
             break
         if n >= len(coeffs):
             raise ValueError(
                 f"coefficient sequence of length {len(coeffs)} too short "
-                f"for Lambda_{u.d}"
+                f"for Lambda_{d}"
             )
-        terms.append((coeffs[n], term))
+        terms.append((coeffs[n], tensor(f_part, e_part)))
         n += 1
-    return combine(u.d, terms)
-
-
-def act_divided(u: ModuleVector, gen: str, n: int) -> ModuleVector:
-    """E^(n) or F^(n): iterate, then exactly divide by [n]!."""
-    if gen not in ("E", "F"):
-        raise ValueError(f"unknown generator {gen!r}")
-    return _act_divided_range(u, gen, n, 0, len(u.d))
+    return combine(d, terms)
 
 
 # -- inner product and the adjoint twist ---------------------------------------

@@ -20,10 +20,14 @@ positive one's; it is checked to be the exact two-sided inverse of the
 positive braiding on construction.  Longer moves compose pair
 braidings letter by letter along a reduced word, tracking the evolving
 composition; the result depends only on the permutation, which the
-verification suite confirms by comparing reduced words.
+verification suite confirms by comparing reduced words.  Every braiding
+is a plain LinMap, its source and target the compositions before and
+after the move.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterable
 
 from . import orbits
 from .canonical import _MEMO, bar_involution, canonical_basis, canonical_coords
@@ -37,7 +41,6 @@ from .qring import Laurent, ZERO, q_half
 
 __all__ = [
     "PermWord",
-    "RMap",
     "r_plus_pair",
     "r_minus_pair",
     "r_move",
@@ -51,14 +54,17 @@ OrbitIndex = orbits.OrbitIndex
 
 class PermWord(_Record):
     """A word in the adjacent transpositions s_1 .. s_(slots-1), letters
-    1-based and applied left to right."""
+    1-based and applied left to right, stored as a tuple."""
 
     __slots__ = ("slots", "letters")
 
-    def __init__(self, slots: int, letters: tuple[int, ...]):
+    def __init__(self, slots: int, letters: Iterable[int]):
         if slots < 1:
             raise ValueError("a word needs at least one slot")
+        letters = tuple(letters)
         for a in letters:
+            if not isinstance(a, int):
+                raise ValueError(f"letter {a!r} is not an int")
             if not 1 <= a <= slots - 1:
                 raise ValueError(f"letter {a} out of range for {slots} slots")
         self._set(slots=slots, letters=letters)
@@ -87,21 +93,6 @@ class PermWord(_Record):
             raise ValueError(f"word on {self.slots} slots applied to {d}")
         arr = self.permutation()
         return tuple(d[arr[pos]] for pos in range(self.slots))
-
-
-class RMap(_Record):
-    """A braiding move: sign, source and target compositions, and the
-    underlying standard-basis column map."""
-
-    __slots__ = ("sign", "source", "target", "map")
-
-    def __init__(
-        self, sign: str, source: Composition, target: Composition, map: LinMap
-    ):
-        self._set(sign=sign, source=source, target=target, map=map)
-
-    def apply(self, u: ModuleVector) -> ModuleVector:
-        return self.map.apply(u)
 
 
 # -- the pair braiding ---------------------------------------------------------
@@ -152,7 +143,7 @@ def _r_plus_columns(
     return columns
 
 
-def r_plus_pair(d1: int, d2: int) -> RMap:
+def r_plus_pair(d1: int, d2: int) -> LinMap:
     """The positive braiding Lambda_(d1,d2) -> Lambda_(d2,d1); every
     matrix entry must land in Z[q, q^-1].  Reads kappa_1 .. kappa_min(d1, d2)
     through the bar involution, so a cold call may solve them and raise
@@ -171,12 +162,12 @@ def r_plus_pair(d1: int, d2: int) -> RMap:
                     f"entry ({c}) of R_+ on ({d1},{d2}) at {idx} -> {s} "
                     f"has a half power of q"
                 )
-    out = RMap("plus", (d1, d2), (d2, d1), LinMap((d1, d2), (d2, d1), columns))
+    out = LinMap((d1, d2), (d2, d1), columns)
     _MEMO[key] = out
     return out
 
 
-def r_minus_pair(d1: int, d2: int) -> RMap:
+def r_minus_pair(d1: int, d2: int) -> LinMap:
     """The negative braiding Psi R_+ Psi, whose canonical matrix is the
     entrywise bar of that of r_plus_pair(d1, d2).  Checked to invert
     r_plus_pair(d2, d1) on both sides before being returned."""
@@ -186,23 +177,23 @@ def r_minus_pair(d1: int, d2: int) -> RMap:
     cached = _MEMO.get(key)
     if cached is not None:
         return cached
-    plus = r_plus_pair(d1, d2).map
+    plus = r_plus_pair(d1, d2)
     src, tgt = (d1, d2), (d2, d1)
     columns = {
         idx: bar_involution(plus.apply(bar_involution(ModuleVector.basis(src, idx))))
         for r in range(d1 + d2 + 1)
         for idx in enumerate_basis(src, r)
     }
-    out = RMap("minus", src, tgt, LinMap(src, tgt, columns))
+    out = LinMap(src, tgt, columns)
 
     partner = r_plus_pair(d2, d1)
     ident_src = LinMap.identity(src)
     ident_tgt = LinMap.identity(tgt)
-    if partner.map.compose(out.map) != ident_src:
+    if partner.compose(out) != ident_src:
         raise InverseCheckFailedError(
             f"R_+({d2},{d1}) after R_-({d1},{d2}) is not the identity"
         )
-    if out.map.compose(partner.map) != ident_tgt:
+    if out.compose(partner) != ident_tgt:
         raise InverseCheckFailedError(
             f"R_-({d1},{d2}) after R_+({d2},{d1}) is not the identity"
         )
@@ -228,26 +219,33 @@ def _extend_pair(pair: LinMap, c: Composition, a: int) -> LinMap:
     return LinMap(c, new_c, columns)
 
 
+def _word_on(d: Composition, word: PermWord | Iterable[int]) -> PermWord:
+    """word as a PermWord on the slots of d: a sequence of letters is
+    checked by the PermWord constructor, a PermWord for its slot count."""
+    if not isinstance(word, PermWord):
+        return PermWord(len(d), word)
+    if word.slots != len(d):
+        raise ValueError(f"word on {word.slots} slots against {d}")
+    return word
+
+
 def r_move(
-    d: Composition, word: PermWord | tuple[int, ...] | list[int], sign: str = "plus"
-) -> RMap:
+    d: Composition, word: PermWord | Iterable[int], sign: str = "plus"
+) -> LinMap:
     """Compose pair braidings along a reduced word, one letter at a
     time, left to right.  The result depends only on the permutation;
     a non-reduced word is rejected rather than silently normalized."""
     d = orbits.check_composition(d)
     if sign not in ("plus", "minus"):
         raise ValueError(f"sign must be plus or minus, got {sign!r}")
-    if not isinstance(word, PermWord):
-        word = PermWord(len(d), tuple(word))
-    elif word.slots != len(d):
-        raise ValueError(f"word on {word.slots} slots against {d}")
+    word = _word_on(d, word)
     if not word.is_reduced():
         raise NonReducedWordError(
             f"word {list(word.letters)} has length {len(word.letters)} "
             f"but only {word.inversions()} inversions"
         )
     if not word.letters:
-        return RMap(sign, d, d, LinMap.identity(d))
+        return LinMap.identity(d)
     total = None
     current = d
     for a in word.letters:
@@ -256,25 +254,20 @@ def r_move(
             if sign == "plus"
             else r_minus_pair(current[a - 1], current[a])
         )
-        step = _extend_pair(pair.map, current, a)
+        step = _extend_pair(pair, current, a)
         total = step if total is None else step.compose(total)
         current = step.target
-    return RMap(sign, d, current, total)
+    return total
 
 
-def lift_word(
-    d: Composition, word: PermWord | tuple[int, ...] | list[int]
-) -> list[int]:
+def lift_word(d: Composition, word: PermWord | Iterable[int]) -> list[int]:
     """Refine a word on the slots of d to a word on the sum(d) strands
     of the dense refinement: each letter becomes the block shuffle
     moving d_a strands past d_(a+1) strands."""
     d = orbits.check_composition(d)
-    letters = word.letters if isinstance(word, PermWord) else tuple(word)
     current = list(d)
     out: list[int] = []
-    for a in letters:
-        if not 1 <= a <= len(current) - 1:
-            raise ValueError(f"letter {a} out of range for {len(current)} slots")
+    for a in _word_on(d, word).letters:
         m, n = current[a - 1], current[a]
         offset = sum(current[: a - 1])
         out.extend(offset + m - i + j for j in range(n) for i in range(m))
@@ -286,27 +279,26 @@ def lift_word(
 
 
 def matrix_in_basis(
-    m: RMap | LinMap, basis: str = "standard"
+    m: LinMap, basis: str = "standard"
 ) -> dict[int, list[list[Laurent]]]:
-    """Per-level matrices of a weight-preserving map; rows run over the
-    target linear extension, columns over the source one.  Levels are
-    the blocks of the weight decomposition, so the full map is the
-    direct sum of the returned matrices.  Accepts a braiding move or
-    any bare column map (the refinement embedding, for instance)."""
+    """Per-level matrices of a weight-preserving map (a braiding move,
+    the refinement embedding); rows run over the target linear
+    extension, columns over the source one.  Levels are the blocks of
+    the weight decomposition, so the full map is the direct sum of the
+    returned matrices."""
     if basis not in ("standard", "canonical"):
         raise ValueError(f"basis must be standard or canonical, got {basis!r}")
-    linmap = m.map if isinstance(m, RMap) else m
     out: dict[int, list[list[Laurent]]] = {}
-    for r in range(sum(linmap.source) + 1):
-        src_order = enumerate_basis(linmap.source, r)
-        tgt_order = enumerate_basis(linmap.target, r)
+    for r in range(sum(m.source) + 1):
+        src_order = enumerate_basis(m.source, r)
+        tgt_order = enumerate_basis(m.target, r)
         if basis == "standard":
-            entry = lambda i, j: linmap.columns[j].coeff(i)
+            entry = lambda i, j: m.columns[j].coeff(i)
         else:
-            s_table = canonical_basis(linmap.source, r)
-            t_table = canonical_basis(linmap.target, r)
+            s_table = canonical_basis(m.source, r)
+            t_table = canonical_basis(m.target, r)
             coords = {
-                j: dict(canonical_coords(t_table, linmap.apply(s_table.rows[j])))
+                j: dict(canonical_coords(t_table, m.apply(s_table.rows[j])))
                 for j in s_table.order
             }
             entry = lambda i, j: coords[j].get(i, ZERO)

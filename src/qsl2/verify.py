@@ -518,7 +518,7 @@ def suite_rmatrix(max_total: int) -> SuiteResult:
             *moves, minus, plus_back, minus_fwd = built
             for other in moves[1:]:
                 res.check(
-                    other.map == moves[0].map,
+                    other == moves[0],
                     lambda: f"word dependence for {perm} on {d}",
                 )
             move = moves[0]
@@ -530,11 +530,11 @@ def suite_rmatrix(max_total: int) -> SuiteResult:
                 lambda: f"highest-weight scalar for {perm} on {d}",
             )
             res.check(
-                minus.map.compose(move.map) == identity,
+                minus.compose(move) == identity,
                 lambda: f"R_- R_+ != Id for {perm} on {d}",
             )
             res.check(
-                plus_back.map.compose(minus_fwd.map) == identity,
+                plus_back.compose(minus_fwd) == identity,
                 lambda: f"R_+ R_- != Id for {perm} on {d}",
             )
             for r in range(total + 1):
@@ -598,8 +598,8 @@ def suite_embed(max_total: int) -> SuiteResult:
                     name = type(e).__name__
                     res.check(False, f"R_{sign} on {d} or its lift raised {name}")
                     continue
-                lhs = embed_refine(move.target).compose(move.map)
-                rhs = lifted.map.compose(m)
+                lhs = embed_refine(move.target).compose(move)
+                rhs = lifted.compose(m)
                 res.check(
                     lhs == rhs,
                     lambda: f"refinement compatibility of R_{sign} on {d}",

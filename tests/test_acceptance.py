@@ -271,18 +271,18 @@ def test_criterion_09_braiding_suite():
             a = r_move(d, [1, 2, 1])
             b = r_move(d, [2, 1, 2])
             assert a.target == b.target
-            assert a.map.columns == b.map.columns
+            assert a.columns == b.columns
             tested.append(a)
         for d1 in range(1, 4):
             for d2 in range(1, 4):
                 p = r_plus_pair(d1, d2)
                 n = r_minus_pair(d2, d1)
                 assert (
-                    n.map.compose(p.map).columns
+                    n.compose(p).columns
                     == LinMap.identity((d1, d2)).columns
                 )
                 assert (
-                    p.map.compose(n.map).columns
+                    p.compose(n).columns
                     == LinMap.identity((d2, d1)).columns
                 )
                 tested.append(p)
@@ -321,8 +321,8 @@ def test_criterion_10_refinement_compatibility():
                 coarse = r_move(d, [1], sign=sign)
                 phi_dst = embed_refine(coarse.target)
                 lifted = r_move(fine, lift_word(d, [1]), sign=sign)
-                left = phi_dst.compose(coarse.map)
-                right = lifted.map.compose(phi_src)
+                left = phi_dst.compose(coarse)
+                right = lifted.compose(phi_src)
                 assert left.columns == right.columns
 
     _criterion(10, 30.0, body)

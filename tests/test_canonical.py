@@ -25,6 +25,7 @@ from qsl2 import (
 )
 from qsl2.errors import (
     AlgebraError,
+    AmbientMismatchError,
     ConventionUnderdeterminedError,
     EmbeddingCheckFailedError,
     NonzeroConstantTermError,
@@ -139,16 +140,18 @@ def test_kappa_solve_builds_the_top_term_once(monkeypatch, n):
     # Theta's n-th term on Lambda_(n,n) is F^(n) v_0 tensor E^(n) v_n:
     # the solve builds E^(n) v_n once, and theta skips the E^(n) half
     # under the trial coefficient kappa_n = 0
-    real = modules_mod._act_divided_range
+    real = modules_mod.act_divided
     built = []
 
-    def counting(u, gen, k, lo, hi):
+    def counting(u, gen, k):
         if gen == "E" and k == n:
             built.append(u.d)
-        return real(u, gen, k, lo, hi)
+        return real(u, gen, k)
 
     clear_caches()
-    monkeypatch.setattr(modules_mod, "_act_divided_range", counting)
+    # theta reads the modules binding, the solve the canonical one
+    monkeypatch.setattr(modules_mod, "act_divided", counting)
+    monkeypatch.setattr(canonical_mod, "act_divided", counting)
     compute_quasi_r(n)
     assert built == [(n,)]
 
@@ -329,6 +332,12 @@ def test_canonical_coords_rejects_wrong_level():
     t = canonical_basis((2, 2), 2)
     with pytest.raises(TriangularityViolationError):
         canonical_coords(t, V((2, 2), (1, 0)))
+
+
+def test_canonical_coords_rejects_another_ambient():
+    table = canonical_basis((1, 1), 1)
+    with pytest.raises(AmbientMismatchError, match=r"\(2,\).*\(1, 1\)"):
+        canonical_coords(table, V((2,), (1,)))
 
 
 def test_canonical_table_json_roundtrip():

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from qsl2 import compositions, compute_quasi_r
 from qsl2.errors import AmbientMismatchError
 from qsl2.modules import (
     LinMap,
@@ -21,6 +22,7 @@ from qsl2.modules import (
     inner_product,
     rho_twist,
     tensor,
+    theta,
 )
 from qsl2.qring import (
     Laurent,
@@ -31,6 +33,7 @@ from qsl2.qring import (
     exact_div,
     q_power,
     quantum_binomial,
+    quantum_factorial,
     quantum_integer,
 )
 
@@ -348,24 +351,26 @@ def test_inner_product_matches_reference_loop():
                     assert inner_product(a, b) == _reference_inner_product(a, b)
 
 
-def _reference_act(u, gen):
+def _reference_act(u, gen, slots=None):
     """E or F term by term, with the step scalar built from
-    quantum_integer(m) * q_power(k) for every term."""
-    d, l = u.d, len(u.d)
+    quantum_integer(m) * q_power(k) for every term; given a range of
+    slots, the comultiplication restricted to those slots."""
+    d = u.d
+    slots = range(len(d)) if slots is None else slots
     out = ModuleVector.zero(d)
     for idx, c in u.items():
-        for k in range(l):
+        for k in slots:
             rk = idx[k]
             if gen == "E":
                 if rk == 0:
                     continue
                 m, target = d[k] - rk + 1, rk - 1
-                kw = sum(d[i] - 2 * idx[i] for i in range(k))
+                kw = sum(d[i] - 2 * idx[i] for i in slots if i < k)
             else:
                 if rk == d[k]:
                     continue
                 m, target = rk + 1, rk + 1
-                kw = -sum(d[i] - 2 * idx[i] for i in range(k + 1, l))
+                kw = -sum(d[i] - 2 * idx[i] for i in slots if i > k)
             step = quantum_integer(m) * q_power(kw)
             image = idx[:k] + (target,) + idx[k + 1 :]
             out = out + ModuleVector.basis(d, image).scale(c * step)
@@ -382,3 +387,38 @@ def test_act_e_f_match_reference_step_scalars():
             for u in vectors:
                 assert act_E(u) == _reference_act(u, "E")
                 assert act_F(u) == _reference_act(u, "F")
+
+
+def _reference_theta(u, cut, coeffs):
+    """Theta as the package once applied it, to a vector u of the whole
+    module: sum_n coeffs[n] F^(n) on the slots before cut and E^(n) on
+    the slots from cut on, each through the comultiplication restricted
+    to its slot range."""
+
+    def divided(w, gen, n, slots):
+        for _ in range(n):
+            w = _reference_act(w, gen, slots)
+        fact = quantum_factorial(n)
+        return w.map_coefficients(lambda c: exact_div(c, fact))
+
+    left, right = range(cut), range(cut, len(u.d))
+    out = ModuleVector.zero(u.d)
+    n = 0
+    while True:
+        term = divided(divided(u, "F", n, left), "E", n, right)
+        if term.is_zero():
+            return out
+        out = out + term.scale(coeffs[n])
+        n += 1
+
+
+def test_theta_on_two_factors_matches_the_slot_range_reference():
+    kappa = compute_quasi_r(3)
+    for d in compositions(6):
+        for cut in range(1, len(d)):
+            for r in range(sum(d) + 1):
+                for idx in enumerate_basis(d, r):
+                    left, right = v(d[:cut], *idx[:cut]), v(d[cut:], *idx[cut:])
+                    assert theta(left, right, kappa) == _reference_theta(
+                        v(d, *idx), cut, kappa
+                    ), (d, cut, idx)

@@ -1,4 +1,4 @@
-"""The value records (LinMap, CanonicalTable, SplitTable, PermWord, RMap,
+"""The value records (LinMap, CanonicalTable, SplitTable, PermWord,
 SuiteResult): field-wise equality, hash and repr, frozen fields, and
 copy and pickle round trips."""
 
@@ -12,11 +12,9 @@ from qsl2 import (
     LinMap,
     ModuleVector,
     PermWord,
-    RMap,
     SplitTable,
     SuiteResult,
     canonical_basis,
-    r_plus_pair,
     split_expand,
 )
 from qsl2.qring import ONE
@@ -27,7 +25,6 @@ def _records():
     one compared field) for each frozen record type."""
     table = canonical_basis((1, 1, 1), 1)
     split = split_expand((1, 2), 1, 1)
-    pair = r_plus_pair(1, 1)
     ident = LinMap.identity((1, 1))
     return {
         "LinMap": (
@@ -48,13 +45,6 @@ def _records():
             SplitTable(split.d, split.cut, split.r, split.order, {}),
         ),
         "PermWord": (PermWord(3, (1, 2)), PermWord(3, (1, 2)), PermWord(3, (2, 1))),
-        "RMap": (
-            pair,
-            RMap(
-                "plus", (1, 1), (1, 1), LinMap((1, 1), (1, 1), dict(pair.map.columns))
-            ),
-            RMap("minus", (1, 1), (1, 1), pair.map),
-        ),
     }
 
 
@@ -63,7 +53,6 @@ FIELDS = {
     "CanonicalTable": ("d", "r", "order", "rows", "product"),
     "SplitTable": ("d", "cut", "r", "order", "rows"),
     "PermWord": ("slots", "letters"),
-    "RMap": ("sign", "source", "target", "map"),
 }
 RECORDS = sorted(FIELDS)
 
@@ -102,10 +91,6 @@ def test_repr_strings():
     split = split_expand((1, 2), 1, 1)
     assert repr(split) == (
         f"SplitTable(d=(1, 2), cut=1, r=1, order={split.order!r}, rows={split.rows!r})"
-    )
-    pair = r_plus_pair(1, 1)
-    assert repr(pair) == (
-        f"RMap(sign='plus', source=(1, 1), target=(1, 1), map={pair.map!r})"
     )
     assert repr(SuiteResult("x")) == (
         "SuiteResult(name='x', checks=0, failures=[], truncated=False)"

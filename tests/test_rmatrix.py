@@ -49,6 +49,29 @@ def test_permword_validation():
         PermWord(3, (1,)).apply_to((1, 1))
 
 
+def test_permword_stores_a_tuple_and_rejects_non_int_letters():
+    w = PermWord(3, [1, 2])
+    assert w.letters == (1, 2)
+    assert hash(w) == hash(PermWord(3, (1, 2)))
+    assert w == PermWord(3, (1, 2))
+    with pytest.raises(ValueError, match="letter 1.0 is not an int"):
+        PermWord(3, (1.0,))
+
+
+def test_move_rejects_a_non_int_letter():
+    with pytest.raises(ValueError, match="letter 1.0 is not an int"):
+        r_move((1, 1, 1), [1.0])
+
+
+def test_lift_word_checks_the_slot_count_of_a_permword():
+    with pytest.raises(ValueError, match=r"word on 3 slots against \(1, 1\)"):
+        lift_word((1, 1), PermWord(3, (1,)))
+    with pytest.raises(ValueError, match=r"word on 3 slots against \(1, 1\)"):
+        r_move((1, 1), PermWord(3, (1,)))
+    with pytest.raises(ValueError, match="letter 2 out of range for 2 slots"):
+        lift_word((1, 1), [2])
+
+
 def test_lift_word_anchors():
     assert lift_word((2, 2), [1]) == [2, 1, 3, 2]
     assert lift_word((2, 1), [1]) == [2, 1]
@@ -126,7 +149,7 @@ def test_pair_entries_are_laurent_in_q():
     for d1 in range(1, 4):
         for d2 in range(1, 4):
             for m in (r_plus_pair(d1, d2), r_minus_pair(d1, d2)):
-                for image in m.map.columns.values():
+                for image in m.columns.values():
                     for _, c in image.items():
                         assert c.is_in_a()
 
@@ -135,8 +158,8 @@ def test_pair_inverse_both_ways():
     for d1, d2 in [(1, 1), (1, 2), (2, 2)]:
         p = r_plus_pair(d1, d2)
         n = r_minus_pair(d2, d1)
-        assert n.map.compose(p.map).columns == LinMap.identity((d1, d2)).columns
-        assert p.map.compose(n.map).columns == LinMap.identity((d2, d1)).columns
+        assert n.compose(p).columns == LinMap.identity((d1, d2)).columns
+        assert p.compose(n).columns == LinMap.identity((d2, d1)).columns
 
 
 def _reference_r_plus(d1, d2):
@@ -149,9 +172,11 @@ def _reference_r_plus(d1, d2):
     ]
     scalar = Laurent({3 * d1 * d2: (-1) ** (d1 * d2)})
     return {
-        idx: _swap_step(_cartan_step(theta(V((d1, d2), idx), 1, coeffs))).scale(scalar)
+        (a, b): _swap_step(
+            _cartan_step(theta(V((d1,), (a,)), V((d2,), (b,)), coeffs))
+        ).scale(scalar)
         for r in range(d1 + d2 + 1)
-        for idx in enumerate_basis((d1, d2), r)
+        for a, b in enumerate_basis((d1, d2), r)
     }
 
 
@@ -166,7 +191,7 @@ def _reference_r_minus(d1, d2):
     the canonical tables: each b_s goes to the entrywise bar of the
     canonical coordinates of R_+ b_s, and v_idx is expanded over the
     canonical basis of its level and its images combined."""
-    plus = r_plus_pair(d1, d2).map
+    plus = r_plus_pair(d1, d2)
     src, tgt = (d1, d2), (d2, d1)
     columns = {}
     for r in range(d1 + d2 + 1):
@@ -194,7 +219,7 @@ def test_r_minus_matches_the_canonical_table_route():
     for d1 in range(5):
         for d2 in range(5):
             if d1 or d2:
-                minus = r_minus_pair(d1, d2).map
+                minus = r_minus_pair(d1, d2)
                 assert minus.columns == _reference_r_minus(d1, d2), (d1, d2)
 
 
@@ -223,7 +248,7 @@ def test_move_tracks_composition_and_composes_left_to_right():
     assert m12.target == (1, 2, 1)
     m1 = r_move((1, 1, 2), [1])
     m2 = r_move(m1.target, [2])
-    assert m12.map.columns == m2.map.compose(m1.map).columns
+    assert m12.columns == m2.compose(m1).columns
 
 
 def test_move_depends_only_on_permutation():
@@ -233,14 +258,14 @@ def test_move_depends_only_on_permutation():
         4, (2, 3, 1, 2)
     ).permutation()
     assert a.target == b.target
-    assert a.map.columns == b.map.columns
+    assert a.columns == b.columns
 
 
 def test_move_satisfies_braid_relation():
     for d in [(1, 1, 1), (2, 1, 1), (1, 2, 1)]:
         a = r_move(d, [1, 2, 1])
         b = r_move(d, [2, 1, 2])
-        assert a.map.columns == b.map.columns
+        assert a.columns == b.columns
 
 
 def test_move_rejects_non_reduced_words():
@@ -255,7 +280,7 @@ def test_move_rejects_non_reduced_words():
 def test_move_empty_word_is_identity():
     m = r_move((2, 1), [])
     assert m.target == (2, 1)
-    assert m.map.columns == LinMap.identity((2, 1)).columns
+    assert m.columns == LinMap.identity((2, 1)).columns
 
 
 def test_move_minus_inverts_plus():
@@ -263,7 +288,7 @@ def test_move_minus_inverts_plus():
     word = [1, 2, 1]
     p = r_move(d, word)
     n = r_move(p.target, list(reversed(word)), sign="minus")
-    assert n.map.compose(p.map).columns == LinMap.identity(d).columns
+    assert n.compose(p).columns == LinMap.identity(d).columns
 
 
 def test_move_intertwines_on_longer_words():

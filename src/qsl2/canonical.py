@@ -88,7 +88,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from collections.abc import Mapping, Reversible
-from functools import reduce
+from functools import lru_cache, reduce
 
 from . import orbits
 from .errors import (
@@ -148,6 +148,19 @@ OrbitIndex = orbits.OrbitIndex
 # otherwise only truncated back to [ONE] by clear_caches.
 _KAPPA: list[Laurent] = [ONE]
 
+
+@lru_cache(maxsize=None)
+def _kappa_reach(d: Composition, cut: int) -> int:
+    """The largest n with kappa_n read by Psi on Lambda_d: Theta's n-th
+    term vanishes past either side's total, at the top cut and at each
+    nested cut 1.  Memoized for the process."""
+
+    def nested(e: Composition) -> int:
+        return max((min(ek, sum(e[k + 1 :])) for k, ek in enumerate(e)), default=0)
+
+    return max(min(sum(d[:cut]), sum(d[cut:])), nested(d[:cut]), nested(d[cut:]))
+
+
 # Per-process results for the solved coefficients, keyed by
 # (kind, *args): ("psi", d, cut, idx) -> Psi(v_idx), ("table", d, r) ->
 # CanonicalTable (with its product coordinates when len(d) > 1),
@@ -157,9 +170,9 @@ _KAPPA: list[Laurent] = [ONE]
 _MEMO: dict[tuple, object] = {}
 
 
-# The memoized constants of qring and modules, held here as the cached
-# functions themselves so clear_caches reaches them whatever later
-# rebinds the module attributes.
+# The memoized constants of qring, orbits, modules and this module, held
+# here as the cached functions themselves so clear_caches reaches them
+# whatever later rebinds the module attributes.
 _CONSTANT_MEMOS = (
     quantum_integer,
     quantum_factorial,
@@ -168,6 +181,7 @@ _CONSTANT_MEMOS = (
     _step_scalar,
     orbits._orbit_dim,
     orbits._linear_extension,
+    _kappa_reach,
 )
 
 
@@ -176,7 +190,8 @@ def clear_caches() -> None:
     tables with their product coordinates, E^(n) coordinates, embeddings,
     pair braidings, the solved quasi-R coefficients, the quantum
     integers, factorials and binomials, the Gram entries, the E/F step
-    scalars, the orbit dimensions and the linear extensions."""
+    scalars, the orbit dimensions, the linear extensions and the kappa
+    reach of each composition and cut."""
     _MEMO.clear()
     del _KAPPA[1:]
     for memo in _CONSTANT_MEMOS:
@@ -196,8 +211,8 @@ def _psi_basis(
     key = ("psi", d, cut, idx)
     out = store.get(key)
     if out is None:
-        left = _psi_vector(ModuleVector.basis(d[:cut], idx[:cut]), kappa, 1, store)
-        right = _psi_vector(ModuleVector.basis(d[cut:], idx[cut:]), kappa, 1, store)
+        left = _psi_basis(d[:cut], idx[:cut], kappa, 1, store)
+        right = _psi_basis(d[cut:], idx[cut:], kappa, 1, store)
         out = store[key] = theta(left, right, kappa)
     return out
 
@@ -205,6 +220,12 @@ def _psi_basis(
 def _psi_vector(
     u: ModuleVector, kappa: list[Laurent], cut: int, store: dict
 ) -> ModuleVector:
+    """Psi(u) = sum bar(c) Psi(v_idx) over the terms c v_idx of u; a
+    single term is its memoized column scaled, which is the column
+    itself for a unit coefficient (vectors are immutable)."""
+    if len(u._terms) == 1:
+        ((idx, c),) = u._terms.items()
+        return _psi_basis(u.d, idx, kappa, cut, store).scale(c.bar())
     return combine(
         u.d,
         (
@@ -245,9 +266,6 @@ def _solve_next_kappa() -> None:
         for name, op in (("F", act_F), ("E", act_E))
     ]
 
-    def residual(psi: LinMap, idx: OrbitIndex, op, xu_bar) -> ModuleVector:
-        return psi.apply(xu_bar) - op(psi.columns[idx])
-
     psi = LinMap(d, d, columns)
     value: Laurent | None = None
     for idx, _, op, xu_bar in equations:
@@ -256,7 +274,7 @@ def _solve_next_kappa() -> None:
             slope = slope - op(term)
         if slope.is_zero():
             continue
-        zero_part = residual(psi, idx, op, xu_bar)
+        zero_part = psi.apply(xu_bar) - op(psi.columns[idx])
         for s, a in slope.items():
             terms = list(a.items())
             if len(terms) == 1 and abs(terms[0][1]) == 1:
@@ -271,7 +289,7 @@ def _solve_next_kappa() -> None:
     columns[top] = columns[top] + term.scale(value)
     psi = LinMap(d, d, columns)
     for idx, name, op, xu_bar in equations:
-        if not residual(psi, idx, op, xu_bar).is_zero():
+        if psi.apply(xu_bar) != op(psi.columns[idx]):
             raise ConventionUnderdeterminedError(
                 f"kappa_{n} = {value} fails Psi {name} = {name} Psi at {idx} "
                 f"on Lambda_{d}"
@@ -292,17 +310,6 @@ def compute_quasi_r(n_max: int) -> list[Laurent]:
     while len(_KAPPA) <= n_max:
         _solve_next_kappa()
     return list(_KAPPA[: n_max + 1])
-
-
-def _kappa_reach(d: Composition, cut: int) -> int:
-    """The largest n with kappa_n read by Psi on Lambda_d: Theta's n-th
-    term vanishes past either side's total, at the top cut and at each
-    nested cut 1."""
-
-    def nested(e: Composition) -> int:
-        return max((min(ek, sum(e[k + 1 :])) for k, ek in enumerate(e)), default=0)
-
-    return max(min(sum(d[:cut]), sum(d[cut:])), nested(d[:cut]), nested(d[cut:]))
 
 
 # -- the bar involution -----------------------------------------------------------

@@ -6,6 +6,11 @@ and orbit posets, plus `verify` for the property suites.  Output is
 either a stable JSON document (byte-identical across runs) or a human
 table; exit codes are 0 on success, 1 when a computation or a property
 check fails, and 2 on bad input.
+
+Every request is a fresh process, so the parser is built for the one
+subcommand that argv names first, from the _COMMANDS table, and for all
+eight only on help or a missing or unknown command.  Both print the
+same help, usage lines and errors.
 """
 
 from __future__ import annotations
@@ -258,25 +263,59 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 # -- parser ------------------------------------------------------------------------
 
 
-def _add_format(sub: argparse.ArgumentParser, extra: tuple[str, ...] = ()) -> None:
-    sub.add_argument(
-        "--format",
-        choices=("table", "json") + extra,
-        default="table",
-        help="output format (default: table)",
-    )
+def _arg(flag: str, **options) -> tuple[str, dict]:
+    """One argument spec: add_argument(flag, **options)."""
+    return flag, options
 
 
-def _add_cache(sub: argparse.ArgumentParser) -> None:
-    # accepted so that existing invocations still run; every table is solved
-    sub.add_argument(
-        "--cache-dir",
-        default=None,
-        help="ignored: tables are always solved, not cached",
-    )
+_D = _arg("--d", required=True, help="composition")
+_D_EXAMPLE = _arg("--d", required=True, help="composition, e.g. 2,2")
+_R = _arg("--r", type=int, required=True, help="weight level")
+_AT = _arg("--at", type=int, required=True, help="cut position")
+_WORD = _arg("--word", required=True, help="letters, e.g. 1,2,1")
+_SIGN = _arg("--sign", choices=("plus", "minus"), default="plus")
+_VECTOR = _arg("--vector", required=True, help="orbit index, e.g. 0,1")
+_BASIS = _arg("--basis", choices=("standard", "canonical"), default="standard")
+_FORMAT_HELP = "output format (default: table)"
+_FORMAT = _arg("--format", choices=("table", "json"), default="table", help=_FORMAT_HELP)
+_FORMAT_DOT = _arg(
+    "--format", choices=("table", "json", "dot"), default="table", help=_FORMAT_HELP
+)
+# accepted so that existing invocations still run; every table is solved
+_CACHE = _arg(
+    "--cache-dir", default=None, help="ignored: tables are always solved, not cached"
+)
+_MAX_TOTAL = _arg(
+    "--max-total",
+    type=int,
+    default=5,
+    help="largest composition total to sweep (default 5)",
+)
+
+# name -> (help, handler, argument specs), in the order --help lists them
+_COMMANDS = {
+    "canon": ("canonical basis table", _cmd_canon, (_D_EXAMPLE, _R, _FORMAT, _CACHE)),
+    "rmat": (
+        "braiding matrices along a word",
+        _cmd_rmat,
+        (_D, _WORD, _SIGN, _BASIS, _FORMAT),
+    ),
+    "split": ("canonical basis under a cut", _cmd_split, (_D, _AT, _R, _FORMAT, _CACHE)),
+    "bar": ("bar involution of a standard vector", _cmd_bar, (_D, _VECTOR, _FORMAT)),
+    "embed": ("refinement embedding matrices", _cmd_embed, (_D, _BASIS, _FORMAT, _CACHE)),
+    "inner": (
+        "Gram matrix of a weight level",
+        _cmd_inner,
+        (_D, _R, _BASIS, _FORMAT, _CACHE),
+    ),
+    "orbits": ("closure poset of a weight level", _cmd_orbits, (_D, _R, _FORMAT_DOT)),
+    "verify": ("run the property suites", _cmd_verify, (_MAX_TOTAL,)),
+}
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with every subcommand when command is None (help, a
+    missing or an unknown command), else with command alone."""
     parser = argparse.ArgumentParser(
         prog="qsl2",
         description=(
@@ -284,78 +323,24 @@ def _build_parser() -> argparse.ArgumentParser:
             " matrices for tensor modules."
         ),
     )
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    canon = subs.add_parser("canon", help="canonical basis table")
-    canon.add_argument("--d", required=True, help="composition, e.g. 2,2")
-    canon.add_argument("--r", type=int, required=True, help="weight level")
-    _add_format(canon)
-    _add_cache(canon)
-    canon.set_defaults(func=_cmd_canon)
-
-    rmat = subs.add_parser("rmat", help="braiding matrices along a word")
-    rmat.add_argument("--d", required=True, help="composition")
-    rmat.add_argument("--word", required=True, help="letters, e.g. 1,2,1")
-    rmat.add_argument("--sign", choices=("plus", "minus"), default="plus")
-    rmat.add_argument(
-        "--basis", choices=("standard", "canonical"), default="standard"
-    )
-    _add_format(rmat)
-    rmat.set_defaults(func=_cmd_rmat)
-
-    split = subs.add_parser("split", help="canonical basis under a cut")
-    split.add_argument("--d", required=True, help="composition")
-    split.add_argument("--at", type=int, required=True, help="cut position")
-    split.add_argument("--r", type=int, required=True, help="weight level")
-    _add_format(split)
-    _add_cache(split)
-    split.set_defaults(func=_cmd_split)
-
-    bar = subs.add_parser("bar", help="bar involution of a standard vector")
-    bar.add_argument("--d", required=True, help="composition")
-    bar.add_argument("--vector", required=True, help="orbit index, e.g. 0,1")
-    _add_format(bar)
-    bar.set_defaults(func=_cmd_bar)
-
-    embed = subs.add_parser("embed", help="refinement embedding matrices")
-    embed.add_argument("--d", required=True, help="composition")
-    embed.add_argument(
-        "--basis", choices=("standard", "canonical"), default="standard"
-    )
-    _add_format(embed)
-    _add_cache(embed)
-    embed.set_defaults(func=_cmd_embed)
-
-    inner = subs.add_parser("inner", help="Gram matrix of a weight level")
-    inner.add_argument("--d", required=True, help="composition")
-    inner.add_argument("--r", type=int, required=True, help="weight level")
-    inner.add_argument(
-        "--basis", choices=("standard", "canonical"), default="standard"
-    )
-    _add_format(inner)
-    _add_cache(inner)
-    inner.set_defaults(func=_cmd_inner)
-
-    orb = subs.add_parser("orbits", help="closure poset of a weight level")
-    orb.add_argument("--d", required=True, help="composition")
-    orb.add_argument("--r", type=int, required=True, help="weight level")
-    _add_format(orb, extra=("dot",))
-    orb.set_defaults(func=_cmd_orbits)
-
-    verify = subs.add_parser("verify", help="run the property suites")
-    verify.add_argument(
-        "--max-total",
-        type=int,
-        default=5,
-        help="largest composition total to sweep (default 5)",
-    )
-    verify.set_defaults(func=_cmd_verify)
-
+    # the one-command parser names every command in its usage line, so its
+    # errors read as the full parser's; the full parser keeps the default,
+    # under which a bad command is reported as "argument command"
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    subs = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in _COMMANDS if command is None else (command,):
+        help_text, handler, specs = _COMMANDS[name]
+        sub = subs.add_parser(name, help=help_text)
+        for flag, options in specs:
+            sub.add_argument(flag, **options)
+        sub.set_defaults(func=handler)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -9,11 +9,11 @@ module Lambda_d is the tensor product of the Lambda_(d_k); the standard
 basis v_r is indexed by orbit indices r = (r_1, ..., r_l).  E and F act
 on the whole module through the comultiplication: E picks up a K on
 every factor to the left of the slot it lowers, F picks up a K^-1 on
-every factor to the right.  Divided powers iterate the action and then
-divide every coefficient by the quantum factorial; a failed division is
-an integrality bug and is surfaced as such rather than repaired.  The
-quasi-R operator theta acts on two factor vectors u and w, as
-sum_n c_n F^(n) u tensor E^(n) w.
+every factor to the right.  Divided powers are built one step at a
+time, X^(k) u = X(X^(k-1) u) / [k], and every division is exact; a
+failed one is an integrality bug and is surfaced as such rather than
+repaired.  The quasi-R operator theta acts on two factor vectors u and
+w, as sum_n c_n F^(n) u tensor E^(n) w, walking the same steps.
 
 The twisted adjoint rho (rho(K) = K, rho(E) = qKF, rho(F) = qK^-1 E)
 makes the inner product contravariant: (x u, w) = (u, rho(x) w).  On
@@ -31,7 +31,7 @@ from functools import lru_cache
 from . import orbits
 from .orbits import format_index
 from .errors import AmbientMismatchError, IntegralityViolationError, NonDivisibleError
-from .qring import Laurent, ONE, ZERO, exact_div, q_power, quantum_binomial, quantum_factorial, quantum_integer
+from .qring import Laurent, ONE, ZERO, exact_div, q_power, quantum_binomial, quantum_integer
 
 __all__ = [
     "ModuleVector",
@@ -305,47 +305,60 @@ def act_F(u: ModuleVector) -> ModuleVector:
     return ModuleVector._make(d, data)
 
 
+def _divided_step(v: ModuleVector, gen: str, k: int) -> ModuleVector:
+    """X^(k) u from v = X^(k-1) u, for X = E or F: one more action, then
+    the exact division by [k]."""
+    v = act_E(v) if gen == "E" else act_F(v)
+    if k <= 1 or v.is_zero():
+        return v
+    qk = quantum_integer(k)
+    try:
+        return v.map_coefficients(lambda c: exact_div(c, qk))
+    except NonDivisibleError as e:
+        raise IntegralityViolationError(
+            f"{gen}^({k}): step {k} not divisible by [{k}] on Lambda_{v.d}"
+        ) from e
+
+
 def act_divided(u: ModuleVector, gen: str, n: int) -> ModuleVector:
-    """E^(n) or F^(n): iterate, then exactly divide by [n]!."""
+    """E^(n) or F^(n), built one step at a time: X^(k) u = X(X^(k-1) u)
+    / [k] for k = 1 .. n, each division exact."""
     if gen not in ("E", "F"):
         raise ValueError(f"unknown generator {gen!r}")
     if n < 0:
         raise ValueError("divided power needs n >= 0")
-    step = act_E if gen == "E" else act_F
     v = u
-    for _ in range(n):
-        v = step(v)
-    if n <= 1 or v.is_zero():
-        return v
-    fact = quantum_factorial(n)
-    try:
-        return v.map_coefficients(lambda c: exact_div(c, fact))
-    except NonDivisibleError as e:
-        raise IntegralityViolationError(
-            f"{gen}^({n}) image not divisible by [{n}]! on Lambda_{u.d}"
-        ) from e
+    for k in range(1, n + 1):
+        v = _divided_step(v, gen, k)
+    return v
 
 
 def theta(
     left: ModuleVector, right: ModuleVector, coeffs: list[Laurent]
 ) -> ModuleVector:
     """sum_n coeffs[n] F^(n) left tensor E^(n) right, on
-    Lambda_(left.d + right.d).  The sum stops at the first n whose F or
-    E half vanishes; a nonzero term beyond the end of coeffs is a
-    ValueError.  The E^(n) half of a term with a zero coefficient is
-    skipped: once F^(n) left or E^(n) right vanishes, so does every
-    later one."""
+    Lambda_(left.d + right.d).  Both halves are built one step at a
+    time, F^(n) left from F^(n-1) left and E^(n) right from the last E
+    half built, so a sum of N terms costs N actions per side.  The sum
+    stops at the first n whose F or E half vanishes; a nonzero term
+    beyond the end of coeffs is a ValueError.  The E^(n) half of a term
+    with a zero coefficient is not built: once F^(n) left or E^(n) right
+    vanishes, so does every later one."""
     d = left.d + right.d
     terms: list[tuple[Laurent, ModuleVector]] = []
+    f_part, e_part, e_n = left, right, 0
     n = 0
     while True:
-        f_part = act_divided(left, "F", n)
+        if n:
+            f_part = _divided_step(f_part, "F", n)
         if f_part.is_zero():
             break
         if n < len(coeffs) and coeffs[n].is_zero():
             n += 1
             continue
-        e_part = act_divided(right, "E", n)
+        while e_n < n:
+            e_n += 1
+            e_part = _divided_step(e_part, "E", e_n)
         if e_part.is_zero():
             break
         if n >= len(coeffs):

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import accumulate, product
+from itertools import accumulate
 
 from .errors import AmbientMismatchError, TotalMismatchError
 
@@ -131,9 +131,22 @@ def dense_cell(d: Composition, r: OrbitIndex) -> OrbitIndex:
 
 
 def _indices_at_level(d: Composition, r: int) -> list[OrbitIndex]:
+    """The compositions of r bounded by d, in lexicographic order, built
+    slot by slot: slot k takes at least what the later slots cannot hold
+    and at most d_k, and the last slot takes the rest, so no index off
+    the level is ever formed."""
     if r < 0 or r > sum(d):
         return []
-    return [idx for idx in product(*(range(dk + 1) for dk in d)) if sum(idx) == r]
+    # after[k] = d_(k+1) + ... + d_l, the most the later slots can hold
+    after = list(accumulate(reversed(d[1:])))[::-1]
+    rows: list[tuple[OrbitIndex, int]] = [((), r)]
+    for dk, room in zip(d, after):
+        rows = [
+            (head + (x,), left - x)
+            for head, left in rows
+            for x in range(max(0, left - room), min(dk, left) + 1)
+        ]
+    return [head + (left,) for head, left in rows]
 
 
 def linear_extension(d: Composition, r: int) -> list[OrbitIndex]:

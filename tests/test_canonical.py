@@ -139,8 +139,10 @@ def test_one_evaluation_solve_matches_two_trial_reference():
 def test_kappa_solve_builds_the_top_term_once(monkeypatch, n):
     # Theta's n-th term on Lambda_(n,n) is F^(n) v_0 tensor E^(n) v_n:
     # the solve builds E^(n) v_n once, and theta skips the E^(n) half
-    # under the trial coefficient kappa_n = 0
-    real = modules_mod.act_divided
+    # under the trial coefficient kappa_n = 0.  Both build divided powers
+    # one step at a time, through the modules binding of _divided_step,
+    # so its step to E^(n) is counted
+    real = modules_mod._divided_step
     built = []
 
     def counting(u, gen, k):
@@ -149,9 +151,7 @@ def test_kappa_solve_builds_the_top_term_once(monkeypatch, n):
         return real(u, gen, k)
 
     clear_caches()
-    # theta reads the modules binding, the solve the canonical one
-    monkeypatch.setattr(modules_mod, "act_divided", counting)
-    monkeypatch.setattr(canonical_mod, "act_divided", counting)
+    monkeypatch.setattr(modules_mod, "_divided_step", counting)
     compute_quasi_r(n)
     assert built == [(n,)]
 
@@ -508,6 +508,9 @@ def test_clear_caches_empties_store_and_resets_kappa():
     r_plus_pair(1, 2)
     embed_refine((2, 1))
     bar_involution(V((1, 1), (0, 1)))
+    # divided powers divide by [k] one step at a time, so no solve above
+    # reads the quantum factorial; its memo is filled directly
+    quantum_factorial(3)
     kinds = {key[0] for key in canonical_mod._MEMO}
     assert kinds == {"psi", "table", "E", "pair", "embed"}
     assert len(canonical_mod._KAPPA) > 1
@@ -519,6 +522,7 @@ def test_clear_caches_empties_store_and_resets_kappa():
         _step_scalar,
         orbits._orbit_dim,
         orbits._linear_extension,
+        canonical_mod._kappa_reach,
     )
     assert all(memo.cache_info().currsize > 0 for memo in constants)
     clear_caches()

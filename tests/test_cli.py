@@ -1,6 +1,6 @@
 """Command-line surface: golden outputs, byte determinism, a light
-import, the ignored --cache-dir option and QSL2_CACHE_DIR variable, and
-the exit-code contract."""
+import, the ignored --cache-dir option and QSL2_CACHE_DIR variable, the
+one-command parser, and the exit-code contract."""
 
 import importlib.util
 import json
@@ -205,6 +205,74 @@ def test_cache_dir_that_is_a_regular_file_is_ignored(tmp_path):
     assert proc.stdout == plain.stdout
     assert proc.stderr == ""
     assert blocker.read_text(encoding="utf-8") == "occupied\n"
+
+
+# -- the parser -------------------------------------------------------------------
+
+
+def _parse(parser, argv, capsys):
+    """parse_args on argv: the namespace or the exit code, then stdout
+    and stderr."""
+    try:
+        outcome = vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        outcome = exc.code
+    out, err = capsys.readouterr()
+    return outcome, out, err
+
+
+PARSER_CASES = [
+    ["--help"],
+    *([name, "--help"] for name in cli_mod._COMMANDS),
+    [],
+    ["bogus"],
+    ["-h", "canon"],
+    ["canon", "-h"],
+    ["canon", "--d", "2,2", "--r", "2", "extra"],
+    ["canon", "--d", "2,2", "--r", "2", "--format", "yaml"],
+    ["canon", "--d", "2,2"],
+    ["canon", "--d", "2,2", "--r", "x"],
+    ["--", "canon", "--d", "2,2", "--r", "2"],
+    ["orbits", "--d", "2,2", "--r", "1", "--format", "dot"],
+    ["verify"],
+]
+
+
+@pytest.mark.parametrize(
+    "argv", PARSER_CASES, ids=lambda argv: " ".join(argv) or "(none)"
+)
+def test_one_command_parser_reads_as_the_full_parser(argv, capsys, monkeypatch):
+    # a fixed width, so that help and usage lines wrap the same way
+    monkeypatch.setenv("COLUMNS", "80")
+    command = argv[0] if argv and argv[0] in cli_mod._COMMANDS else None
+    own = _parse(cli_mod._build_parser(command), argv, capsys)
+    full = _parse(cli_mod._build_parser(None), argv, capsys)
+    assert own == full
+    if not isinstance(own[0], dict):
+        # help or an error: main prints the same and returns the code
+        assert (main(argv), *capsys.readouterr()) == own
+
+
+def test_a_missing_or_unknown_command_is_reported_as_command(capsys):
+    # the usage line lists the commands, the error names the argument
+    code, _, err = run([], capsys)
+    assert code == 2
+    assert err.endswith("error: the following arguments are required: command\n")
+    code, _, err = run(["bogus"], capsys)
+    assert code == 2
+    assert "error: argument command: invalid choice: 'bogus'" in err
+
+
+def test_one_command_parser_registers_that_command_alone():
+    def commands(parser):
+        (subs,) = [a for a in parser._actions if a.dest == "command"]
+        return list(subs.choices)
+
+    assert commands(cli_mod._build_parser("canon")) == ["canon"]
+    assert commands(cli_mod._build_parser(None)) == list(cli_mod._COMMANDS)
+    assert list(cli_mod._COMMANDS) == [
+        "canon", "rmat", "split", "bar", "embed", "inner", "orbits", "verify",
+    ]
 
 
 # -- exit codes --------------------------------------------------------------------

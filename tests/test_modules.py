@@ -6,8 +6,13 @@ import random
 
 import pytest
 
+import qsl2.modules as modules_mod
 from qsl2 import compositions, compute_quasi_r
-from qsl2.errors import AmbientMismatchError
+from qsl2.errors import (
+    AmbientMismatchError,
+    IntegralityViolationError,
+    NonDivisibleError,
+)
 from qsl2.modules import (
     LinMap,
     ModuleVector,
@@ -422,3 +427,56 @@ def test_theta_on_two_factors_matches_the_slot_range_reference():
                     assert theta(left, right, kappa) == _reference_theta(
                         v(d, *idx), cut, kappa
                     ), (d, cut, idx)
+
+
+def _reference_act_divided(u, gen, n):
+    """X^(n) u as act_divided once built it: n actions of the module's
+    act_E or act_F, read at call time, then one exact division of every
+    coefficient by [n]!."""
+    step = getattr(modules_mod, f"act_{gen}")
+    w = u
+    for _ in range(n):
+        w = step(w)
+    fact = quantum_factorial(n)
+    try:
+        return w.map_coefficients(lambda c: exact_div(c, fact))
+    except NonDivisibleError as e:
+        raise IntegralityViolationError(f"{gen}^({n}) on Lambda_{u.d}") from e
+
+
+def test_stepwise_divided_powers_match_the_factorial_reference():
+    rng = random.Random(4242)
+    for d in compositions(5):
+        vectors = [
+            ModuleVector.basis(d, idx)
+            for r in range(sum(d) + 1)
+            for idx in enumerate_basis(d, r)
+        ]
+        vectors += [
+            _random_vector(rng, d, rng.randrange(sum(d) + 1)) for _ in range(3)
+        ]
+        for u in vectors:
+            for gen in ("E", "F"):
+                for n in range(5):
+                    assert act_divided(u, gen, n) == _reference_act_divided(
+                        u, gen, n
+                    ), (u, gen, n)
+
+
+def test_a_faulty_action_breaks_integrality_on_both_paths(monkeypatch):
+    # scaling F by a constant c keeps every division exact ((cF)^(n) =
+    # c^n F^(n)), so the fault adds one to every coefficient of F u:
+    # on Lambda_(2), F'v_0 = 2 v_1 and F'(2 v_1) = (2[2] + 1) v_2, which
+    # neither [2] nor [2]! divides
+    real = modules_mod.act_F
+    monkeypatch.setattr(
+        modules_mod, "act_F", lambda u: real(u).map_coefficients(lambda c: c + ONE)
+    )
+    u = v((2,), 0)
+    named = r"F\^\(2\): step 2 .* \[2\] on Lambda_\(2,\)"
+    with pytest.raises(IntegralityViolationError, match=named):
+        act_divided(u, "F", 2)
+    with pytest.raises(IntegralityViolationError):
+        _reference_act_divided(u, "F", 2)
+    with pytest.raises(IntegralityViolationError):
+        theta(u, v((2,), 2), [ONE, ONE, ONE])

@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from qsl2 import compositions, orbits
 from qsl2.errors import AmbientMismatchError, TotalMismatchError
 from qsl2.orbits import (
     cell_count,
@@ -193,3 +194,25 @@ def test_poset_json_and_dot():
     assert dot.startswith("digraph")
     assert '"(2,0)" -> "(1,1)";' in dot
     assert dot.endswith("}\n")
+
+
+def _box_scan(d, r):
+    """The level-r indices as once found: every index of the box
+    0 <= r_k <= d_k, kept when it sums to r."""
+    if r < 0 or r > sum(d):
+        return []
+    return [
+        idx for idx in itertools.product(*(range(dk + 1) for dk in d)) if sum(idx) == r
+    ]
+
+
+def test_level_enumeration_matches_the_box_scan():
+    for d in [*compositions(7), (0, 2, 0, 1), (0,), (3, 0, 2)]:
+        for r in range(-1, sum(d) + 2):
+            assert orbits._indices_at_level(d, r) == _box_scan(d, r), (d, r)
+
+
+def test_level_enumeration_does_not_scan_a_huge_box():
+    # the box of (10**9,) has 10**9 + 1 indices; level 0 has one
+    assert linear_extension((10**9,), 0) == [(0,)]
+    assert linear_extension((10**9, 2), 1) == [(1, 0), (0, 1)]

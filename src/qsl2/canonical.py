@@ -24,7 +24,9 @@ ConventionUnderdeterminedError when no equation has a unit coefficient,
 when an equation fails, or when the value leaves Z[q, q^-1].  Callers
 solve only the kappa_n that Psi reads (_kappa_reach): at cut 1,
 n <= max_k min(d_k, d_(k+1) + ... + d_l), which also bounds a table's
-product columns and is min(d_0, d_1) on a pair.
+product columns and is min(d_0, d_1) on a pair, and on level r also
+n <= min(r, sum(d) - r), as the E^(n) half lowers the right block's
+level and the F^(n) half raises the left block's.
 
 Canonical tables are solved one factor at a time (Lusztig,
 Introduction to Quantum Groups, 27.3).  Write Lambda_d = Lambda_(d_0)
@@ -60,6 +62,14 @@ index of the level (orbits.prefix_sums), and an entry at an index off
 the level fails the column check.  Each row is then expanded once into
 the standard basis through the d'' rows.  The off-diagonal coefficients
 land in q^-1 Z_{>=0}[q^-1] (a checked property, not an input).
+
+Every coefficient the solve stores (table rows, product coordinates
+and E^(n) coordinates) is the one shared instance of its value in the
+solve's store: the Kazhdan-Lusztig polynomials of the tables are few
+and repeat across rows and tables.  A row's first summand p_s e, with
+e an entry of a d'' row, is read from the store's table of products of
+shared values, so a repeated product costs one lookup; an entry with
+two or more summands is summed as a raw map and shared when finished.
 
 Every solved table keeps its product coordinates p_{s,r} in its
 product field, and E^(n) b is computed from them in product
@@ -153,7 +163,9 @@ _KAPPA: list[Laurent] = [ONE]
 def _kappa_reach(d: Composition, cut: int) -> int:
     """The largest n with kappa_n read by Psi on Lambda_d: Theta's n-th
     term vanishes past either side's total, at the top cut and at each
-    nested cut 1.  Memoized for the process."""
+    nested cut 1.  On level r, F^(n) tensor E^(n) also needs n <= r and
+    n <= sum(d) - r, which callers take the minimum with.  Memoized for
+    the process."""
 
     def nested(e: Composition) -> int:
         return max((min(ek, sum(e[k + 1 :])) for k, ek in enumerate(e)), default=0)
@@ -161,13 +173,35 @@ def _kappa_reach(d: Composition, cut: int) -> int:
     return max(min(sum(d[:cut]), sum(d[cut:])), nested(d[:cut]), nested(d[cut:]))
 
 
+class _Store(dict):
+    """A memo store of solved results, with the two tables that keep
+    each stored coefficient value once: values maps a coefficient to the
+    one shared instance of its value, and products maps a pair (c, e) to
+    the shared value of c * e.  Both are keyed by value, not by id, so
+    no entry can be mistaken for another after its factors are gone.
+    clear() empties all three."""
+
+    __slots__ = ("values", "products")
+
+    def __init__(self):
+        super().__init__()
+        self.values: dict[Laurent, Laurent] = {}
+        self.products: dict[tuple[Laurent, Laurent], Laurent] = {}
+
+    def clear(self) -> None:
+        super().clear()
+        self.values.clear()
+        self.products.clear()
+
+
 # Per-process results for the solved coefficients, keyed by
 # (kind, *args): ("psi", d, cut, idx) -> Psi(v_idx), ("table", d, r) ->
 # CanonicalTable (with its product coordinates when len(d) > 1),
 # ("E", d, idx, n) -> the canonical coordinates of E^(n) b_idx
 # (len(d) > 1), ("embed", d) -> LinMap, and ("pair", d1, d2, sign) ->
-# LinMap (filled by rmatrix).  Emptied, with _KAPPA, by clear_caches.
-_MEMO: dict[tuple, object] = {}
+# LinMap (filled by rmatrix).  Emptied, with _KAPPA and the shared
+# values of its tables, by clear_caches.
+_MEMO = _Store()
 
 
 # The memoized constants of qring, orbits, modules and this module, held
@@ -187,8 +221,9 @@ _CONSTANT_MEMOS = (
 
 def clear_caches() -> None:
     """Forget every per-process result: memoized Psi images, canonical
-    tables with their product coordinates, E^(n) coordinates, embeddings,
-    pair braidings, the solved quasi-R coefficients, the quantum
+    tables with their product coordinates, E^(n) coordinates, the shared
+    coefficient values and their products, embeddings, pair braidings,
+    the solved quasi-R coefficients, the quantum
     integers, factorials and binomials, the Gram entries, the E/F step
     scalars, the orbit dimensions, the linear extensions and the kappa
     reach of each composition and cut."""
@@ -332,7 +367,9 @@ def bar_involution(
         raise ValueError(f"cut {cut} out of range for {l} slots")
     store = _MEMO if kappa is None else {}
     if kappa is None:
-        kappa = compute_quasi_r(_kappa_reach(u.d, cut))
+        total = sum(u.d)
+        level_reach = max((min(r, total - r) for r in u.levels()), default=0)
+        kappa = compute_quasi_r(min(_kappa_reach(u.d, cut), level_reach))
     return _psi_vector(u, kappa, cut, store)
 
 
@@ -390,20 +427,32 @@ def _add_scaled(
     c: Laurent,
     terms: dict[OrbitIndex, Laurent],
     head: OrbitIndex = (),
+    store: _Store | None = None,
 ) -> None:
     """acc[head + w] += c * terms[w] for every w.  An entry of acc is
     the Laurent c * terms[w] while it has one summand (terms[w] itself
     when c is 1, shared as values are immutable), and from the second
     summand on a raw map {half-exponent: coefficient} that starts as a
     copy of that Laurent's terms and is never one of them; _entry reads
-    either kind."""
+    either kind.  Given a store, a one-summand product c * terms[w] is
+    read from its product table, and computed and shared only on a
+    miss."""
     c_items = c._terms.items()
     unit = c._terms == ONE._terms
+    products = None if store is None else store.products
     for w, e in terms.items():
         key = head + w
         raw = acc.get(key)
         if raw is None:
-            acc[key] = e if unit else c * e
+            if unit:
+                acc[key] = e
+            elif products is None:
+                acc[key] = c * e
+            else:
+                ce = products.get((c, e))
+                if ce is None:
+                    ce = products[c, e] = _shared(store, c * e)
+                acc[key] = ce
             continue
         if type(raw) is Laurent:
             raw = acc[key] = defaultdict(int, raw._terms)
@@ -417,8 +466,13 @@ def _entry(raw: Laurent | defaultdict) -> Laurent:
     return raw if type(raw) is Laurent else Laurent._from_raw(raw)
 
 
+def _shared(store: _Store, c: Laurent) -> Laurent:
+    """The shared instance of c's value in store, c itself on a miss."""
+    return store.values.setdefault(c, c)
+
+
 def _sub_table(
-    d: Composition, r: int, kappa: list[Laurent] | None, store: dict
+    d: Composition, r: int, kappa: list[Laurent] | None, store: _Store
 ) -> CanonicalTable:
     """The table of (d, r) from store, solved into it on a miss."""
     key = ("table", d, r)
@@ -429,7 +483,7 @@ def _sub_table(
 
 
 def _e_coords(
-    d: Composition, t: OrbitIndex, n: int, kappa: list[Laurent], store: dict
+    d: Composition, t: OrbitIndex, n: int, kappa: list[Laurent], store: _Store
 ) -> dict[OrbitIndex, Laurent]:
     """E^(n) b_t on Lambda_d in the canonical coordinates of level
     sum(t) - n, zeros omitted; empty when E^(n) b_t = 0.  One factor
@@ -466,12 +520,13 @@ def _e_coords(
                 raise TriangularityViolationError(
                     f"E^({n}) b{t} on Lambda_{d} escaped the level-{r - n} table"
                 )
+            coords = {u: _shared(store, c) for u, c in coords.items()}
         store[key] = coords
     return coords
 
 
 def _product_column(
-    d: Composition, t: OrbitIndex, kappa: list[Laurent], store: dict
+    d: Composition, t: OrbitIndex, kappa: list[Laurent], store: _Store
 ) -> dict[OrbitIndex, Laurent]:
     """Psi(P_t) in the product basis, P_s = v_(s_0) tensor b''_(s[1:]):
 
@@ -505,7 +560,7 @@ def _product_below(
     d: Composition,
     t: OrbitIndex,
     kappa: list[Laurent],
-    store: dict,
+    store: _Store,
     prefix: dict[OrbitIndex, tuple[int, ...]],
 ) -> dict[OrbitIndex, Laurent]:
     """Column t of the product-basis Psi matrix without its diagonal
@@ -535,18 +590,21 @@ def _product_below(
 
 
 def _compute_table(
-    d: Composition, r: int, kappa: list[Laurent] | None, store: dict
+    d: Composition, r: int, kappa: list[Laurent] | None, store: _Store
 ) -> CanonicalTable:
     """Solve the table of (d, r), product coordinates included; store
-    holds the factor tables and E^(n) coordinates (_MEMO, or a per-call
-    dict under a kappa override)."""
+    holds the factor tables, the E^(n) coordinates and the shared
+    coefficient values (_MEMO, or a per-call _Store under a kappa
+    override)."""
     order = tuple(orbits.linear_extension(d, r))
     if len(d) == 1:
         return CanonicalTable(
             d, r, order, {idx: ModuleVector._make(d, {idx: ONE}) for idx in order}
         )
     if kappa is None:
-        kappa = compute_quasi_r(_kappa_reach(d, 1))
+        kappa = compute_quasi_r(min(_kappa_reach(d, 1), r, sum(d) - r))
+    # every diagonal entry is ONE, so ONE is the shared 1 of the store
+    store.values.setdefault(ONE, ONE)
     # the closure tests compare prefix sums computed once per index,
     # which also tells an index of this level from any other
     prefix = {idx: orbits.prefix_sums(idx) for idx in order}
@@ -590,20 +648,21 @@ def _compute_table(
                 raise NonzeroConstantTermError(
                     f"obstruction ({g}) at {s} for b{r_idx} on Lambda_{d}"
                 )
-            p = g.negative_half()
-            coeffs[s] = p
+            p = coeffs[s] = _shared(store, g.negative_half())
             _add_scaled(obstruction, p.bar(), below[s])
         product_rows[r_idx] = coeffs
         # b_r = sum_s p_s v_(s_0) tensor b''_(s[1:]), one entry per index
         expanded: dict[OrbitIndex, Laurent | defaultdict] = {}
         for s, p in coeffs.items():
-            _add_scaled(expanded, p, factors[s[0]].rows[s[1:]]._terms, s[:1])
+            _add_scaled(expanded, p, factors[s[0]].rows[s[1:]]._terms, s[:1], store)
         data = {}
         for idx, raw in expanded.items():
-            c = _entry(raw)
+            if type(raw) is Laurent:
+                data[shared[idx]] = raw
+                continue
+            c = Laurent._from_raw(raw)
             if not c.is_zero():
-                # the diagonal 1 is the shared ONE, as every table stores it
-                data[shared[idx]] = ONE if c._terms == ONE._terms else c
+                data[shared[idx]] = _shared(store, c)
         rows[r_idx] = ModuleVector._make(d, data)
     return CanonicalTable(d, r, order, rows, product_rows)
 
@@ -622,7 +681,7 @@ def canonical_basis(
     d = orbits.check_composition(d)
     orbits.check_level(d, r)
     if kappa is not None:
-        return _compute_table(d, r, kappa, {})
+        return _compute_table(d, r, kappa, _Store())
     return _sub_table(d, r, None, _MEMO)
 
 

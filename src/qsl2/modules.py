@@ -408,7 +408,7 @@ def inner_product(u: ModuleVector, w: ModuleVector) -> Laurent:
                     c12 = c1 * c2
                     for h3, c3 in gram:
                         acc[h1 + h2 + h3] += c12 * c3
-    return Laurent(acc)
+    return Laurent._from_raw(acc)
 
 
 def rho_twist(gen: str) -> Callable[[ModuleVector], ModuleVector]:

@@ -165,22 +165,27 @@ def _linear_extension(d: Composition, r: int) -> tuple[OrbitIndex, ...]:
 
 
 def covering_relations(d: Composition, r: int) -> list[tuple[OrbitIndex, OrbitIndex]]:
-    """Pairs (s, t) with s strictly below t and nothing strictly between."""
+    """Pairs (s, t) with s strictly below t and nothing strictly between,
+    sorted by the positions of s and t in the linear extension.
+
+    Everything strictly below t comes before t in the linear extension,
+    so t's down-set is read off its prefix sums against those of the
+    earlier indices.  Walking that down-set from the top, s covers t
+    unless it lies below a cover already found."""
     elems = linear_extension(d, r)
-    strict = {
-        (s, t)
-        for s in elems
-        for t in elems
-        if s != t and closure_leq(d, s, t)
-    }
-    covers = [
-        (s, t)
-        for (s, t) in strict
-        if not any((s, m) in strict and (m, t) in strict for m in elems)
-    ]
-    pos = {idx: i for i, idx in enumerate(elems)}
-    covers.sort(key=lambda st: (pos[st[0]], pos[st[1]]))
-    return covers
+    sums = [prefix_sums(idx) for idx in elems]
+    below: list[set[int]] = []
+    covers = []
+    for j, top in enumerate(sums):
+        down = {i for i in range(j) if prefix_dominates(sums[i], top)}
+        below.append(down)
+        reached: set[int] = set()
+        for i in sorted(down, reverse=True):
+            if i not in reached:
+                covers.append((i, j))
+                reached |= below[i]
+    covers.sort()
+    return [(elems[i], elems[j]) for i, j in covers]
 
 
 def poset_json_obj(d: Composition, r: int) -> dict:

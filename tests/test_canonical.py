@@ -177,13 +177,25 @@ def test_wrong_f_action_leaves_kappa_underdetermined(monkeypatch):
         (lambda: bar_involution(V((1, 1, 1, 1), (0, 1, 0, 1))), 2),
         (lambda: bar_involution(V((1, 1, 1, 1), (0, 1, 0, 1)), cut=2), 3),
         (lambda: r_plus_pair(1, 5), 2),
+        (lambda: canonical_basis((12, 12), 1), 2),
+        (lambda: bar_involution(V((10, 10), (0, 1))), 2),
     ],
-    ids=["1x9-r4", "3-1-r2", "2-2-r2", "bar-1-1-1-1", "bar-1-1-1-1-cut2", "rplus-1-5"],
+    ids=[
+        "1x9-r4",
+        "3-1-r2",
+        "2-2-r2",
+        "bar-1-1-1-1",
+        "bar-1-1-1-1-cut2",
+        "rplus-1-5",
+        "12-12-r1",
+        "bar-10-10-level1",
+    ],
 )
 def test_kappa_is_solved_only_as_far_as_it_is_read(solve, solved):
     # a table, and Psi nested at cut 1, read kappa_n for
     # n <= max_k min(d_k, d_(k+1) + ... + d_l); a top cut c adds
-    # min(d_0 + ... + d_(c-1), d_c + ... + d_l) (canonical._kappa_reach)
+    # min(d_0 + ... + d_(c-1), d_c + ... + d_l) (canonical._kappa_reach);
+    # on level r only n <= min(r, sum(d) - r) is read
     clear_caches()
     solve()
     assert len(canonical_mod._KAPPA) == solved
@@ -536,6 +548,68 @@ def test_clear_caches_empties_store_and_resets_kappa():
     assert again.render() == first.render()
 
 
+def _stored_coefficients(memo):
+    """Every coefficient held by the memoized tables (rows and product
+    coordinates) and E^(n) coordinates of memo."""
+    for key, value in memo.items():
+        if key[0] == "table":
+            for row in value.rows.values():
+                yield from row._terms.values()
+            for coords in (value.product or {}).values():
+                yield from coords.values()
+        elif key[0] == "E":
+            yield from value.values()
+
+
+def test_equal_stored_coefficients_are_one_object():
+    clear_caches()
+    for r in range(9):
+        canonical_basis((1,) * 8, r)
+    for total in range(1, 7):
+        for d in _compositions(total):
+            for r in range(total + 1):
+                canonical_basis(d, r)
+    first = {}
+    stored = 0
+    for c in _stored_coefficients(canonical_mod._MEMO):
+        assert first.setdefault(c, c) is c, c
+        assert canonical_mod._MEMO.values[c] is c, c
+        stored += 1
+    assert first[ONE] is ONE
+    # the Kazhdan-Lusztig polynomials repeat: far fewer values than entries
+    assert stored > 20 * len(first)
+
+
+def test_clear_caches_empties_the_value_and_product_tables():
+    canonical_basis((1,) * 6, 3)
+    assert canonical_mod._MEMO.values
+    assert canonical_mod._MEMO.products
+    clear_caches()
+    assert canonical_mod._MEMO.values == {}
+    assert canonical_mod._MEMO.products == {}
+
+
+def test_kappa_override_leaves_the_shared_values_alone():
+    clear_caches()
+    canonical_basis((1,) * 6, 3)
+    ks = compute_quasi_r(1)
+    flipped = [ks[0], neg(ks[1])]
+    stored = len(canonical_mod._MEMO)
+    values = dict(canonical_mod._MEMO.values)
+    products = dict(canonical_mod._MEMO.products)
+    raised = 0
+    for d, r in [((1, 1), 1), ((1, 1, 1), 1), ((1,) * 4, 2), ((1,) * 5, 2)]:
+        try:
+            canonical_basis(d, r, kappa=flipped)
+        except AlgebraError:
+            raised += 1
+    assert raised < 4
+    assert len(canonical_mod._MEMO) == stored
+    assert canonical_mod._MEMO.values == values
+    assert canonical_mod._MEMO.products == products
+    assert all(canonical_mod._MEMO.values[c] is c for c in values)
+
+
 def test_every_memoized_table_keeps_its_product_coordinates():
     # _e_coords reads the product field of every factor table it meets
     clear_caches()
@@ -664,6 +738,30 @@ def test_add_scaled_matches_reference_loop_without_aliasing():
         # an accumulator entry may be a row's own Laurent, but a later
         # summand never writes into that Laurent's terms
         assert [{w: dict(e._terms) for w, e in row.items()} for row in rows] == before
+
+
+def test_add_scaled_shares_one_summand_products_through_the_store():
+    store = canonical_mod._Store()
+    c = Laurent({-2: 1, -4: 1})
+    e = Laurent({-2: 2, 0: 1})
+    # two equal entries held as different objects
+    row = {(0,): e, (1,): Laurent({-2: 2, 0: 1})}
+    acc = {}
+    canonical_mod._add_scaled(acc, c, row, (), store)
+    product = acc[(0,)]
+    assert acc[(1,)] is product
+    assert product._terms == (c * e)._terms
+    assert store.products == {(c, e): product}
+    assert store.values == {product: product}
+    again = {}
+    canonical_mod._add_scaled(again, c, row, (5,), store)
+    assert again[(5, 0)] is product
+    # a second summand turns the entry into a raw map and leaves the
+    # shared product as it was
+    canonical_mod._add_scaled(acc, ONE, row, (), store)
+    assert type(acc[(0,)]) is not Laurent
+    assert canonical_mod._entry(acc[(0,)])._terms == (c * e + e)._terms
+    assert product._terms == (c * e)._terms
 
 
 # -- fault injection -----------------------------------------------------------

@@ -169,6 +169,29 @@ def test_covering_relations():
                     ), (s, u, t)
 
 
+def _reference_covering_relations(d, r):
+    """The covering rule as once computed: every pair of the level
+    compared with closure_leq, and a pair kept unless some third index
+    lies strictly between."""
+    elems = linear_extension(d, r)
+    strict = {(s, t) for s in elems for t in elems if s != t and closure_leq(d, s, t)}
+    covers = [
+        (s, t)
+        for (s, t) in strict
+        if not any((s, m) in strict and (m, t) in strict for m in elems)
+    ]
+    pos = {idx: i for i, idx in enumerate(elems)}
+    covers.sort(key=lambda st: (pos[st[0]], pos[st[1]]))
+    return covers
+
+
+def test_covering_relations_match_the_pairwise_rule():
+    for d in [*compositions(7), (0, 2, 0, 1), (0,), (3, 0, 2)]:
+        for r in range(-1, sum(d) + 2):
+            expected = _reference_covering_relations(d, r)
+            assert covering_relations(d, r) == expected, (d, r)
+
+
 def test_zero_part_compositions():
     assert linear_extension((0,), 0) == [(0,)]
     assert linear_extension((0,), 1) == []

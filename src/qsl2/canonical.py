@@ -22,11 +22,13 @@ literature differ by signs and q-powers, so the solve anchors the
 convention to the module action itself and raises
 ConventionUnderdeterminedError when no equation has a unit coefficient,
 when an equation fails, or when the value leaves Z[q, q^-1].  Callers
-solve only the kappa_n that Psi reads (_kappa_reach): at cut 1,
-n <= max_k min(d_k, d_(k+1) + ... + d_l), which also bounds a table's
-product columns and is min(d_0, d_1) on a pair, and on level r also
-n <= min(r, sum(d) - r), as the E^(n) half lowers the right block's
-level and the F^(n) half raises the left block's.
+solve only the kappa_n that Psi reads on a level, _kappa_reach(d, cut,
+r): at cut 1, n <= max_k min(d_k, d_(k+1) + ... + d_l), which also
+bounds a table's product columns and is min(d_0, d_1) on a pair, and on
+level r also n <= min(r, sum(d) - r), as the E^(n) half lowers the
+right block's level and the F^(n) half raises the left block's.  No
+caller passes other coefficients: every table and Psi image is solved
+under the solved kappa into the one memo store _MEMO.
 
 Canonical tables are solved one factor at a time (Lusztig,
 Introduction to Quantum Groups, 27.3).  Write Lambda_d = Lambda_(d_0)
@@ -64,10 +66,10 @@ the standard basis through the d'' rows.  The off-diagonal coefficients
 land in q^-1 Z_{>=0}[q^-1] (a checked property, not an input).
 
 Every coefficient the solve stores (table rows, product coordinates
-and E^(n) coordinates) is the one shared instance of its value in the
-solve's store: the Kazhdan-Lusztig polynomials of the tables are few
-and repeat across rows and tables.  A row's first summand p_s e, with
-e an entry of a d'' row, is read from the store's table of products of
+and E^(n) coordinates) is the one shared instance of its value in
+_MEMO: the Kazhdan-Lusztig polynomials of the tables are few and
+repeat across rows and tables.  A row's first summand p_s e, with
+e an entry of a d'' row, is read from _MEMO's table of products of
 shared values, so a repeated product costs one lookup; an entry with
 two or more summands is summed as a raw map and shared when finished.
 
@@ -160,17 +162,17 @@ _KAPPA: list[Laurent] = [ONE]
 
 
 @lru_cache(maxsize=None)
-def _kappa_reach(d: Composition, cut: int) -> int:
-    """The largest n with kappa_n read by Psi on Lambda_d: Theta's n-th
-    term vanishes past either side's total, at the top cut and at each
-    nested cut 1.  On level r, F^(n) tensor E^(n) also needs n <= r and
-    n <= sum(d) - r, which callers take the minimum with.  Memoized for
-    the process."""
+def _kappa_reach(d: Composition, cut: int, r: int) -> int:
+    """The largest n with kappa_n read by Psi on level r of Lambda_d:
+    Theta's n-th term vanishes past either side's total, at the top cut
+    and at each nested cut 1, and F^(n) tensor E^(n) needs n <= r and
+    n <= sum(d) - r.  Memoized for the process."""
 
     def nested(e: Composition) -> int:
         return max((min(ek, sum(e[k + 1 :])) for k, ek in enumerate(e)), default=0)
 
-    return max(min(sum(d[:cut]), sum(d[cut:])), nested(d[:cut]), nested(d[cut:]))
+    reach = max(min(sum(d[:cut]), sum(d[cut:])), nested(d[:cut]), nested(d[cut:]))
+    return min(reach, r, sum(d) - r)
 
 
 class _Store(dict):
@@ -226,7 +228,7 @@ def clear_caches() -> None:
     the solved quasi-R coefficients, the quantum
     integers, factorials and binomials, the Gram entries, the E/F step
     scalars, the orbit dimensions, the linear extensions and the kappa
-    reach of each composition and cut."""
+    reach of each composition, cut and level."""
     _MEMO.clear()
     del _KAPPA[1:]
     for memo in _CONSTANT_MEMOS:
@@ -240,7 +242,7 @@ def _psi_basis(
     d: Composition, idx: OrbitIndex, kappa: list[Laurent], cut: int, store: dict
 ) -> ModuleVector:
     """Psi(v_idx) under kappa, memoized in store (_MEMO for the solved
-    coefficients, a fresh dict per call or trial under any other)."""
+    coefficients, a fresh dict per trial of the kappa solve)."""
     if len(d) == 1:
         return ModuleVector.basis(d, idx)
     key = ("psi", d, cut, idx)
@@ -250,24 +252,6 @@ def _psi_basis(
         right = _psi_basis(d[cut:], idx[cut:], kappa, 1, store)
         out = store[key] = theta(left, right, kappa)
     return out
-
-
-def _psi_vector(
-    u: ModuleVector, kappa: list[Laurent], cut: int, store: dict
-) -> ModuleVector:
-    """Psi(u) = sum bar(c) Psi(v_idx) over the terms c v_idx of u; a
-    single term is its memoized column scaled, which is the column
-    itself for a unit coefficient (vectors are immutable)."""
-    if len(u._terms) == 1:
-        ((idx, c),) = u._terms.items()
-        return _psi_basis(u.d, idx, kappa, cut, store).scale(c.bar())
-    return combine(
-        u.d,
-        (
-            (c.bar(), _psi_basis(u.d, idx, kappa, cut, store))
-            for idx, c in u._terms.items()
-        ),
-    )
 
 
 def _solve_next_kappa() -> None:
@@ -350,27 +334,31 @@ def compute_quasi_r(n_max: int) -> list[Laurent]:
 # -- the bar involution -----------------------------------------------------------
 
 
-def bar_involution(
-    u: ModuleVector,
-    *,
-    cut: int = 1,
-    kappa: list[Laurent] | None = None,
-) -> ModuleVector:
-    """Psi(u).  cut chooses where the top-level Theta splits the slots
-    (the result is nesting independent for the solved coefficients);
-    kappa overrides the solved coefficients, for fault injection in
-    tests, and memoizes only within the call."""
+def bar_involution(u: ModuleVector, *, cut: int = 1) -> ModuleVector:
+    """Psi(u) = sum bar(c) Psi(v_idx) over the terms c v_idx of u, from
+    the memoized columns of the solved coefficients, which are solved
+    as far as the highest _kappa_reach over u's levels.  cut chooses
+    where the top-level Theta splits the slots (the result is nesting
+    independent).  A single term is its column scaled, which is the
+    column itself for a unit coefficient (vectors are immutable)."""
     l = len(u.d)
     if l == 1:
         cut = 1
-    elif not 1 <= cut < l:
-        raise ValueError(f"cut {cut} out of range for {l} slots")
-    store = _MEMO if kappa is None else {}
-    if kappa is None:
-        total = sum(u.d)
-        level_reach = max((min(r, total - r) for r in u.levels()), default=0)
-        kappa = compute_quasi_r(min(_kappa_reach(u.d, cut), level_reach))
-    return _psi_vector(u, kappa, cut, store)
+    elif type(cut) is not int or not 1 <= cut < l:
+        raise ValueError(f"cut {cut!r} out of range for {l} slots")
+    kappa = compute_quasi_r(
+        max((_kappa_reach(u.d, cut, r) for r in u.levels()), default=0)
+    )
+    if len(u._terms) == 1:
+        ((idx, c),) = u._terms.items()
+        return _psi_basis(u.d, idx, kappa, cut, _MEMO).scale(c.bar())
+    return combine(
+        u.d,
+        (
+            (c.bar(), _psi_basis(u.d, idx, kappa, cut, _MEMO))
+            for idx, c in u._terms.items()
+        ),
+    )
 
 
 # -- canonical bases ----------------------------------------------------------------
@@ -400,6 +388,12 @@ class CanonicalTable(_Record):
         self._set(d=d, r=r, order=order, rows=rows, product=product)
 
     def coefficient(self, r_idx: OrbitIndex, s_idx: OrbitIndex) -> Laurent:
+        """c_{r,s}; a ValueError when either index is off the level."""
+        for idx in (r_idx, s_idx):
+            if tuple(idx) not in self.rows:
+                raise ValueError(
+                    f"index {tuple(idx)} is not on level {self.r} of Lambda_{self.d}"
+                )
         return self.rows[tuple(r_idx)].coeff(s_idx)
 
     def to_json_obj(self) -> dict:
@@ -427,19 +421,19 @@ def _add_scaled(
     c: Laurent,
     terms: dict[OrbitIndex, Laurent],
     head: OrbitIndex = (),
-    store: _Store | None = None,
+    shared: bool = False,
 ) -> None:
     """acc[head + w] += c * terms[w] for every w.  An entry of acc is
     the Laurent c * terms[w] while it has one summand (terms[w] itself
     when c is 1, shared as values are immutable), and from the second
     summand on a raw map {half-exponent: coefficient} that starts as a
     copy of that Laurent's terms and is never one of them; _entry reads
-    either kind.  Given a store, a one-summand product c * terms[w] is
-    read from its product table, and computed and shared only on a
+    either kind.  When shared, a one-summand product c * terms[w] is
+    read from _MEMO's product table, and computed and shared only on a
     miss."""
     c_items = c._terms.items()
     unit = c._terms == ONE._terms
-    products = None if store is None else store.products
+    products = _MEMO.products if shared else None
     for w, e in terms.items():
         key = head + w
         raw = acc.get(key)
@@ -451,7 +445,7 @@ def _add_scaled(
             else:
                 ce = products.get((c, e))
                 if ce is None:
-                    ce = products[c, e] = _shared(store, c * e)
+                    ce = products[c, e] = _shared(c * e)
                 acc[key] = ce
             continue
         if type(raw) is Laurent:
@@ -466,45 +460,41 @@ def _entry(raw: Laurent | defaultdict) -> Laurent:
     return raw if type(raw) is Laurent else Laurent._from_raw(raw)
 
 
-def _shared(store: _Store, c: Laurent) -> Laurent:
-    """The shared instance of c's value in store, c itself on a miss."""
-    return store.values.setdefault(c, c)
+def _shared(c: Laurent) -> Laurent:
+    """The shared instance of c's value in _MEMO, c itself on a miss."""
+    return _MEMO.values.setdefault(c, c)
 
 
-def _sub_table(
-    d: Composition, r: int, kappa: list[Laurent] | None, store: _Store
-) -> CanonicalTable:
-    """The table of (d, r) from store, solved into it on a miss."""
+def _sub_table(d: Composition, r: int) -> CanonicalTable:
+    """The table of (d, r) from _MEMO, solved into it on a miss."""
     key = ("table", d, r)
-    table = store.get(key)
+    table = _MEMO.get(key)
     if table is None:
-        table = store[key] = _compute_table(d, r, kappa, store)
+        table = _MEMO[key] = _compute_table(d, r)
     return table
 
 
-def _e_coords(
-    d: Composition, t: OrbitIndex, n: int, kappa: list[Laurent], store: _Store
-) -> dict[OrbitIndex, Laurent]:
+def _e_coords(d: Composition, t: OrbitIndex, n: int) -> dict[OrbitIndex, Laurent]:
     """E^(n) b_t on Lambda_d in the canonical coordinates of level
     sum(t) - n, zeros omitted; empty when E^(n) b_t = 0.  One factor
     is the standard basis, E^(n) v_t0 = [d_0 - t_0 + n choose n]
     v_(t_0 - n).  Otherwise E^(n) is applied to b_t = sum_s p_{s,t} P_s
     term by term through the coproduct (see the module docstring) and
     back-substituted against the product coordinates of the level
-    below.  Memoized in store for len(d) > 1."""
+    below.  Memoized in _MEMO for len(d) > 1."""
     d0, t0 = d[0], t[0]
     if len(d) == 1:
         return {(t0 - n,): quantum_binomial(d0 - t0 + n, n)} if n <= t0 else {}
     key = ("E", d, t, n)
-    coords = store.get(key)
+    coords = _MEMO.get(key)
     if coords is None:
         r = sum(t)
         image: dict[OrbitIndex, Laurent | defaultdict] = {}
-        for s, p in _sub_table(d, r, kappa, store).product[t].items():
+        for s, p in _sub_table(d, r).product[t].items():
             s0, rest = s[0], s[1:]
             for a in range(min(n, s0) + 1):
                 b = n - a
-                part = {rest: ONE} if b == 0 else _e_coords(d[1:], rest, b, kappa, store)
+                part = {rest: ONE} if b == 0 else _e_coords(d[1:], rest, b)
                 if part:
                     scalar = (
                         p
@@ -514,19 +504,19 @@ def _e_coords(
                     _add_scaled(image, scalar, part, (s0 - a,))
         coords = {}
         if image:
-            lower = _sub_table(d, r - n, kappa, store).product
+            lower = _sub_table(d, r - n).product
             coords = _back_substitute(image, lower, lower)
             if coords is None:
                 raise TriangularityViolationError(
                     f"E^({n}) b{t} on Lambda_{d} escaped the level-{r - n} table"
                 )
-            coords = {u: _shared(store, c) for u, c in coords.items()}
-        store[key] = coords
+            coords = {u: _shared(c) for u, c in coords.items()}
+        _MEMO[key] = coords
     return coords
 
 
 def _product_column(
-    d: Composition, t: OrbitIndex, kappa: list[Laurent], store: _Store
+    d: Composition, t: OrbitIndex, kappa: list[Laurent]
 ) -> dict[OrbitIndex, Laurent]:
     """Psi(P_t) in the product basis, P_s = v_(s_0) tensor b''_(s[1:]):
 
@@ -539,7 +529,7 @@ def _product_column(
     column: dict[OrbitIndex, Laurent] = {}
     n = 0
     while t0 + n <= d[0]:
-        coords = {rest: ONE} if n == 0 else _e_coords(d[1:], rest, n, kappa, store)
+        coords = {rest: ONE} if n == 0 else _e_coords(d[1:], rest, n)
         if not coords:
             break
         if n >= len(kappa):
@@ -560,14 +550,13 @@ def _product_below(
     d: Composition,
     t: OrbitIndex,
     kappa: list[Laurent],
-    store: _Store,
     prefix: dict[OrbitIndex, tuple[int, ...]],
 ) -> dict[OrbitIndex, Laurent]:
     """Column t of the product-basis Psi matrix without its diagonal
     entry, after checking that the column is unitriangular: a_{t,t} = 1
     and every other entry lies strictly below t in the closure order.
     prefix maps each index of the level to its prefix sums."""
-    column = _product_column(d, t, kappa, store)
+    column = _product_column(d, t, kappa)
     diagonal = column.pop(t, ZERO)
     if diagonal != ONE:
         raise TriangularityViolationError(
@@ -589,28 +578,25 @@ def _product_below(
     return column
 
 
-def _compute_table(
-    d: Composition, r: int, kappa: list[Laurent] | None, store: _Store
-) -> CanonicalTable:
-    """Solve the table of (d, r), product coordinates included; store
-    holds the factor tables, the E^(n) coordinates and the shared
-    coefficient values (_MEMO, or a per-call _Store under a kappa
-    override)."""
+def _compute_table(d: Composition, r: int) -> CanonicalTable:
+    """Solve the table of (d, r), product coordinates included, under
+    kappa solved as far as _kappa_reach(d, 1, r); the factor tables,
+    the E^(n) coordinates and the shared coefficient values live in
+    _MEMO."""
     order = tuple(orbits.linear_extension(d, r))
     if len(d) == 1:
         return CanonicalTable(
             d, r, order, {idx: ModuleVector._make(d, {idx: ONE}) for idx in order}
         )
-    if kappa is None:
-        kappa = compute_quasi_r(min(_kappa_reach(d, 1), r, sum(d) - r))
+    kappa = compute_quasi_r(_kappa_reach(d, 1, r))
     # every diagonal entry is ONE, so ONE is the shared 1 of the store
-    store.values.setdefault(ONE, ONE)
+    _MEMO.values.setdefault(ONE, ONE)
     # the closure tests compare prefix sums computed once per index,
     # which also tells an index of this level from any other
     prefix = {idx: orbits.prefix_sums(idx) for idx in order}
-    below = {t: _product_below(d, t, kappa, store, prefix) for t in order}
+    below = {t: _product_below(d, t, kappa, prefix) for t in order}
     factors = {
-        a: _sub_table(d[1:], r - a, kappa, store)
+        a: _sub_table(d[1:], r - a)
         for a in range(max(0, r - sum(d[1:])), min(r, d[0]) + 1)
     }
     # every row is keyed by the index tuples of order, one copy per level
@@ -648,13 +634,15 @@ def _compute_table(
                 raise NonzeroConstantTermError(
                     f"obstruction ({g}) at {s} for b{r_idx} on Lambda_{d}"
                 )
-            p = coeffs[s] = _shared(store, g.negative_half())
+            p = coeffs[s] = _shared(g.negative_half())
             _add_scaled(obstruction, p.bar(), below[s])
         product_rows[r_idx] = coeffs
         # b_r = sum_s p_s v_(s_0) tensor b''_(s[1:]), one entry per index
         expanded: dict[OrbitIndex, Laurent | defaultdict] = {}
         for s, p in coeffs.items():
-            _add_scaled(expanded, p, factors[s[0]].rows[s[1:]]._terms, s[:1], store)
+            _add_scaled(
+                expanded, p, factors[s[0]].rows[s[1:]]._terms, s[:1], shared=True
+            )
         data = {}
         for idx, raw in expanded.items():
             if type(raw) is Laurent:
@@ -662,27 +650,17 @@ def _compute_table(
                 continue
             c = Laurent._from_raw(raw)
             if not c.is_zero():
-                data[shared[idx]] = _shared(store, c)
+                data[shared[idx]] = _shared(c)
         rows[r_idx] = ModuleVector._make(d, data)
     return CanonicalTable(d, r, order, rows, product_rows)
 
 
-def canonical_basis(
-    d: Composition,
-    r: int,
-    *,
-    kappa: list[Laurent] | None = None,
-) -> CanonicalTable:
-    """The canonical basis table of Lambda_d at level r.
-
-    Results are memoized per process.  A kappa override bypasses the
-    memo, so injected faults cannot poison real tables.
-    """
+def canonical_basis(d: Composition, r: int) -> CanonicalTable:
+    """The canonical basis table of Lambda_d at level r, solved under
+    the solved quasi-R coefficients and memoized per process."""
     d = orbits.check_composition(d)
     orbits.check_level(d, r)
-    if kappa is not None:
-        return _compute_table(d, r, kappa, _Store())
-    return _sub_table(d, r, None, _MEMO)
+    return _sub_table(d, r)
 
 
 def _back_substitute(
@@ -717,10 +695,17 @@ def canonical_coords(
 ) -> list[tuple[OrbitIndex, Laurent]]:
     """Expand u over the canonical basis of its level by unitriangular
     back-substitution; returns (index, coefficient) pairs in the table
-    order, zeros omitted."""
+    order, zeros omitted.  A vector with a term off the table's level is
+    a ValueError."""
     if u.d != table.d:
         raise AmbientMismatchError(
             f"vector over Lambda_{u.d} against the table of Lambda_{table.d}"
+        )
+    levels = u.levels()
+    if levels - {table.r}:
+        raise ValueError(
+            f"vector at levels {sorted(levels)} against the level-{table.r} "
+            f"table of Lambda_{table.d}"
         )
     coords = _back_substitute(
         dict(u._terms), table.order, {idx: row._terms for idx, row in table.rows.items()}
@@ -795,8 +780,8 @@ def split_expand(
     against the concatenated-index products; the leading coefficient is
     exactly 1 by construction."""
     d = orbits.check_composition(d)
-    if not 1 <= cut < len(d):
-        raise ValueError(f"cut {cut} out of range for {len(d)} slots")
+    if type(cut) is not int or not 1 <= cut < len(d):
+        raise ValueError(f"cut {cut!r} out of range for {len(d)} slots")
     orbits.check_level(d, r)
     left_d, right_d = d[:cut], d[cut:]
 

@@ -52,7 +52,7 @@ def format_index(idx: OrbitIndex) -> str:
 
 def check_composition(d: Composition) -> Composition:
     d = tuple(d)
-    if len(d) < 1 or any(not isinstance(x, int) or x < 0 for x in d):
+    if len(d) < 1 or any(type(x) is not int or x < 0 for x in d):
         raise ValueError(f"not a composition: {d!r}")
     return d
 
@@ -61,15 +61,15 @@ def check_index(d: Composition, r: OrbitIndex) -> OrbitIndex:
     r = tuple(r)
     if len(r) != len(d):
         raise AmbientMismatchError(f"index {r} has wrong length for ambient {d}")
-    if any(not isinstance(x, int) or not 0 <= x <= dk for x, dk in zip(r, d)):
+    if any(type(x) is not int or not 0 <= x <= dk for x, dk in zip(r, d)):
         raise ValueError(f"index {r} out of range for ambient {d}")
     return r
 
 
 def check_level(d: Composition, r: int) -> None:
-    """Reject a weight level outside 0 <= r <= sum(d)."""
-    if not 0 <= r <= sum(d):
-        raise ValueError(f"level {r} out of range for {d}")
+    """Reject a weight level that is not an int in 0 <= r <= sum(d)."""
+    if type(r) is not int or not 0 <= r <= sum(d):
+        raise ValueError(f"level {r!r} out of range for {d}")
 
 
 def prefix_sums(r: OrbitIndex) -> tuple[int, ...]:

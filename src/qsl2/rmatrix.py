@@ -63,7 +63,7 @@ class PermWord(_Record):
             raise ValueError("a word needs at least one slot")
         letters = tuple(letters)
         for a in letters:
-            if not isinstance(a, int):
+            if type(a) is not int:
                 raise ValueError(f"letter {a!r} is not an int")
             if not 1 <= a <= slots - 1:
                 raise ValueError(f"letter {a} out of range for {slots} slots")
@@ -113,33 +113,18 @@ def _swap_step(u: ModuleVector) -> ModuleVector:
     return ModuleVector._make((c2, c1), data)
 
 
-def _r_plus_columns(
-    d1: int,
-    d2: int,
-    *,
-    step_order: tuple[str, ...] = ("theta", "cartan", "swap"),
-    with_scalar: bool = True,
-) -> dict[OrbitIndex, ModuleVector]:
-    """Standard-basis columns of the positive pair braiding.  The
-    keyword hooks exist so tests can inject a wrong composition order or
-    drop the scalar and watch the advertised failures appear."""
+def _r_plus_columns(d1: int, d2: int) -> dict[OrbitIndex, ModuleVector]:
+    """Standard-basis columns of the positive pair braiding, read right
+    to left: Theta_R, then the Cartan step, then the swap, then the
+    scalar.  F^(n) tensor E^(n) has bar-invariant entries on single
+    factors, so Theta_R = bar Psi here, and bar Psi is linear."""
     scalar = Laurent({3 * d1 * d2: (-1) ** (d1 * d2)})
-    steps = {
-        # F^(n) tensor E^(n) has bar-invariant entries on single factors,
-        # so Theta_R = bar Psi here, and bar Psi is linear
-        "theta": lambda u: bar_involution(u).map_coefficients(Laurent.bar),
-        "cartan": _cartan_step,
-        "swap": _swap_step,
-    }
     columns: dict[OrbitIndex, ModuleVector] = {}
     for r in range(d1 + d2 + 1):
         for idx in enumerate_basis((d1, d2), r):
-            u = ModuleVector.basis((d1, d2), idx)
-            for step in step_order:
-                u = steps[step](u)
-            if with_scalar:
-                u = u.scale(scalar)
-            columns[idx] = u
+            u = bar_involution(ModuleVector.basis((d1, d2), idx))
+            u = u.map_coefficients(Laurent.bar)
+            columns[idx] = _swap_step(_cartan_step(u)).scale(scalar)
     return columns
 
 

@@ -1,18 +1,22 @@
 """Bar involution, quasi-R coefficients, canonical bases, split
 expansion, and the refinement embedding."""
 
+import importlib.util
 import json
+import os
 import random
 
 import pytest
 
 import qsl2.canonical as canonical_mod
 import qsl2.modules as modules_mod
+from conftest import solved_under
 from qsl2 import orbits
 from qsl2 import (
     CanonicalTable,
     Laurent,
     ModuleVector,
+    PermWord,
     bar_involution,
     canonical_basis,
     canonical_coords,
@@ -202,12 +206,26 @@ def test_kappa_is_solved_only_as_far_as_it_is_read(solve, solved):
 
 
 def test_kappa_override_solves_no_coefficient():
-    clear_caches()
     given = [_closed_form_kappa(n) for n in range(3)]
-    table = canonical_basis((2, 2), 2, kappa=given)
-    assert canonical_mod._KAPPA == [ONE]
+    with solved_under(given):
+        table = canonical_basis((2, 2), 2)
+        assert canonical_mod._KAPPA == [ONE]
     assert canonical_mod._MEMO == {}
     assert table == canonical_basis((2, 2), 2)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: canonical_basis((1, 1), 1, kappa=[ONE]),
+        lambda: bar_involution(V((1, 1), (0, 1)), kappa=[ONE]),
+    ],
+    ids=["canonical_basis", "bar_involution"],
+)
+def test_no_public_kappa_override(call):
+    # every table and Psi image is solved under the solved coefficients
+    with pytest.raises(TypeError, match="kappa"):
+        call()
 
 
 def test_quasi_r_prefix_stability_and_validation():
@@ -291,6 +309,38 @@ def test_canonical_table_2_2():
     assert t.coefficient((2, 0), (0, 2)) == ZERO
 
 
+@pytest.mark.parametrize("r_idx, s_idx", [((5, 5), (2, 0)), ((1, 1), (1, 0))])
+def test_coefficient_off_the_level_names_table_and_index(r_idx, s_idx):
+    t = canonical_basis((2, 2), 2)
+    off = r_idx if sum(r_idx) != 2 else s_idx
+    with pytest.raises(ValueError) as info:
+        t.coefficient(r_idx, s_idx)
+    assert str(info.value) == f"index {off} is not on level 2 of Lambda_(2, 2)"
+
+
+def test_bool_is_not_an_int_of_a_composition_index_or_level():
+    clear_caches()
+    with pytest.raises(ValueError, match="not a composition"):
+        canonical_basis((True, True), 1)
+    # no table was memoized under the (1, 1) key, so the integer
+    # request renders its own integers
+    table = canonical_basis((1, 1), 1)
+    assert table.render().startswith("canonical basis d=(1,1) r=1\n")
+    assert json.dumps(table.to_json_obj()["d"]) == "[1, 1]"
+    with pytest.raises(ValueError, match="level True out of range"):
+        canonical_basis((1, 1), True)
+    with pytest.raises(ValueError, match="out of range"):
+        V((1, 1), (True, False))
+    with pytest.raises(ValueError, match="out of range"):
+        orbits.check_index((1, 1), (1, False))
+    with pytest.raises(ValueError, match="cut True out of range"):
+        split_expand((1, 1), True, 1)
+    with pytest.raises(ValueError, match="cut True out of range"):
+        bar_involution(V((1, 1, 1), (0, 1, 0)), cut=True)
+    with pytest.raises(ValueError, match="letter True is not an int"):
+        PermWord(2, [True])
+
+
 def test_canonical_rows_bar_fixed_unitriangular_positive():
     from qsl2.orbits import closure_leq
 
@@ -341,9 +391,24 @@ def test_canonical_coords_roundtrip():
 
 
 def test_canonical_coords_rejects_wrong_level():
+    # a vector off the table's level is a usage error, not an AlgebraError
     t = canonical_basis((2, 2), 2)
-    with pytest.raises(TriangularityViolationError):
+    message = r"levels \[1\] against the level-2 table of Lambda_\(2, 2\)"
+    with pytest.raises(ValueError, match=message):
         canonical_coords(t, V((2, 2), (1, 0)))
+    mixed = V((2, 2), (1, 1)) + V((2, 2), (2, 1))
+    with pytest.raises(ValueError, match=r"levels \[2, 3\]"):
+        canonical_coords(t, mixed)
+
+
+def test_canonical_coords_leftover_on_the_level_is_a_triangularity_violation():
+    # a table missing the row of (0, 1) leaves v(0,1) over: the table,
+    # not the vector, is at fault
+    t = canonical_basis((1, 1), 1)
+    partial = CanonicalTable(t.d, t.r, ((1, 0),), {(1, 0): t.rows[(1, 0)]})
+    with pytest.raises(TriangularityViolationError, match="escaped the level-1 table"):
+        canonical_coords(partial, V((1, 1), (0, 1)))
+    assert not issubclass(TriangularityViolationError, ValueError)
 
 
 def test_canonical_coords_rejects_another_ambient():
@@ -373,7 +438,7 @@ def test_canonical_render():
 # -- reference solve -----------------------------------------------------------
 
 
-def _reference_table(d, r, kappa=None):
+def _reference_table(d, r):
     """The correction loop the package used before the coefficient
     recursion: repair beta = v_r by p b_s at the highest obstruction s
     until Psi(beta) = beta, re-applying Psi to all of beta each time."""
@@ -383,7 +448,7 @@ def _reference_table(d, r, kappa=None):
     for r_idx in order:
         beta = V(d, r_idx)
         for _ in range(len(order) + 1):
-            delta = bar_involution(beta, kappa=kappa) - beta
+            delta = bar_involution(beta) - beta
             if delta.is_zero():
                 break
             for s in delta.support():
@@ -402,10 +467,10 @@ def _reference_table(d, r, kappa=None):
     return CanonicalTable(d, r, order, rows)
 
 
-def _psi_below(d, t, kappa, store, prefix):
+def _psi_below(d, t, kappa, prefix):
     """Column t of the standard-basis Psi matrix without its diagonal
     entry, after checking that it is unitriangular."""
-    column = dict(canonical_mod._psi_basis(d, t, kappa, 1, store)._terms)
+    column = dict(canonical_mod._psi_basis(d, t, kappa, 1, canonical_mod._MEMO)._terms)
     diagonal = column.pop(t, ZERO)
     if diagonal != ONE:
         raise TriangularityViolationError(
@@ -420,16 +485,16 @@ def _psi_below(d, t, kappa, store, prefix):
     return column
 
 
-def _reference_recursion(d, r, kappa=None):
+def _reference_recursion(d, r):
     """The solve the package used before the product basis: the same
     coefficient recursion over the standard-basis Psi matrix, whose
-    columns fill the whole lower closure."""
+    columns fill the whole lower closure.  It reads kappa through
+    canonical.compute_quasi_r, as the solve does, so solved_under
+    reaches both."""
     order = tuple(orbits.linear_extension(d, r))
-    store = {} if kappa is not None else canonical_mod._MEMO
-    if kappa is None:
-        kappa = compute_quasi_r(sum(d) // 2)
+    kappa = canonical_mod.compute_quasi_r(sum(d) // 2)
     prefix = {idx: orbits.prefix_sums(idx) for idx in order}
-    below = {t: _psi_below(d, t, kappa, store, prefix) for t in order}
+    below = {t: _psi_below(d, t, kappa, prefix) for t in order}
     rows = {}
     for top, r_idx in enumerate(order):
         coeffs = {r_idx: ONE}
@@ -472,8 +537,9 @@ def test_recursion_matches_reference_correction_loop():
 def test_recursion_matches_reference_under_kappa_override():
     ks = compute_quasi_r(2)
     flipped = [ks[0], neg(ks[1]), ks[2]]
-    wrong = canonical_basis((2, 2), 2, kappa=flipped)
-    assert wrong == _reference_table((2, 2), 2, kappa=flipped)
+    with solved_under(flipped):
+        wrong = canonical_basis((2, 2), 2)
+        assert wrong == _reference_table((2, 2), 2)
     assert wrong != canonical_basis((2, 2), 2)
 
 
@@ -488,7 +554,8 @@ def test_product_solve_matches_standard_basis_recursion():
 
 def _outcome(solve, d, r, kappa):
     try:
-        return solve(d, r, kappa=kappa)
+        with solved_under(kappa):
+            return solve(d, r)
     except (AlgebraError, ValueError) as e:  # the error type is compared
         return type(e)
 
@@ -498,8 +565,9 @@ def test_product_solve_matches_standard_basis_recursion_under_kappa_override():
     # the same error type at every level of (2,1,2) that fails
     ks = compute_quasi_r(2)
     flipped = [ks[0], neg(ks[1]), ks[2]]
-    wrong = canonical_basis((2, 2), 2, kappa=flipped)
-    assert wrong == _reference_recursion((2, 2), 2, kappa=flipped)
+    with solved_under(flipped):
+        wrong = canonical_basis((2, 2), 2)
+        assert wrong == _reference_recursion((2, 2), 2)
     assert wrong != canonical_basis((2, 2), 2)
     raised = 0
     for r in range(6):
@@ -580,6 +648,24 @@ def test_equal_stored_coefficients_are_one_object():
     assert stored > 20 * len(first)
 
 
+def test_solved_under_leaves_every_memo_empty():
+    ks = compute_quasi_r(2)
+    with solved_under([ks[0], neg(ks[1]), ks[2]]):
+        canonical_basis((2, 2), 2)
+        r_plus_pair(1, 2)
+        assert canonical_mod._MEMO.values and canonical_mod._MEMO.products
+    assert canonical_mod.compute_quasi_r is compute_quasi_r
+    assert canonical_mod._MEMO == {}
+    assert canonical_mod._MEMO.values == {}
+    assert canonical_mod._MEMO.products == {}
+    assert canonical_mod._KAPPA == [ONE]
+    for memo in canonical_mod._CONSTANT_MEMOS:
+        assert memo.cache_info().currsize == 0, memo
+    fresh = json.dumps(canonical_basis((2, 2), 2).to_json_obj(), indent=2) + "\n"
+    with open(os.path.join(_GOLDEN_DIR, "canon_d2-2_r2.json"), encoding="utf-8") as fh:
+        assert fresh == fh.read()
+
+
 def test_clear_caches_empties_the_value_and_product_tables():
     canonical_basis((1,) * 6, 3)
     assert canonical_mod._MEMO.values
@@ -600,14 +686,19 @@ def test_kappa_override_leaves_the_shared_values_alone():
     raised = 0
     for d, r in [((1, 1), 1), ((1, 1, 1), 1), ((1,) * 4, 2), ((1,) * 5, 2)]:
         try:
-            canonical_basis(d, r, kappa=flipped)
+            with solved_under(flipped):
+                canonical_basis(d, r)
         except AlgebraError:
             raised += 1
     assert raised < 4
+    # the wrong values left with the block; a fresh solve shares the
+    # same values and products as before it
+    assert canonical_mod._MEMO.values == {}
+    canonical_basis((1,) * 6, 3)
     assert len(canonical_mod._MEMO) == stored
     assert canonical_mod._MEMO.values == values
     assert canonical_mod._MEMO.products == products
-    assert all(canonical_mod._MEMO.values[c] is c for c in values)
+    assert all(v is c for c, v in canonical_mod._MEMO.values.items())
 
 
 def test_every_memoized_table_keeps_its_product_coordinates():
@@ -624,6 +715,27 @@ def test_every_memoized_table_keeps_its_product_coordinates():
     assert len(tables) > 10
     for table in tables:
         assert tuple(table.product) == table.order, (table.d, table.r)
+
+
+_GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
+
+
+def test_910_table_digest():
+    # the recipe of tests/golden/digest.py, one digest for every table
+    # of total <= 7 and a few larger ones
+    spec = importlib.util.spec_from_file_location(
+        "golden_digest", os.path.join(_GOLDEN_DIR, "digest.py")
+    )
+    digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest)
+    cases = digest.cases()
+    assert len(cases) == 910
+    assert cases[:896] == [
+        (d, r) for t in range(1, 8) for d in _compositions(t) for r in range(t + 1)
+    ]
+    assert digest.digest() == (
+        "199bddfd5b5e8cbe37f1888068e74c24f52e9659e326ae68945e73aa41947dbc"
+    )
 
 
 def test_split_at_the_first_slot_equals_the_product_coordinates():
@@ -741,24 +853,25 @@ def test_add_scaled_matches_reference_loop_without_aliasing():
 
 
 def test_add_scaled_shares_one_summand_products_through_the_store():
-    store = canonical_mod._Store()
+    clear_caches()
+    store = canonical_mod._MEMO
     c = Laurent({-2: 1, -4: 1})
     e = Laurent({-2: 2, 0: 1})
     # two equal entries held as different objects
     row = {(0,): e, (1,): Laurent({-2: 2, 0: 1})}
     acc = {}
-    canonical_mod._add_scaled(acc, c, row, (), store)
+    canonical_mod._add_scaled(acc, c, row, (), shared=True)
     product = acc[(0,)]
     assert acc[(1,)] is product
     assert product._terms == (c * e)._terms
     assert store.products == {(c, e): product}
     assert store.values == {product: product}
     again = {}
-    canonical_mod._add_scaled(again, c, row, (5,), store)
+    canonical_mod._add_scaled(again, c, row, (5,), shared=True)
     assert again[(5, 0)] is product
     # a second summand turns the entry into a raw map and leaves the
     # shared product as it was
-    canonical_mod._add_scaled(acc, ONE, row, (), store)
+    canonical_mod._add_scaled(acc, ONE, row, (), shared=True)
     assert type(acc[(0,)]) is not Laurent
     assert canonical_mod._entry(acc[(0,)])._terms == (c * e + e)._terms
     assert product._terms == (c * e)._terms
@@ -772,28 +885,29 @@ def test_kappa_override_changes_table_without_poisoning_caches():
     flipped = [ks[0], neg(ks[1])]
     clean = canonical_basis((1, 1), 1)
     assert clean.rows[(0, 1)] == V((1, 1), (0, 1)) + V((1, 1), (1, 0)).scale(QINV)
-    stored = len(canonical_mod._MEMO)
-    wrong = canonical_basis((1, 1), 1, kappa=flipped)
+    with solved_under(flipped):
+        wrong = canonical_basis((1, 1), 1)
     assert wrong.rows[(0, 1)] == V((1, 1), (0, 1)) + V((1, 1), (1, 0)).scale(
         neg(QINV)
     )
-    assert len(canonical_mod._MEMO) == stored
+    assert canonical_mod._MEMO == {}
+    assert canonical_basis((1, 1), 1) == clean
     assert canonical_mod._MEMO[("table", (1, 1), 1)] == clean
 
 
 def test_theta_rejects_short_coefficient_list():
-    with pytest.raises(ValueError, match="too short"):
-        bar_involution(V((2, 2), (0, 2)), kappa=[ONE])
-    with pytest.raises(ValueError, match="too short"):
-        canonical_basis((2, 2), 2, kappa=[ONE])
+    with pytest.raises(ValueError, match="too short"), solved_under([ONE]):
+        bar_involution(V((2, 2), (0, 2)))
+    with pytest.raises(ValueError, match="too short"), solved_under([ONE]):
+        canonical_basis((2, 2), 2)
 
 
 def test_kappa_fault_raises_on_non_unitriangular_psi_column():
     ks = compute_quasi_r(1)
-    stored = len(canonical_mod._MEMO)
     with pytest.raises(TriangularityViolationError, match="diagonal"):
-        canonical_basis((1, 1), 1, kappa=[Laurent.from_int(2), ks[1]])
-    assert len(canonical_mod._MEMO) == stored
+        with solved_under([Laurent.from_int(2), ks[1]]):
+            canonical_basis((1, 1), 1)
+    assert canonical_mod._MEMO == {}
 
 
 @pytest.mark.parametrize(
@@ -809,7 +923,7 @@ def test_psi_column_support_outside_closure_raises(monkeypatch, planted, pattern
     canonical_basis((1, 1), 1)
     stored = len(canonical_mod._MEMO)
 
-    def faulty(d_, idx, kappa, store):
+    def faulty(d_, idx, kappa):
         column = {idx: ONE}
         if idx == bottom:
             column[planted] = QINV
@@ -826,11 +940,12 @@ def test_psi_column_support_outside_closure_raises(monkeypatch, planted, pattern
 
 
 def test_kappa_fault_raises_on_non_antisymmetric_obstruction():
-    with pytest.raises(ObstructionNotAntisymmetricError):
-        canonical_basis((1, 1), 1, kappa=[ONE, ONE])
+    with pytest.raises(ObstructionNotAntisymmetricError), solved_under([ONE, ONE]):
+        canonical_basis((1, 1), 1)
     ks = compute_quasi_r(2)
     with pytest.raises(ObstructionNotAntisymmetricError):
-        canonical_basis((2, 2), 2, kappa=[ks[0], ks[1], ZERO])
+        with solved_under([ks[0], ks[1], ZERO]):
+            canonical_basis((2, 2), 2)
 
 
 # -- split expansion -----------------------------------------------------------

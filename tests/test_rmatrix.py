@@ -20,6 +20,8 @@ from qsl2.modules import LinMap, act_E, act_F, act_K, combine, enumerate_basis, 
 from qsl2.qring import ONE, Q, QINV, ZERO, q_power, quantum_factorial
 from qsl2.rmatrix import _cartan_step, _r_plus_columns, _swap_step
 
+from conftest import r_plus_columns
+
 V = ModuleVector.basis
 
 
@@ -319,8 +321,15 @@ def test_matrix_in_basis_rejects_unknown_basis():
 # -- fault injection ----------------------------------------------------------------
 
 
+def test_step_builder_with_its_defaults_is_r_plus_columns():
+    # the fault injections below change one thing of this builder
+    for d1 in range(4):
+        for d2 in range(4):
+            assert r_plus_columns(d1, d2) == _r_plus_columns(d1, d2), (d1, d2)
+
+
 def test_dropping_scalar_leaks_half_powers():
-    cols = _r_plus_columns(1, 1, with_scalar=False)
+    cols = r_plus_columns(1, 1, with_scalar=False)
     leaks = [
         c
         for image in cols.values()
@@ -333,7 +342,7 @@ def test_dropping_scalar_leaks_half_powers():
 
 def test_misordered_steps_differ_without_leaking():
     good = _r_plus_columns(1, 2)
-    bad = _r_plus_columns(1, 2, step_order=("cartan", "theta", "swap"))
+    bad = r_plus_columns(1, 2, step_order=("cartan", "theta", "swap"))
     assert bad != good
     for image in bad.values():
         for _, c in image.items():
@@ -341,7 +350,7 @@ def test_misordered_steps_differ_without_leaking():
 
 
 def test_misordered_steps_break_intertwining():
-    cols = _r_plus_columns(1, 2, step_order=("cartan", "theta", "swap"))
+    cols = r_plus_columns(1, 2, step_order=("cartan", "theta", "swap"))
     m = LinMap((1, 2), (2, 1), cols)
     broken = 0
     for r in range(4):

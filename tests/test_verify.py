@@ -25,6 +25,8 @@ from qsl2.modules import act_F, act_K
 from qsl2.qring import Q, QINV
 from qsl2.verify import SUITES, _FAILURE_CAP
 
+from conftest import r_plus_columns
+
 README = os.path.join(os.path.dirname(__file__), "..", "README.md")
 
 
@@ -185,9 +187,10 @@ def cleared():
 def test_suite_rmatrix_records_an_error_from_r_move(monkeypatch, capsys, cleared):
     # R_+ without its scalar leaks half powers; the typed error is one
     # recorded failure, and verify goes on to the other suites
-    real = rmatrix_mod._r_plus_columns
     monkeypatch.setattr(
-        rmatrix_mod, "_r_plus_columns", lambda d1, d2: real(d1, d2, with_scalar=False)
+        rmatrix_mod,
+        "_r_plus_columns",
+        lambda d1, d2: r_plus_columns(d1, d2, with_scalar=False),
     )
     res = SUITES["rmatrix"](2)
     assert res.failures == ["r_move((1, 1), (1,), 'plus') raised HalfPowerLeakError"]

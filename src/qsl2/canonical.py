@@ -74,8 +74,8 @@ shared values, so a repeated product costs one lookup; an entry with
 two or more summands is summed as a raw map and shared when finished.
 
 Every solved table keeps its product coordinates p_{s,r} in its
-product field, and E^(n) b is computed from them in product
-coordinates, never from a standard-basis row.  The coproduct
+product field, and E^(n) b and split expansions are computed from
+them, never from a standard-basis row.  The coproduct
 Delta(E) = E tensor 1 + K tensor E gives
 Delta(E^(n)) = sum_(a+b=n) q^(ab) E^(a) K^b tensor E^(b), so
 
@@ -85,8 +85,12 @@ Delta(E^(n)) = sum_(a+b=n) q^(ab) E^(a) K^b tensor E^(b), so
 with E^(b) b'' from the same memo (on one factor, the binomial
 [d_0 - t_0 + n choose n] alone).  The sum is back-substituted against
 the product coordinates of the level below, which have a handful of
-entries per row.  The standard-basis Psi columns serve bar_involution
-and the pair braiding of rmatrix, whose Theta step is bar Psi.
+entries per row.  A split at cut 1 is the product coordinates; at a
+cut c > 1 each b''_(s[1:]) of b_t is split at c - 1 into b'''_x tensor
+b''''_y, and the part of b_t on each b''''_y, a sum of v_(s_0) tensor
+b'''_x, is back-substituted in the same way against d[:c] on level
+r - sum(y).  The standard-basis Psi columns serve bar_involution and
+the pair braiding of rmatrix, whose Theta step is bar Psi.
 
 The refinement embedding comes from the module structure alone: on each
 nonzero part it is the intertwiner v_a -> F^(a) v_(0,...,0) into that
@@ -99,7 +103,7 @@ which the embed suite of verify checks, not a definition.
 from __future__ import annotations
 
 from collections import defaultdict
-from collections.abc import Mapping, Reversible
+from collections.abc import Mapping
 from functools import lru_cache, reduce
 
 from . import orbits
@@ -504,12 +508,8 @@ def _e_coords(d: Composition, t: OrbitIndex, n: int) -> dict[OrbitIndex, Laurent
                     _add_scaled(image, scalar, part, (s0 - a,))
         coords = {}
         if image:
-            lower = _sub_table(d, r - n).product
-            coords = _back_substitute(image, lower, lower)
-            if coords is None:
-                raise TriangularityViolationError(
-                    f"E^({n}) b{t} on Lambda_{d} escaped the level-{r - n} table"
-                )
+            lower = _sub_table(d, r - n)
+            coords = _back_substitute(image, lower, lower.product, f"E^({n}) b{t}")
             coords = {u: _shared(c) for u, c in coords.items()}
         _MEMO[key] = coords
     return coords
@@ -665,15 +665,17 @@ def canonical_basis(d: Composition, r: int) -> CanonicalTable:
 
 def _back_substitute(
     remainder: dict[OrbitIndex, Laurent | defaultdict],
-    order: Reversible[OrbitIndex],
+    table: CanonicalTable,
     rows: Mapping[OrbitIndex, Mapping[OrbitIndex, Laurent]],
-) -> dict[OrbitIndex, Laurent] | None:
+    what: str,
+) -> dict[OrbitIndex, Laurent]:
     """Coordinates of remainder, an _add_scaled accumulator, over the
-    term maps rows[idx], each unitriangular along order: peel off
-    coefficients from the top of order down, consuming remainder.
-    Zeros are omitted; None when a remainder is left over."""
+    term maps rows[idx], each unitriangular along table.order: peel off
+    coefficients from the top of the order down, consuming remainder.
+    Zeros are omitted.  A leftover is the TriangularityViolationError of
+    every caller, naming what escaped, the table and a leftover index."""
     coords: dict[OrbitIndex, Laurent] = {}
-    for idx in reversed(order):
+    for idx in reversed(table.order):
         raw = remainder.get(idx)
         if raw is None:
             continue
@@ -682,11 +684,11 @@ def _back_substitute(
             continue
         coords[idx] = c
         _add_scaled(remainder, -c, rows[idx])
-    if any(
-        raw if type(raw) is Laurent else any(raw.values())
-        for raw in remainder.values()
-    ):
-        return None
+    for idx, raw in remainder.items():
+        if raw if type(raw) is Laurent else any(raw.values()):
+            raise TriangularityViolationError(
+                f"{what} escaped the level-{table.r} table of Lambda_{table.d} at {idx}"
+            )
     return coords
 
 
@@ -707,13 +709,8 @@ def canonical_coords(
             f"vector at levels {sorted(levels)} against the level-{table.r} "
             f"table of Lambda_{table.d}"
         )
-    coords = _back_substitute(
-        dict(u._terms), table.order, {idx: row._terms for idx, row in table.rows.items()}
-    )
-    if coords is None:
-        raise TriangularityViolationError(
-            f"vector over Lambda_{u.d} escaped the level-{table.r} table"
-        )
+    rows = {idx: row._terms for idx, row in table.rows.items()}
+    coords = _back_substitute(dict(u._terms), table, rows, "vector")
     return [(idx, coords[idx]) for idx in table.order if idx in coords]
 
 
@@ -770,39 +767,43 @@ class SplitTable(_Record):
         return "\n".join(lines) + "\n"
 
 
+def _split_rows(d: Composition, cut: int, r: int, memo: dict) -> dict:
+    """The rows of split_expand(d, cut, r), by the recursion of the
+    module docstring; memo holds the sub-splits of one call."""
+    if (d, cut, r) in memo:
+        return memo[d, cut, r]
+    rows = memo[d, cut, r] = {}
+    for t, coords in _sub_table(d, r).product.items():
+        if cut == 1:
+            rows[t] = dict(coords)
+            continue
+        by_right: dict[OrbitIndex, dict] = {}
+        for s, p in coords.items():
+            for xy, c in _split_rows(d[1:], cut - 1, r - s[0], memo)[s[1:]].items():
+                acc = by_right.setdefault(xy[cut - 1 :], {})
+                _add_scaled(acc, p, {xy[: cut - 1]: c}, s[:1])
+        what = f"split of b{t} on Lambda_{d} at cut {cut}"
+        rows[t] = {}
+        for y, acc in by_right.items():
+            left = _sub_table(d[:cut], r - sum(y))
+            zs = _back_substitute(acc, left, left.product, what)
+            rows[t].update((z + y, c) for z, c in zs.items())
+    return rows
+
+
 def split_expand(
     d: Composition,
     cut: int,
     r: int,
 ) -> SplitTable:
-    """Expand each b_r of Lambda_d over the tensor products of the two
-    canonical bases after the cut.  Unitriangular back-substitution
-    against the concatenated-index products; the leading coefficient is
-    exactly 1 by construction."""
+    """Expand each b_t of Lambda_d over the products b'_z tensor b''_y of
+    the canonical bases of d[:cut] and d[cut:], read from the solve's
+    product coordinates alone; no standard-basis row is read."""
     d = orbits.check_composition(d)
     if type(cut) is not int or not 1 <= cut < len(d):
         raise ValueError(f"cut {cut!r} out of range for {len(d)} slots")
     orbits.check_level(d, r)
-    left_d, right_d = d[:cut], d[cut:]
-
-    table = canonical_basis(d, r)
-    products: dict[OrbitIndex, dict[OrbitIndex, Laurent]] = {}
-    for a in range(max(0, r - sum(right_d)), min(r, sum(left_d)) + 1):
-        left_t = canonical_basis(left_d, a)
-        right_t = canonical_basis(right_d, r - a)
-        for ls in left_t.order:
-            for rs in right_t.order:
-                products[ls + rs] = tensor(left_t.rows[ls], right_t.rows[rs])._terms
-
-    rows: dict[OrbitIndex, dict[OrbitIndex, Laurent]] = {}
-    for idx in table.order:
-        coords = _back_substitute(dict(table.rows[idx]._terms), table.order, products)
-        if coords is None:
-            raise TriangularityViolationError(
-                f"split of b{idx} on Lambda_{d} escaped the product basis"
-            )
-        rows[idx] = coords
-    return SplitTable(d, cut, r, table.order, rows)
+    return SplitTable(d, cut, r, _sub_table(d, r).order, _split_rows(d, cut, r, {}))
 
 
 # -- refinement embedding --------------------------------------------------------------

@@ -53,7 +53,8 @@ def _parse_composition(text: str) -> tuple[int, ...]:
 
 
 def _emit_json(obj) -> None:
-    sys.stdout.write(json.dumps(obj, indent=2) + "\n")
+    json.dump(obj, sys.stdout, indent=2)
+    sys.stdout.write("\n")
 
 
 def _matrix_obj(

@@ -133,8 +133,7 @@ def r_plus_pair(d1: int, d2: int) -> LinMap:
     matrix entry must land in Z[q, q^-1].  Reads kappa_1 .. kappa_min(d1, d2)
     through the bar involution, so a cold call may solve them and raise
     ConventionUnderdeterminedError from that solve."""
-    if d1 < 0 or d2 < 0:
-        raise ValueError("factor dimensions must be nonnegative")
+    d1, d2 = orbits.check_composition((d1, d2))
     key = ("pair", d1, d2, "plus")
     cached = _MEMO.get(key)
     if cached is not None:
@@ -156,8 +155,7 @@ def r_minus_pair(d1: int, d2: int) -> LinMap:
     """The negative braiding Psi R_+ Psi, whose canonical matrix is the
     entrywise bar of that of r_plus_pair(d1, d2).  Checked to invert
     r_plus_pair(d2, d1) on both sides before being returned."""
-    if d1 < 0 or d2 < 0:
-        raise ValueError("factor dimensions must be nonnegative")
+    d1, d2 = orbits.check_composition((d1, d2))
     key = ("pair", d1, d2, "minus")
     cached = _MEMO.get(key)
     if cached is not None:

@@ -46,6 +46,7 @@ from qsl2.modules import (
     act_K,
     combine,
     enumerate_basis,
+    tensor,
 )
 from qsl2.qring import (
     ONE,
@@ -406,9 +407,28 @@ def test_canonical_coords_leftover_on_the_level_is_a_triangularity_violation():
     # not the vector, is at fault
     t = canonical_basis((1, 1), 1)
     partial = CanonicalTable(t.d, t.r, ((1, 0),), {(1, 0): t.rows[(1, 0)]})
-    with pytest.raises(TriangularityViolationError, match="escaped the level-1 table"):
+    message = r"escaped the level-1 table of Lambda_\(1, 1\) at \(0, 1\)"
+    with pytest.raises(TriangularityViolationError, match=message):
         canonical_coords(partial, V((1, 1), (0, 1)))
     assert not issubclass(TriangularityViolationError, ValueError)
+
+
+def test_split_leftover_names_the_row_cut_and_factor_table(monkeypatch):
+    # a (1, 1) table whose order misses (0, 1) cannot take back the part
+    # of a (1, 1, 1) row that the split at cut 2 gathers on level 1
+    clear_caches()
+    canonical_basis((1, 1, 1), 1)
+    t = canonical_basis((1, 1), 1)
+    partial = CanonicalTable(t.d, t.r, ((1, 0),), t.rows, t.product)
+    monkeypatch.setitem(canonical_mod._MEMO, ("table", (1, 1), 1), partial)
+    message = (
+        r"split of b\(0, [01], [01]\) on Lambda_\(1, 1, 1\) at cut 2 escaped "
+        r"the level-1 table of Lambda_\(1, 1\) at \(0, 1\)"
+    )
+    with pytest.raises(TriangularityViolationError, match=message):
+        split_expand((1, 1, 1), 2, 1)
+    monkeypatch.undo()
+    clear_caches()
 
 
 def test_canonical_coords_rejects_another_ambient():
@@ -738,18 +758,56 @@ def test_910_table_digest():
     )
 
 
+def _reference_split(d, cut, r):
+    """The dense route: each standard row b_t is back-substituted, from
+    the top of the linear extension down, against the tensor products of
+    the standard rows of the two factor tables.  Reads no product
+    coordinates."""
+    table = canonical_basis(d, r)
+    products = {}
+    for a in range(max(0, r - sum(d[cut:])), min(r, sum(d[:cut])) + 1):
+        left, right = canonical_basis(d[:cut], a), canonical_basis(d[cut:], r - a)
+        for x in left.order:
+            for y in right.order:
+                products[x + y] = tensor(left.rows[x], right.rows[y])
+    rows = {}
+    for t in table.order:
+        rest, coords = table.rows[t], {}
+        for s in reversed(table.order):
+            c = rest.coeff(s)
+            if not c.is_zero():
+                coords[s] = c
+                rest = rest - products[s].scale(c)
+        assert rest.is_zero(), (d, cut, r, t)
+        rows[t] = coords
+    return rows
+
+
 def test_split_at_the_first_slot_equals_the_product_coordinates():
-    # the tensor-product route of split_expand against the solve
+    # the dense route against the solve
     levels = 0
     for total in range(2, 8):
         for d in _compositions(total):
             if len(d) < 2:
                 continue
             for r in range(total + 1):
-                split = split_expand(d, 1, r)
-                assert split.rows == canonical_basis(d, r).product, (d, r)
+                assert _reference_split(d, 1, r) == canonical_basis(d, r).product, (d, r)
                 levels += 1
     assert levels == 861
+
+
+def test_split_matches_the_dense_reference_at_every_cut():
+    cases = 0
+    for d in [d for t in range(2, 8) for d in _compositions(t)] + [(0, 2, 0, 1)]:
+        for cut in range(1, len(d)):
+            for r in range(sum(d) + 1):
+                assert split_expand(d, cut, r).rows == _reference_split(d, cut, r), (
+                    d,
+                    cut,
+                    r,
+                )
+                cases += 1
+    assert cases == 2379
 
 
 # -- E^(n) in canonical coordinates ---------------------------------------------

@@ -239,6 +239,19 @@ def test_pair_intertwines_module_actions():
 def test_pair_validation():
     with pytest.raises(ValueError):
         r_plus_pair(-1, 2)
+    with pytest.raises(ValueError):
+        r_minus_pair(2, -1)
+
+
+def test_pair_factor_sizes_are_ints_before_the_memo_is_read():
+    # True == 1 and hash(True) == hash(1), so a key built before the
+    # check would serve the (1, 1) braiding; 1.0 would reach Laurent
+    r_plus_pair(1, 1)
+    r_minus_pair(1, 1)
+    for pair in (r_plus_pair, r_minus_pair):
+        for d1, d2 in ((True, 1), (1, True), (1.0, 1)):
+            with pytest.raises(ValueError, match="not a composition"):
+                pair(d1, d2)
 
 
 # -- composed moves ----------------------------------------------------------------

@@ -22,7 +22,7 @@ from qsl2 import (
     run_all,
 )
 from qsl2.modules import act_F, act_K
-from qsl2.qring import Q, QINV
+from qsl2.qring import ONE, Q, QINV
 from qsl2.verify import SUITES, _FAILURE_CAP
 
 from conftest import r_plus_columns
@@ -137,7 +137,11 @@ def test_suite_modules_catches_a_wrong_adjoint_of_e(monkeypatch):
     assert all(w.startswith("adjointness of E") for w in res.failures)
 
 
-def test_suite_canonical_catches_a_perturbed_row(monkeypatch):
+def _plant_perturbed_row(monkeypatch, product):
+    """Replace the memoized level-1 table of (1,1) by one whose row
+    b(0,1) reads v(0,1) + q v(1,0) in place of v(0,1) + q^-1 v(1,0).
+    With product, its product coordinates say the same,
+    b(0,1) = P(0,1) + q P(1,0); without, they are the good table's."""
     clear_caches()
     d = (1, 1)
     good = canonical_basis(d, 1)
@@ -146,14 +150,38 @@ def test_suite_canonical_catches_a_perturbed_row(monkeypatch):
     ).scale(QINV)
     rows = dict(good.rows)
     rows[(0, 1)] = ModuleVector.basis(d, (0, 1)) + ModuleVector.basis(d, (1, 0)).scale(Q)
-    bad = CanonicalTable(d, 1, good.order, rows)
+    coords = dict(good.product)
+    if product:
+        coords[(0, 1)] = {(0, 1): ONE, (1, 0): Q}
+    bad = CanonicalTable(d, 1, good.order, rows, coords)
     monkeypatch.setitem(canonical_mod._MEMO, ("table", d, 1), bad)
+
+
+def test_suite_canonical_catches_a_perturbed_row(monkeypatch):
+    _plant_perturbed_row(monkeypatch, product=True)
     res = SUITES["canonical"](2)
     assert not res.passed
     assert any(w.startswith("(b(0, 1), b(0, 1)) =") for w in res.failures)
     assert any(w.startswith("split coefficients at (0, 1)") for w in res.failures)
     # restore the good table before clearing, so that no table is left
     # in the memo without its product coordinates
+    monkeypatch.undo()
+    clear_caches()
+
+
+def test_suite_canonical_catches_a_perturbed_row_under_good_product_coordinates(
+    monkeypatch,
+):
+    # the split reads only product coordinates, and the pairing of its
+    # rows against the standard rows still tells the perturbed row
+    _plant_perturbed_row(monkeypatch, product=False)
+    res = SUITES["canonical"](2)
+    assert res.checks == 50
+    assert [w for w in res.failures if w.startswith("split")] == [
+        "split pairing ((1, 0),(0, 1)) in (1, 1) cut 1",
+        "split pairing ((0, 1),(1, 0)) in (1, 1) cut 1",
+        "split pairing ((0, 1),(0, 1)) in (1, 1) cut 1",
+    ]
     monkeypatch.undo()
     clear_caches()
 
@@ -222,13 +250,7 @@ def test_suite_rmatrix_catches_a_negated_kappa(cleared):
 
 def test_failing_lazy_witnesses_render_the_eager_text(monkeypatch):
     # the exact witnesses the suite printed when every one was an f-string
-    clear_caches()
-    d = (1, 1)
-    good = canonical_basis(d, 1)
-    rows = dict(good.rows)
-    rows[(0, 1)] = ModuleVector.basis(d, (0, 1)) + ModuleVector.basis(d, (1, 0)).scale(Q)
-    bad = CanonicalTable(d, 1, good.order, rows)
-    monkeypatch.setitem(canonical_mod._MEMO, ("table", d, 1), bad)
+    _plant_perturbed_row(monkeypatch, product=True)
     res = SUITES["canonical"](2)
     assert res.checks == 50 and not res.truncated
     assert res.failures == [

@@ -5,7 +5,8 @@ split expansions, bar images, refinement embeddings, Gram matrices,
 and orbit posets, plus `verify` for the property suites.  Output is
 either a stable JSON document (byte-identical across runs) or a human
 table; exit codes are 0 on success, 1 when a computation or a property
-check fails, and 2 on bad input.
+check fails, and 2 on bad input; a reader that closes the pipe early
+is no failure.
 
 Every request is a fresh process, so the parser is built for the one
 subcommand that argv names first, from the _COMMANDS table, and for all
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import orbits
@@ -52,9 +54,20 @@ def _parse_composition(text: str) -> tuple[int, ...]:
     return orbits.check_composition(_parse_ints(text, "part", "composition"))
 
 
+_JSON_BLOCK = 1 << 16
+
+
 def _emit_json(obj) -> None:
-    json.dump(obj, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    """Write json.dumps(obj, indent=2) and a newline to stdout, the
+    encoder's many small chunks joined into writes of about 64 KiB."""
+    block, size = [], 0
+    for chunk in json.JSONEncoder(indent=2).iterencode(obj):
+        block.append(chunk)
+        size += len(chunk)
+        if size >= _JSON_BLOCK:
+            sys.stdout.write("".join(block))
+            block, size = [], 0
+    sys.stdout.write("".join(block) + "\n")
 
 
 def _matrix_obj(
@@ -349,6 +362,14 @@ def main(argv: list[str] | None = None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # the reader closed stdout early: no failure, and what is still
+        # buffered goes to os.devnull, so the flush at exit cannot raise
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        sys.stdout.flush()
+        return 0
     except (NonReducedWordError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

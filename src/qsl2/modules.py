@@ -206,15 +206,14 @@ def render_terms(terms: Iterable[tuple[Laurent, str]]) -> str:
     nothing, and a longer polynomial prints in parentheses."""
     chunks: list[str] = []
     for c, label in terms:
-        pairs = list(c.items())
-        if len(pairs) == 1:
-            h, n = pairs[0]
-            negative = n < 0
-            mono = Laurent({h: abs(n)})
-            body = "" if mono == ONE else f"{mono} "
+        text = str(c)
+        if len(c._terms) == 1:
+            negative = text[0] == "-"
+            mono = text[1:] if negative else text
+            body = "" if mono == "1" else f"{mono} "
         else:
             negative = False
-            body = f"({c}) "
+            body = f"({text}) "
         term = f"{body}{label}"
         if not chunks:
             chunks.append(f"-{term}" if negative else term)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from collections import defaultdict
 from collections.abc import Callable
 
 from . import orbits
@@ -31,9 +30,11 @@ from .modules import (
     act_E,
     act_F,
     act_K,
+    combine,
     enumerate_basis,
     inner_product,
     rho_twist,
+    tensor,
 )
 from .qring import (
     Laurent,
@@ -398,12 +399,17 @@ def suite_canonical(max_total: int) -> SuiteResult:
                     lambda: f"degenerate level {r} in {d}",
                 )
         for cut in range(1, len(d)):
-            left_d, right_d = d[:cut], d[cut:]
-            # (b_x, b_y) of the factor tables, shared by the levels of the cut
-            left_pairs: dict[tuple, Laurent] = {}
-            right_pairs: dict[tuple, Laurent] = {}
+            # the rows b' of Lambda_(d[:cut]) and b'' of Lambda_(d[cut:]),
+            # every level, by index
+            left, right = (
+                {x: b for a in range(sum(e) + 1) for x, b in canonical_basis(e, a).rows.items()}
+                for e in (d[:cut], d[cut:])
+            )
             for r in range(total + 1):
                 split = split_expand(d, cut, r)
+                rows = canonical_basis(d, r).rows
+                # each split row rebuilt as X = sum_s c_s b'_(s[:cut]) (x) b''_(s[cut:])
+                rebuilt: dict[tuple, ModuleVector] = {}
                 for idx in split.order:
                     coords = split.rows[idx]
                     res.check(
@@ -418,54 +424,24 @@ def suite_canonical(max_total: int) -> SuiteResult:
                         ),
                         lambda: f"split coefficients at {idx} in {d} cut {cut}",
                     )
-                # (b_s' * b_s'', b_t' * b_t''), once per pair (s, t)
-                # whose left parts share a level
-                products: dict[tuple, Laurent] = {}
-                by_level = {
-                    idx: _by_left_level(split.rows[idx], cut) for idx in split.order
-                }
+                    rebuilt[idx] = combine(
+                        d,
+                        ((c, tensor(left[s[:cut]], right[s[cut:]])) for s, c in coords.items()),
+                    )
+                same = {idx: rebuilt[idx] == rows[idx] for idx in split.order}
+                # a split pairing asks (b_idx, b_jdx) == (X_idx, X_jdx), where
+                # the form, the product of the factor forms, reads the right
+                # side as sum c c' (b'_s', b'_t')(b''_s'', b''_t''); when both
+                # rows rebuild their standard rows, the two sides are one value
                 for idx in split.order:
                     for jdx in split.order:
-                        paired: defaultdict[int, int] = defaultdict(int)
-                        for a, terms in by_level[idx].items():
-                            for s, c in terms:
-                                for t, e in by_level[jdx].get(a, ()):
-                                    w = products.get((s, t))
-                                    if w is None:
-                                        w = products[s, t] = _row_pairing(
-                                            left_pairs, left_d, s[:cut], t[:cut]
-                                        ) * _row_pairing(
-                                            right_pairs, right_d, s[cut:], t[cut:]
-                                        )
-                                    for h1, c1 in (c * e)._terms.items():
-                                        for h2, c2 in w._terms.items():
-                                            paired[h1 + h2] += c1 * c2
                         res.check(
-                            grams[r][idx, jdx] == Laurent(paired),
+                            (same[idx] and same[jdx])
+                            or grams[r][idx, jdx]
+                            == inner_product(rebuilt[idx], rebuilt[jdx]),
                             lambda: f"split pairing ({idx},{jdx}) in {d} cut {cut}",
                         )
     return res
-
-
-def _by_left_level(
-    coords: dict[tuple[int, ...], Laurent], cut: int
-) -> dict[int, list[tuple[tuple[int, ...], Laurent]]]:
-    """The terms of a split row grouped by the level of their left part."""
-    out: dict[int, list] = {}
-    for s, c in coords.items():
-        out.setdefault(sum(s[:cut]), []).append((s, c))
-    return out
-
-
-def _row_pairing(
-    cache: dict[tuple, Laurent], d: Composition, x: tuple[int, ...], y: tuple[int, ...]
-) -> Laurent:
-    """(b_x, b_y) on Lambda_d for two indices of one level, memoized in cache."""
-    w = cache.get((x, y))
-    if w is None:
-        table = canonical_basis(d, sum(x))
-        w = cache[x, y] = inner_product(table.rows[x], table.rows[y])
-    return w
 
 
 def _reduced_words(l: int) -> list[tuple[int, ...]]:

@@ -3,6 +3,7 @@ import, the ignored --cache-dir option and QSL2_CACHE_DIR variable, the
 one-command parser, and the exit-code contract."""
 
 import importlib.util
+import io
 import json
 import os
 import subprocess
@@ -100,6 +101,60 @@ def test_subprocess_entry_point_matches_golden():
     )
     assert proc.returncode == 0
     assert proc.stdout == golden("rmat_d1-1_w1_plus_can.json")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["canon", "--d", "1,1,1,1,1,1", "--r", "3", "--format", "json"],
+        ["rmat", "--d", "1,1,1", "--word", "1,2,1", "--format", "json"],
+        ["canon", "--d", "1,1,1,1,1,1", "--r", "3"],
+        # 541 KB, more than a pipe holds, so a write meets the closed pipe
+        ["canon", "--d", "1,1,1,1,1,1,1,1", "--r", "4", "--format", "json"],
+    ],
+)
+def test_a_reader_that_closes_the_pipe_early_is_no_failure(argv):
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(SRC_DIR))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qsl2.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert len(proc.stdout.read(20)) == 20
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 0
+    assert err == b""
+
+
+class _CountingStdout(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(len(text))
+        return super().write(text)
+
+
+def test_json_is_written_in_blocks(monkeypatch):
+    obj = {"rows": [{"index": [i, i + 1], "terms": [[2 * i, str(-i)]]} for i in range(5000)]}
+    text = json.dumps(obj, indent=2) + "\n"
+    out = _CountingStdout()
+    monkeypatch.setattr(sys, "stdout", out)
+    cli_mod._emit_json(obj)
+    assert out.getvalue() == text
+    block = cli_mod._JSON_BLOCK
+    # every write but the last fills a block and overruns it by at most
+    # one encoder chunk
+    assert 2 < len(out.writes) <= len(text) // block + 1
+    assert all(block <= n < block + 64 for n in out.writes[:-1])
+    out = _CountingStdout()
+    monkeypatch.setattr(sys, "stdout", out)
+    cli_mod._emit_json([])
+    assert (out.getvalue(), out.writes) == ("[]\n", [3])
 
 
 def test_cli_import_leaves_out_dataclasses_and_inspect():

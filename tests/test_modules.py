@@ -282,6 +282,38 @@ def test_rendering():
     assert negative == "v(0,1) - q v(1,0)"
 
 
+def _reference_render_terms(terms):
+    """render_terms as it was written first: each monomial rebuilt as a
+    Laurent with its sign dropped and compared against 1."""
+    chunks = []
+    for c, label in terms:
+        pairs = list(c.items())
+        if len(pairs) == 1:
+            h, n = pairs[0]
+            negative = n < 0
+            mono = Laurent({h: abs(n)})
+            body = "" if mono == ONE else f"{mono} "
+        else:
+            negative = False
+            body = f"({c}) "
+        term = f"{body}{label}"
+        if not chunks:
+            chunks.append(f"-{term}" if negative else term)
+        else:
+            chunks.append(f"- {term}" if negative else f"+ {term}")
+    return " ".join(chunks)
+
+
+def test_render_terms_matches_the_reference_on_every_kind_of_coefficient():
+    coeffs = [ZERO, ONE, -ONE, Q, -QINV, Laurent({1: 1}), Laurent({-3: -1})]
+    coeffs += [Laurent({h: n}) for h in (-4, -1, 0, 3, 6) for n in (-12, -2, 2, 7)]
+    coeffs += [QINV + q_power(-3), Q - QINV, Laurent({0: -2, 5: 3}), ONE + ONE]
+    for c in coeffs:
+        for lead in ([], [(QINV, "v(0)")]):
+            terms = lead + [(c, "v(1)")]
+            assert modules_mod.render_terms(terms) == _reference_render_terms(terms)
+
+
 # -- trusted kernels against reference loops -----------------------------------
 
 

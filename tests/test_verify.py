@@ -18,11 +18,13 @@ from qsl2 import (
     cli,
     compositions,
     compute_quasi_r,
+    inner_product,
     orbits,
     run_all,
+    split_expand,
 )
 from qsl2.modules import act_F, act_K
-from qsl2.qring import ONE, Q, QINV
+from qsl2.qring import ONE, Q, QINV, Laurent
 from qsl2.verify import SUITES, _FAILURE_CAP
 
 from conftest import r_plus_columns
@@ -137,12 +139,17 @@ def test_suite_modules_catches_a_wrong_adjoint_of_e(monkeypatch):
     assert all(w.startswith("adjointness of E") for w in res.failures)
 
 
-def _plant_perturbed_row(monkeypatch, product):
+def _plant_perturbed_row(monkeypatch, product, solved=0):
     """Replace the memoized level-1 table of (1,1) by one whose row
     b(0,1) reads v(0,1) + q v(1,0) in place of v(0,1) + q^-1 v(1,0).
     With product, its product coordinates say the same,
-    b(0,1) = P(0,1) + q P(1,0); without, they are the good table's."""
+    b(0,1) = P(0,1) + q P(1,0); without, they are the good table's.
+    Every table of total at most solved is solved first, from the good
+    table, so the planted one is read only as a factor of a split."""
     clear_caches()
+    for e in compositions(solved):
+        for r in range(sum(e) + 1):
+            canonical_basis(e, r)
     d = (1, 1)
     good = canonical_basis(d, 1)
     assert good.rows[(0, 1)] == ModuleVector.basis(d, (0, 1)) + ModuleVector.basis(
@@ -182,6 +189,66 @@ def test_suite_canonical_catches_a_perturbed_row_under_good_product_coordinates(
         "split pairing ((0, 1),(1, 0)) in (1, 1) cut 1",
         "split pairing ((0, 1),(0, 1)) in (1, 1) cut 1",
     ]
+    monkeypatch.undo()
+    clear_caches()
+
+
+def _reference_split_pairing_failures(max_total):
+    """The split-pairing witnesses of suite_canonical(max_total), each
+    pairing evaluated as sum c c' (b'_s', b'_t')(b''_s'', b''_t'') over
+    the terms of the two split rows whose left parts share a level."""
+    failures = []
+    for d in compositions(max_total):
+        for cut in range(1, len(d)):
+            for r in range(sum(d) + 1):
+                rows = canonical_basis(d, r).rows
+                split = split_expand(d, cut, r)
+                for idx in split.order:
+                    for jdx in split.order:
+                        paired = Laurent()
+                        for s, c in split.rows[idx].items():
+                            for t, e in split.rows[jdx].items():
+                                if sum(s[:cut]) != sum(t[:cut]):
+                                    continue
+                                factors = [
+                                    inner_product(
+                                        canonical_basis(part, sum(x)).rows[x],
+                                        canonical_basis(part, sum(y)).rows[y],
+                                    )
+                                    for part, x, y in (
+                                        (d[:cut], s[:cut], t[:cut]),
+                                        (d[cut:], s[cut:], t[cut:]),
+                                    )
+                                ]
+                                paired = paired + c * e * factors[0] * factors[1]
+                        if inner_product(rows[idx], rows[jdx]) != paired:
+                            failures.append(
+                                f"split pairing ({idx},{jdx}) in {d} cut {cut}"
+                            )
+    return failures
+
+
+@pytest.mark.parametrize("max_total", [2, 3, 4])
+@pytest.mark.parametrize("plant", [None, "product", "rows"])
+def test_split_pairings_match_the_factor_pairing_reference(
+    monkeypatch, max_total, plant
+):
+    # the suite decides a split pairing from rebuilt rows; the reference
+    # sums the factor pairings term by term, and both fail the same pairs
+    monkeypatch.setattr(verify_mod, "_FAILURE_CAP", 10**9)
+    if plant is None:
+        clear_caches()
+    else:
+        _plant_perturbed_row(monkeypatch, product=plant == "product", solved=max_total)
+    expected = _reference_split_pairing_failures(max_total)
+    res = SUITES["canonical"](max_total)
+    assert not res.truncated
+    assert [w for w in res.failures if w.startswith("split pairing")] == expected
+    if plant is None:
+        assert res.passed
+    elif max_total > 2:
+        # the planted rows reach the splits of total 3 as a factor
+        assert expected
     monkeypatch.undo()
     clear_caches()
 

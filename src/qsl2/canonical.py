@@ -41,7 +41,10 @@ at cut 1, so for any kappa under which the d'' tables solve
     Psi(P_t) = sum_n kappa_n [t_0 + n choose n] v_(t_0 + n) tensor E^(n) b''_(t[1:]),
 
 with E^(n) b'' read in the canonical coordinates of d'' (memoized per
-d'', index and n).  A column has a handful of entries, where the
+d'', index and n).  _product_column is modules.theta itself, applied
+to v_(t_0) and the unit vector at t[1:] over d'', with its E^(n) half
+read from that memo instead of built by the module action, so there is
+one Theta loop.  A column has a handful of entries, where the
 standard-basis column fills the whole lower closure.  Each column is
 checked to be unitriangular: a_{t,t} = 1 and the support lies in the
 lower closure of t, on the level.  Both bases are unitriangular over
@@ -519,31 +522,20 @@ def _product_column(
     d: Composition, t: OrbitIndex, kappa: list[Laurent]
 ) -> dict[OrbitIndex, Laurent]:
     """Psi(P_t) in the product basis, P_s = v_(s_0) tensor b''_(s[1:]):
+    theta on v_(t_0) and the unit vector at t[1:] over d[1:], with the
+    E^(n) half read from _e_coords as canonical coordinates of d[1:], so
 
         Psi(P_t) = sum_n kappa_n [t_0 + n choose n] P_(t_0 + n, u'') e_(n, u'')
 
-    where E^(n) b''_(t[1:]) = sum_u'' e_(n, u'') b''_u''.  The sum stops
-    at the first n whose term vanishes; a nonzero term beyond the end of
-    kappa is a ValueError, as in theta."""
-    t0, rest = t[0], t[1:]
-    column: dict[OrbitIndex, Laurent] = {}
-    n = 0
-    while t0 + n <= d[0]:
-        coords = {rest: ONE} if n == 0 else _e_coords(d[1:], rest, n)
-        if not coords:
-            break
-        if n >= len(kappa):
-            raise ValueError(
-                f"coefficient sequence of length {len(kappa)} too short "
-                f"for Lambda_{d}"
-            )
-        scalar = kappa[n] * quantum_binomial(t0 + n, n)
-        for u, e in coords.items():
-            c = scalar * e
-            if not c.is_zero():
-                column[(t0 + n,) + u] = c
-        n += 1
-    return column
+    where E^(n) b''_(t[1:]) = sum_u'' e_(n, u'') b''_u''."""
+    d1, rest = d[1:], t[1:]
+    column = theta(
+        ModuleVector._make(d[:1], {t[:1]: ONE}),
+        ModuleVector._make(d1, {rest: ONE}),
+        kappa,
+        lambda _, n: ModuleVector._make(d1, _e_coords(d1, rest, n)),
+    )
+    return column._terms
 
 
 def _product_below(

@@ -4,9 +4,12 @@ Subcommands compute and print canonical tables, braiding matrices,
 split expansions, bar images, refinement embeddings, Gram matrices,
 and orbit posets, plus `verify` for the property suites.  Output is
 either a stable JSON document (byte-identical across runs) or a human
-table; exit codes are 0 on success, 1 when a computation or a property
-check fails, and 2 on bad input; a reader that closes the pipe early
-is no failure.
+table, and one emit path, _emit, makes that choice for every
+subcommand but `verify` and `orbits --format dot`; a braiding or
+embedding reaches it through _emit_map, which builds both forms from
+one matrix_in_basis call.  Exit codes are 0 on success, 1 when a
+computation or a property check fails, and 2 on bad input; a reader
+that closes the pipe early is no failure.
 
 Every request is a fresh process, so the parser is built for the one
 subcommand that argv names first, from the _COMMANDS table, and for all
@@ -70,67 +73,64 @@ def _emit_json(obj) -> None:
     sys.stdout.write("".join(block) + "\n")
 
 
-def _matrix_obj(
-    source_d, target_d, basis: str, level: int, row_idx, col_idx, mat
-) -> dict:
-    return {
-        "source_d": list(source_d),
-        "target_d": list(target_d),
-        "basis": basis,
-        "level": level,
-        "row_index": [list(i) for i in row_idx],
-        "col_index": [list(j) for j in col_idx],
-        "rows": [[entry.to_pairs() for entry in row] for row in mat],
-    }
+def _emit(args: argparse.Namespace, obj, text) -> None:
+    """The one format dispatch: write the JSON document obj() when
+    --format is json, else the table text()."""
+    if args.format == "json":
+        _emit_json(obj())
+    else:
+        sys.stdout.write(text())
 
 
-def _render_map(header: str, linmap, basis: str) -> str:
-    """Mapping-style listing, one line per source basis element."""
-    mats = matrix_in_basis(linmap, basis)
-    symbol = "v" if basis == "standard" else "b"
+def _emit_map(args: argparse.Namespace, linmap, header: str) -> None:
+    """A braiding or embedding in the basis of --basis, from one
+    matrix_in_basis call: a JSON document per weight level, or the header
+    and a line `level r: x -> image` per source basis element."""
+    basis = args.basis
     source, target = linmap.source, linmap.target
-    lines = [header]
-    for r in sorted(mats):
-        col_idx = enumerate_basis(source, r)
-        row_idx = enumerate_basis(target, r)
-        for j, jdx in enumerate(col_idx):
-            image = ModuleVector(
-                target, ((idx, row[j]) for idx, row in zip(row_idx, mats[r]))
-            )
-            rendered = image._render(symbol)
-            lines.append(
-                f"level {r}: {symbol}{format_index(jdx)} -> {rendered}"
-            )
-    return "\n".join(lines) + "\n"
-
-
-def _map_json(linmap, basis: str) -> list[dict]:
     mats = matrix_in_basis(linmap, basis)
-    source, target = linmap.source, linmap.target
-    return [
-        _matrix_obj(
-            source,
-            target,
-            basis,
-            r,
-            enumerate_basis(target, r),
-            enumerate_basis(source, r),
-            mats[r],
-        )
+    levels = [
+        (r, enumerate_basis(target, r), enumerate_basis(source, r), mats[r])
         for r in sorted(mats)
     ]
+
+    def obj() -> list[dict]:
+        return [
+            {
+                "source_d": list(source),
+                "target_d": list(target),
+                "basis": basis,
+                "level": r,
+                "row_index": [list(i) for i in row_idx],
+                "col_index": [list(j) for j in col_idx],
+                "rows": [[entry.to_pairs() for entry in row] for row in mat],
+            }
+            for r, row_idx, col_idx, mat in levels
+        ]
+
+    def text() -> str:
+        symbol = "v" if basis == "standard" else "b"
+        lines = [header]
+        for r, row_idx, col_idx, mat in levels:
+            for j, jdx in enumerate(col_idx):
+                image = ModuleVector(
+                    target, ((idx, row[j]) for idx, row in zip(row_idx, mat))
+                )
+                lines.append(
+                    f"level {r}: {symbol}{format_index(jdx)} -> "
+                    f"{image._render(symbol)}"
+                )
+        return "\n".join(lines) + "\n"
+
+    _emit(args, obj, text)
 
 
 # -- subcommands -----------------------------------------------------------------
 
 
 def _cmd_canon(args: argparse.Namespace) -> int:
-    d = _parse_composition(args.d)
-    table = canonical_basis(d, args.r)
-    if args.format == "json":
-        _emit_json(table.to_json_obj())
-    else:
-        sys.stdout.write(table.render())
+    table = canonical_basis(_parse_composition(args.d), args.r)
+    _emit(args, table.to_json_obj, table.render)
     return 0
 
 
@@ -138,25 +138,18 @@ def _cmd_rmat(args: argparse.Namespace) -> int:
     d = _parse_composition(args.d)
     word = _parse_ints(args.word, "letter", "word")
     move = r_move(d, word, args.sign)
-    if args.format == "json":
-        _emit_json(_map_json(move, args.basis))
-    else:
-        header = (
-            f"braiding sign={args.sign} d={format_index(d)} "
-            f"word={list(word)} target={format_index(move.target)} "
-            f"basis={args.basis}"
-        )
-        sys.stdout.write(_render_map(header, move, args.basis))
+    header = (
+        f"braiding sign={args.sign} d={format_index(d)} "
+        f"word={list(word)} target={format_index(move.target)} "
+        f"basis={args.basis}"
+    )
+    _emit_map(args, move, header)
     return 0
 
 
 def _cmd_split(args: argparse.Namespace) -> int:
-    d = _parse_composition(args.d)
-    table = split_expand(d, args.at, args.r)
-    if args.format == "json":
-        _emit_json(table.to_json_obj())
-    else:
-        sys.stdout.write(table.render())
+    table = split_expand(_parse_composition(args.d), args.at, args.r)
+    _emit(args, table.to_json_obj, table.render)
     return 0
 
 
@@ -167,24 +160,18 @@ def _cmd_bar(args: argparse.Namespace) -> int:
     except AlgebraError as exc:
         raise ValueError(str(exc)) from None
     image = bar_involution(ModuleVector.basis(d, idx))
-    if args.format == "json":
-        _emit_json(image.to_json_obj())
-    else:
-        sys.stdout.write(str(image) + "\n")
+    _emit(args, image.to_json_obj, lambda: str(image) + "\n")
     return 0
 
 
 def _cmd_embed(args: argparse.Namespace) -> int:
     d = _parse_composition(args.d)
     m = embed_refine(d)
-    if args.format == "json":
-        _emit_json(_map_json(m, args.basis))
-    else:
-        header = (
-            f"embedding d={format_index(d)} into "
-            f"{format_index(m.target)} basis={args.basis}"
-        )
-        sys.stdout.write(_render_map(header, m, args.basis))
+    header = (
+        f"embedding d={format_index(d)} into "
+        f"{format_index(m.target)} basis={args.basis}"
+    )
+    _emit_map(args, m, header)
     return 0
 
 
@@ -195,42 +182,43 @@ def _cmd_inner(args: argparse.Namespace) -> int:
     if args.basis == "standard":
         vectors = {i: ModuleVector.basis(d, i) for i in idxs}
     else:
-        table = canonical_basis(d, args.r)
-        vectors = dict(table.rows)
+        vectors = dict(canonical_basis(d, args.r).rows)
     mat = [
         [inner_product(vectors[i], vectors[j]) for j in idxs] for i in idxs
     ]
-    if args.format == "json":
-        _emit_json(
-            {
-                "d": list(d),
-                "level": args.r,
-                "basis": args.basis,
-                "index": [list(i) for i in idxs],
-                "rows": [[entry.to_pairs() for entry in row] for row in mat],
-            }
-        )
-    else:
+
+    def text() -> str:
         symbol = "v" if args.basis == "standard" else "b"
         lines = [f"gram d={format_index(d)} r={args.r} basis={args.basis}"]
-        for i, idx in enumerate(idxs):
-            for j, jdx in enumerate(idxs):
+        for idx, row in zip(idxs, mat):
+            for jdx, entry in zip(idxs, row):
                 lines.append(
                     f"({symbol}{format_index(idx)}, {symbol}{format_index(jdx)})"
-                    f" = {mat[i][j]}"
+                    f" = {entry}"
                 )
-        sys.stdout.write("\n".join(lines) + "\n")
+        return "\n".join(lines) + "\n"
+
+    def obj() -> dict:
+        return {
+            "d": list(d),
+            "level": args.r,
+            "basis": args.basis,
+            "index": [list(i) for i in idxs],
+            "rows": [[entry.to_pairs() for entry in row] for row in mat],
+        }
+
+    _emit(args, obj, text)
     return 0
 
 
 def _cmd_orbits(args: argparse.Namespace) -> int:
     d = _parse_composition(args.d)
     orbits.check_level(d, args.r)
-    if args.format == "json":
-        _emit_json(orbits.poset_json_obj(d, args.r))
-    elif args.format == "dot":
+    if args.format == "dot":
         sys.stdout.write(orbits.poset_dot(d, args.r))
-    else:
+        return 0
+
+    def text() -> str:
         lines = [f"orbit poset d={format_index(d)} r={args.r}"]
         for idx in orbits.linear_extension(d, args.r):
             lines.append(
@@ -243,7 +231,9 @@ def _cmd_orbits(args: argparse.Namespace) -> int:
             lines.extend(
                 f"{format_index(s)} < {format_index(t)}" for s, t in covers
             )
-        sys.stdout.write("\n".join(lines) + "\n")
+        return "\n".join(lines) + "\n"
+
+    _emit(args, lambda: orbits.poset_json_obj(d, args.r), text)
     return 0
 
 

@@ -332,42 +332,55 @@ def act_divided(u: ModuleVector, gen: str, n: int) -> ModuleVector:
     return v
 
 
+def _e_step(w: ModuleVector, n: int) -> ModuleVector:
+    return _divided_step(w, "E", n)
+
+
 def theta(
-    left: ModuleVector, right: ModuleVector, coeffs: list[Laurent]
+    left: ModuleVector,
+    right: ModuleVector,
+    coeffs: list[Laurent],
+    e_step: Callable[[ModuleVector, int], ModuleVector] = _e_step,
 ) -> ModuleVector:
     """sum_n coeffs[n] F^(n) left tensor E^(n) right, on
     Lambda_(left.d + right.d).  Both halves are built one step at a
-    time, F^(n) left from F^(n-1) left and E^(n) right from the last E
-    half built, so a sum of N terms costs N actions per side.  The sum
+    time, F^(n) left from F^(n-1) left and E^(n) right as
+    e_step(E^(n-1) right, n), by default one more action and an exact
+    division, so a sum of N terms costs N actions per side.  The sum
     stops at the first n whose F or E half vanishes; a nonzero term
     beyond the end of coeffs is a ValueError.  The E^(n) half of a term
     with a zero coefficient is not built: once F^(n) left or E^(n) right
-    vanishes, so does every later one."""
+    vanishes, so does every later one.  Each term is summed straight into
+    the result, its coefficient multiplied once into each entry of the F
+    half."""
     d = left.d + right.d
-    terms: list[tuple[Laurent, ModuleVector]] = []
+    data: dict[OrbitIndex, Laurent] = {}
     f_part, e_part, e_n = left, right, 0
     n = 0
     while True:
         if n:
             f_part = _divided_step(f_part, "F", n)
-        if f_part.is_zero():
+        if not f_part._terms:
             break
         if n < len(coeffs) and coeffs[n].is_zero():
             n += 1
             continue
         while e_n < n:
             e_n += 1
-            e_part = _divided_step(e_part, "E", e_n)
-        if e_part.is_zero():
+            e_part = e_step(e_part, e_n)
+        if not e_part._terms:
             break
         if n >= len(coeffs):
             raise ValueError(
                 f"coefficient sequence of length {len(coeffs)} too short "
                 f"for Lambda_{d}"
             )
-        terms.append((coeffs[n], tensor(f_part, e_part)))
+        for iu, cu in f_part._terms.items():
+            scalar = coeffs[n] * cu
+            for iw, cw in e_part._terms.items():
+                _accumulate(data, iu + iw, scalar * cw)
         n += 1
-    return combine(d, terms)
+    return ModuleVector._make(d, data)
 
 
 # -- inner product and the adjoint twist ---------------------------------------

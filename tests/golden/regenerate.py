@@ -49,6 +49,12 @@ CLI_CASES = {
         "split", "--d", "1,1,1", "--at", "1", "--r", "1", "--format", "json",
     ],
     "split_d2-2_at1_r2.txt": ["split", "--d", "2,2", "--at", "1", "--r", "2"],
+    "split_d1-1-1-1_at2_r2.txt": [
+        "split", "--d", "1,1,1,1", "--at", "2", "--r", "2",
+    ],
+    "split_d1-1-1-1_at2_r2.json": [
+        "split", "--d", "1,1,1,1", "--at", "2", "--r", "2", "--format", "json",
+    ],
     "rmat_d1-1_w1_plus_can.txt": [
         "rmat", "--d", "1,1", "--word", "1", "--sign", "plus",
         "--basis", "canonical",
@@ -65,6 +71,10 @@ CLI_CASES = {
         "rmat", "--d", "1,1", "--word", "1", "--sign", "plus",
         "--basis", "canonical", "--format", "json",
     ],
+    "rmat_d1-1_w1_plus_std.json": [
+        "rmat", "--d", "1,1", "--word", "1", "--sign", "plus",
+        "--basis", "standard", "--format", "json",
+    ],
     "rmat_d2-2_w1_plus_can.txt": [
         "rmat", "--d", "2,2", "--word", "1", "--sign", "plus",
         "--basis", "canonical",
@@ -73,13 +83,26 @@ CLI_CASES = {
         "rmat", "--d", "2,2", "--word", "1", "--sign", "minus",
         "--basis", "canonical",
     ],
+    "rmat_d1-1-1_w1-2-1_minus_can.txt": [
+        "rmat", "--d", "1,1,1", "--word", "1,2,1", "--sign", "minus",
+        "--basis", "canonical",
+    ],
+    "rmat_d1-1-1_w1-2-1_minus_can.json": [
+        "rmat", "--d", "1,1,1", "--word", "1,2,1", "--sign", "minus",
+        "--basis", "canonical", "--format", "json",
+    ],
     "bar_d1-1_v0-1.txt": ["bar", "--d", "1,1", "--vector", "0,1"],
     "bar_d1-1_v0-1.json": [
         "bar", "--d", "1,1", "--vector", "0,1", "--format", "json",
     ],
     "inner_d4_r2_std.txt": ["inner", "--d", "4", "--r", "2"],
+    "inner_d4_r2_std.json": ["inner", "--d", "4", "--r", "2", "--format", "json"],
     "inner_d2-2_r2_can.txt": [
         "inner", "--d", "2,2", "--r", "2", "--basis", "canonical",
+    ],
+    "inner_d2-2_r2_can.json": [
+        "inner", "--d", "2,2", "--r", "2", "--basis", "canonical",
+        "--format", "json",
     ],
     "orbits_d2-2_r2.txt": ["orbits", "--d", "2,2", "--r", "2"],
     "orbits_d2-2_r2.json": [
@@ -88,6 +111,7 @@ CLI_CASES = {
     "orbits_d2-2_r2.dot": ["orbits", "--d", "2,2", "--r", "2", "--format", "dot"],
     "embed_d2_can.txt": ["embed", "--d", "2", "--basis", "canonical"],
     "embed_d2-1_std.json": ["embed", "--d", "2,1", "--format", "json"],
+    "embed_d2-2_std.txt": ["embed", "--d", "2,2", "--basis", "standard"],
     "embed_d2-2_can.json": [
         "embed", "--d", "2,2", "--basis", "canonical", "--format", "json",
     ],

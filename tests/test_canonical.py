@@ -876,6 +876,51 @@ def test_e_coordinates_match_the_standard_basis_route():
         assert canonical_mod._MEMO[key] == _reference_e_coords(d, t, n), key
 
 
+def _reference_product_column(d, t, kappa):
+    """Psi(P_t) in the product basis by the solve's own loop before it
+    read theta: sum_n kappa_n [t_0 + n choose n] P_(t_0 + n, u'')
+    e_(n, u''), stopping at the first vanishing term."""
+    t0, rest = t[0], t[1:]
+    column = {}
+    n = 0
+    while t0 + n <= d[0]:
+        coords = {rest: ONE} if n == 0 else canonical_mod._e_coords(d[1:], rest, n)
+        if not coords:
+            break
+        if n >= len(kappa):
+            raise ValueError(
+                f"coefficient sequence of length {len(kappa)} too short "
+                f"for Lambda_{d}"
+            )
+        scalar = kappa[n] * quantum_binomial(t0 + n, n)
+        for u, e in coords.items():
+            c = scalar * e
+            if not c.is_zero():
+                column[(t0 + n,) + u] = c
+        n += 1
+    return column
+
+
+def test_product_columns_match_the_reference_loop():
+    clear_caches()
+    columns = 0
+    for total in range(2, 8):
+        for d in _compositions(total):
+            if len(d) == 1:
+                continue
+            for r in range(total + 1):
+                kappa = compute_quasi_r(canonical_mod._kappa_reach(d, 1, r))
+                for t in orbits.linear_extension(d, r):
+                    got = canonical_mod._product_column(d, t, kappa)
+                    assert got == _reference_product_column(d, t, kappa), (d, t)
+                    columns += 1
+    assert columns == 4580
+    # a kappa too short for a nonzero term is theta's ValueError
+    for column in (canonical_mod._product_column, _reference_product_column):
+        with pytest.raises(ValueError, match=r"length 1 too short for Lambda_\(1, 1\)"):
+            column((1, 1), (0, 1), [ONE])
+
+
 def test_add_scaled_matches_reference_loop_without_aliasing():
     rng = random.Random(5150)
     coeffs = [ZERO, ONE, neg(ONE), Q, QINV, Laurent({1: 1}), Laurent({-3: -2})]

@@ -54,6 +54,23 @@ def test_cli_output_matches_golden(name, capsys):
     assert out == golden(name)
 
 
+def test_every_format_and_basis_of_every_command_has_a_golden():
+    # the choices come from the parser table, so a new command, format
+    # or basis fails here until a golden file freezes its output
+    covered = set()
+    for argv in _REGEN.CLI_CASES.values():
+        args = vars(cli_mod._build_parser(argv[0]).parse_args(argv))
+        covered.add((argv[0], args.get("format"), args.get("basis")))
+    missing = []
+    for name, (_, _, specs) in cli_mod._COMMANDS.items():
+        choices = {flag: opts["choices"] for flag, opts in specs if "choices" in opts}
+        for fmt in choices.get("--format", (None,)):
+            for basis in choices.get("--basis", (None,)):
+                if (name, fmt, basis) not in covered:
+                    missing.append((name, fmt, basis))
+    assert missing == []
+
+
 def test_library_values_match_golden():
     expected = golden("values.json")
     assert json.dumps(_REGEN.library_values(), indent=2) + "\n" == expected

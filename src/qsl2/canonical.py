@@ -23,50 +23,48 @@ convention to the module action itself and raises
 ConventionUnderdeterminedError when no equation has a unit coefficient,
 when an equation fails, or when the value leaves Z[q, q^-1].  Callers
 solve only the kappa_n that Psi reads on a level, _kappa_reach(d, cut,
-r): at cut 1, n <= max_k min(d_k, d_(k+1) + ... + d_l), which also
-bounds a table's product columns and is min(d_0, d_1) on a pair, and on
-level r also n <= min(r, sum(d) - r), as the E^(n) half lowers the
-right block's level and the F^(n) half raises the left block's.  No
-caller passes other coefficients: every table and Psi image is solved
-under the solved kappa into the one memo store _MEMO.
+r): at cut 1, n <= max_k min(d_k, d_(k+1) + ... + d_l), which is
+min(d_0, d_1) on a pair, and on level r also n <= min(r, sum(d) - r),
+as the E^(n) half lowers the right block's level and the F^(n) half
+raises the left block's.  No caller passes other coefficients: every
+Psi image is solved under the solved kappa into the one memo store
+_MEMO.  No canonical table reads kappa.
 
-Canonical tables are solved one factor at a time (Lusztig,
-Introduction to Quantum Groups, 27.3).  Write Lambda_d = Lambda_(d_0)
-tensor Lambda_d'' with d'' = d[1:], and take the product basis
-P_s = v_(s_0) tensor b''_(s[1:]) over the canonical basis b'' of d''
-at level r - s_0 (a one-factor table is the standard basis).  Psi is
-Theta applied to two bar-fixed factors, which is how _psi_basis nests
-at cut 1, so for any kappa under which the d'' tables solve
+Canonical tables are solved one factor at a time from bar-invariant
+monomials (Lusztig, Introduction to Quantum Groups, 27.3).  Write
+Lambda_d = Lambda_(d_0) tensor Lambda_d'' with d'' = d[1:], and take
+the product basis P_s = v_(s_0) tensor b''_(s[1:]) over the canonical
+basis b'' of d'' at level r - s_0 (a one-factor table is the standard
+basis).  Both bases are unitriangular over one another with
+off-diagonal entries in q^-1 Z[q^-1], so the bar-fixed b_t in
+P_t + q^-1 Z[q^-1]-span is the canonical basis element.  Theta's
+n >= 1 terms vanish on v_(d_0) tensor b''_u, as F^(n) v_(d_0) = 0, and
+Psi commutes with divided powers, so for t = (d_0 - a, u) the monomial
 
-    Psi(P_t) = sum_n kappa_n [t_0 + n choose n] v_(t_0 + n) tensor E^(n) b''_(t[1:]),
+    M_t = E^(a) (v_(d_0) tensor b''_u)
+        = sum_(a'+b=a) q^(a'b - b d_0) v_(d_0 - a') tensor E^(b) b''_u
 
-with E^(n) b'' read in the canonical coordinates of d'' (memoized per
-d'', index and n).  _product_column is modules.theta itself, applied
-to v_(t_0) and the unit vector at t[1:] over d'', with its E^(n) half
-read from that memo instead of built by the module action, so there is
-one Theta loop.  A column has a handful of entries, where the
-standard-basis column fills the whole lower closure.  Each column is
-checked to be unitriangular: a_{t,t} = 1 and the support lies in the
-lower closure of t, on the level.  Both bases are unitriangular over
-one another with off-diagonal entries in q^-1 Z[q^-1], so the bar-fixed
-b_r in P_r + q^-1 Z[q^-1]-span is the canonical basis element.  Then
-b_r = sum_s p_{s,r} P_s with p_{r,r} = 1, and walking s downward in
-the linear extension, p_{s,r} is the strictly negative-exponent half of
-the obstruction
+(the coproduct below at s_0 = d_0) is bar-invariant.  The solve checks
+that M_t is P_t plus terms on the level strictly below t in the closure
+order (prefix sums, computed once per index of the level), then walks s
+down the linear extension.  At s the remainder's coefficient c splits
+as beta_s + p_{s,t}, with beta_s = c_0 + sum_(h>0) c_h (q^h + q^-h)
+bar-invariant and p_{s,t} in q^-1 Z[q^-1] the product coordinate of
+b_t; beta_s times the off-diagonal product coordinates of b_s leaves
+the remainder, so b_t = M_t - sum_s beta_s b_s, and a remainder left
+after the walk is a TriangularityViolationError.  Each row is then
+expanded once into the standard basis through the d'' rows.  Its
+off-diagonal coefficients land in q^-1 Z_{>=0}[q^-1], and
+Psi(b_t) = b_t under the solved kappa: the verify suite checks both
+from outside the solve.
 
-    g_s = sum_{s < t <= r} a_{s,t} bar(p_{t,r}),
-
-the unique member of q^-1 Z[q^-1] with p_{s,r} - bar(p_{s,r}) = g_s.
-Each g_s with two or more summands is accumulated as a raw map from
-half-exponents to integers, one multiply-add per pair of terms, and
-becomes a Laurent element only when s is reached.  Each nonzero g_s is
-checked to sit strictly below r in the closure order, to be
-bar-antisymmetric and to have zero constant term; with the column
-check, Psi(b_r) = b_r holds exactly by construction.  Both closure tests compare prefix sums computed once per
-index of the level (orbits.prefix_sums), and an entry at an index off
-the level fails the column check.  Each row is then expanded once into
-the standard basis through the d'' rows.  The off-diagonal coefficients
-land in q^-1 Z_{>=0}[q^-1] (a checked property, not an input).
+The source paper's geometry fixes the shape of the multiplicities
+beta_s of b_s in M_t.  Canonical basis elements are simple perverse
+sheaves and E^(a) is convolution along a proper map, so by the
+decomposition theorem (Beilinson-Bernstein-Deligne) every beta_s lies
+in N[q, q^-1], and by purity (Deligne's weights) every exponent of c is
+an integer with the parity of dim O_t - dim O_s.  The solve checks both
+on every coefficient it walks and raises PurityViolationError.
 
 Every coefficient the solve stores (table rows, product coordinates
 and E^(n) coordinates) is the one shared instance of its value in
@@ -85,15 +83,17 @@ Delta(E^(n)) = sum_(a+b=n) q^(ab) E^(a) K^b tensor E^(b), so
     E^(n) P_s = sum_(a+b=n) q^(ab + b(d_0 - 2s_0)) [d_0 - s_0 + a choose a]
                 v_(s_0 - a) tensor E^(b) b''_(s[1:]),
 
-with E^(b) b'' from the same memo (on one factor, the binomial
-[d_0 - t_0 + n choose n] alone).  The sum is back-substituted against
-the product coordinates of the level below, which have a handful of
-entries per row.  A split at cut 1 is the product coordinates; at a
-cut c > 1 each b''_(s[1:]) of b_t is split at c - 1 into b'''_x tensor
-b''''_y, and the part of b_t on each b''''_y, a sum of v_(s_0) tensor
-b'''_x, is back-substituted in the same way against d[:c] on level
-r - sum(y).  The standard-basis Psi columns serve bar_involution and
-the pair braiding of rmatrix, whose Theta step is bar Psi.
+with E^(b) b'' read in the canonical coordinates of d'' (memoized per
+d'', index and n; on one factor, the binomial [d_0 - t_0 + n choose n]
+alone).  _add_e_image builds this sum for the monomials and for
+_e_coords, which back-substitutes it against the product coordinates
+of the level below, a handful of entries per row.  A split at cut 1 is
+the product coordinates; at a cut c > 1 each b''_(s[1:]) of b_t is
+split at c - 1 into b'''_x tensor b''''_y, and the part of b_t on each
+b''''_y, a sum of v_(s_0) tensor b'''_x, is back-substituted in the
+same way against d[:c] on level r - sum(y).  The standard-basis Psi
+columns serve bar_involution and the pair braiding of rmatrix, whose
+Theta step is bar Psi.
 
 The refinement embedding comes from the module structure alone: on each
 nonzero part it is the intertwiner v_a -> F^(a) v_(0,...,0) into that
@@ -114,8 +114,7 @@ from .errors import (
     AmbientMismatchError,
     ConventionUnderdeterminedError,
     EmbeddingCheckFailedError,
-    NonzeroConstantTermError,
-    ObstructionNotAntisymmetricError,
+    PurityViolationError,
     TriangularityViolationError,
 )
 from .modules import (
@@ -173,7 +172,8 @@ def _kappa_reach(d: Composition, cut: int, r: int) -> int:
     """The largest n with kappa_n read by Psi on level r of Lambda_d:
     Theta's n-th term vanishes past either side's total, at the top cut
     and at each nested cut 1, and F^(n) tensor E^(n) needs n <= r and
-    n <= sum(d) - r.  Memoized for the process."""
+    n <= sum(d) - r.  Only Psi reads kappa; no canonical table does.
+    Memoized for the process."""
 
     def nested(e: Composition) -> int:
         return max((min(ek, sum(e[k + 1 :])) for k, ek in enumerate(e)), default=0)
@@ -330,7 +330,8 @@ def _solve_next_kappa() -> None:
 def compute_quasi_r(n_max: int) -> list[Laurent]:
     """kappa_0 .. kappa_(n_max); kappa_0 = 1 and the rest are solved
     once each, one Psi evaluation of Lambda_(n,n) apiece, and cached for
-    the process.  Callers ask only as far as they read."""
+    the process.  Callers (bar_involution, and the pair braiding through
+    it) ask only as far as they read; no canonical table reads kappa."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     while len(_KAPPA) <= n_max:
@@ -481,14 +482,33 @@ def _sub_table(d: Composition, r: int) -> CanonicalTable:
     return table
 
 
+def _add_e_image(
+    image: dict, d: Composition, s: OrbitIndex, p: Laurent, n: int
+) -> None:
+    """image += p E^(n) P_s in the product basis of level sum(s) - n, by
+    the coproduct formula of the module docstring, for image an
+    _add_scaled accumulator."""
+    d0, s0, rest = d[0], s[0], s[1:]
+    for a in range(min(n, s0) + 1):
+        b = n - a
+        part = {rest: ONE} if b == 0 else _e_coords(d[1:], rest, b)
+        if part:
+            scalar = (
+                p
+                * q_power(a * b + b * (d0 - 2 * s0))
+                * quantum_binomial(d0 - s0 + a, a)
+            )
+            _add_scaled(image, scalar, part, (s0 - a,))
+
+
 def _e_coords(d: Composition, t: OrbitIndex, n: int) -> dict[OrbitIndex, Laurent]:
     """E^(n) b_t on Lambda_d in the canonical coordinates of level
     sum(t) - n, zeros omitted; empty when E^(n) b_t = 0.  One factor
     is the standard basis, E^(n) v_t0 = [d_0 - t_0 + n choose n]
     v_(t_0 - n).  Otherwise E^(n) is applied to b_t = sum_s p_{s,t} P_s
-    term by term through the coproduct (see the module docstring) and
-    back-substituted against the product coordinates of the level
-    below.  Memoized in _MEMO for len(d) > 1."""
+    term by term by _add_e_image and back-substituted against the
+    product coordinates of the level below.  Memoized in _MEMO for
+    len(d) > 1."""
     d0, t0 = d[0], t[0]
     if len(d) == 1:
         return {(t0 - n,): quantum_binomial(d0 - t0 + n, n)} if n <= t0 else {}
@@ -498,17 +518,7 @@ def _e_coords(d: Composition, t: OrbitIndex, n: int) -> dict[OrbitIndex, Laurent
         r = sum(t)
         image: dict[OrbitIndex, Laurent | defaultdict] = {}
         for s, p in _sub_table(d, r).product[t].items():
-            s0, rest = s[0], s[1:]
-            for a in range(min(n, s0) + 1):
-                b = n - a
-                part = {rest: ONE} if b == 0 else _e_coords(d[1:], rest, b)
-                if part:
-                    scalar = (
-                        p
-                        * q_power(a * b + b * (d0 - 2 * s0))
-                        * quantum_binomial(d0 - s0 + a, a)
-                    )
-                    _add_scaled(image, scalar, part, (s0 - a,))
+            _add_e_image(image, d, s, p, n)
         coords = {}
         if image:
             lower = _sub_table(d, r - n)
@@ -518,75 +528,50 @@ def _e_coords(d: Composition, t: OrbitIndex, n: int) -> dict[OrbitIndex, Laurent
     return coords
 
 
-def _product_column(
-    d: Composition, t: OrbitIndex, kappa: list[Laurent]
-) -> dict[OrbitIndex, Laurent]:
-    """Psi(P_t) in the product basis, P_s = v_(s_0) tensor b''_(s[1:]):
-    theta on v_(t_0) and the unit vector at t[1:] over d[1:], with the
-    E^(n) half read from _e_coords as canonical coordinates of d[1:], so
-
-        Psi(P_t) = sum_n kappa_n [t_0 + n choose n] P_(t_0 + n, u'') e_(n, u'')
-
-    where E^(n) b''_(t[1:]) = sum_u'' e_(n, u'') b''_u''."""
-    d1, rest = d[1:], t[1:]
-    column = theta(
-        ModuleVector._make(d[:1], {t[:1]: ONE}),
-        ModuleVector._make(d1, {rest: ONE}),
-        kappa,
-        lambda _, n: ModuleVector._make(d1, _e_coords(d1, rest, n)),
-    )
-    return column._terms
-
-
-def _product_below(
-    d: Composition,
-    t: OrbitIndex,
-    kappa: list[Laurent],
-    prefix: dict[OrbitIndex, tuple[int, ...]],
-) -> dict[OrbitIndex, Laurent]:
-    """Column t of the product-basis Psi matrix without its diagonal
-    entry, after checking that the column is unitriangular: a_{t,t} = 1
-    and every other entry lies strictly below t in the closure order.
-    prefix maps each index of the level to its prefix sums."""
-    column = _product_column(d, t, kappa)
-    diagonal = column.pop(t, ZERO)
-    if diagonal != ONE:
+def _monomial(
+    d: Composition, t: OrbitIndex, prefix: dict[OrbitIndex, tuple[int, ...]]
+) -> dict[OrbitIndex, Laurent | defaultdict]:
+    """M_t = E^(d_0 - t_0) (v_(d_0) tensor b''_(t[1:])) without its entry
+    at t, as an _add_scaled accumulator over the product basis, after
+    checking that the entry at t is 1 and every other entry lies on the
+    level strictly below t in the closure order, by prefix, the prefix
+    sums of each index of the level."""
+    image: dict[OrbitIndex, Laurent | defaultdict] = {}
+    _add_e_image(image, d, (d[0],) + t[1:], ONE, d[0] - t[0])
+    lead = _entry(image.pop(t, ZERO))
+    if lead != ONE:
         raise TriangularityViolationError(
-            f"Psi(P{t}) on Lambda_{d} has diagonal coefficient {diagonal}, not 1"
+            f"the monomial of b{t} on Lambda_{d} has leading coefficient "
+            f"{lead} at {t}, not 1"
         )
     top = prefix[t]
-    for s in column:
+    for s in image:
         sums = prefix.get(s)
-        if sums is None:
-            raise TriangularityViolationError(
-                f"Psi(P{t}) on Lambda_{d} is supported at {s}, "
-                f"off level {sum(t)}"
+        if sums is None or not orbits.prefix_dominates(sums, top):
+            where = (
+                f"off level {sum(t)}" if sums is None else "outside the lower closure"
             )
-        if not orbits.prefix_dominates(sums, top):
             raise TriangularityViolationError(
-                f"Psi(P{t}) on Lambda_{d} is supported at {s}, "
-                f"outside the lower closure"
+                f"the monomial of b{t} on Lambda_{d} is supported at {s}, {where}"
             )
-    return column
+    return image
 
 
 def _compute_table(d: Composition, r: int) -> CanonicalTable:
-    """Solve the table of (d, r), product coordinates included, under
-    kappa solved as far as _kappa_reach(d, 1, r); the factor tables,
-    the E^(n) coordinates and the shared coefficient values live in
-    _MEMO."""
+    """Solve the table of (d, r), product coordinates included, from the
+    monomials of _monomial, reading no kappa; the factor tables, the
+    E^(n) coordinates and the shared coefficient values live in _MEMO."""
     order = tuple(orbits.linear_extension(d, r))
     if len(d) == 1:
         return CanonicalTable(
             d, r, order, {idx: ModuleVector._make(d, {idx: ONE}) for idx in order}
         )
-    kappa = compute_quasi_r(_kappa_reach(d, 1, r))
     # every diagonal entry is ONE, so ONE is the shared 1 of the store
     _MEMO.values.setdefault(ONE, ONE)
     # the closure tests compare prefix sums computed once per index,
     # which also tells an index of this level from any other
     prefix = {idx: orbits.prefix_sums(idx) for idx in order}
-    below = {t: _product_below(d, t, kappa, prefix) for t in order}
+    dims = {idx: orbits._orbit_dim(d, idx) for idx in order}
     factors = {
         a: _sub_table(d[1:], r - a)
         for a in range(max(0, r - sum(d[1:])), min(r, d[0]) + 1)
@@ -595,40 +580,51 @@ def _compute_table(d: Composition, r: int) -> CanonicalTable:
     shared = {idx: idx for idx in order}
     rows: dict[OrbitIndex, ModuleVector] = {}
     product_rows: dict[OrbitIndex, dict[OrbitIndex, Laurent]] = {}
+    # below[s] is row s's product coordinates without its diagonal entry
+    below: dict[OrbitIndex, dict[OrbitIndex, Laurent]] = {}
     for top, r_idx in enumerate(order):
-        coeffs = {r_idx: ONE}
-        top_sums = prefix[r_idx]
-        # obstruction[s] is the sum (an _add_scaled entry) of
-        # a_{s,t} bar(p_{t,r}) over the t already solved; every t above
-        # s is solved before s is reached, and every entry lies below
-        # the s last popped, so an empty obstruction ends the walk.
-        obstruction: dict[OrbitIndex, Laurent | defaultdict] = {}
-        _add_scaled(obstruction, ONE, below[r_idx])
+        # remainder holds M_t - sum beta_s b_s over the s already walked;
+        # every entry lies below the s last popped, so an empty remainder
+        # ends the walk
+        remainder = _monomial(d, r_idx, prefix)
+        lower: dict[OrbitIndex, Laurent] = {}
         for s in reversed(order[:top]):
-            if not obstruction:
+            if not remainder:
                 break
-            raw = obstruction.pop(s, None)
+            raw = remainder.pop(s, None)
             if raw is None:
                 continue
-            g = _entry(raw)
-            if g.is_zero():
+            c = _entry(raw)
+            if c.is_zero():
                 continue
-            if not orbits.prefix_dominates(prefix[s], top_sums):
-                raise TriangularityViolationError(
-                    f"obstruction for b{s} vs {r_idx} on Lambda_{d} "
-                    f"is supported outside the strict lower closure"
+            # c = beta_s + p_{s,t}; purity and positivity as in the
+            # module docstring
+            parity = 2 * ((dims[r_idx] - dims[s]) % 2)
+            p = (c - c.bar()).negative_half()
+            beta = c - p
+            if any(h % 4 != parity for h in c._terms):
+                raise PurityViolationError(
+                    f"multiplicity ({c}) at {s} in b{r_idx} on Lambda_{d} "
+                    f"has an exponent off the parity of dim O{r_idx} - dim O{s}"
                 )
-            if not g.is_bar_antisymmetric():
-                raise ObstructionNotAntisymmetricError(
-                    f"obstruction ({g}) at {s} for b{r_idx} on Lambda_{d}"
+            if any(x < 0 for x in beta._terms.values()):
+                raise PurityViolationError(
+                    f"multiplicity ({c}) at {s} in b{r_idx} on Lambda_{d} "
+                    f"has a negative bar-invariant part ({beta})"
                 )
-            if not g.has_zero_constant_term():
-                raise NonzeroConstantTermError(
-                    f"obstruction ({g}) at {s} for b{r_idx} on Lambda_{d}"
-                )
-            p = coeffs[s] = _shared(g.negative_half())
-            _add_scaled(obstruction, p.bar(), below[s])
-        product_rows[r_idx] = coeffs
+            if p._terms:
+                lower[s] = _shared(p)
+            if beta._terms:
+                _add_scaled(remainder, -beta, below[s])
+        # the walk pops every index it passes, so whatever is left lies
+        # at an index it never reached
+        if remainder:
+            raise TriangularityViolationError(
+                f"the walk of b{r_idx} on Lambda_{d} left a remainder at "
+                f"{next(iter(remainder))}"
+            )
+        below[r_idx] = lower
+        coeffs = product_rows[r_idx] = {r_idx: ONE, **lower}
         # b_r = sum_s p_s v_(s_0) tensor b''_(s[1:]), one entry per index
         expanded: dict[OrbitIndex, Laurent | defaultdict] = {}
         for s, p in coeffs.items():

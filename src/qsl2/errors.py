@@ -16,6 +16,7 @@ __all__ = [
     "TriangularityViolationError",
     "ObstructionNotAntisymmetricError",
     "NonzeroConstantTermError",
+    "PurityViolationError",
     "HalfPowerLeakError",
     "InverseCheckFailedError",
     "NonReducedWordError",
@@ -48,8 +49,8 @@ class ConventionUnderdeterminedError(AlgebraError):
 
 
 class TriangularityViolationError(AlgebraError):
-    """A Psi column or bar obstruction is not unitriangular along the
-    closure order."""
+    """A monomial of the table solve is not unitriangular along the
+    closure order, or a triangular walk left a remainder."""
 
 
 class ObstructionNotAntisymmetricError(AlgebraError):
@@ -58,6 +59,11 @@ class ObstructionNotAntisymmetricError(AlgebraError):
 
 class NonzeroConstantTermError(AlgebraError):
     """A bar obstruction coefficient has a nonzero constant term."""
+
+
+class PurityViolationError(AlgebraError):
+    """A multiplicity of the table solve has a negative coefficient or an
+    exponent off the parity of its orbit dimensions."""
 
 
 class HalfPowerLeakError(AlgebraError):

@@ -332,21 +332,13 @@ def act_divided(u: ModuleVector, gen: str, n: int) -> ModuleVector:
     return v
 
 
-def _e_step(w: ModuleVector, n: int) -> ModuleVector:
-    return _divided_step(w, "E", n)
-
-
 def theta(
-    left: ModuleVector,
-    right: ModuleVector,
-    coeffs: list[Laurent],
-    e_step: Callable[[ModuleVector, int], ModuleVector] = _e_step,
+    left: ModuleVector, right: ModuleVector, coeffs: list[Laurent]
 ) -> ModuleVector:
     """sum_n coeffs[n] F^(n) left tensor E^(n) right, on
     Lambda_(left.d + right.d).  Both halves are built one step at a
-    time, F^(n) left from F^(n-1) left and E^(n) right as
-    e_step(E^(n-1) right, n), by default one more action and an exact
-    division, so a sum of N terms costs N actions per side.  The sum
+    time, F^(n) left from F^(n-1) left and E^(n) right from the last E
+    half built, so a sum of N terms costs N actions per side.  The sum
     stops at the first n whose F or E half vanishes; a nonzero term
     beyond the end of coeffs is a ValueError.  The E^(n) half of a term
     with a zero coefficient is not built: once F^(n) left or E^(n) right
@@ -367,7 +359,7 @@ def theta(
             continue
         while e_n < n:
             e_n += 1
-            e_part = e_step(e_part, e_n)
+            e_part = _divided_step(e_part, "E", e_n)
         if not e_part._terms:
             break
         if n >= len(coeffs):

@@ -101,10 +101,13 @@ def orbit_dim(d: Composition, r: OrbitIndex) -> int:
 
 @lru_cache(maxsize=None)
 def _orbit_dim(d: Composition, r: OrbitIndex) -> int:
-    """orbit_dim on checked arguments, memoized for the process."""
-    within = sum(rk * (dk - rk) for rk, dk in zip(r, d))
-    across = sum(r[j] * (d[i] - r[i]) for j in range(len(d)) for i in range(j))
-    return within + across
+    """orbit_dim on checked arguments, memoized for the process; room
+    is the running sum of d_i - r_i over the slots before slot k."""
+    dim = room = 0
+    for rk, dk in zip(r, d):
+        dim += rk * (dk - rk + room)
+        room += dk - rk
+    return dim
 
 
 def cell_count(d: Composition, r: OrbitIndex) -> int:

@@ -9,18 +9,22 @@ import qsl2.rmatrix as rmatrix_mod  # noqa: E402
 from qsl2.modules import ModuleVector, enumerate_basis  # noqa: E402
 from qsl2.qring import Laurent  # noqa: E402
 
-# The fault injections of the test suite.  The package solves every
-# table and Psi image under its own solved quasi-R coefficients; these
-# helpers plant a wrong coefficient list or a wrong braiding composition
-# from the outside and leave no trace in the per-process memo store.
+# The fault injections of the test suite.  The package solves every Psi
+# image under its own solved quasi-R coefficients, and every canonical
+# table with none; these helpers plant a wrong coefficient list or a
+# wrong braiding composition from the outside and leave no trace in the
+# per-process memo store.
 
 
 @contextlib.contextmanager
 def solved_under(kappa):
-    """Within the block, every solve reads the coefficient list kappa,
-    as given, in place of the solved quasi-R coefficients.  Every cache
-    is cleared on entry and on exit, so no table of the block outlives
-    it and no earlier table leaks into it."""
+    """Within the block, every Psi image (bar_involution, the pair
+    braidings, and the test references that read kappa through
+    canonical.compute_quasi_r) reads the coefficient list kappa, as
+    given, in place of the solved quasi-R coefficients.  Canonical
+    tables read no kappa, so a table solved in the block is the true
+    one.  Every cache is cleared on entry and on exit, so no result of
+    the block outlives it and no earlier result leaks into it."""
     real = canonical_mod.compute_quasi_r
     canonical_mod.clear_caches()
     canonical_mod.compute_quasi_r = lambda n_max: list(kappa)

@@ -45,6 +45,7 @@ from qsl2.qring import (
 from qsl2.rmatrix import _r_plus_columns
 
 from conftest import r_plus_columns, solved_under
+from test_canonical import _reference_table
 from qsl2.verify import compositions
 
 V = ModuleVector.basis
@@ -332,13 +333,18 @@ def test_criterion_10_refinement_compatibility():
 
 def test_criterion_11_mutation_sensitivity():
     def body():
-        # negated kappa_1: the (2,2) table leaves ground truth and loses
-        # positivity, so criteria 1 and 6 would fail
+        # negated kappa_1: the Theta route's (2,2) table leaves ground
+        # truth and loses positivity, so criteria 1 and 6 would fail; the
+        # solve reads no kappa and keeps the true table, which the faulty
+        # Psi no longer fixes
         ks = compute_quasi_r(2)
         flipped = [ks[0], Laurent({h: -c for h, c in ks[1].items()}), ks[2]]
-        with solved_under(flipped):
-            wrong = canonical_basis((2, 2), 2)
         true_table = canonical_basis((2, 2), 2)
+        row = true_table.rows[(1, 1)]
+        with solved_under(flipped):
+            wrong = _reference_table((2, 2), 2)
+            assert canonical_basis((2, 2), 2) == true_table
+            assert bar_involution(row) != row
         assert wrong != true_table
         bad_coeff = wrong.rows[(1, 1)].coeff((2, 0))
         assert bad_coeff == Laurent({-2: -1, -6: -1})

@@ -34,6 +34,7 @@ from qsl2.errors import (
     EmbeddingCheckFailedError,
     NonzeroConstantTermError,
     ObstructionNotAntisymmetricError,
+    PurityViolationError,
     TriangularityViolationError,
 )
 from qsl2.modules import (
@@ -176,13 +177,13 @@ def test_wrong_f_action_leaves_kappa_underdetermined(monkeypatch):
 @pytest.mark.parametrize(
     "solve, solved",
     [
-        (lambda: canonical_basis((1,) * 9, 4), 2),
-        (lambda: canonical_basis((3, 1), 2), 2),
-        (lambda: canonical_basis((2, 2), 2), 3),
+        (lambda: canonical_basis((1,) * 9, 4), 1),
+        (lambda: canonical_basis((3, 1), 2), 1),
+        (lambda: canonical_basis((2, 2), 2), 1),
         (lambda: bar_involution(V((1, 1, 1, 1), (0, 1, 0, 1))), 2),
         (lambda: bar_involution(V((1, 1, 1, 1), (0, 1, 0, 1)), cut=2), 3),
         (lambda: r_plus_pair(1, 5), 2),
-        (lambda: canonical_basis((12, 12), 1), 2),
+        (lambda: canonical_basis((12, 12), 1), 1),
         (lambda: bar_involution(V((10, 10), (0, 1))), 2),
     ],
     ids=[
@@ -197,7 +198,7 @@ def test_wrong_f_action_leaves_kappa_underdetermined(monkeypatch):
     ],
 )
 def test_kappa_is_solved_only_as_far_as_it_is_read(solve, solved):
-    # a table, and Psi nested at cut 1, read kappa_n for
+    # a table reads no kappa; Psi nested at cut 1 reads kappa_n for
     # n <= max_k min(d_k, d_(k+1) + ... + d_l); a top cut c adds
     # min(d_0 + ... + d_(c-1), d_c + ... + d_l) (canonical._kappa_reach);
     # on level r only n <= min(r, sum(d) - r) is read
@@ -555,12 +556,16 @@ def test_recursion_matches_reference_correction_loop():
 
 
 def test_recursion_matches_reference_under_kappa_override():
+    # the two Theta routes agree on the wrong table; the solve reads no
+    # kappa, so its table is the clean one
     ks = compute_quasi_r(2)
+    clean = canonical_basis((2, 2), 2)
     flipped = [ks[0], neg(ks[1]), ks[2]]
     with solved_under(flipped):
-        wrong = canonical_basis((2, 2), 2)
-        assert wrong == _reference_table((2, 2), 2)
-    assert wrong != canonical_basis((2, 2), 2)
+        wrong = _reference_table((2, 2), 2)
+        assert wrong == _reference_recursion((2, 2), 2)
+        assert canonical_basis((2, 2), 2) == clean
+    assert wrong != clean
 
 
 def test_product_solve_matches_standard_basis_recursion():
@@ -581,20 +586,23 @@ def _outcome(solve, d, r, kappa):
 
 
 def test_product_solve_matches_standard_basis_recursion_under_kappa_override():
-    # criterion 11's negated kappa_1: an equal wrong table on (2,2), and
-    # the same error type at every level of (2,1,2) that fails
+    # criterion 11's negated kappa_1: the two Theta routes give an equal
+    # wrong table on (2,2) and the same error type at every level of
+    # (2,1,2) that fails; the solve gives the clean table at every level
     ks = compute_quasi_r(2)
+    clean = {r: canonical_basis((2, 1, 2), r) for r in range(6)}
     flipped = [ks[0], neg(ks[1]), ks[2]]
     with solved_under(flipped):
-        wrong = canonical_basis((2, 2), 2)
-        assert wrong == _reference_recursion((2, 2), 2)
+        wrong = _reference_recursion((2, 2), 2)
+        assert wrong == _reference_table((2, 2), 2)
     assert wrong != canonical_basis((2, 2), 2)
     raised = 0
     for r in range(6):
-        new = _outcome(canonical_basis, (2, 1, 2), r, flipped)
+        new = _outcome(_reference_table, (2, 1, 2), r, flipped)
         old = _outcome(_reference_recursion, (2, 1, 2), r, flipped)
         assert new == old
         raised += isinstance(new, type)
+        assert _outcome(canonical_basis, (2, 1, 2), r, flipped) == clean[r]
     assert raised == 4
 
 
@@ -876,51 +884,6 @@ def test_e_coordinates_match_the_standard_basis_route():
         assert canonical_mod._MEMO[key] == _reference_e_coords(d, t, n), key
 
 
-def _reference_product_column(d, t, kappa):
-    """Psi(P_t) in the product basis by the solve's own loop before it
-    read theta: sum_n kappa_n [t_0 + n choose n] P_(t_0 + n, u'')
-    e_(n, u''), stopping at the first vanishing term."""
-    t0, rest = t[0], t[1:]
-    column = {}
-    n = 0
-    while t0 + n <= d[0]:
-        coords = {rest: ONE} if n == 0 else canonical_mod._e_coords(d[1:], rest, n)
-        if not coords:
-            break
-        if n >= len(kappa):
-            raise ValueError(
-                f"coefficient sequence of length {len(kappa)} too short "
-                f"for Lambda_{d}"
-            )
-        scalar = kappa[n] * quantum_binomial(t0 + n, n)
-        for u, e in coords.items():
-            c = scalar * e
-            if not c.is_zero():
-                column[(t0 + n,) + u] = c
-        n += 1
-    return column
-
-
-def test_product_columns_match_the_reference_loop():
-    clear_caches()
-    columns = 0
-    for total in range(2, 8):
-        for d in _compositions(total):
-            if len(d) == 1:
-                continue
-            for r in range(total + 1):
-                kappa = compute_quasi_r(canonical_mod._kappa_reach(d, 1, r))
-                for t in orbits.linear_extension(d, r):
-                    got = canonical_mod._product_column(d, t, kappa)
-                    assert got == _reference_product_column(d, t, kappa), (d, t)
-                    columns += 1
-    assert columns == 4580
-    # a kappa too short for a nonzero term is theta's ValueError
-    for column in (canonical_mod._product_column, _reference_product_column):
-        with pytest.raises(ValueError, match=r"length 1 too short for Lambda_\(1, 1\)"):
-            column((1, 1), (0, 1), [ONE])
-
-
 def test_add_scaled_matches_reference_loop_without_aliasing():
     rng = random.Random(5150)
     coeffs = [ZERO, ONE, neg(ONE), Q, QINV, Laurent({1: 1}), Laurent({-3: -2})]
@@ -989,7 +952,8 @@ def test_kappa_override_changes_table_without_poisoning_caches():
     clean = canonical_basis((1, 1), 1)
     assert clean.rows[(0, 1)] == V((1, 1), (0, 1)) + V((1, 1), (1, 0)).scale(QINV)
     with solved_under(flipped):
-        wrong = canonical_basis((1, 1), 1)
+        wrong = _reference_recursion((1, 1), 1)
+        assert canonical_basis((1, 1), 1) == clean
     assert wrong.rows[(0, 1)] == V((1, 1), (0, 1)) + V((1, 1), (1, 0)).scale(
         neg(QINV)
     )
@@ -999,56 +963,126 @@ def test_kappa_override_changes_table_without_poisoning_caches():
 
 
 def test_theta_rejects_short_coefficient_list():
+    clean = canonical_basis((2, 2), 2)
     with pytest.raises(ValueError, match="too short"), solved_under([ONE]):
         bar_involution(V((2, 2), (0, 2)))
     with pytest.raises(ValueError, match="too short"), solved_under([ONE]):
-        canonical_basis((2, 2), 2)
+        _reference_recursion((2, 2), 2)
+    with solved_under([ONE]):
+        assert canonical_basis((2, 2), 2) == clean
 
 
 def test_kappa_fault_raises_on_non_unitriangular_psi_column():
     ks = compute_quasi_r(1)
+    clean = canonical_basis((1, 1), 1)
+    fault = [Laurent.from_int(2), ks[1]]
     with pytest.raises(TriangularityViolationError, match="diagonal"):
-        with solved_under([Laurent.from_int(2), ks[1]]):
-            canonical_basis((1, 1), 1)
+        with solved_under(fault):
+            _reference_recursion((1, 1), 1)
     assert canonical_mod._MEMO == {}
+    with solved_under(fault):
+        assert canonical_basis((1, 1), 1) == clean
+
+
+def _plant_in_monomial(monkeypatch, row, planted):
+    """Solve the factor tables of (1,1,1) at level 1, then let the
+    monomial of b_row on that level carry the entries of planted in
+    place of its own.  Returns the number of memo entries before the
+    faulty solve."""
+    d = (1, 1, 1)
+    clear_caches()
+    canonical_basis((1, 1), 0)
+    canonical_basis((1, 1), 1)
+    real = canonical_mod._add_e_image
+
+    def faulty(image, d_, s, p, n):
+        real(image, d_, s, p, n)
+        if d_ == d and (s[0] - n,) + s[1:] == row:
+            image.update(planted)
+
+    monkeypatch.setattr(canonical_mod, "_add_e_image", faulty)
+    return len(canonical_mod._MEMO)
+
+
+def _refusal(error, row, idx):
+    """Solve (1,1,1) at level 1 under a planted fault: the error of type
+    error names the composition, the row and the index, and the failed
+    table is not stored.  Returns the message."""
+    with pytest.raises(error) as info:
+        canonical_basis((1, 1, 1), 1)
+    message = str(info.value)
+    assert "Lambda_(1, 1, 1)" in message
+    assert f"b{row}" in message
+    assert f"{idx}" in message
+    assert ("table", (1, 1, 1), 1) not in canonical_mod._MEMO
+    return message
 
 
 @pytest.mark.parametrize(
     "planted, pattern",
     [((0, 1, 0), "outside the lower closure"), ((1, 1, 0), "off level 1")],
 )
-def test_psi_column_support_outside_closure_raises(monkeypatch, planted, pattern):
-    d = (1, 1, 1)
+def test_monomial_support_fault_raises(monkeypatch, planted, pattern):
     bottom = (1, 0, 0)
-    clear_caches()
-    # the factor tables of (1,1,1) at level 1, so only the top solve fails
-    canonical_basis((1, 1), 0)
-    canonical_basis((1, 1), 1)
-    stored = len(canonical_mod._MEMO)
-
-    def faulty(d_, idx, kappa):
-        column = {idx: ONE}
-        if idx == bottom:
-            column[planted] = QINV
-        return column
-
-    monkeypatch.setattr(canonical_mod, "_product_column", faulty)
-    with pytest.raises(TriangularityViolationError) as info:
-        canonical_basis(d, 1)
-    message = str(info.value)
-    assert "Lambda_(1, 1, 1)" in message
+    stored = _plant_in_monomial(monkeypatch, bottom, {planted: QINV})
+    message = _refusal(TriangularityViolationError, bottom, planted)
     assert f"supported at {planted}" in message
     assert pattern in message
+    # the bottom row is the first solved, so the solve stored nothing
     assert len(canonical_mod._MEMO) == stored
 
 
+def test_monomial_with_a_wrong_leading_coefficient_raises(monkeypatch):
+    row = (0, 1, 0)
+    _plant_in_monomial(monkeypatch, row, {row: Laurent.from_int(2)})
+    message = _refusal(TriangularityViolationError, row, row)
+    assert "leading coefficient 2" in message
+
+
+def test_walk_leftover_raises(monkeypatch):
+    # with the closure test disarmed, an entry above the row is never
+    # walked and is left over
+    bottom, above = (1, 0, 0), (0, 0, 1)
+    _plant_in_monomial(monkeypatch, bottom, {above: QINV})
+    monkeypatch.setattr(orbits, "prefix_dominates", lambda ps, pr: True)
+    message = _refusal(TriangularityViolationError, bottom, above)
+    assert "left a remainder" in message
+
+
+def test_negative_multiplicity_raises(monkeypatch):
+    # dim O(0,0,1) - dim O(1,0,0) = 2, so a constant has the right
+    # parity; its bar-invariant part -1 is negative
+    row, s = (0, 0, 1), (1, 0, 0)
+    _plant_in_monomial(monkeypatch, row, {s: -ONE})
+    message = _refusal(PurityViolationError, row, s)
+    assert "negative" in message
+
+
+@pytest.mark.parametrize(
+    "s, c",
+    [((0, 1, 0), ONE), ((1, 0, 0), Laurent({1: 1}))],
+    ids=["even-exponent-at-odd-distance", "half-exponent"],
+)
+def test_multiplicity_of_the_wrong_parity_raises(monkeypatch, s, c):
+    # dim O(0,0,1) - dim O(0,1,0) = 1 and dim O(0,0,1) - dim O(1,0,0) = 2
+    row = (0, 0, 1)
+    _plant_in_monomial(monkeypatch, row, {s: c})
+    message = _refusal(PurityViolationError, row, s)
+    assert "parity" in message
+
+
 def test_kappa_fault_raises_on_non_antisymmetric_obstruction():
+    clean = {d: canonical_basis(d, r) for d, r in [((1, 1), 1), ((2, 2), 2)]}
     with pytest.raises(ObstructionNotAntisymmetricError), solved_under([ONE, ONE]):
-        canonical_basis((1, 1), 1)
+        _reference_recursion((1, 1), 1)
     ks = compute_quasi_r(2)
     with pytest.raises(ObstructionNotAntisymmetricError):
         with solved_under([ks[0], ks[1], ZERO]):
-            canonical_basis((2, 2), 2)
+            _reference_recursion((2, 2), 2)
+    with solved_under([ONE, ONE]):
+        assert canonical_basis((1, 1), 1) == clean[(1, 1)]
+    with solved_under([ks[0], ks[1], ZERO]):
+        assert canonical_basis((2, 2), 2) == clean[(2, 2)]
 
 
 # -- split expansion -----------------------------------------------------------

@@ -70,6 +70,25 @@ def test_orbit_dim_anchors():
             assert orbit_dim((d,), (r,)) == r * (d - r)
 
 
+def _reference_orbit_dim(d, r):
+    """The fibration sum as a double sum: sum r_k (d_k - r_k) within
+    blocks plus sum over i < j of r_j (d_i - r_i) across them."""
+    within = sum(rk * (dk - rk) for rk, dk in zip(r, d))
+    across = sum(r[j] * (d[i] - r[i]) for j in range(len(d)) for i in range(j))
+    return within + across
+
+
+def test_orbit_dim_matches_the_double_sum():
+    # every index of every composition of total <= 8, past the memo
+    orbit_dim_of = orbits._orbit_dim.__wrapped__
+    indices = 0
+    for d in compositions(8):
+        for r in itertools.product(*(range(dk + 1) for dk in d)):
+            assert orbit_dim_of(d, r) == _reference_orbit_dim(d, r), (d, r)
+            indices += 1
+    assert indices == 15759
+
+
 def test_cell_count_anchors_and_vandermonde():
     assert [cell_count((2, 2), i) for i in linear_extension((2, 2), 2)] == [
         1,

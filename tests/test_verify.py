@@ -24,10 +24,11 @@ from qsl2 import (
     split_expand,
 )
 from qsl2.modules import act_F, act_K
-from qsl2.qring import ONE, Q, QINV, Laurent
+from qsl2.errors import PurityViolationError
+from qsl2.qring import ONE, Q, QINV, ZERO, Laurent
 from qsl2.verify import SUITES, _FAILURE_CAP
 
-from conftest import r_plus_columns
+from conftest import r_plus_columns, solved_under
 
 README = os.path.join(os.path.dirname(__file__), "..", "README.md")
 
@@ -313,6 +314,74 @@ def test_suite_rmatrix_catches_a_negated_kappa(cleared):
     assert all(
         w.startswith("intertwining ") and w.endswith(" on (1, 1)") for w in res.failures
     ), res.failures
+
+
+def _kappa_faults():
+    ks = compute_quasi_r(2)
+    return {
+        "negated-kappa1": [ks[0], -ks[1], ks[2]],
+        "kappa0-2": [Laurent.from_int(2), ks[1], ks[2]],
+        "ones": [ONE, ONE, ONE],
+        "kappa2-0": [ks[0], ks[1], ZERO],
+    }
+
+
+@pytest.mark.parametrize(
+    "fault, failed",
+    [("negated-kappa1", 25), ("kappa0-2", 25), ("ones", 25), ("kappa2-0", 2)],
+)
+def test_suite_canonical_catches_a_kappa_fault_by_the_bar_check(fault, failed):
+    # the solve reads no kappa, so the tables stay the true ones, and
+    # Psi under the planted kappa no longer fixes some of their rows
+    clear_caches()
+    tables = {
+        (d, r): canonical_basis(d, r) for d in compositions(4) for r in range(sum(d) + 1)
+    }
+    checks = SUITES["canonical"](4).checks
+    with solved_under(_kappa_faults()[fault]):
+        res = SUITES["canonical"](4)
+        for (d, r), table in tables.items():
+            assert canonical_basis(d, r) == table, (d, r)
+    assert res.checks == checks
+    assert len(res.failures) == failed
+    assert res.truncated == (failed == _FAILURE_CAP)
+    assert all(" not bar fixed in " in w for w in res.failures), res.failures
+
+
+@pytest.mark.parametrize(
+    "perturb, outcome",
+    [
+        (lambda c: -c, "caught"),
+        (lambda c: c * Q, "refused"),
+        (lambda c: c * QINV, "refused"),
+        (lambda c: c + ONE, "caught"),
+    ],
+    ids=["negated", "times-q", "times-q-inverse", "plus-1"],
+)
+def test_a_planted_e_coordinate_is_refused_or_caught(
+    monkeypatch, cleared, perturb, outcome
+):
+    # E b''_(1,1) = b''_(0,1) on (1,1), perturbed in the memo before any
+    # table of three slots reads it: a wrong parity is refused by the
+    # solve, and the suite catches a table the solve accepts
+    for r in range(3):
+        canonical_basis((1, 1), r)
+    key = ("E", (1, 1), (1, 1), 1)
+    good = canonical_mod._e_coords(*key[1:])
+    assert good == {(0, 1): ONE}
+    bad = {u: perturb(c) for u, c in good.items()}
+    monkeypatch.setitem(canonical_mod._MEMO, key, bad)
+    try:
+        res = SUITES["canonical"](3)
+    except PurityViolationError as e:
+        assert "at (1, 0, 1) in b(0, 1, 1) on Lambda_(1, 1, 1)" in str(e)
+        got = "refused"
+    else:
+        assert not res.passed
+        assert "b(0, 1, 1) not bar fixed in (1, 1, 1)" in res.failures
+        got = "caught"
+    assert got == outcome
+    monkeypatch.undo()
 
 
 def test_failing_lazy_witnesses_render_the_eager_text(monkeypatch):

@@ -120,6 +120,7 @@ from .errors import (
 from .modules import (
     ModuleVector,
     LinMap,
+    _JsonParts,
     _Record,
     _gram,
     _step_scalar,
@@ -405,14 +406,17 @@ class CanonicalTable(_Record):
         return self.rows[tuple(r_idx)].coeff(s_idx)
 
     def to_json_obj(self) -> dict:
+        """{"d", "r", "rows": [{"r_index", "terms"}, ...]}, the rows in
+        `order` and each row's terms as in ModuleVector.to_json_obj.
+        Equal coefficients, indices and (index, coefficient) terms share
+        one sub-object, so the object is read-only: copy.deepcopy it
+        before mutating."""
+        parts = _JsonParts()
         return {
             "d": list(self.d),
             "r": self.r,
             "rows": [
-                {
-                    "r_index": list(idx),
-                    "terms": self.rows[idx].to_json_obj()["terms"],
-                }
+                {"r_index": parts.index(idx), "terms": parts.terms(self.rows[idx].items())}
                 for idx in self.order
             ],
         }
@@ -722,20 +726,22 @@ class SplitTable(_Record):
         self._set(d=d, cut=cut, r=r, order=order, rows=rows)
 
     def to_json_obj(self) -> dict:
+        """{"d", "cut", "r", "rows": [{"r_index", "terms": [{"s_index",
+        "coeff"}, ...]}, ...]}, rows and terms in `order`.  Equal
+        coefficients, indices and terms share one sub-object, so the
+        object is read-only: copy.deepcopy it before mutating."""
         position = {idx: i for i, idx in enumerate(self.order)}
+        parts = _JsonParts("s_index")
         return {
             "d": list(self.d),
             "cut": self.cut,
             "r": self.r,
             "rows": [
                 {
-                    "r_index": list(idx),
-                    "terms": [
-                        {"s_index": list(s), "coeff": c.to_pairs()}
-                        for s, c in sorted(
-                            self.rows[idx].items(), key=lambda kv: position[kv[0]]
-                        )
-                    ],
+                    "r_index": parts.index(idx),
+                    "terms": parts.terms(
+                        sorted(self.rows[idx].items(), key=lambda kv: position[kv[0]])
+                    ),
                 }
                 for idx in self.order
             ],

@@ -32,7 +32,7 @@ from .canonical import (
     split_expand,
 )
 from .errors import AlgebraError, NonReducedWordError
-from .modules import ModuleVector, enumerate_basis, format_index, inner_product
+from .modules import ModuleVector, _JsonParts, enumerate_basis, format_index, inner_product
 from .rmatrix import matrix_in_basis, r_move
 from .verify import run_all
 
@@ -95,15 +95,16 @@ def _emit_map(args: argparse.Namespace, linmap, header: str) -> None:
     ]
 
     def obj() -> list[dict]:
+        parts = _JsonParts()
         return [
             {
                 "source_d": list(source),
                 "target_d": list(target),
                 "basis": basis,
                 "level": r,
-                "row_index": [list(i) for i in row_idx],
-                "col_index": [list(j) for j in col_idx],
-                "rows": [[entry.to_pairs() for entry in row] for row in mat],
+                "row_index": [parts.index(i) for i in row_idx],
+                "col_index": [parts.index(j) for j in col_idx],
+                "rows": [[parts.pairs(entry) for entry in row] for row in mat],
             }
             for r, row_idx, col_idx, mat in levels
         ]
@@ -199,12 +200,13 @@ def _cmd_inner(args: argparse.Namespace) -> int:
         return "\n".join(lines) + "\n"
 
     def obj() -> dict:
+        parts = _JsonParts()
         return {
             "d": list(d),
             "level": args.r,
             "basis": args.basis,
             "index": [list(i) for i in idxs],
-            "rows": [[entry.to_pairs() for entry in row] for row in mat],
+            "rows": [[parts.pairs(entry) for entry in row] for row in mat],
         }
 
     _emit(args, obj, text)

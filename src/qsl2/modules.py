@@ -179,10 +179,10 @@ class ModuleVector:
     # -- serialization -----------------------------------------------------------
 
     def to_json_obj(self) -> dict:
-        return {
-            "d": list(self.d),
-            "terms": [{"r": list(idx), "coeff": c.to_pairs()} for idx, c in self.items()],
-        }
+        """{"d": d, "terms": [{"r": index, "coeff": pairs}, ...]} in
+        canonical order.  Equal coefficients share one pairs list, so the
+        object is read-only: copy.deepcopy it before mutating."""
+        return {"d": list(self.d), "terms": _JsonParts().terms(self.items())}
 
     # -- display -----------------------------------------------------------------
 
@@ -220,6 +220,45 @@ def render_terms(terms: Iterable[tuple[Laurent, str]]) -> str:
         else:
             chunks.append(f"- {term}" if negative else f"+ {term}")
     return " ".join(chunks)
+
+
+class _JsonParts:
+    """The sub-objects of one JSON document, each distinct value built
+    once: one to_pairs() list per coefficient value, one list per index,
+    and one term dict {key: index, "coeff": pairs} per (index,
+    coefficient).  A builder makes one for a single call, so nothing is
+    kept between documents, and equal values in its document are one
+    shared object: the document is read-only."""
+
+    __slots__ = ("key", "_pairs", "_indices", "_terms")
+
+    def __init__(self, key: str = "r"):
+        self.key = key
+        self._pairs: dict[Laurent, list] = {}
+        self._indices: dict[OrbitIndex, list] = {}
+        self._terms: dict[tuple[OrbitIndex, Laurent], dict] = {}
+
+    def pairs(self, c: Laurent) -> list:
+        out = self._pairs.get(c)
+        if out is None:
+            out = self._pairs[c] = c.to_pairs()
+        return out
+
+    def index(self, idx: OrbitIndex) -> list:
+        out = self._indices.get(idx)
+        if out is None:
+            out = self._indices[idx] = list(idx)
+        return out
+
+    def terms(self, items: Iterable[tuple[OrbitIndex, Laurent]]) -> list[dict]:
+        """The term dicts of (index, coefficient) items, in order."""
+        memo, out = self._terms, []
+        for idx, c in items:
+            term = memo.get((idx, c))
+            if term is None:
+                term = memo[idx, c] = {self.key: self.index(idx), "coeff": self.pairs(c)}
+            out.append(term)
+        return out
 
 
 def enumerate_basis(d: Composition, r: int) -> list[OrbitIndex]:

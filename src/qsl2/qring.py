@@ -244,12 +244,6 @@ class Laurent:
         negative and even with positive coefficients."""
         return all(h < 0 and h % 2 == 0 and c > 0 for h, c in self._terms.items())
 
-    def has_zero_constant_term(self) -> bool:
-        return 0 not in self._terms
-
-    def is_bar_antisymmetric(self) -> bool:
-        return self.bar() == -self
-
     def negative_half(self) -> "Laurent":
         """The part supported on strictly negative exponents."""
         out = Laurent.__new__(Laurent)

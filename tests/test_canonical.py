@@ -208,12 +208,19 @@ def test_kappa_is_solved_only_as_far_as_it_is_read(solve, solved):
 
 
 def test_kappa_override_solves_no_coefficient():
+    # Psi of v(0,2) on (2,2) reads kappa_1 and kappa_2, served by the
+    # override: none is solved in the block, and the closed form gives
+    # the image of the solved coefficients
     given = [_closed_form_kappa(n) for n in range(3)]
+    u = V((2, 2), (0, 2))
     with solved_under(given):
         table = canonical_basis((2, 2), 2)
+        image = bar_involution(u)
         assert canonical_mod._KAPPA == [ONE]
     assert canonical_mod._MEMO == {}
     assert table == canonical_basis((2, 2), 2)
+    assert image == bar_involution(u)
+    assert len(canonical_mod._KAPPA) == 3
 
 
 @pytest.mark.parametrize(
@@ -459,6 +466,18 @@ def test_canonical_render():
 # -- reference solve -----------------------------------------------------------
 
 
+# The two obstruction checks of the Theta-route references below: an
+# obstruction g must satisfy bar(g) = -g and have no constant term.
+
+
+def _is_bar_antisymmetric(g):
+    return g.bar() == -g
+
+
+def _has_zero_constant_term(g):
+    return g.constant_term() == 0
+
+
 def _reference_table(d, r):
     """The correction loop the package used before the coefficient
     recursion: repair beta = v_r by p b_s at the highest obstruction s
@@ -477,9 +496,9 @@ def _reference_table(d, r):
                     raise TriangularityViolationError(f"{s} vs {r_idx}")
             s = max(delta.support(), key=position.get)
             g = delta.coeff(s)
-            if not g.is_bar_antisymmetric():
+            if not _is_bar_antisymmetric(g):
                 raise ObstructionNotAntisymmetricError(f"({g}) at {s}")
-            if not g.has_zero_constant_term():
+            if not _has_zero_constant_term(g):
                 raise NonzeroConstantTermError(f"({g}) at {s}")
             beta = beta + rows[s].scale(g.negative_half())
         else:
@@ -526,9 +545,9 @@ def _reference_recursion(d, r):
                 continue
             if not orbits.prefix_dominates(prefix[s], prefix[r_idx]):
                 raise TriangularityViolationError(f"{s} vs {r_idx}")
-            if not g.is_bar_antisymmetric():
+            if not _is_bar_antisymmetric(g):
                 raise ObstructionNotAntisymmetricError(f"({g}) at {s}")
-            if not g.has_zero_constant_term():
+            if not _has_zero_constant_term(g):
                 raise NonzeroConstantTermError(f"({g}) at {s}")
             p = g.negative_half()
             coeffs[s] = p
@@ -704,24 +723,29 @@ def test_clear_caches_empties_the_value_and_product_tables():
 
 
 def test_kappa_override_leaves_the_shared_values_alone():
+    # the negated kappa_1 reaches the Psi images that read it, a bar
+    # image and the pair braiding, and no table; it leaves with the block
     clear_caches()
+    u = V((1, 1), (0, 1))
+    clean = bar_involution(u)
+    clean_pair = r_plus_pair(1, 1)
+    clean_table = canonical_basis((1,) * 4, 2)
     canonical_basis((1,) * 6, 3)
     ks = compute_quasi_r(1)
     flipped = [ks[0], neg(ks[1])]
     stored = len(canonical_mod._MEMO)
     values = dict(canonical_mod._MEMO.values)
     products = dict(canonical_mod._MEMO.products)
-    raised = 0
-    for d, r in [((1, 1), 1), ((1, 1, 1), 1), ((1,) * 4, 2), ((1,) * 5, 2)]:
-        try:
-            with solved_under(flipped):
-                canonical_basis(d, r)
-        except AlgebraError:
-            raised += 1
-    assert raised < 4
+    with solved_under(flipped):
+        assert bar_involution(u) != clean
+        assert r_plus_pair(1, 1) != clean_pair
+        assert canonical_basis((1,) * 4, 2) == clean_table
     # the wrong values left with the block; a fresh solve shares the
     # same values and products as before it
+    assert canonical_mod._MEMO == {}
     assert canonical_mod._MEMO.values == {}
+    assert bar_involution(u) == clean
+    assert r_plus_pair(1, 1) == clean_pair
     canonical_basis((1,) * 6, 3)
     assert len(canonical_mod._MEMO) == stored
     assert canonical_mod._MEMO.values == values
@@ -1145,6 +1169,97 @@ def test_split_render():
 def test_split_is_json_roundtrip_stable():
     s = split_expand((2, 2), 1, 2)
     assert json.loads(json.dumps(s.to_json_obj())) == s.to_json_obj()
+
+
+# -- JSON documents ----------------------------------------------------------------
+
+
+def _reference_json_obj(x):
+    """The JSON builders before equal values shared one sub-object: a
+    fresh to_pairs() list, index list and term dict for every entry."""
+    if isinstance(x, ModuleVector):
+        return {
+            "d": list(x.d),
+            "terms": [{"r": list(idx), "coeff": c.to_pairs()} for idx, c in x.items()],
+        }
+    if isinstance(x, CanonicalTable):
+        return {
+            "d": list(x.d),
+            "r": x.r,
+            "rows": [
+                {"r_index": list(idx), "terms": _reference_json_obj(x.rows[idx])["terms"]}
+                for idx in x.order
+            ],
+        }
+    position = {idx: i for i, idx in enumerate(x.order)}
+    return {
+        "d": list(x.d),
+        "cut": x.cut,
+        "r": x.r,
+        "rows": [
+            {
+                "r_index": list(idx),
+                "terms": [
+                    {"s_index": list(s), "coeff": c.to_pairs()}
+                    for s, c in sorted(x.rows[idx].items(), key=lambda kv: position[kv[0]])
+                ],
+            }
+            for idx in x.order
+        ],
+    }
+
+
+def _assert_same_document(new, reference, case):
+    assert new == reference, case
+    assert json.dumps(new, indent=2) == json.dumps(reference, indent=2), case
+    compact = {"sort_keys": True, "separators": (",", ":")}
+    assert json.dumps(new, **compact) == json.dumps(reference, **compact), case
+
+
+def test_json_builders_match_the_reference_builders():
+    for total in range(1, 8):
+        for d in _compositions(total):
+            for r in range(total + 1):
+                table = canonical_basis(d, r)
+                _assert_same_document(table.to_json_obj(), _reference_json_obj(table), (d, r))
+                for idx, row in table.rows.items():
+                    _assert_same_document(row.to_json_obj(), _reference_json_obj(row), idx)
+                for cut in range(1, len(d)):
+                    split = split_expand(d, cut, r)
+                    _assert_same_document(
+                        split.to_json_obj(), _reference_json_obj(split), (d, cut, r)
+                    )
+    for d in [(1, 1, 1, 1), (2, 1, 2), (2, 2)]:
+        for idx in (i for r in range(sum(d) + 1) for i in enumerate_basis(d, r)):
+            image = bar_involution(V(d, idx))
+            _assert_same_document(image.to_json_obj(), _reference_json_obj(image), idx)
+
+
+def _assert_equal_values_shared(objs):
+    """Some of objs repeat a value, and equal values are one object."""
+    values = {json.dumps(o) for o in objs}
+    assert len(values) < len(objs)
+    assert len({id(o) for o in objs}) == len(values)
+
+
+def test_equal_values_share_one_sub_object():
+    obj = canonical_basis((1,) * 4, 2).to_json_obj()
+    terms = [t for row in obj["rows"] for t in row["terms"]]
+    _assert_equal_values_shared([t["coeff"] for t in terms])
+    _assert_equal_values_shared([row["r_index"] for row in obj["rows"]] + [t["r"] for t in terms])
+    _assert_equal_values_shared(terms)
+
+    obj = split_expand((1,) * 4, 2, 2).to_json_obj()
+    terms = [t for row in obj["rows"] for t in row["terms"]]
+    _assert_equal_values_shared([t["coeff"] for t in terms])
+    _assert_equal_values_shared(
+        [row["r_index"] for row in obj["rows"]] + [t["s_index"] for t in terms]
+    )
+    _assert_equal_values_shared(terms)
+
+    # '-q + q^-1' twice
+    obj = bar_involution(V((1, 1, 1, 1), (0, 1, 0, 1))).to_json_obj()
+    _assert_equal_values_shared([t["coeff"] for t in obj["terms"]])
 
 
 # -- refinement embedding --------------------------------------------------------

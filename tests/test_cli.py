@@ -174,6 +174,28 @@ def test_json_is_written_in_blocks(monkeypatch):
     assert (out.getvalue(), out.writes) == ("[]\n", [3])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rmat", "--d", "1,1,1", "--word", "1,2,1", "--basis", "canonical"],
+        ["inner", "--d", "1,1,1,1", "--r", "2"],
+    ],
+    ids=["rmat", "inner"],
+)
+def test_matrix_json_shares_equal_entries_and_indices(argv, monkeypatch):
+    documents = []
+    monkeypatch.setattr(cli_mod, "_emit_json", documents.append)
+    assert main(argv + ["--format", "json"]) == 0
+    (obj,) = documents
+    levels = obj if isinstance(obj, list) else [obj]
+    entries = [entry for level in levels for row in level["rows"] for entry in row]
+    assert len({id(e) for e in entries}) == len({json.dumps(e) for e in entries})
+    assert len(entries) > len({json.dumps(e) for e in entries})
+    if "row_index" in levels[0]:
+        indices = [i for level in levels for i in level["row_index"] + level["col_index"]]
+        assert len({id(i) for i in indices}) == len({json.dumps(i) for i in indices})
+
+
 def test_cli_import_leaves_out_dataclasses_and_inspect():
     """Every CLI request is a cold process, so the import stays light:
     under -S (no site packages preloading anything) importing the CLI

@@ -20,6 +20,7 @@ from qsl2.qring import (
     quantum_factorial,
     quantum_integer,
 )
+from test_canonical import _has_zero_constant_term, _is_bar_antisymmetric
 
 
 def _random_laurent(rng, span=8, size=5):
@@ -304,11 +305,11 @@ def test_membership_predicates():
     assert not Laurent({-1: 1}).is_in_qinv_z_nonneg()
     assert not Q.is_in_qinv_z_nonneg()
 
-    assert (Q - QINV).is_bar_antisymmetric()
-    assert ZERO.is_bar_antisymmetric()
-    assert not (Q + QINV).is_bar_antisymmetric()
-    assert (Q - QINV).has_zero_constant_term()
-    assert not ONE.has_zero_constant_term()
+    assert _is_bar_antisymmetric(Q - QINV)
+    assert _is_bar_antisymmetric(ZERO)
+    assert not _is_bar_antisymmetric(Q + QINV)
+    assert _has_zero_constant_term(Q - QINV)
+    assert not _has_zero_constant_term(ONE)
 
 
 def test_negative_half_solves_bar_equation():
@@ -324,8 +325,8 @@ def test_negative_half_solves_bar_equation():
             }
         )
         g = a - a.bar()
-        assert g.is_bar_antisymmetric()
-        assert g.has_zero_constant_term()
+        assert _is_bar_antisymmetric(g)
+        assert _has_zero_constant_term(g)
         p = g.negative_half()
         assert p.bar() - p == -g
 

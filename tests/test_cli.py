@@ -15,6 +15,7 @@ import qsl2.cli as cli_mod
 from qsl2.cli import main
 from qsl2.errors import HalfPowerLeakError
 from qsl2.verify import SuiteResult
+from test_canonical import _assert_equal_values_shared
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 SRC_DIR = os.path.join(os.path.dirname(__file__), "..", "src")
@@ -188,12 +189,11 @@ def test_matrix_json_shares_equal_entries_and_indices(argv, monkeypatch):
     assert main(argv + ["--format", "json"]) == 0
     (obj,) = documents
     levels = obj if isinstance(obj, list) else [obj]
-    entries = [entry for level in levels for row in level["rows"] for entry in row]
-    assert len({id(e) for e in entries}) == len({json.dumps(e) for e in entries})
-    assert len(entries) > len({json.dumps(e) for e in entries})
+    _assert_equal_values_shared([e for level in levels for row in level["rows"] for e in row])
     if "row_index" in levels[0]:
-        indices = [i for level in levels for i in level["row_index"] + level["col_index"]]
-        assert len({id(i) for i in indices}) == len({json.dumps(i) for i in indices})
+        _assert_equal_values_shared(
+            [i for level in levels for i in level["row_index"] + level["col_index"]]
+        )
 
 
 def test_cli_import_leaves_out_dataclasses_and_inspect():

@@ -18,8 +18,6 @@ from .errors import (
     InverseCheckFailedError,
     NonDivisibleError,
     NonReducedWordError,
-    NonzeroConstantTermError,
-    ObstructionNotAntisymmetricError,
     PurityViolationError,
     TotalMismatchError,
     TriangularityViolationError,
@@ -94,8 +92,6 @@ __all__ = [
     "ModuleVector",
     "NonDivisibleError",
     "NonReducedWordError",
-    "NonzeroConstantTermError",
-    "ObstructionNotAntisymmetricError",
     "PurityViolationError",
     "ONE",
     "PermWord",

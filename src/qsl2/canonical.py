@@ -12,23 +12,23 @@ than assumes.
 
 The coefficients kappa_n are not hard-coded.  kappa_0 = 1, and each
 kappa_n is the unique solution of the intertwining condition
-Psi(x u) = bar(x) Psi(u), x in {E, F}, on the pair module Lambda_(n,n),
-solved level by level.  There Theta's n-th term is nonzero only on
-v_(0,n), as F^(n) v_0 tensor E^(n) v_n taken from the module action,
-so one evaluation of Psi under kappa_n = 0 and that term give every
-equation, affine in kappa_n.  A unit-coefficient equation pins the
-value, and every equation is then checked with it.  Conventions in the
-literature differ by signs and q-powers, so the solve anchors the
-convention to the module action itself and raises
-ConventionUnderdeterminedError when no equation has a unit coefficient,
-when an equation fails, or when the value leaves Z[q, q^-1].  Callers
-solve only the kappa_n that Psi reads on a level, _kappa_reach(d, cut,
-r): at cut 1, n <= max_k min(d_k, d_(k+1) + ... + d_l), which is
-min(d_0, d_1) on a pair, and on level r also n <= min(r, sum(d) - r),
-as the E^(n) half lowers the right block's level and the F^(n) half
-raises the left block's.  No caller passes other coefficients: every
-Psi image is solved under the solved kappa into the one memo store
-_MEMO.  No canonical table reads kappa.
+Psi(x u) = bar(x) Psi(u), x in {E, F}, on the pair module Lambda_(n,n).
+There Theta's n-th term is nonzero only on v_(0,n), as F^(n) v_0
+tensor E^(n) v_n taken from the module action, so every other column
+of Psi reads only kappa_k with k < n, and the column of v_(0,n) under
+kappa_n = 0 and that term give every equation, affine in kappa_n.  A
+unit-coefficient equation pins the value, and every equation is then
+checked with it.  Conventions in the literature differ by signs and
+q-powers, so the solve anchors the convention to the module action
+itself and raises ConventionUnderdeterminedError when no equation has
+a unit coefficient, when an equation fails, or when the value leaves
+Z[q, q^-1].  Each Psi column reads kappa only as far as its own Theta
+can: Psi keeps the weight level, F^(n) of the left block vanishes past
+that block's total and E^(n) of the right block past its level, so the
+column of v_idx at cut c reads kappa_n for
+n <= min(sum(d[:c]) - sum(idx[:c]), sum(idx[c:])), and its nested cuts
+bound their own reads.  Every Psi column is solved under the solved
+kappa into the one memo store _MEMO.  No canonical table reads kappa.
 
 Canonical tables are solved one factor at a time from bar-invariant
 monomials (Lusztig, Introduction to Quantum Groups, 27.3).  Write
@@ -107,7 +107,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from collections.abc import Mapping
-from functools import lru_cache, reduce
+from functools import reduce
 
 from . import orbits
 from .errors import (
@@ -168,21 +168,6 @@ OrbitIndex = orbits.OrbitIndex
 _KAPPA: list[Laurent] = [ONE]
 
 
-@lru_cache(maxsize=None)
-def _kappa_reach(d: Composition, cut: int, r: int) -> int:
-    """The largest n with kappa_n read by Psi on level r of Lambda_d:
-    Theta's n-th term vanishes past either side's total, at the top cut
-    and at each nested cut 1, and F^(n) tensor E^(n) needs n <= r and
-    n <= sum(d) - r.  Only Psi reads kappa; no canonical table does.
-    Memoized for the process."""
-
-    def nested(e: Composition) -> int:
-        return max((min(ek, sum(e[k + 1 :])) for k, ek in enumerate(e)), default=0)
-
-    reach = max(min(sum(d[:cut]), sum(d[cut:])), nested(d[:cut]), nested(d[cut:]))
-    return min(reach, r, sum(d) - r)
-
-
 class _Store(dict):
     """A memo store of solved results, with the two tables that keep
     each stored coefficient value once: values maps a coefficient to the
@@ -225,7 +210,6 @@ _CONSTANT_MEMOS = (
     _step_scalar,
     orbits._orbit_dim,
     orbits._linear_extension,
-    _kappa_reach,
 )
 
 
@@ -235,8 +219,7 @@ def clear_caches() -> None:
     coefficient values and their products, embeddings, pair braidings,
     the solved quasi-R coefficients, the quantum
     integers, factorials and binomials, the Gram entries, the E/F step
-    scalars, the orbit dimensions, the linear extensions and the kappa
-    reach of each composition, cut and level."""
+    scalars, the orbit dimensions and the linear extensions."""
     _MEMO.clear()
     del _KAPPA[1:]
     for memo in _CONSTANT_MEMOS:
@@ -246,19 +229,20 @@ def clear_caches() -> None:
 # -- the quasi-R coefficients ----------------------------------------------------
 
 
-def _psi_basis(
-    d: Composition, idx: OrbitIndex, kappa: list[Laurent], cut: int, store: dict
-) -> ModuleVector:
-    """Psi(v_idx) under kappa, memoized in store (_MEMO for the solved
-    coefficients, a fresh dict per trial of the kappa solve)."""
+def _psi_basis(d: Composition, idx: OrbitIndex, cut: int) -> ModuleVector:
+    """Psi(v_idx) with the top-level Theta at cut, memoized in _MEMO.
+    Theta reads kappa_n only for n <= min(sum(d[:cut]) - sum(idx[:cut]),
+    sum(idx[cut:])), past which F^(n) of the left block or E^(n) of the
+    right block vanishes; that bound is solved, and no further."""
     if len(d) == 1:
         return ModuleVector.basis(d, idx)
     key = ("psi", d, cut, idx)
-    out = store.get(key)
+    out = _MEMO.get(key)
     if out is None:
-        left = _psi_basis(d[:cut], idx[:cut], kappa, 1, store)
-        right = _psi_basis(d[cut:], idx[cut:], kappa, 1, store)
-        out = store[key] = theta(left, right, kappa)
+        left = _psi_basis(d[:cut], idx[:cut], 1)
+        right = _psi_basis(d[cut:], idx[cut:], 1)
+        reach = min(sum(d[:cut]) - sum(idx[:cut]), sum(idx[cut:]))
+        out = _MEMO[key] = theta(left, right, _kappa_through(reach))
     return out
 
 
@@ -270,20 +254,20 @@ def _solve_next_kappa() -> None:
     Theta's n-th term F^(n) v_a tensor E^(n) v_b vanishes unless a = 0
     and b = n, so kappa_n enters Psi only as kappa_n t in the column of
     v_(0,n), with t = F^(n) v_0 tensor E^(n) v_n taken from the module
-    action.  The Psi columns are built once, under kappa_n = 0.  Each
-    equation through that column is affine in kappa_n with slope read
-    off t, and the first with a unit coefficient pins the value.  Then
-    kappa_n t joins its column and every equation, on every basis
-    vector, must hold exactly."""
+    action.  Every other column reads only kappa_0 .. kappa_(n-1) and is
+    the memoized Psi column; the column of v_(0,n) is built once, under
+    kappa_n = 0.  Each equation through that column is affine in kappa_n
+    with slope read off t, and the first with a unit coefficient pins
+    the value.  Then kappa_n t joins its column and every equation, on
+    every basis vector, must hold exactly."""
     n = len(_KAPPA)
     d = (n, n)
     top = (0, n)
     basis = [idx for level in range(2 * n + 1) for idx in enumerate_basis(d, level)]
-    columns = {idx: _psi_basis(d, idx, _KAPPA + [ZERO], 1, {}) for idx in basis}
-    term = tensor(
-        act_divided(ModuleVector.basis((n,), (0,)), "F", n),
-        act_divided(ModuleVector.basis((n,), (n,)), "E", n),
-    )
+    columns = {idx: _psi_basis(d, idx, 1) for idx in basis if idx != top}
+    v0, vn = ModuleVector.basis((n,), (0,)), ModuleVector.basis((n,), (n,))
+    columns[top] = theta(v0, vn, _KAPPA + [ZERO])
+    term = tensor(act_divided(v0, "F", n), act_divided(vn, "E", n))
     # one equation per basis vector and generator, as bar(x v_idx):
     # Psi(x v_idx) = sum_s bar(x_s) Psi(v_s) is the column map applied
     # to bar(x v_idx)
@@ -328,16 +312,25 @@ def _solve_next_kappa() -> None:
     _KAPPA.append(value)
 
 
+def _kappa_through(n: int) -> list[Laurent]:
+    """kappa_0 .. kappa_n as a fresh list, solving the missing ones in
+    order: the read of every Psi column.  Psi does not read through
+    compute_quasi_r, as the solve builds Psi columns and would nest that
+    function inside itself; perfbench's tracer sums its inclusive time
+    on the assumption that it never nests."""
+    while len(_KAPPA) <= n:
+        _solve_next_kappa()
+    return _KAPPA[: n + 1]
+
+
 def compute_quasi_r(n_max: int) -> list[Laurent]:
     """kappa_0 .. kappa_(n_max); kappa_0 = 1 and the rest are solved
-    once each, one Psi evaluation of Lambda_(n,n) apiece, and cached for
-    the process.  Callers (bar_involution, and the pair braiding through
-    it) ask only as far as they read; no canonical table reads kappa."""
+    once each, from the Psi columns of Lambda_(n,n), and cached for the
+    process.  No canonical table reads kappa, and Psi reads it column by
+    column through _kappa_through."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    while len(_KAPPA) <= n_max:
-        _solve_next_kappa()
-    return list(_KAPPA[: n_max + 1])
+    return _kappa_through(n_max)
 
 
 # -- the bar involution -----------------------------------------------------------
@@ -345,28 +338,21 @@ def compute_quasi_r(n_max: int) -> list[Laurent]:
 
 def bar_involution(u: ModuleVector, *, cut: int = 1) -> ModuleVector:
     """Psi(u) = sum bar(c) Psi(v_idx) over the terms c v_idx of u, from
-    the memoized columns of the solved coefficients, which are solved
-    as far as the highest _kappa_reach over u's levels.  cut chooses
-    where the top-level Theta splits the slots (the result is nesting
-    independent).  A single term is its column scaled, which is the
-    column itself for a unit coefficient (vectors are immutable)."""
+    the memoized columns, each solved under the solved coefficients as
+    far as it reads them.  cut chooses where the top-level Theta splits
+    the slots (the result is nesting independent).  A single term is its
+    column scaled, which is the column itself for a unit coefficient
+    (vectors are immutable)."""
     l = len(u.d)
     if l == 1:
         cut = 1
     elif type(cut) is not int or not 1 <= cut < l:
         raise ValueError(f"cut {cut!r} out of range for {l} slots")
-    kappa = compute_quasi_r(
-        max((_kappa_reach(u.d, cut, r) for r in u.levels()), default=0)
-    )
     if len(u._terms) == 1:
         ((idx, c),) = u._terms.items()
-        return _psi_basis(u.d, idx, kappa, cut, _MEMO).scale(c.bar())
+        return _psi_basis(u.d, idx, cut).scale(c.bar())
     return combine(
-        u.d,
-        (
-            (c.bar(), _psi_basis(u.d, idx, kappa, cut, _MEMO))
-            for idx, c in u._terms.items()
-        ),
+        u.d, ((c.bar(), _psi_basis(u.d, idx, cut)) for idx, c in u._terms.items())
     )
 
 

@@ -14,8 +14,6 @@ __all__ = [
     "IntegralityViolationError",
     "ConventionUnderdeterminedError",
     "TriangularityViolationError",
-    "ObstructionNotAntisymmetricError",
-    "NonzeroConstantTermError",
     "PurityViolationError",
     "HalfPowerLeakError",
     "InverseCheckFailedError",
@@ -51,14 +49,6 @@ class ConventionUnderdeterminedError(AlgebraError):
 class TriangularityViolationError(AlgebraError):
     """A monomial of the table solve is not unitriangular along the
     closure order, or a triangular walk left a remainder."""
-
-
-class ObstructionNotAntisymmetricError(AlgebraError):
-    """A bar obstruction coefficient is not negated by the bar map."""
-
-
-class NonzeroConstantTermError(AlgebraError):
-    """A bar obstruction coefficient has a nonzero constant term."""
 
 
 class PurityViolationError(AlgebraError):

@@ -18,20 +18,21 @@ from qsl2.qring import Laurent  # noqa: E402
 
 @contextlib.contextmanager
 def solved_under(kappa):
-    """Within the block, every Psi image (bar_involution, the pair
-    braidings, and the test references that read kappa through
-    canonical.compute_quasi_r) reads the coefficient list kappa, as
-    given, in place of the solved quasi-R coefficients.  Canonical
-    tables read no kappa, so a table solved in the block is the true
-    one.  Every cache is cleared on entry and on exit, so no result of
-    the block outlives it and no earlier result leaks into it."""
-    real = canonical_mod.compute_quasi_r
+    """Within the block, every Psi column (bar_involution, the pair
+    braidings, and the test references built on canonical._psi_basis)
+    reads the coefficient list kappa, as given, in place of the solved
+    quasi-R coefficients: it replaces canonical._kappa_through, the one
+    read of kappa by Psi, and so compute_quasi_r too.  Canonical tables
+    read no kappa, so a table solved in the block is the true one.
+    Every cache is cleared on entry and on exit, so no result of the
+    block outlives it and no earlier result leaks into it."""
+    real = canonical_mod._kappa_through
     canonical_mod.clear_caches()
-    canonical_mod.compute_quasi_r = lambda n_max: list(kappa)
+    canonical_mod._kappa_through = lambda n: list(kappa)
     try:
         yield
     finally:
-        canonical_mod.compute_quasi_r = real
+        canonical_mod._kappa_through = real
         canonical_mod.clear_caches()
 
 

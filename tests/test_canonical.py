@@ -32,8 +32,6 @@ from qsl2.errors import (
     AmbientMismatchError,
     ConventionUnderdeterminedError,
     EmbeddingCheckFailedError,
-    NonzeroConstantTermError,
-    ObstructionNotAntisymmetricError,
     PurityViolationError,
     TriangularityViolationError,
 )
@@ -48,6 +46,7 @@ from qsl2.modules import (
     combine,
     enumerate_basis,
     tensor,
+    theta,
 )
 from qsl2.qring import (
     ONE,
@@ -103,7 +102,11 @@ def _reference_next_kappa(kappa):
     d = (n, n)
     basis = [idx for level in range(2 * n + 1) for idx in enumerate_basis(d, level)]
     psi0, psi1 = (
-        LinMap(d, d, {idx: canonical_mod._psi_basis(d, idx, trial, 1, {}) for idx in basis})
+        LinMap(
+            d,
+            d,
+            {idx: theta(V((n,), idx[:1]), V((n,), idx[1:]), trial) for idx in basis},
+        )
         for trial in (kappa + [ZERO], kappa + [ONE])
     )
     equations = []
@@ -147,14 +150,17 @@ def test_kappa_solve_builds_the_top_term_once(monkeypatch, n):
     # the solve builds E^(n) v_n once, and theta skips the E^(n) half
     # under the trial coefficient kappa_n = 0.  Both build divided powers
     # one step at a time, through the modules binding of _divided_step,
-    # so its step to E^(n) is counted
+    # so its step to E^(n) is counted when it yields a nonzero vector;
+    # on the column of v_(0,n-1), theta's step to E^(n) finds only that
+    # E^(n) v_(n-1) vanishes
     real = modules_mod._divided_step
     built = []
 
     def counting(u, gen, k):
-        if gen == "E" and k == n:
+        out = real(u, gen, k)
+        if gen == "E" and k == n and out._terms:
             built.append(u.d)
-        return real(u, gen, k)
+        return out
 
     clear_caches()
     monkeypatch.setattr(modules_mod, "_divided_step", counting)
@@ -181,10 +187,14 @@ def test_wrong_f_action_leaves_kappa_underdetermined(monkeypatch):
         (lambda: canonical_basis((3, 1), 2), 1),
         (lambda: canonical_basis((2, 2), 2), 1),
         (lambda: bar_involution(V((1, 1, 1, 1), (0, 1, 0, 1))), 2),
-        (lambda: bar_involution(V((1, 1, 1, 1), (0, 1, 0, 1)), cut=2), 3),
+        (lambda: bar_involution(V((1, 1, 1, 1), (0, 1, 0, 1)), cut=2), 2),
         (lambda: r_plus_pair(1, 5), 2),
+        (lambda: r_plus_pair(3, 3), 4),
         (lambda: canonical_basis((12, 12), 1), 1),
         (lambda: bar_involution(V((10, 10), (0, 1))), 2),
+        (lambda: bar_involution(V((3, 3), (3, 0))), 1),
+        (lambda: bar_involution(V((4, 4), (2, 2))), 3),
+        (lambda: bar_involution(V((1, 3), (1, 2))), 1),
     ],
     ids=[
         "1x9-r4",
@@ -193,15 +203,20 @@ def test_wrong_f_action_leaves_kappa_underdetermined(monkeypatch):
         "bar-1-1-1-1",
         "bar-1-1-1-1-cut2",
         "rplus-1-5",
+        "rplus-3-3",
         "12-12-r1",
         "bar-10-10-level1",
+        "bar-3-3-at-3-0",
+        "bar-4-4-at-2-2",
+        "bar-1-3-at-1-2",
     ],
 )
 def test_kappa_is_solved_only_as_far_as_it_is_read(solve, solved):
-    # a table reads no kappa; Psi nested at cut 1 reads kappa_n for
-    # n <= max_k min(d_k, d_(k+1) + ... + d_l); a top cut c adds
-    # min(d_0 + ... + d_(c-1), d_c + ... + d_l) (canonical._kappa_reach);
-    # on level r only n <= min(r, sum(d) - r) is read
+    # a table reads no kappa; the Psi column of v_idx with its top cut
+    # at c reads kappa_n for n <= min(d_0 + ... + d_(c-1) - (idx_0 + ...
+    # + idx_(c-1)), idx_c + ... + idx_l), the last n at which F^(n) of
+    # the left block and E^(n) of the right block are both nonzero, and
+    # its nested columns at cut 1 bound their own reads the same way
     clear_caches()
     solve()
     assert len(canonical_mod._KAPPA) == solved
@@ -466,8 +481,19 @@ def test_canonical_render():
 # -- reference solve -----------------------------------------------------------
 
 
-# The two obstruction checks of the Theta-route references below: an
-# obstruction g must satisfy bar(g) = -g and have no constant term.
+# The two obstruction checks of the Theta-route references below, and
+# their errors: an obstruction g must satisfy bar(g) = -g and have no
+# constant term.
+
+
+class ObstructionNotAntisymmetricError(AlgebraError):
+    """A bar obstruction coefficient of a reference solve is not negated
+    by the bar map."""
+
+
+class NonzeroConstantTermError(AlgebraError):
+    """A bar obstruction coefficient of a reference solve has a nonzero
+    constant term."""
 
 
 def _is_bar_antisymmetric(g):
@@ -507,10 +533,10 @@ def _reference_table(d, r):
     return CanonicalTable(d, r, order, rows)
 
 
-def _psi_below(d, t, kappa, prefix):
+def _psi_below(d, t, prefix):
     """Column t of the standard-basis Psi matrix without its diagonal
     entry, after checking that it is unitriangular."""
-    column = dict(canonical_mod._psi_basis(d, t, kappa, 1, canonical_mod._MEMO)._terms)
+    column = dict(canonical_mod._psi_basis(d, t, 1)._terms)
     diagonal = column.pop(t, ZERO)
     if diagonal != ONE:
         raise TriangularityViolationError(
@@ -528,13 +554,13 @@ def _psi_below(d, t, kappa, prefix):
 def _reference_recursion(d, r):
     """The solve the package used before the product basis: the same
     coefficient recursion over the standard-basis Psi matrix, whose
-    columns fill the whole lower closure.  It reads kappa through
-    canonical.compute_quasi_r, as the solve does, so solved_under
-    reaches both."""
+    columns fill the whole lower closure.  Its columns are the
+    package's Psi columns, each reading kappa as far as it reaches, so
+    solved_under reaches them; the package's table solve reads no
+    kappa."""
     order = tuple(orbits.linear_extension(d, r))
-    kappa = canonical_mod.compute_quasi_r(sum(d) // 2)
     prefix = {idx: orbits.prefix_sums(idx) for idx in order}
-    below = {t: _psi_below(d, t, kappa, prefix) for t in order}
+    below = {t: _psi_below(d, t, prefix) for t in order}
     rows = {}
     for top, r_idx in enumerate(order):
         coeffs = {r_idx: ONE}
@@ -649,7 +675,6 @@ def test_clear_caches_empties_store_and_resets_kappa():
         _step_scalar,
         orbits._orbit_dim,
         orbits._linear_extension,
-        canonical_mod._kappa_reach,
     )
     assert all(memo.cache_info().currsize > 0 for memo in constants)
     clear_caches()
@@ -696,11 +721,13 @@ def test_equal_stored_coefficients_are_one_object():
 
 
 def test_solved_under_leaves_every_memo_empty():
+    real = canonical_mod._kappa_through
     ks = compute_quasi_r(2)
     with solved_under([ks[0], neg(ks[1]), ks[2]]):
         canonical_basis((2, 2), 2)
         r_plus_pair(1, 2)
         assert canonical_mod._MEMO.values and canonical_mod._MEMO.products
+    assert canonical_mod._kappa_through is real
     assert canonical_mod.compute_quasi_r is compute_quasi_r
     assert canonical_mod._MEMO == {}
     assert canonical_mod._MEMO.values == {}

@@ -10,25 +10,23 @@ nests left to right by default; coassociativity makes the result
 independent of the nesting, which the verification suite checks rather
 than assumes.
 
-The coefficients kappa_n are not hard-coded.  kappa_0 = 1, and each
-kappa_n is the unique solution of the intertwining condition
-Psi(x u) = bar(x) Psi(u), x in {E, F}, on the pair module Lambda_(n,n).
-There Theta's n-th term is nonzero only on v_(0,n), as F^(n) v_0
-tensor E^(n) v_n taken from the module action, so every other column
-of Psi reads only kappa_k with k < n, and the column of v_(0,n) under
-kappa_n = 0 and that term give every equation, affine in kappa_n.  A
-unit-coefficient equation pins the value, and every equation is then
-checked with it.  Conventions in the literature differ by signs and
-q-powers, so the solve anchors the convention to the module action
-itself and raises ConventionUnderdeterminedError when no equation has
-a unit coefficient, when an equation fails, or when the value leaves
-Z[q, q^-1].  Each Psi column reads kappa only as far as its own Theta
-can: Psi keeps the weight level, F^(n) of the left block vanishes past
-that block's total and E^(n) of the right block past its level, so the
-column of v_idx at cut c reads kappa_n for
-n <= min(sum(d[:c]) - sum(idx[:c]), sum(idx[c:])), and its nested cuts
-bound their own reads.  Every Psi column is solved under the solved
-kappa into the one memo store _MEMO.  No canonical table reads kappa.
+The coefficients kappa_n are those of Lusztig's quasi-R-matrix
+(Introduction to Quantum Groups, ch. 4), in this package's conventions
+kappa_n = (-1)^n q^(-n(n-1)/2) (q - q^-1)^n [n]!, and none is trusted
+before it is proved.  Conventions in the literature differ by signs and
+q-powers, so the convention is anchored to the module action itself:
+on the pair module Lambda_(n,n), Theta's n-th term is nonzero only on
+v_(0,n), so every other Psi column reads only kappa_k with k < n, and
+kappa_n is kept only once Psi(x u) = bar(x) Psi(u), x in {E, F}, holds
+there on every basis vector and kappa_n lies in Z[q, q^-1]; otherwise
+ConventionUnderdeterminedError is raised and nothing is kept.  Each Psi
+column reads kappa only as far as its own Theta can: Psi keeps the
+weight level, F^(n) of the left block vanishes past that block's total
+and E^(n) of the right block past its level, so the column of v_idx at
+cut c reads kappa_n for n <= min(sum(d[:c]) - sum(idx[:c]),
+sum(idx[c:])), and its nested cuts bound their own reads.  Every Psi
+column is built under the checked kappa into the one memo store _MEMO.
+No canonical table reads kappa.
 
 Canonical tables are solved one factor at a time from bar-invariant
 monomials (Lusztig, Introduction to Quantum Groups, 27.3).  Write
@@ -55,7 +53,7 @@ the remainder, so b_t = M_t - sum_s beta_s b_s, and a remainder left
 after the walk is a TriangularityViolationError.  Each row is then
 expanded once into the standard basis through the d'' rows.  Its
 off-diagonal coefficients land in q^-1 Z_{>=0}[q^-1], and
-Psi(b_t) = b_t under the solved kappa: the verify suite checks both
+Psi(b_t) = b_t under the checked kappa: the verify suite checks both
 from outside the solve.
 
 The source paper's geometry fixes the shape of the multiplicities
@@ -140,8 +138,9 @@ from .modules import (
 from .qring import (
     Laurent,
     ONE,
+    Q,
+    QINV,
     ZERO,
-    exact_div,
     q_power,
     quantum_binomial,
     quantum_factorial,
@@ -163,7 +162,7 @@ __all__ = [
 Composition = orbits.Composition
 OrbitIndex = orbits.OrbitIndex
 
-# Solved quasi-R coefficients, kappa_0 first.  Extended on demand and
+# Checked quasi-R coefficients, kappa_0 first.  Extended on demand and
 # otherwise only truncated back to [ONE] by clear_caches.
 _KAPPA: list[Laurent] = [ONE]
 
@@ -189,12 +188,11 @@ class _Store(dict):
         self.products.clear()
 
 
-# Per-process results for the solved coefficients, keyed by
-# (kind, *args): ("psi", d, cut, idx) -> Psi(v_idx), ("table", d, r) ->
-# CanonicalTable (with its product coordinates when len(d) > 1),
-# ("E", d, idx, n) -> the canonical coordinates of E^(n) b_idx
-# (len(d) > 1), ("embed", d) -> LinMap, and ("pair", d1, d2, sign) ->
-# LinMap (filled by rmatrix).  Emptied, with _KAPPA and the shared
+# Per-process results, keyed by (kind, *args): ("psi", d, cut, idx) ->
+# Psi(v_idx), ("table", d, r) -> CanonicalTable (with its product
+# coordinates when len(d) > 1), ("E", d, idx, n) -> the canonical
+# coordinates of E^(n) b_idx (len(d) > 1), and ("pair", d1, d2, sign)
+# -> LinMap (filled by rmatrix).  Emptied, with _KAPPA and the shared
 # values of its tables, by clear_caches.
 _MEMO = _Store()
 
@@ -216,10 +214,10 @@ _CONSTANT_MEMOS = (
 def clear_caches() -> None:
     """Forget every per-process result: memoized Psi images, canonical
     tables with their product coordinates, E^(n) coordinates, the shared
-    coefficient values and their products, embeddings, pair braidings,
-    the solved quasi-R coefficients, the quantum
-    integers, factorials and binomials, the Gram entries, the E/F step
-    scalars, the orbit dimensions and the linear extensions."""
+    coefficient values and their products, pair braidings, the checked
+    quasi-R coefficients, the quantum integers, factorials and
+    binomials, the Gram entries, the E/F step scalars, the orbit
+    dimensions and the linear extensions."""
     _MEMO.clear()
     del _KAPPA[1:]
     for memo in _CONSTANT_MEMOS:
@@ -233,7 +231,7 @@ def _psi_basis(d: Composition, idx: OrbitIndex, cut: int) -> ModuleVector:
     """Psi(v_idx) with the top-level Theta at cut, memoized in _MEMO.
     Theta reads kappa_n only for n <= min(sum(d[:cut]) - sum(idx[:cut]),
     sum(idx[cut:])), past which F^(n) of the left block or E^(n) of the
-    right block vanishes; that bound is solved, and no further."""
+    right block vanishes; kappa is checked that far, and no further."""
     if len(d) == 1:
         return ModuleVector.basis(d, idx)
     key = ("psi", d, cut, idx)
@@ -246,65 +244,37 @@ def _psi_basis(d: Composition, idx: OrbitIndex, cut: int) -> ModuleVector:
     return out
 
 
-def _solve_next_kappa() -> None:
-    """Determine kappa_n for n = len(_KAPPA) from the intertwining
-    condition Psi(x u) = x Psi(u), x in {E, F} (both bar-invariant), on
-    Lambda_(n,n).
+def _extend_kappa() -> None:
+    """Append kappa_n for n = len(_KAPPA), the closed form
+    kappa_n = (-1)^n q^(-n(n-1)/2) (q - q^-1)^n [n]! of Lusztig's
+    quasi-R-matrix, once Psi under it intertwines on Lambda_(n,n).
 
     Theta's n-th term F^(n) v_a tensor E^(n) v_b vanishes unless a = 0
-    and b = n, so kappa_n enters Psi only as kappa_n t in the column of
-    v_(0,n), with t = F^(n) v_0 tensor E^(n) v_n taken from the module
-    action.  Every other column reads only kappa_0 .. kappa_(n-1) and is
-    the memoized Psi column; the column of v_(0,n) is built once, under
-    kappa_n = 0.  Each equation through that column is affine in kappa_n
-    with slope read off t, and the first with a unit coefficient pins
-    the value.  Then kappa_n t joins its column and every equation, on
-    every basis vector, must hold exactly."""
+    and b = n, so kappa_n enters Psi on Lambda_(n,n) only through the
+    column of v_(0,n).  Every other column reads only kappa_0 ..
+    kappa_(n-1) and is the memoized Psi column; the column of v_(0,n)
+    is built under the new value, outside _MEMO.  Psi(x u) = x Psi(u),
+    x in {E, F} (both bar-invariant), must then hold on every basis
+    vector before the value is kept."""
     n = len(_KAPPA)
+    value = (QINV - Q) ** n * q_power(-n * (n - 1) // 2) * quantum_factorial(n)
     d = (n, n)
     top = (0, n)
     basis = [idx for level in range(2 * n + 1) for idx in enumerate_basis(d, level)]
     columns = {idx: _psi_basis(d, idx, 1) for idx in basis if idx != top}
     v0, vn = ModuleVector.basis((n,), (0,)), ModuleVector.basis((n,), (n,))
-    columns[top] = theta(v0, vn, _KAPPA + [ZERO])
-    term = tensor(act_divided(v0, "F", n), act_divided(vn, "E", n))
-    # one equation per basis vector and generator, as bar(x v_idx):
+    columns[top] = theta(v0, vn, _KAPPA + [value])
+    psi = LinMap(d, d, columns)
     # Psi(x v_idx) = sum_s bar(x_s) Psi(v_s) is the column map applied
     # to bar(x v_idx)
-    equations = [
-        (idx, name, op, op(ModuleVector.basis(d, idx)).map_coefficients(Laurent.bar))
-        for idx in basis
-        for name, op in (("F", act_F), ("E", act_E))
-    ]
-
-    psi = LinMap(d, d, columns)
-    value: Laurent | None = None
-    for idx, _, op, xu_bar in equations:
-        slope = term.scale(xu_bar.coeff(top))
-        if idx == top:
-            slope = slope - op(term)
-        if slope.is_zero():
-            continue
-        zero_part = psi.apply(xu_bar) - op(psi.columns[idx])
-        for s, a in slope.items():
-            terms = list(a.items())
-            if len(terms) == 1 and abs(terms[0][1]) == 1:
-                value = exact_div(-zero_part.coeff(s), a)
-                break
-        if value is not None:
-            break
-    if value is None:
-        raise ConventionUnderdeterminedError(
-            f"no unit-coefficient equation determines kappa_{n}"
-        )
-    columns[top] = columns[top] + term.scale(value)
-    psi = LinMap(d, d, columns)
-    for idx, name, op, xu_bar in equations:
-        if psi.apply(xu_bar) != op(psi.columns[idx]):
-            raise ConventionUnderdeterminedError(
-                f"kappa_{n} = {value} fails Psi {name} = {name} Psi at {idx} "
-                f"on Lambda_{d}"
-            )
+    for idx in basis:
+        u = ModuleVector.basis(d, idx)
+        for name, op in (("F", act_F), ("E", act_E)):
+            if psi.apply(op(u).map_coefficients(Laurent.bar)) != op(columns[idx]):
+                raise ConventionUnderdeterminedError(
+                    f"kappa_{n} = {value} fails Psi {name} = {name} Psi at {idx} "
+                    f"on Lambda_{d}"
+                )
     if not value.is_in_a():
         raise ConventionUnderdeterminedError(
             f"kappa_{n} = {value} escaped Z[q, q^-1]"
@@ -313,21 +283,21 @@ def _solve_next_kappa() -> None:
 
 
 def _kappa_through(n: int) -> list[Laurent]:
-    """kappa_0 .. kappa_n as a fresh list, solving the missing ones in
-    order: the read of every Psi column.  Psi does not read through
-    compute_quasi_r, as the solve builds Psi columns and would nest that
-    function inside itself; perfbench's tracer sums its inclusive time
-    on the assumption that it never nests."""
+    """kappa_0 .. kappa_n as a fresh list, checking and appending the
+    missing ones in order: the read of every Psi column.  Psi does not
+    read through compute_quasi_r, as the check builds Psi columns and
+    would nest that function inside itself; perfbench's tracer sums its
+    inclusive time on the assumption that it never nests."""
     while len(_KAPPA) <= n:
-        _solve_next_kappa()
+        _extend_kappa()
     return _KAPPA[: n + 1]
 
 
 def compute_quasi_r(n_max: int) -> list[Laurent]:
-    """kappa_0 .. kappa_(n_max); kappa_0 = 1 and the rest are solved
-    once each, from the Psi columns of Lambda_(n,n), and cached for the
-    process.  No canonical table reads kappa, and Psi reads it column by
-    column through _kappa_through."""
+    """kappa_0 .. kappa_(n_max); kappa_0 = 1 and the rest come from the
+    closed form, each checked once against the Psi columns of
+    Lambda_(n,n) and cached for the process.  No canonical table reads
+    kappa, and Psi reads it column by column through _kappa_through."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     return _kappa_through(n_max)
@@ -338,7 +308,7 @@ def compute_quasi_r(n_max: int) -> list[Laurent]:
 
 def bar_involution(u: ModuleVector, *, cut: int = 1) -> ModuleVector:
     """Psi(u) = sum bar(c) Psi(v_idx) over the terms c v_idx of u, from
-    the memoized columns, each solved under the solved coefficients as
+    the memoized columns, each built under the checked coefficients as
     far as it reads them.  cut chooses where the top-level Theta splits
     the slots (the result is nesting independent).  A single term is its
     column scaled, which is the column itself for a unit coefficient
@@ -634,8 +604,9 @@ def _compute_table(d: Composition, r: int) -> CanonicalTable:
 
 
 def canonical_basis(d: Composition, r: int) -> CanonicalTable:
-    """The canonical basis table of Lambda_d at level r, solved under
-    the solved quasi-R coefficients and memoized per process."""
+    """The canonical basis table of Lambda_d at level r, solved from
+    bar-invariant monomials (no kappa is read) and memoized per
+    process."""
     d = orbits.check_composition(d)
     orbits.check_level(d, r)
     return _sub_table(d, r)
@@ -828,12 +799,8 @@ def embed_refine(d: Composition) -> LinMap:
     weight vector.  No canonical table is read; that each b_r goes to
     the b at the dense binary refinement of r is a theorem, which the
     embed suite of verify checks.  Intertwining and isometry are
-    asserted on construction, not assumed."""
+    asserted on every construction, not assumed."""
     d = orbits.check_composition(d)
-    key = ("embed", d)
-    cached = _MEMO.get(key)
-    if cached is not None:
-        return cached
     total = sum(d)
     if total == 0:
         raise ValueError("refinement of a zero composition has no slots")
@@ -849,5 +816,4 @@ def embed_refine(d: Composition) -> LinMap:
     }
     m = LinMap(d, (1,) * total, columns)
     _assert_embedding(m)
-    _MEMO[key] = m
     return m

@@ -43,7 +43,9 @@ class IntegralityViolationError(AlgebraError):
 
 
 class ConventionUnderdeterminedError(AlgebraError):
-    """The triangular solve for a quasi-R coefficient had no unique solution."""
+    """A quasi-R coefficient fails the intertwining check on
+    Lambda_(n,n) or leaves Z[q, q^-1]: the module action does not fix
+    the convention the closed form assumes."""
 
 
 class TriangularityViolationError(AlgebraError):

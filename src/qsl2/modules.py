@@ -376,31 +376,17 @@ def theta(
 ) -> ModuleVector:
     """sum_n coeffs[n] F^(n) left tensor E^(n) right, on
     Lambda_(left.d + right.d).  Both halves are built one step at a
-    time, F^(n) left from F^(n-1) left and E^(n) right from the last E
-    half built, so a sum of N terms costs N actions per side.  The sum
-    stops at the first n whose F or E half vanishes; a nonzero term
-    beyond the end of coeffs is a ValueError.  The E^(n) half of a term
-    with a zero coefficient is not built: once F^(n) left or E^(n) right
-    vanishes, so does every later one.  Each term is summed straight into
-    the result, its coefficient multiplied once into each entry of the F
-    half."""
+    time, F^(n) left from F^(n-1) left and E^(n) right from
+    E^(n-1) right, so a sum of N terms costs N actions per side.  The sum
+    stops at the first n whose F or E half vanishes, as every later one
+    vanishes too; a nonzero term beyond the end of coeffs is a
+    ValueError.  Each term is summed straight into the result, its
+    coefficient multiplied once into each entry of the F half."""
     d = left.d + right.d
     data: dict[OrbitIndex, Laurent] = {}
-    f_part, e_part, e_n = left, right, 0
+    f_part, e_part = left, right
     n = 0
-    while True:
-        if n:
-            f_part = _divided_step(f_part, "F", n)
-        if not f_part._terms:
-            break
-        if n < len(coeffs) and coeffs[n].is_zero():
-            n += 1
-            continue
-        while e_n < n:
-            e_n += 1
-            e_part = _divided_step(e_part, "E", e_n)
-        if not e_part._terms:
-            break
+    while f_part._terms and e_part._terms:
         if n >= len(coeffs):
             raise ValueError(
                 f"coefficient sequence of length {len(coeffs)} too short "
@@ -411,6 +397,9 @@ def theta(
             for iw, cw in e_part._terms.items():
                 _accumulate(data, iu + iw, scalar * cw)
         n += 1
+        f_part = _divided_step(f_part, "F", n)
+        if f_part._terms:
+            e_part = _divided_step(e_part, "E", n)
     return ModuleVector._make(d, data)
 
 

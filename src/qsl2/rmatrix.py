@@ -8,7 +8,7 @@ the slot transposition, and finally the global scalar
 (-q^(3/2))^(d1 d2).  There is no closed form for Theta_R: on a pair both
 slots are single factors, whose divided-power entries are bar-invariant
 quantum binomials, so Theta_R is bar composed with the bar involution
-Psi, read from the memoized Psi columns of the solved kappa.  Half
+Psi, read from the memoized Psi columns of the checked kappa.  Half
 powers of q appear in the middle two steps and must cancel; any odd
 half-exponent surviving to a matrix entry raises HalfPowerLeakError,
 which is how a mis-ordered composition announces itself.

@@ -9,21 +9,23 @@ import qsl2.rmatrix as rmatrix_mod  # noqa: E402
 from qsl2.modules import ModuleVector, enumerate_basis  # noqa: E402
 from qsl2.qring import Laurent  # noqa: E402
 
-# The fault injections of the test suite.  The package solves every Psi
-# image under its own solved quasi-R coefficients, and every canonical
-# table with none; these helpers plant a wrong coefficient list or a
-# wrong braiding composition from the outside and leave no trace in the
-# per-process memo store.
+# The fault injections of the test suite.  The package builds every Psi
+# image under its own checked quasi-R coefficients, and solves every
+# canonical table with none; these helpers plant a wrong coefficient
+# list or a wrong braiding composition from the outside and leave no
+# trace in the per-process memo store.
 
 
 @contextlib.contextmanager
 def solved_under(kappa):
     """Within the block, every Psi column (bar_involution, the pair
     braidings, and the test references built on canonical._psi_basis)
-    reads the coefficient list kappa, as given, in place of the solved
-    quasi-R coefficients: it replaces canonical._kappa_through, the one
-    read of kappa by Psi, and so compute_quasi_r too.  Canonical tables
-    read no kappa, so a table solved in the block is the true one.
+    reads the coefficient list kappa, as given and unchecked, in place
+    of the checked closed-form quasi-R coefficients: it replaces
+    canonical._kappa_through, the one read of kappa by Psi, and so
+    compute_quasi_r too.  A zero entry just adds nothing to Theta.
+    Canonical tables read no kappa, so a table solved in the block is
+    the true one.
     Every cache is cleared on entry and on exit, so no result of the
     block outlives it and no earlier result leaks into it."""
     real = canonical_mod._kappa_through

@@ -85,8 +85,10 @@ def _closed_form_kappa(n):
 
 
 def test_quasi_r_closed_form():
-    ks = compute_quasi_r(8)
-    for n in range(9):
+    # every kappa_n through n = 10 passes its check on Lambda_(n,n)
+    clear_caches()
+    ks = compute_quasi_r(10)
+    for n in range(11):
         assert ks[n] == _closed_form_kappa(n)
         # the closed-form coefficient of the braiding's Theta_R = bar Psi
         theta_r = q_power(n * (n - 1) // 2) * (Q - QINV) ** n * quantum_factorial(n)
@@ -133,7 +135,7 @@ def _reference_next_kappa(kappa):
     return value
 
 
-def test_one_evaluation_solve_matches_two_trial_reference():
+def test_closed_form_matches_two_trial_solve():
     clear_caches()
     reference = [ONE]
     while len(reference) <= 7:
@@ -147,11 +149,11 @@ def test_one_evaluation_solve_matches_two_trial_reference():
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_kappa_solve_builds_the_top_term_once(monkeypatch, n):
     # Theta's n-th term on Lambda_(n,n) is F^(n) v_0 tensor E^(n) v_n:
-    # the solve builds E^(n) v_n once, and theta skips the E^(n) half
-    # under the trial coefficient kappa_n = 0.  Both build divided powers
-    # one step at a time, through the modules binding of _divided_step,
-    # so its step to E^(n) is counted when it yields a nonzero vector;
-    # on the column of v_(0,n-1), theta's step to E^(n) finds only that
+    # E^(n) v_n is built once, by theta on the check's column of v_(0,n)
+    # under the closed-form kappa_n.  theta builds divided powers one
+    # step at a time, through the modules binding of _divided_step, so
+    # its step to E^(n) is counted when it yields a nonzero vector; on
+    # the column of v_(0,n-1), theta's step to E^(n) finds only that
     # E^(n) v_(n-1) vanishes
     real = modules_mod._divided_step
     built = []
@@ -177,6 +179,35 @@ def test_wrong_f_action_leaves_kappa_underdetermined(monkeypatch):
     with pytest.raises(ConventionUnderdeterminedError):
         compute_quasi_r(2)
     assert canonical_mod._KAPPA == [ONE]
+    clear_caches()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize(
+    "fault",
+    [lambda f: f * Q, lambda f: -f, lambda f: f * QINV * QINV],
+    ids=["times-q", "negated", "times-q^-2"],
+)
+def test_a_wrong_closed_form_is_refused(monkeypatch, n, fault):
+    # a planted fault in the closed form's kappa_n fails the intertwining
+    # check on Lambda_(n,n); nothing is kept, neither kappa_n nor the
+    # check's column of v_(0,n)
+    real = canonical_mod.quantum_factorial
+    clear_caches()
+    compute_quasi_r(n - 1)
+    monkeypatch.setattr(
+        canonical_mod,
+        "quantum_factorial",
+        lambda k: fault(real(k)) if k == n else real(k),
+    )
+    message = (
+        rf"kappa_{n} = .* fails Psi F = F Psi at \(0, {n - 1}\) "
+        rf"on Lambda_\({n}, {n}\)"
+    )
+    with pytest.raises(ConventionUnderdeterminedError, match=message):
+        compute_quasi_r(n)
+    assert canonical_mod._KAPPA == [_closed_form_kappa(k) for k in range(n)]
+    assert ("psi", (n, n), 1, (0, n)) not in canonical_mod._MEMO
     clear_caches()
 
 
@@ -224,8 +255,8 @@ def test_kappa_is_solved_only_as_far_as_it_is_read(solve, solved):
 
 def test_kappa_override_solves_no_coefficient():
     # Psi of v(0,2) on (2,2) reads kappa_1 and kappa_2, served by the
-    # override: none is solved in the block, and the closed form gives
-    # the image of the solved coefficients
+    # override: none is checked or kept in the block, and the closed
+    # form gives the image of the checked coefficients
     given = [_closed_form_kappa(n) for n in range(3)]
     u = V((2, 2), (0, 2))
     with solved_under(given):
@@ -247,7 +278,8 @@ def test_kappa_override_solves_no_coefficient():
     ids=["canonical_basis", "bar_involution"],
 )
 def test_no_public_kappa_override(call):
-    # every table and Psi image is solved under the solved coefficients
+    # every table is solved with no kappa, and every Psi image under the
+    # checked coefficients
     with pytest.raises(TypeError, match="kappa"):
         call()
 
@@ -661,11 +693,12 @@ def test_clear_caches_empties_store_and_resets_kappa():
     r_plus_pair(1, 2)
     embed_refine((2, 1))
     bar_involution(V((1, 1), (0, 1)))
-    # divided powers divide by [k] one step at a time, so no solve above
-    # reads the quantum factorial; its memo is filled directly
+    # divided powers divide by [k] one step at a time, so only the
+    # closed form of kappa reads the quantum factorial; its memo is
+    # filled directly, whatever kappa earlier tests left checked
     quantum_factorial(3)
     kinds = {key[0] for key in canonical_mod._MEMO}
-    assert kinds == {"psi", "table", "E", "pair", "embed"}
+    assert kinds == {"psi", "table", "E", "pair"}
     assert len(canonical_mod._KAPPA) > 1
     constants = (
         quantum_integer,

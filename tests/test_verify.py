@@ -304,7 +304,7 @@ def test_suite_rmatrix_records_an_error_from_r_move(monkeypatch, capsys, cleared
 
 
 def test_suite_rmatrix_catches_a_negated_kappa(cleared):
-    # both braidings read the solved kappa through Psi, so R_- stays the
+    # both braidings read the checked kappa through Psi, so R_- stays the
     # inverse of R_+ and the planted sign shows as broken intertwining
     compute_quasi_r(1)
     canonical_mod._KAPPA[1] = -canonical_mod._KAPPA[1]

@@ -5,13 +5,14 @@ universal formula read right to left: first the quasi-R style operator
 Theta_R = sum_n bar(kappa_n) F^(n) tensor E^(n), then the Cartan
 correction v_a tensor v_b -> q^((d1-2a)(d2-2b)/2) on weight lines, then
 the slot transposition, and finally the global scalar
-(-q^(3/2))^(d1 d2).  There is no closed form for Theta_R: on a pair both
-slots are single factors, whose divided-power entries are bar-invariant
-quantum binomials, so Theta_R is bar composed with the bar involution
-Psi, read from the memoized Psi columns of the checked kappa.  Half
-powers of q appear in the middle two steps and must cancel; any odd
-half-exponent surviving to a matrix entry raises HalfPowerLeakError,
-which is how a mis-ordered composition announces itself.
+(-q^(3/2))^(d1 d2).  Theta_R keeps no coefficient list of its own: on
+a pair both slots are single factors, whose divided-power entries are
+bar-invariant quantum binomials, so Theta_R is bar composed with the
+bar involution Psi, read from the memoized Psi columns of the checked
+kappa.  Half powers of q appear in the middle two steps and must
+cancel; any odd half-exponent surviving to a matrix entry raises
+HalfPowerLeakError, which is how a mis-ordered composition announces
+itself.
 
 The negative braiding is Psi R_+ Psi, built from the bar involutions
 of source and target and no canonical table.  Both canonical bases are

@@ -378,9 +378,18 @@ class CanonicalTable(_Record):
         }
 
     def render(self) -> str:
+        """The table as text, one row per line as str(row) prints it:
+        on one level the terms' canonical order is their position in
+        `order`.  Each distinct coefficient and each index is formatted
+        once per call."""
+        position = {idx: i for i, idx in enumerate(self.order)}
+        labels = {idx: format_index(idx) for idx in self.order}
+        texts: dict = {}
         lines = [f"canonical basis d={format_index(self.d)} r={self.r}"]
         for idx in self.order:
-            lines.append(f"b{format_index(idx)} = {self.rows[idx]}")
+            row = sorted(self.rows[idx]._terms.items(), key=lambda kv: -position[kv[0]])
+            terms = render_terms(((c, f"v{labels[s]}") for s, c in row), texts)
+            lines.append(f"b{labels[idx]} = {terms}")
         return "\n".join(lines) + "\n"
 
 

@@ -15,6 +15,12 @@ failed one is an integrality bug and is surfaced as such rather than
 repaired.  The quasi-R operator theta acts on two factor vectors u and
 w, as sum_n c_n F^(n) u tensor E^(n) w, walking the same steps.
 
+Every kernel (combine, tensor, the E, F and K actions, theta) sums its
+terms through one helper in which a factor 1 multiplies nothing: the
+other factor is stored as it is, since vectors and ring values are
+immutable.  So E, F and K of a basis vector make no Laurent product,
+and combine of a single pair (1, u) is u itself.
+
 The twisted adjoint rho (rho(K) = K, rho(E) = qKF, rho(F) = qK^-1 E)
 makes the inner product contravariant: (x u, w) = (u, rho(x) w).  On
 standard basis vectors the inner product is the product over factors of
@@ -52,14 +58,33 @@ __all__ = [
 Composition = orbits.Composition
 OrbitIndex = orbits.OrbitIndex
 
+# the terms of 1, which a coefficient's terms are compared with by value
+# (a fresh Laurent({0: 1}) is not ONE); never mutated
+_UNIT = ONE._terms
 
-def _accumulate(data: dict[OrbitIndex, Laurent], idx: OrbitIndex, c: Laurent) -> None:
-    prev = data.get(idx)
-    total = c if prev is None else prev + c
-    if total.is_zero():
-        data.pop(idx, None)
+
+def _accumulate(
+    data: dict[OrbitIndex, Laurent], idx: OrbitIndex, c: Laurent, x: Laurent
+) -> None:
+    """Add c * x to data[idx], dropping an entry that cancels.  A factor
+    equal to 1 (by value) multiplies nothing, the other is taken as it
+    is, and a first entry is stored as it is: values are immutable."""
+    if c._terms == _UNIT:
+        value = x
+    elif x._terms == _UNIT:
+        value = c
     else:
+        value = c * x
+    prev = data.get(idx)
+    if prev is None:
+        if value._terms:
+            data[idx] = value
+        return
+    total = prev + value
+    if total._terms:
         data[idx] = total
+    else:
+        del data[idx]
 
 
 class ModuleVector:
@@ -85,7 +110,7 @@ class ModuleVector:
             if not isinstance(c, Laurent):
                 raise TypeError(f"coefficient of {idx} is not a ring element")
             if not c.is_zero():
-                _accumulate(data, idx, c)
+                _accumulate(data, idx, ONE, c)
         self._terms = data
 
     @classmethod
@@ -140,7 +165,7 @@ class ModuleVector:
             raise AmbientMismatchError(f"cannot add vectors over {self.d} and {other.d}")
         data = dict(self._terms)
         for idx, c in other._terms.items():
-            _accumulate(data, idx, c)
+            _accumulate(data, idx, ONE, c)
         return ModuleVector._make(self.d, data)
 
     def __sub__(self, other: "ModuleVector") -> "ModuleVector":
@@ -154,9 +179,9 @@ class ModuleVector:
     def scale(self, c: Laurent | int) -> "ModuleVector":
         if isinstance(c, int):
             c = Laurent.from_int(c)
-        if c == ONE:
+        if c._terms == _UNIT:
             return self
-        if c.is_zero():
+        if not c._terms:
             return ModuleVector.zero(self.d)
         return ModuleVector._make(self.d, {idx: x * c for idx, x in self._terms.items()})
 
@@ -200,20 +225,31 @@ class ModuleVector:
         return f"ModuleVector[{self}]"
 
 
-def render_terms(terms: Iterable[tuple[Laurent, str]]) -> str:
+def render_terms(
+    terms: Iterable[tuple[Laurent, str]],
+    texts: dict[Laurent, tuple[bool, str]] | None = None,
+) -> str:
     """Join (coefficient, label) pairs as a signed sum: a monomial
     coefficient prints bare with its sign pulled out front, 1 prints
-    nothing, and a longer polynomial prints in parentheses."""
+    nothing, and a longer polynomial prints in parentheses.  texts maps
+    each coefficient formatted so far to its sign and text; a caller
+    that renders many sums passes one dict for all of them, so each
+    distinct coefficient is formatted once."""
+    if texts is None:
+        texts = {}
     chunks: list[str] = []
     for c, label in terms:
-        text = str(c)
-        if len(c._terms) == 1:
-            negative = text[0] == "-"
-            mono = text[1:] if negative else text
-            body = "" if mono == "1" else f"{mono} "
-        else:
-            negative = False
-            body = f"({text}) "
+        parts = texts.get(c)
+        if parts is None:
+            text = str(c)
+            if len(c._terms) == 1:
+                negative = text[0] == "-"
+                mono = text[1:] if negative else text
+                parts = negative, "" if mono == "1" else f"{mono} "
+            else:
+                parts = False, f"({text}) "
+            texts[c] = parts
+        negative, body = parts
         term = f"{body}{label}"
         if not chunks:
             chunks.append(f"-{term}" if negative else term)
@@ -273,19 +309,27 @@ def tensor(u: ModuleVector, w: ModuleVector) -> ModuleVector:
     data: dict[OrbitIndex, Laurent] = {}
     for iu, cu in u._terms.items():
         for iw, cw in w._terms.items():
-            _accumulate(data, iu + iw, cu * cw)
+            _accumulate(data, iu + iw, cu, cw)
     return ModuleVector._make(d, data)
 
 
 def combine(d: Composition, pairs: Iterable[tuple[Laurent, ModuleVector]]) -> ModuleVector:
     """The linear combination sum c u over (c, u) in pairs, every u over
-    d, accumulated into one dict; empty pairs give the zero vector."""
+    d, accumulated into one dict; empty pairs give the zero vector.  A
+    zero c adds nothing and a c of 1 multiplies nothing, so one pair
+    (1, u) is u itself (vectors are immutable)."""
+    pairs = list(pairs)
+    if len(pairs) == 1:
+        c, u = pairs[0]
+        if c._terms == _UNIT and u.d == d:
+            return u
     data: dict[OrbitIndex, Laurent] = {}
     for c, u in pairs:
         if u.d != d:
             raise AmbientMismatchError(f"cannot add a vector over {u.d} to one over {d}")
-        for idx, x in u._terms.items():
-            _accumulate(data, idx, x * c)
+        if c._terms:
+            for idx, x in u._terms.items():
+                _accumulate(data, idx, c, x)
     return ModuleVector._make(d, data)
 
 
@@ -297,10 +341,9 @@ def act_K(u: ModuleVector, sign: int = 1) -> ModuleVector:
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     total = sum(u.d)
-    data = {
-        idx: c * q_power(sign * (total - 2 * sum(idx)))
-        for idx, c in u._terms.items()
-    }
+    data: dict[OrbitIndex, Laurent] = {}
+    for idx, c in u._terms.items():
+        _accumulate(data, idx, c, q_power(sign * (total - 2 * sum(idx))))
     return ModuleVector._make(u.d, data)
 
 
@@ -321,8 +364,8 @@ def act_E(u: ModuleVector) -> ModuleVector:
         kweight = 0
         for k, rk in enumerate(idx):
             if rk > 0:
-                scalar = c * _step_scalar(d[k] - rk + 1, kweight)
-                _accumulate(data, idx[:k] + (rk - 1,) + idx[k + 1 :], scalar)
+                scalar = _step_scalar(d[k] - rk + 1, kweight)
+                _accumulate(data, idx[:k] + (rk - 1,) + idx[k + 1 :], c, scalar)
             kweight += d[k] - 2 * rk
     return ModuleVector._make(d, data)
 
@@ -338,8 +381,8 @@ def act_F(u: ModuleVector) -> ModuleVector:
         for k, rk in enumerate(idx):
             tail -= d[k] - 2 * rk
             if rk < d[k]:
-                scalar = c * _step_scalar(rk + 1, -tail)
-                _accumulate(data, idx[:k] + (rk + 1,) + idx[k + 1 :], scalar)
+                scalar = _step_scalar(rk + 1, -tail)
+                _accumulate(data, idx[:k] + (rk + 1,) + idx[k + 1 :], c, scalar)
     return ModuleVector._make(d, data)
 
 
@@ -395,7 +438,7 @@ def theta(
         for iu, cu in f_part._terms.items():
             scalar = coeffs[n] * cu
             for iw, cw in e_part._terms.items():
-                _accumulate(data, iu + iw, scalar * cw)
+                _accumulate(data, iu + iw, scalar, cw)
         n += 1
         f_part = _divided_step(f_part, "F", n)
         if f_part._terms:

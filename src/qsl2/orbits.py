@@ -52,8 +52,11 @@ def format_index(idx: OrbitIndex) -> str:
 
 def check_composition(d: Composition) -> Composition:
     d = tuple(d)
-    if len(d) < 1 or any(type(x) is not int or x < 0 for x in d):
+    if not d:
         raise ValueError(f"not a composition: {d!r}")
+    for x in d:
+        if type(x) is not int or x < 0:
+            raise ValueError(f"not a composition: {d!r}")
     return d
 
 
@@ -61,8 +64,9 @@ def check_index(d: Composition, r: OrbitIndex) -> OrbitIndex:
     r = tuple(r)
     if len(r) != len(d):
         raise AmbientMismatchError(f"index {r} has wrong length for ambient {d}")
-    if any(type(x) is not int or not 0 <= x <= dk for x, dk in zip(r, d)):
-        raise ValueError(f"index {r} out of range for ambient {d}")
+    for x, dk in zip(r, d):
+        if type(x) is not int or not 0 <= x <= dk:
+            raise ValueError(f"index {r} out of range for ambient {d}")
     return r
 
 
@@ -85,13 +89,21 @@ def prefix_dominates(ps: tuple[int, ...], pr: tuple[int, ...]) -> bool:
 
 def closure_leq(d: Composition, s: OrbitIndex, r: OrbitIndex) -> bool:
     """True when the orbit of s is contained in the closure of the orbit
-    of r: every prefix sum of s is at least that of r."""
+    of r: every prefix sum of s is at least that of r.  One pass keeps
+    the running difference of the two prefix sums, which must never go
+    negative and must end at zero (equal totals, else an error)."""
     d = check_composition(d)
     s = check_index(d, s)
     r = check_index(d, r)
-    if sum(s) != sum(r):
+    diff = 0
+    dominates = True
+    for a, b in zip(s, r):
+        diff += a - b
+        if diff < 0:
+            dominates = False
+    if diff:
         raise TotalMismatchError(f"indices {s} and {r} have different totals")
-    return prefix_dominates(prefix_sums(s), prefix_sums(r))
+    return dominates
 
 
 def orbit_dim(d: Composition, r: OrbitIndex) -> int:

@@ -47,7 +47,7 @@ class Laurent:
         is_map = isinstance(terms, dict) or isinstance(terms, Mapping)
         items = terms.items() if is_map else terms
         for h, c in items:
-            if not isinstance(h, int) or not isinstance(c, int):
+            if type(h) is not int or type(c) is not int:
                 raise TypeError("half-exponents and coefficients must be int")
             if c:
                 nc = data.get(h, 0) + c
@@ -113,7 +113,7 @@ class Laurent:
     def _coerce(other) -> "Laurent | None":
         if isinstance(other, Laurent):
             return other
-        if isinstance(other, int):
+        if type(other) is int:
             return Laurent({0: other})
         return None
 
@@ -178,15 +178,15 @@ class Laurent:
             out._terms = {h1 + h2: c1 * c2 for h2, c2 in long.items()}
             out._hash = None
             return out
+        # sum every product first and drop the cancelled terms once
         data: dict[int, int] = {}
+        get = data.get
         for h1, c1 in short.items():
             for h2, c2 in long.items():
                 h = h1 + h2
-                nc = data.get(h, 0) + c1 * c2
-                if nc:
-                    data[h] = nc
-                elif h in data:
-                    del data[h]
+                data[h] = get(h, 0) + c1 * c2
+        if 0 in data.values():
+            data = {h: c for h, c in data.items() if c}
         out = Laurent.__new__(Laurent)
         out._terms = data
         out._hash = None
@@ -207,6 +207,8 @@ class Laurent:
         return out
 
     def __eq__(self, other) -> bool:
+        if type(other) is Laurent:
+            return self._terms == other._terms
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -287,12 +289,18 @@ QINV = Laurent({-2: 1})
 
 
 def q_power(k: int) -> Laurent:
-    """q^k for an integer k."""
-    return Laurent({2 * k: 1})
+    """q^k for an int k (a bool is refused, as by the constructor); the
+    monomial is built without the constructor's per-term checks."""
+    if type(k) is not int:
+        raise TypeError("half-exponents and coefficients must be int")
+    out = Laurent.__new__(Laurent)
+    out._terms = {2 * k: 1}
+    out._hash = None
+    return out
 
 
 def q_half(h: int) -> Laurent:
-    """q^(h/2) for an integer h, odd half-powers included."""
+    """q^(h/2) for an int h, odd half-powers included."""
     return Laurent({h: 1})
 
 

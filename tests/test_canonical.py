@@ -510,6 +510,16 @@ def test_canonical_render():
     )
 
 
+def test_canonical_render_matches_the_row_by_row_reference():
+    # render formats each coefficient and index once per call; the text
+    # is the header and str(row) per row, as it was first written
+    for d, r in [((1,) * 8, 4), ((2, 1, 3), 3), ((3, 3), 3), ((2, 2, 2), 2), ((4,), 2)]:
+        table = canonical_basis(d, r)
+        lines = [f"canonical basis d={orbits.format_index(d)} r={r}"]
+        lines += [f"b{orbits.format_index(idx)} = {table.rows[idx]}" for idx in table.order]
+        assert table.render() == "\n".join(lines) + "\n", (d, r)
+
+
 # -- reference solve -----------------------------------------------------------
 
 

@@ -36,6 +36,7 @@ from qsl2.qring import (
     QINV,
     ZERO,
     exact_div,
+    q_half,
     q_power,
     quantum_binomial,
     quantum_factorial,
@@ -270,6 +271,16 @@ def test_serialization_roundtrip():
     assert ModuleVector.zero((3,)).to_json_obj() == {"d": [3], "terms": []}
 
 
+def test_scale_refuses_a_bool():
+    u = v((2, 1), 1, 0)
+    assert u.scale(1) is u and u.scale(Laurent({0: 1})) is u
+    assert u.scale(0) == ModuleVector.zero((2, 1))
+    assert u.scale(-1) == -u
+    for flag in (True, False):
+        with pytest.raises(TypeError):
+            u.scale(flag)
+
+
 def test_rendering():
     assert format_index((2, 0)) == "(2,0)"
     assert str(v((2, 2), 1, 1)) == "v(1,1)"
@@ -308,10 +319,13 @@ def test_render_terms_matches_the_reference_on_every_kind_of_coefficient():
     coeffs = [ZERO, ONE, -ONE, Q, -QINV, Laurent({1: 1}), Laurent({-3: -1})]
     coeffs += [Laurent({h: n}) for h in (-4, -1, 0, 3, 6) for n in (-12, -2, 2, 7)]
     coeffs += [QINV + q_power(-3), Q - QINV, Laurent({0: -2, 5: 3}), ONE + ONE]
-    for c in coeffs:
+    texts = {}
+    for c in coeffs + coeffs:
         for lead in ([], [(QINV, "v(0)")]):
             terms = lead + [(c, "v(1)")]
             assert modules_mod.render_terms(terms) == _reference_render_terms(terms)
+            # one texts dict shared across calls formats the same text
+            assert modules_mod.render_terms(terms, texts) == _reference_render_terms(terms)
 
 
 # -- trusted kernels against reference loops -----------------------------------
@@ -344,6 +358,30 @@ def _reference_combine(d, pairs):
     return out
 
 
+def _coefficient_draws(rng):
+    """Coefficients for the kernel comparisons: a fresh 1 (a new
+    instance, not ONE), ONE itself, -1, 0, monomials and polynomials."""
+    return [
+        Laurent({0: 1}),
+        ONE,
+        Laurent({0: -1}),
+        Laurent({}),
+        Q,
+        QINV,
+        q_half(3),
+        Laurent({-4: -2}),
+        Laurent({rng.randrange(-6, 7): rng.choice([-3, -1, 2, 5])}),
+        Q - QINV,
+        Laurent({rng.randrange(-6, 7): rng.randrange(-3, 4) for _ in range(3)}),
+    ]
+
+
+def _drawn_vector(rng, d, level, draws):
+    """A vector whose every coefficient on the level is drawn from draws
+    (a zero draw leaves the index out)."""
+    return ModuleVector(d, {idx: rng.choice(draws) for idx in enumerate_basis(d, level)})
+
+
 def test_combine_matches_reference_loop():
     rng = random.Random(2718)
     for d in [(1,), (2, 1), (1, 2, 1), (1, 1, 1, 1)]:
@@ -364,6 +402,14 @@ def test_combine_matches_reference_loop():
             assert combine(d, pairs).is_zero()
             assert combine(d, pairs)._terms == {}
             assert _reference_combine(d, pairs).is_zero()
+            draws = _coefficient_draws(rng)
+            pool += [_drawn_vector(rng, d, level, draws) for _ in range(2)]
+            for c in draws:
+                for w in pool:
+                    assert combine(d, [(c, w)]) == _reference_combine(d, [(c, w)])
+            for k in range(2, 6):
+                pairs = [(rng.choice(draws), rng.choice(pool)) for _ in range(k)]
+                assert combine(d, pairs) == _reference_combine(d, pairs)
     assert combine((2, 1), []) == ModuleVector.zero((2, 1))
     with pytest.raises(AmbientMismatchError):
         combine((2, 1), [(ONE, v((1, 2), 0, 0))])
@@ -421,9 +467,82 @@ def test_act_e_f_match_reference_step_scalars():
             vectors = [ModuleVector.zero(d)]
             vectors += [ModuleVector.basis(d, idx) for idx in enumerate_basis(d, level)]
             vectors += [_random_vector(rng, d, level) for _ in range(3)]
+            draws = _coefficient_draws(rng)
+            basis = enumerate_basis(d, level)
+            vectors += [ModuleVector.basis(d, rng.choice(basis)).scale(c) for c in draws]
+            vectors += [_drawn_vector(rng, d, level, draws) for _ in range(3)]
             for u in vectors:
                 assert act_E(u) == _reference_act(u, "E")
                 assert act_F(u) == _reference_act(u, "F")
+
+
+def _reference_act_k(u, sign):
+    """K or K^-1 term by term: each coefficient times q^(+-(d - 2r))."""
+    out = ModuleVector.zero(u.d)
+    for idx, c in u.items():
+        weight = sign * (sum(u.d) - 2 * sum(idx))
+        out = out + ModuleVector.basis(u.d, idx).scale(c * q_power(weight))
+    return out
+
+
+def _reference_tensor(u, w):
+    """The product vector as a sum of basis vectors, one per pair of terms."""
+    out = ModuleVector.zero(u.d + w.d)
+    for iu, cu in u.items():
+        for iw, cw in w.items():
+            out = out + ModuleVector.basis(u.d + w.d, iu + iw).scale(cu * cw)
+    return out
+
+
+def test_act_k_and_tensor_match_the_term_by_term_reference():
+    rng = random.Random(5150)
+    for d in [(1,), (3,), (2, 1), (1, 2, 1), (2, 0, 3)]:
+        draws = _coefficient_draws(rng)
+        vectors = [ModuleVector.zero(d)]
+        for level in range(sum(d) + 1):
+            basis = enumerate_basis(d, level)
+            vectors += [ModuleVector.basis(d, idx) for idx in basis]
+            vectors += [ModuleVector.basis(d, rng.choice(basis)).scale(c) for c in draws]
+            vectors += [_drawn_vector(rng, d, level, draws) for _ in range(2)]
+        vectors += [vectors[-1] + vectors[1], _random_vector(rng, d, sum(d) // 2)]
+        for u in vectors:
+            for sign in (1, -1):
+                assert act_K(u, sign) == _reference_act_k(u, sign)
+        others = [v((2,), 1), v((1, 1), 1, 0).scale(Laurent({0: 1})), ModuleVector.zero((1,))]
+        others += [_drawn_vector(rng, (1, 2), 1, draws), _random_vector(rng, (2,), 1)]
+        for u in vectors:
+            for w in others:
+                assert tensor(u, w) == _reference_tensor(u, w)
+                assert tensor(w, u) == _reference_tensor(w, u)
+
+
+def test_a_unit_coefficient_multiplies_nothing(monkeypatch):
+    d = (2, 1, 2)
+    rng = random.Random(77)
+    u = _random_vector(rng, d, 2)
+    assert combine(d, [(Laurent({0: 1}), u)]) is u
+    assert combine(d, [(ONE, u)]) is u
+    assert combine(d, [(Laurent({0: 1}), u), (ZERO, u)]) == u
+    basis = [
+        ModuleVector.basis(d, idx) for r in range(sum(d) + 1) for idx in enumerate_basis(d, r)
+    ]
+    # fill the step-scalar memo before counting
+    for b in basis:
+        act_E(b), act_F(b)
+    calls = []
+    real = Laurent.__mul__
+
+    def counted(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(Laurent, "__mul__", counted)
+    monkeypatch.setattr(Laurent, "__rmul__", counted)
+    for b in basis:
+        act_E(b), act_F(b), act_K(b), act_K(b, -1)
+        tensor(b, v((1,), 1))
+    combine(d, [(Laurent({0: 1}), w) for w in basis + [u]])
+    assert calls == []
 
 
 def _reference_theta(u, cut, coeffs):
@@ -459,6 +578,23 @@ def test_theta_on_two_factors_matches_the_slot_range_reference():
                     assert theta(left, right, kappa) == _reference_theta(
                         v(d, *idx), cut, kappa
                     ), (d, cut, idx)
+    # scaled factors and drawn coefficient lists: fresh units, -1, 0,
+    # monomials and polynomials, in the factors and in the coefficients
+    rng = random.Random(3141)
+    for d in compositions(5):
+        for cut in range(1, len(d)):
+            draws = _coefficient_draws(rng)
+            coeffs = [rng.choice(draws) for _ in kappa]
+            for r in range(sum(d) + 1):
+                for idx in enumerate_basis(d, r):
+                    a, b = rng.choice(draws), rng.choice(draws)
+                    left = v(d[:cut], *idx[:cut]).scale(a)
+                    right = v(d[cut:], *idx[cut:]).scale(b)
+                    whole = v(d, *idx).scale(a * b)
+                    for cs in (kappa, coeffs):
+                        assert theta(left, right, cs) == _reference_theta(
+                            whole, cut, cs
+                        ), (d, cut, idx, a, b, cs)
 
 
 def _reference_act_divided(u, gen, n):

@@ -53,6 +53,21 @@ def test_closure_order_anchors():
         closure_leq(d, (2, 0), (1, 2))
 
 
+def test_closure_leq_matches_prefix_dominance_through_total_seven():
+    for d in compositions(7):
+        for r in range(sum(d) + 1):
+            level = linear_extension(d, r)
+            sums = [orbits.prefix_sums(idx) for idx in level]
+            for s, ps in zip(level, sums):
+                for t, pt in zip(level, sums):
+                    assert closure_leq(d, s, t) == orbits.prefix_dominates(ps, pt), (d, s, t)
+            if r < sum(d):
+                with pytest.raises(TotalMismatchError):
+                    closure_leq(d, level[0], linear_extension(d, r + 1)[-1])
+                with pytest.raises(TotalMismatchError):
+                    closure_leq(d, linear_extension(d, r + 1)[0], level[-1])
+
+
 def test_closure_order_incomparable_pair():
     d = (1, 1, 1, 1)
     s, t = (1, 0, 0, 1), (0, 1, 1, 0)

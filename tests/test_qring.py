@@ -54,6 +54,8 @@ def test_arithmetic():
     assert a * ONE == a
     assert Q * QINV == ONE
     assert (Q + QINV) * (Q - QINV) == Laurent({4: 1, -4: -1})
+    # the general loop drops the terms that cancel
+    assert ((ONE + Q) * (ONE - Q + Q * Q))._terms == {0: 1, 6: 1}
     assert Q ** 0 == ONE
     assert Q ** 5 == q_power(5)
     assert (Q + ONE) ** 2 == Laurent({4: 1, 2: 2, 0: 1})
@@ -146,6 +148,31 @@ def test_hash_agrees_with_int_equality():
     assert {ONE: "x"}[1] == "x"
     assert Laurent({0: 3}) in {3}
     assert Q not in {1, 0}
+
+
+def test_bools_are_not_ints_here():
+    # a bool half-exponent once printed as 2q^(True/2) and serialized as
+    # [[true, "2"]]; exponents and coefficients must be of type int
+    for terms in ({True: 2}, {2: True}, {False: 1}, {0: False}, [(True, 1)], [(1, True)]):
+        with pytest.raises(TypeError):
+            Laurent(terms)
+    for flag in (True, False):
+        with pytest.raises(TypeError):
+            Laurent.from_int(flag)
+        with pytest.raises(TypeError):
+            q_power(flag)
+        with pytest.raises(TypeError):
+            q_half(flag)
+        with pytest.raises(TypeError):
+            Q * flag
+        with pytest.raises(TypeError):
+            Q + flag
+        assert (ONE == flag) is False and (ZERO == flag) is False
+    with pytest.raises(TypeError):
+        q_power(1.0)
+    assert Laurent({1: 2}).to_pairs() == [[1, "2"]]
+    assert q_power(1) == Q and q_half(1) * q_half(1) == Q
+    assert Q * 1 == Q and Q + 0 == Q and ONE == 1
 
 
 def test_powers_of_q():

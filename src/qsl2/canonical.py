@@ -44,17 +44,17 @@ Psi commutes with divided powers, so for t = (d_0 - a, u) the monomial
 
 (the coproduct below at s_0 = d_0) is bar-invariant.  The solve checks
 that M_t is P_t plus terms on the level strictly below t in the closure
-order (prefix sums, computed once per index of the level), then walks s
-down the linear extension.  At s the remainder's coefficient c splits
-as beta_s + p_{s,t}, with beta_s = c_0 + sum_(h>0) c_h (q^h + q^-h)
-bar-invariant and p_{s,t} in q^-1 Z[q^-1] the product coordinate of
-b_t; beta_s times the off-diagonal product coordinates of b_s leaves
-the remainder, so b_t = M_t - sum_s beta_s b_s, and a remainder left
-after the walk is a TriangularityViolationError.  Each row is then
-expanded once into the standard basis through the d'' rows.  Its
-off-diagonal coefficients land in q^-1 Z_{>=0}[q^-1], and
-Psi(b_t) = b_t under the checked kappa: the verify suite checks both
-from outside the solve.
+order (prefix sums, computed once per index of the level), then peels
+it with _peel, the one triangular kernel here: a max-heap pops the
+highest position s of the linear extension the remainder holds, whose
+coefficient c splits as beta_s + p_{s,t}, with p_{s,t} in q^-1 Z[q^-1]
+the product coordinate of b_t and beta_s = c_0 + sum_(h>0) c_h (q^h +
+q^-h) bar-invariant; beta_s b_s is subtracted, the heap takes the
+positions it adds, and b_t = M_t - sum_s beta_s b_s.  An entry never
+reached is a TriangularityViolationError.  Each row is then expanded
+once into the standard basis through the d'' rows.  Its off-diagonal
+coefficients land in q^-1 Z_{>=0}[q^-1], and Psi(b_t) = b_t under the
+checked kappa: the verify suite checks both from outside the solve.
 
 The source paper's geometry fixes the shape of the multiplicities
 beta_s of b_s in M_t.  Canonical basis elements are simple perverse
@@ -85,11 +85,12 @@ with E^(b) b'' read in the canonical coordinates of d'' (memoized per
 d'', index and n; on one factor, the binomial [d_0 - t_0 + n choose n]
 alone).  _add_e_image builds this sum for the monomials and for
 _e_coords, which back-substitutes it against the product coordinates
-of the level below, a handful of entries per row.  A split at cut 1 is
-the product coordinates; at a cut c > 1 each b''_(s[1:]) of b_t is
-split at c - 1 into b'''_x tensor b''''_y, and the part of b_t on each
-b''''_y, a sum of v_(s_0) tensor b'''_x, is back-substituted in the
-same way against d[:c] on level r - sum(y).  The standard-basis Psi
+of the level below, a handful of entries per row: _peel again, keeping
+each coefficient c it pops and subtracting c times its row.  A split at
+cut 1 is the product coordinates; at a cut c > 1 each b''_(s[1:]) of
+b_t is split at c - 1 into b'''_x tensor b''''_y, and the part of b_t
+on each b''''_y, a sum of v_(s_0) tensor b'''_x, is back-substituted in
+the same way against d[:c] on level r - sum(y).  The standard-basis Psi
 columns serve bar_involution and the pair braiding of rmatrix, whose
 Theta step is bar Psi.
 
@@ -104,8 +105,9 @@ which the embed suite of verify checks, not a definition.
 from __future__ import annotations
 
 from collections import defaultdict
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from functools import reduce
+from heapq import heapify, heappop, heappush
 
 from . import orbits
 from .errors import (
@@ -122,6 +124,7 @@ from .modules import (
     _Record,
     _gram,
     _step_scalar,
+    _times,
     act_E,
     act_F,
     act_K,
@@ -336,10 +339,11 @@ class CanonicalTable(_Record):
     in the linear-extension order of `order`.  For len(d) > 1, product
     maps each index t, in that order, to the coordinates {s: p_{s,t}}
     of b_t over the product basis P_s of the solve; it is None for one
-    factor and takes no part in equality, hash or repr.
+    factor and takes no part in equality, hash or repr, nor does
+    _position, each index's position in `order`, built once per table.
     """
 
-    __slots__ = ("d", "r", "order", "rows", "product")
+    __slots__ = ("d", "r", "order", "rows", "product", "_position")
     _compared = ("d", "r", "order", "rows")
 
     def __init__(
@@ -350,7 +354,8 @@ class CanonicalTable(_Record):
         rows: dict[OrbitIndex, ModuleVector],
         product: dict | None = None,
     ):
-        self._set(d=d, r=r, order=order, rows=rows, product=product)
+        position = {idx: i for i, idx in enumerate(order)}
+        self._set(d=d, r=r, order=order, rows=rows, product=product, _position=position)
 
     def coefficient(self, r_idx: OrbitIndex, s_idx: OrbitIndex) -> Laurent:
         """c_{r,s}; a ValueError when either index is off the level."""
@@ -382,7 +387,7 @@ class CanonicalTable(_Record):
         on one level the terms' canonical order is their position in
         `order`.  Each distinct coefficient and each index is formatted
         once per call."""
-        position = {idx: i for i, idx in enumerate(self.order)}
+        position = self._position
         labels = {idx: format_index(idx) for idx in self.order}
         texts: dict = {}
         lines = [f"canonical basis d={format_index(self.d)} r={self.r}"]
@@ -401,13 +406,13 @@ def _add_scaled(
     shared: bool = False,
 ) -> None:
     """acc[head + w] += c * terms[w] for every w.  An entry of acc is
-    the Laurent c * terms[w] while it has one summand (terms[w] itself
-    when c is 1, shared as values are immutable), and from the second
-    summand on a raw map {half-exponent: coefficient} that starts as a
-    copy of that Laurent's terms and is never one of them; _entry reads
-    either kind.  When shared, a one-summand product c * terms[w] is
-    read from _MEMO's product table, and computed and shared only on a
-    miss."""
+    the Laurent c * terms[w] while it has one summand (when c or
+    terms[w] is 1, the other factor itself, shared as values are
+    immutable), and from the second summand on a raw map
+    {half-exponent: coefficient} that starts as a copy of that Laurent's
+    terms and is never one of them; _entry reads either kind.  When
+    shared, a one-summand product c * terms[w] is read from _MEMO's
+    product table, and computed and shared only on a miss."""
     c_items = c._terms.items()
     unit = c._terms == ONE._terms
     products = _MEMO.products if shared else None
@@ -418,11 +423,11 @@ def _add_scaled(
             if unit:
                 acc[key] = e
             elif products is None:
-                acc[key] = c * e
+                acc[key] = _times(c, e)
             else:
                 ce = products.get((c, e))
                 if ce is None:
-                    ce = products[c, e] = _shared(c * e)
+                    ce = products[c, e] = _shared(_times(c, e))
                 acc[key] = ce
             continue
         if type(raw) is Laurent:
@@ -462,11 +467,8 @@ def _add_e_image(
         b = n - a
         part = {rest: ONE} if b == 0 else _e_coords(d[1:], rest, b)
         if part:
-            scalar = (
-                p
-                * q_power(a * b + b * (d0 - 2 * s0))
-                * quantum_binomial(d0 - s0 + a, a)
-            )
+            shift = q_power(a * b + b * (d0 - 2 * s0))
+            scalar = _times(p, shift, quantum_binomial(d0 - s0 + a, a))
             _add_scaled(image, scalar, part, (s0 - a,))
 
 
@@ -491,7 +493,7 @@ def _e_coords(d: Composition, t: OrbitIndex, n: int) -> dict[OrbitIndex, Laurent
         coords = {}
         if image:
             lower = _sub_table(d, r - n)
-            coords = _back_substitute(image, lower, lower.product, f"E^({n}) b{t}")
+            coords = _back_substitute(image, lower, lower.product.get, f"E^({n}) b{t}")
             coords = {u: _shared(c) for u, c in coords.items()}
         _MEMO[key] = coords
     return coords
@@ -526,49 +528,68 @@ def _monomial(
     return image
 
 
+def _peel(
+    remainder: dict[OrbitIndex, Laurent | defaultdict],
+    table: CanonicalTable,
+    top: int,
+    row: Callable[[OrbitIndex], Mapping[OrbitIndex, Laurent]],
+    split: Callable[[OrbitIndex, Laurent], Laurent],
+    leftover: str,
+) -> None:
+    """Peel remainder, an _add_scaled accumulator, down the unitriangular
+    rows row(idx) of table: a max-heap pops its highest position below
+    top, subtracts split(idx, c) row(idx) for a nonzero coefficient c,
+    drops what that puts back at idx and pushes the keys it adds below.
+    A nonzero entry never reached raises TriangularityViolationError:
+    leftover, then the index."""
+    order, position = table.order, table._position
+    heap = [-i for i in map(position.get, remainder) if i is not None and i < top]
+    heapify(heap)
+    while heap:
+        i = -heappop(heap)
+        idx = order[i]
+        c = _entry(remainder.pop(idx))
+        x = split(idx, c) if c._terms else c
+        if x._terms:
+            terms = row(idx)
+            for w in terms:
+                j = position.get(w, i)
+                if j < i and w not in remainder:
+                    heappush(heap, -j)
+            _add_scaled(remainder, -x, terms)
+            remainder.pop(idx, None)
+    for idx, raw in remainder.items():
+        if raw if type(raw) is Laurent else any(raw.values()):
+            raise TriangularityViolationError(f"{leftover}{idx}")
+
+
 def _compute_table(d: Composition, r: int) -> CanonicalTable:
     """Solve the table of (d, r), product coordinates included, from the
     monomials of _monomial, reading no kappa; the factor tables, the
     E^(n) coordinates and the shared coefficient values live in _MEMO."""
     order = tuple(orbits.linear_extension(d, r))
     if len(d) == 1:
-        return CanonicalTable(
-            d, r, order, {idx: ModuleVector._make(d, {idx: ONE}) for idx in order}
-        )
+        rows = {idx: ModuleVector._make(d, {idx: ONE}) for idx in order}
+        return CanonicalTable(d, r, order, rows)
     # every diagonal entry is ONE, so ONE is the shared 1 of the store
     _MEMO.values.setdefault(ONE, ONE)
     # the closure tests compare prefix sums computed once per index,
     # which also tells an index of this level from any other
     prefix = {idx: orbits.prefix_sums(idx) for idx in order}
-    dims = {idx: orbits._orbit_dim(d, idx) for idx in order}
     factors = {
         a: _sub_table(d[1:], r - a)
         for a in range(max(0, r - sum(d[1:])), min(r, d[0]) + 1)
     }
     # every row is keyed by the index tuples of order, one copy per level
     shared = {idx: idx for idx in order}
-    rows: dict[OrbitIndex, ModuleVector] = {}
-    product_rows: dict[OrbitIndex, dict[OrbitIndex, Laurent]] = {}
-    # below[s] is row s's product coordinates without its diagonal entry
-    below: dict[OrbitIndex, dict[OrbitIndex, Laurent]] = {}
+    table = CanonicalTable(d, r, order, {}, {})  # _peel reads only rows solved
     for top, r_idx in enumerate(order):
-        # remainder holds M_t - sum beta_s b_s over the s already walked;
-        # every entry lies below the s last popped, so an empty remainder
-        # ends the walk
-        remainder = _monomial(d, r_idx, prefix)
-        lower: dict[OrbitIndex, Laurent] = {}
-        for s in reversed(order[:top]):
-            if not remainder:
-                break
-            raw = remainder.pop(s, None)
-            if raw is None:
-                continue
-            c = _entry(raw)
-            if c.is_zero():
-                continue
+        coeffs = table.product[r_idx] = {r_idx: ONE}
+
+        def split(s, c):
             # c = beta_s + p_{s,t}; purity and positivity as in the
             # module docstring
-            parity = 2 * ((dims[r_idx] - dims[s]) % 2)
+            parity = 2 * ((orbits._orbit_dim(d, r_idx) - orbits._orbit_dim(d, s)) % 2)
             p = (c - c.bar()).negative_half()
             beta = c - p
             if any(h % 4 != parity for h in c._terms):
@@ -582,18 +603,12 @@ def _compute_table(d: Composition, r: int) -> CanonicalTable:
                     f"has a negative bar-invariant part ({beta})"
                 )
             if p._terms:
-                lower[s] = _shared(p)
-            if beta._terms:
-                _add_scaled(remainder, -beta, below[s])
-        # the walk pops every index it passes, so whatever is left lies
-        # at an index it never reached
-        if remainder:
-            raise TriangularityViolationError(
-                f"the walk of b{r_idx} on Lambda_{d} left a remainder at "
-                f"{next(iter(remainder))}"
-            )
-        below[r_idx] = lower
-        coeffs = product_rows[r_idx] = {r_idx: ONE, **lower}
+                coeffs[s] = _shared(p)
+            return beta
+
+        # M_t - sum_s beta_s b_s, down to the product coordinates of b_t
+        walk = f"the walk of b{r_idx} on Lambda_{d} left a remainder at "
+        _peel(_monomial(d, r_idx, prefix), table, top, table.product.get, split, walk)
         # b_r = sum_s p_s v_(s_0) tensor b''_(s[1:]), one entry per index
         expanded: dict[OrbitIndex, Laurent | defaultdict] = {}
         for s, p in coeffs.items():
@@ -608,8 +623,8 @@ def _compute_table(d: Composition, r: int) -> CanonicalTable:
             c = Laurent._from_raw(raw)
             if not c.is_zero():
                 data[shared[idx]] = _shared(c)
-        rows[r_idx] = ModuleVector._make(d, data)
-    return CanonicalTable(d, r, order, rows, product_rows)
+        table.rows[r_idx] = ModuleVector._make(d, data)
+    return table
 
 
 def canonical_basis(d: Composition, r: int) -> CanonicalTable:
@@ -622,31 +637,15 @@ def canonical_basis(d: Composition, r: int) -> CanonicalTable:
 
 
 def _back_substitute(
-    remainder: dict[OrbitIndex, Laurent | defaultdict],
-    table: CanonicalTable,
-    rows: Mapping[OrbitIndex, Mapping[OrbitIndex, Laurent]],
-    what: str,
+    remainder: dict, table: CanonicalTable, row: Callable, what: str
 ) -> dict[OrbitIndex, Laurent]:
     """Coordinates of remainder, an _add_scaled accumulator, over the
-    term maps rows[idx], each unitriangular along table.order: peel off
-    coefficients from the top of the order down, consuming remainder.
-    Zeros are omitted.  A leftover is the TriangularityViolationError of
-    every caller, naming what escaped, the table and a leftover index."""
+    unitriangular term maps row(idx) of table, by _peel: setdefault keeps
+    each coefficient it pops (none pops twice), highest position first.
+    A leftover names what escaped, the table and the index."""
     coords: dict[OrbitIndex, Laurent] = {}
-    for idx in reversed(table.order):
-        raw = remainder.get(idx)
-        if raw is None:
-            continue
-        c = _entry(raw)
-        if c.is_zero():
-            continue
-        coords[idx] = c
-        _add_scaled(remainder, -c, rows[idx])
-    for idx, raw in remainder.items():
-        if raw if type(raw) is Laurent else any(raw.values()):
-            raise TriangularityViolationError(
-                f"{what} escaped the level-{table.r} table of Lambda_{table.d} at {idx}"
-            )
+    escaped = f"{what} escaped the level-{table.r} table of Lambda_{table.d} at "
+    _peel(remainder, table, len(table.order), row, coords.setdefault, escaped)
     return coords
 
 
@@ -667,9 +666,9 @@ def canonical_coords(
             f"vector at levels {sorted(levels)} against the level-{table.r} "
             f"table of Lambda_{table.d}"
         )
-    rows = {idx: row._terms for idx, row in table.rows.items()}
-    coords = _back_substitute(dict(u._terms), table, rows, "vector")
-    return [(idx, coords[idx]) for idx in table.order if idx in coords]
+    rows = table.rows
+    coords = _back_substitute(dict(u._terms), table, lambda i: rows[i]._terms, "vector")
+    return list(reversed(coords.items()))  # coords come highest position first
 
 
 # -- split expansion -----------------------------------------------------------------
@@ -746,16 +745,12 @@ def _split_rows(d: Composition, cut: int, r: int, memo: dict) -> dict:
         rows[t] = {}
         for y, acc in by_right.items():
             left = _sub_table(d[:cut], r - sum(y))
-            zs = _back_substitute(acc, left, left.product, what)
+            zs = _back_substitute(acc, left, left.product.get, what)
             rows[t].update((z + y, c) for z, c in zs.items())
     return rows
 
 
-def split_expand(
-    d: Composition,
-    cut: int,
-    r: int,
-) -> SplitTable:
+def split_expand(d: Composition, cut: int, r: int) -> SplitTable:
     """Expand each b_t of Lambda_d over the products b'_z tensor b''_y of
     the canonical bases of d[:cut] and d[cut:], read from the solve's
     product coordinates alone; no standard-basis row is read."""
@@ -781,9 +776,7 @@ def _assert_embedding(m: LinMap) -> None:
     for idx, image in m.columns.items():
         u = ModuleVector.basis(src, idx)
         for name, op in (("K", act_K), ("E", act_E), ("F", act_F)):
-            lhs = m.apply(op(u))
-            rhs = op(image)
-            if lhs != rhs:
+            if m.apply(op(u)) != op(image):
                 raise EmbeddingCheckFailedError(
                     f"embedding of Lambda_{src} fails to intertwine {name} at {idx}"
                 )

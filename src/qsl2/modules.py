@@ -87,6 +87,15 @@ def _accumulate(
         del data[idx]
 
 
+def _times(*factors: Laurent) -> Laurent:
+    """The product of factors, in which a factor equal to 1 multiplies nothing."""
+    out = ONE
+    for x in factors:
+        if x._terms != _UNIT:
+            out = x if out._terms == _UNIT else out * x
+    return out
+
+
 class ModuleVector:
     """A finite linear combination of standard basis vectors of Lambda_d.
 
@@ -183,14 +192,11 @@ class ModuleVector:
             return self
         if not c._terms:
             return ModuleVector.zero(self.d)
-        return ModuleVector._make(self.d, {idx: x * c for idx, x in self._terms.items()})
+        data = {i: c if x._terms == _UNIT else x * c for i, x in self._terms.items()}
+        return ModuleVector._make(self.d, data)
 
     def map_coefficients(self, f: Callable[[Laurent], Laurent]) -> "ModuleVector":
-        data: dict[OrbitIndex, Laurent] = {}
-        for idx, c in self._terms.items():
-            fc = f(c)
-            if not fc.is_zero():
-                data[idx] = fc
+        data = {i: fc for i, c in self._terms.items() if (fc := f(c))._terms}
         return ModuleVector._make(self.d, data)
 
     def __eq__(self, other) -> bool:
@@ -338,7 +344,7 @@ def combine(d: Composition, pairs: Iterable[tuple[Laurent, ModuleVector]]) -> Mo
 
 def act_K(u: ModuleVector, sign: int = 1) -> ModuleVector:
     """K (sign +1) or K^-1 (sign -1): v_r gets q^(+-(d - 2r))."""
-    if sign not in (1, -1):
+    if type(sign) is not int or sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     total = sum(u.d)
     data: dict[OrbitIndex, Laurent] = {}
@@ -458,10 +464,8 @@ def gram_entry(d: Composition, idx: OrbitIndex) -> Laurent:
 @lru_cache(maxsize=None)
 def _gram(d: Composition, idx: OrbitIndex) -> Laurent:
     """gram_entry on checked arguments, memoized for the process."""
-    out = ONE
-    for dk, rk in zip(d, idx):
-        out = out * quantum_binomial(dk, rk) * q_power(-rk * (dk - rk))
-    return out
+    shift = q_power(-sum(rk * (dk - rk) for dk, rk in zip(d, idx)))
+    return _times(shift, *(quantum_binomial(dk, rk) for dk, rk in zip(d, idx)))
 
 
 def inner_product(u: ModuleVector, w: ModuleVector) -> Laurent:
@@ -504,10 +508,11 @@ def rho_twist(gen: str) -> Callable[[ModuleVector], ModuleVector]:
 class _Record:
     """Base of the value records.  A subclass lists its fields in
     __slots__, in constructor order, and sets them in __init__ with
-    _set; `_compared` (default: every field) names the fields that take
-    part in equality, hash and repr.  Assignment raises AttributeError,
-    and __reduce__ rebuilds a record from its fields for copy and
-    pickle."""
+    _set, followed by any slot derived from them, whose name starts with
+    an underscore; `_compared` (default: every field) names the fields
+    that take part in equality, hash and repr.  Assignment raises
+    AttributeError, and __reduce__ rebuilds a record from its fields for
+    copy and pickle."""
 
     __slots__ = ()
     _compared: tuple[str, ...] = ()
@@ -536,7 +541,8 @@ class _Record:
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+        fields = (name for name in self.__slots__ if name[0] != "_")
+        return type(self), tuple(getattr(self, name) for name in fields)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

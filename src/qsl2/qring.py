@@ -195,7 +195,7 @@ class Laurent:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Laurent":
-        if not isinstance(n, int) or n < 0:
+        if type(n) is not int or n < 0:
             raise ValueError("only nonnegative integer powers")
         out = ONE
         base = self

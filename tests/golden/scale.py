@@ -8,10 +8,11 @@ Run from the repository root, one check per process:
 The checks are canon-12 (canonical_basis((1,)*12, 6)), canon-14
 (canonical_basis((1,)*14, 7)), canon-json-12 (qsl2 canon --d 1,...,1
 (12 ones) --r 6 --format json) and split-12 (split_expand((1,)*12, 6,
-6)).  Each prints one line with the peak resident set of the process
-(VmHWM of /proc/self/status, so Linux only), read right after the part
-it bounds, and the sha256 of the output, and exits 0 only when the
-sha256 equals its pin and the peak is under its bound.  The peak is the
+6)).  Each prints one line with the wall seconds of the part it bounds,
+the peak resident set of the process (VmHWM of /proc/self/status, so
+Linux only), read right after that part, and the sha256 of the output,
+and exits 0 only when the sha256 equals its pin and the peak is under
+its bound; the seconds are reported, not checked.  The peak is the
 whole process's, so a second check in the same process would read the
 first one's: run each in a process of its own.
 """
@@ -22,6 +23,7 @@ import hashlib
 import json
 import os
 import sys
+import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "..", "src"))
 
@@ -40,7 +42,9 @@ def _dump(obj) -> bytes:
 def _canon(n: int, pinned: str, bound_mb: float) -> bool:
     """canonical_basis((1,)*n, n // 2): the sha256 of
     _dump(table.to_json_obj()), fed one row at a time."""
+    start = time.perf_counter()
     table = qsl2.canonical_basis((1,) * n, n // 2)
+    seconds = time.perf_counter() - start
     # the table solve reads no quasi-R coefficient past kappa_0
     assert len(qsl2.canonical._KAPPA) == 1, qsl2.canonical._KAPPA
     # the peak of the solve, read before the digest adds its own
@@ -52,7 +56,7 @@ def _canon(n: int, pinned: str, bound_mb: float) -> bool:
         row = {"r_index": list(idx), "terms": table.rows[idx].to_json_obj()["terms"]}
         digest.update((b"," if i else b"") + _dump(row))
     digest.update(b"]}")
-    print(f"peak {peak_mb:.1f} MB, table sha256 {digest.hexdigest()}")
+    print(f"{seconds:.2f} s, peak {peak_mb:.1f} MB, table sha256 {digest.hexdigest()}")
     return digest.hexdigest() == pinned and peak_mb < bound_mb
 
 
@@ -75,14 +79,16 @@ def _canon_json_12() -> bool:
     import qsl2.cli
 
     real, sys.stdout = sys.stdout, _Digest()
+    start = time.perf_counter()
     code = qsl2.cli.main(
         ["canon", "--d", ",".join(["1"] * 12), "--r", "6", "--format", "json"]
     )
+    seconds = time.perf_counter() - start
     out, sys.stdout = sys.stdout, real
     # the peak of the solve, the JSON document and its encoding
     peak_mb = _peak_mb()
     print(
-        f"exit {code}, peak {peak_mb:.1f} MB, {out.size} bytes, "
+        f"exit {code}, {seconds:.2f} s, peak {peak_mb:.1f} MB, {out.size} bytes, "
         f"sha256 {out.sha.hexdigest()}"
     )
     # `python -m qsl2.cli ... | sha256sum` and `| wc -c` before the JSON
@@ -93,11 +99,13 @@ def _canon_json_12() -> bool:
 
 
 def _split_12() -> bool:
+    start = time.perf_counter()
     split = qsl2.split_expand((1,) * 12, 6, 6)
+    seconds = time.perf_counter() - start
     # the peak of the solve and the split, read before the digest adds its own
     peak_mb = _peak_mb()
     digest = hashlib.sha256(_dump(split.to_json_obj())).hexdigest()
-    print(f"peak {peak_mb:.1f} MB, split sha256 {digest}")
+    print(f"{seconds:.2f} s, peak {peak_mb:.1f} MB, split sha256 {digest}")
     pinned = "71ad514a0bf61feae868ca7a44f1ed3a90e64001ac550caeade460eb61d2bae3"
     return digest == pinned and peak_mb < 52
 

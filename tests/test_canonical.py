@@ -5,6 +5,8 @@ import importlib.util
 import json
 import os
 import random
+import sys
+from collections import defaultdict
 
 import pytest
 
@@ -25,6 +27,7 @@ from qsl2 import (
     embed_refine,
     inner_product,
     r_plus_pair,
+    run_all,
     split_expand,
 )
 from qsl2.errors import (
@@ -912,6 +915,92 @@ def test_split_matches_the_dense_reference_at_every_cut():
     assert cases == 2379
 
 
+# -- the peel kernel against the linear scan --------------------------------------
+
+
+def _reference_back_substitute(remainder, table, row, what):
+    """The linear scan that _peel replaced: walk the whole of table.order
+    from the top down, keep each nonzero coefficient c and subtract c
+    times its row, then refuse any nonzero leftover."""
+    coords = {}
+    for idx in reversed(table.order):
+        raw = remainder.get(idx)
+        if raw is None:
+            continue
+        c = canonical_mod._entry(raw)
+        if c.is_zero():
+            continue
+        coords[idx] = c
+        canonical_mod._add_scaled(remainder, -c, row(idx))
+    for idx, raw in remainder.items():
+        if raw if type(raw) is Laurent else any(raw.values()):
+            raise TriangularityViolationError(
+                f"{what} escaped the level-{table.r} table of Lambda_{table.d} at {idx}"
+            )
+    return coords
+
+
+def _copy_accumulator(acc):
+    """An _add_scaled accumulator whose raw maps are copies, so that two
+    back-substitutions can each consume their own."""
+    return {k: v if type(v) is Laurent else defaultdict(int, v) for k, v in acc.items()}
+
+
+def test_canonical_coords_match_the_linear_scan_on_random_vectors():
+    rng = random.Random(3141)
+    coeffs = [ONE, neg(ONE), Q, QINV, Q + QINV, Laurent({-3: 2, 1: -1})]
+    for total in range(1, 7):
+        for d in _compositions(total):
+            for r in range(total + 1):
+                table = canonical_basis(d, r)
+                rows = {idx: row._terms for idx, row in table.rows.items()}
+                for _ in range(2):
+                    support = [i for i in table.order if rng.random() < 0.5]
+                    u = ModuleVector(d, {i: rng.choice(coeffs) for i in support})
+                    ref = _reference_back_substitute(
+                        dict(u._terms), table, rows.get, "vector"
+                    )
+                    assert canonical_coords(table, u) == [
+                        (idx, ref[idx]) for idx in table.order if idx in ref
+                    ], (d, r, u)
+
+
+def test_every_back_substitution_matches_the_linear_scan(monkeypatch):
+    # every split_expand and every E^(n) coordinate of total <= 6 is
+    # back-substituted twice, by the kernel and by the linear scan
+    kernel = canonical_mod._back_substitute
+    checked = []
+
+    def both(remainder, table, row, what):
+        copy = _copy_accumulator(remainder)
+        coords = kernel(remainder, table, row, what)
+        # the same coordinates in the same order, highest position first
+        ref = _reference_back_substitute(copy, table, row, what)
+        assert list(coords.items()) == list(ref.items()), what
+        checked.append((table.d, what))
+        return coords
+
+    clear_caches()
+    monkeypatch.setattr(canonical_mod, "_back_substitute", both)
+    for total in range(1, 7):
+        for d in _compositions(total):
+            for r in range(total + 1):
+                for cut in range(1, len(d)):
+                    split_expand(d, cut, r)
+                for t in canonical_basis(d, r).order if len(d) > 1 else ():
+                    for n in range(1, r + 1):
+                        canonical_mod._e_coords(d, t, n)
+    e_coords = {
+        (key[1], f"E^({key[3]}) b{key[2]}")
+        for key, coords in canonical_mod._MEMO.items()
+        if key[0] == "E" and coords
+    }
+    assert len(e_coords) == 3720 and e_coords <= set(checked)
+    assert sum(what.startswith("split") for _, what in checked) == 6560
+    monkeypatch.undo()
+    clear_caches()
+
+
 # -- E^(n) in canonical coordinates ---------------------------------------------
 
 
@@ -1035,6 +1124,34 @@ def test_add_scaled_shares_one_summand_products_through_the_store():
     assert type(acc[(0,)]) is not Laurent
     assert canonical_mod._entry(acc[(0,)])._terms == (c * e + e)._terms
     assert product._terms == (c * e)._terms
+
+
+def test_no_unit_products_in_the_solve_helpers_scale_or_gram(monkeypatch):
+    # a factor equal to 1 costs a Laurent product nowhere in these callers
+    watched = {"_add_scaled", "_add_e_image", "scale", "_gram", "_times"}
+    products, units = defaultdict(int), []
+    mul = Laurent.__mul__
+
+    def spy(a, b):
+        frame = sys._getframe(1)
+        # a comprehension's frame stands for the function it is written in
+        while frame.f_code.co_name.startswith("<"):
+            frame = frame.f_back
+        caller = frame.f_code.co_name
+        if caller in watched:
+            products[caller] += 1
+            if ONE._terms in (a._terms, getattr(b, "_terms", None)):
+                units.append((caller, a, b))
+        return mul(a, b)
+
+    clear_caches()
+    monkeypatch.setattr(Laurent, "__mul__", spy)
+    assert all(result.passed for result in run_all(4))
+    monkeypatch.undo()
+    clear_caches()
+    assert units == []
+    # the watched callers still multiply, and the spy sees their products
+    assert products["scale"] > 0 and products["_times"] > 0, dict(products)
 
 
 # -- fault injection -----------------------------------------------------------

@@ -281,6 +281,15 @@ def test_scale_refuses_a_bool():
             u.scale(flag)
 
 
+def test_act_k_refuses_a_bool():
+    # act_K(v, True) once acted as K, a bool read as the sign +1
+    u = v((1,), 0)
+    for flag in (True, False):
+        with pytest.raises(ValueError, match=r"sign must be \+1 or -1"):
+            act_K(u, flag)
+    assert act_K(u, 1) == u.scale(Q) and act_K(u, -1) == u.scale(QINV)
+
+
 def test_rendering():
     assert format_index((2, 0)) == "(2,0)"
     assert str(v((2, 2), 1, 1)) == "v(1,1)"

@@ -175,6 +175,14 @@ def test_bools_are_not_ints_here():
     assert Q * 1 == Q and Q + 0 == Q and ONE == 1
 
 
+def test_pow_refuses_a_bool():
+    # Q ** True once printed q, a bool read as the int 1
+    for flag in (True, False):
+        with pytest.raises(ValueError, match="nonnegative integer powers"):
+            Q ** flag
+    assert Q ** 1 == Q and Q ** 0 == ONE
+
+
 def test_powers_of_q():
     assert q_power(1) == Q
     assert q_power(-1) == QINV

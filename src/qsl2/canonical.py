@@ -332,6 +332,34 @@ def bar_involution(u: ModuleVector, *, cut: int = 1) -> ModuleVector:
 # -- canonical bases ----------------------------------------------------------------
 
 
+def _rows_json(table, header: dict, key: str, terms: Callable) -> dict:
+    """header with "rows": [{"r_index", "terms": [{key, "coeff"}, ...]},
+    ...], the rows in table.order and the terms of terms(idx), a term
+    map, by ascending position in table._position.  Equal coefficients,
+    indices and terms share one sub-object, so the document is
+    read-only: copy.deepcopy it before mutating."""
+    position, parts, rows = table._position, _JsonParts(key), []
+    for idx in table.order:
+        row = sorted(terms(idx).items(), key=lambda kv: position[kv[0]])
+        rows.append({"r_index": parts.index(idx), "terms": parts.terms(row)})
+    return {**header, "rows": rows}
+
+
+def _rows_text(table, header: str, terms: Callable, label: Callable) -> str:
+    """header, then one line `b(idx) = ...` per row in table.order: the
+    terms of terms(idx) as label(s), by descending position in
+    table._position, as str(vector) prints them.  Each label and each
+    distinct coefficient is formatted once per call."""
+    position, labels = table._position, {s: label(s) for s in table.order}
+    texts: dict = {}
+    lines = [header]
+    for idx in table.order:
+        row = sorted(terms(idx).items(), key=lambda kv: position[kv[0]], reverse=True)
+        text = render_terms(((c, labels[s]) for s, c in row), texts)
+        lines.append(f"b{format_index(idx)} = {text}")
+    return "\n".join(lines) + "\n"
+
+
 class CanonicalTable(_Record):
     """For fixed (d, r): b_idx = v_idx + sum over lower s of c_{idx,s} v_s.
 
@@ -340,7 +368,8 @@ class CanonicalTable(_Record):
     maps each index t, in that order, to the coordinates {s: p_{s,t}}
     of b_t over the product basis P_s of the solve; it is None for one
     factor and takes no part in equality, hash or repr, nor does
-    _position, each index's position in `order`, built once per table.
+    _position, each index's position in `order`, built once per table
+    and read by the row writers _rows_json and _rows_text.
     """
 
     __slots__ = ("d", "r", "order", "rows", "product", "_position")
@@ -366,36 +395,18 @@ class CanonicalTable(_Record):
                 )
         return self.rows[tuple(r_idx)].coeff(s_idx)
 
+    def _row_terms(self, idx: OrbitIndex) -> dict[OrbitIndex, Laurent]:
+        return self.rows[idx]._terms
+
     def to_json_obj(self) -> dict:
-        """{"d", "r", "rows": [{"r_index", "terms"}, ...]}, the rows in
-        `order` and each row's terms as in ModuleVector.to_json_obj.
-        Equal coefficients, indices and (index, coefficient) terms share
-        one sub-object, so the object is read-only: copy.deepcopy it
-        before mutating."""
-        parts = _JsonParts()
-        return {
-            "d": list(self.d),
-            "r": self.r,
-            "rows": [
-                {"r_index": parts.index(idx), "terms": parts.terms(self.rows[idx].items())}
-                for idx in self.order
-            ],
-        }
+        """{"d", "r", "rows": [{"r_index", "terms": [{"r", "coeff"},
+        ...]}, ...]} by _rows_json; read-only, equal values share one object."""
+        return _rows_json(self, {"d": list(self.d), "r": self.r}, "r", self._row_terms)
 
     def render(self) -> str:
-        """The table as text, one row per line as str(row) prints it:
-        on one level the terms' canonical order is their position in
-        `order`.  Each distinct coefficient and each index is formatted
-        once per call."""
-        position = self._position
-        labels = {idx: format_index(idx) for idx in self.order}
-        texts: dict = {}
-        lines = [f"canonical basis d={format_index(self.d)} r={self.r}"]
-        for idx in self.order:
-            row = sorted(self.rows[idx]._terms.items(), key=lambda kv: -position[kv[0]])
-            terms = render_terms(((c, f"v{labels[s]}") for s, c in row), texts)
-            lines.append(f"b{labels[idx]} = {terms}")
-        return "\n".join(lines) + "\n"
+        """The table as text, one row per line as str(row) prints it."""
+        header = f"canonical basis d={format_index(self.d)} r={self.r}"
+        return _rows_text(self, header, self._row_terms, lambda s: f"v{format_index(s)}")
 
 
 def _add_scaled(
@@ -676,9 +687,12 @@ def canonical_coords(
 
 class SplitTable(_Record):
     """Rows re-express b_r over the product basis b_{s'} tensor b_{s''}
-    after cutting the slots at `cut`; keys are full concatenated s."""
+    after cutting the slots at `cut`; keys are full concatenated s.
+    _position, each index's position in `order`, is derived as in
+    CanonicalTable and takes no part in equality, hash or repr."""
 
-    __slots__ = ("d", "cut", "r", "order", "rows")
+    __slots__ = ("d", "cut", "r", "order", "rows", "_position")
+    _compared = ("d", "cut", "r", "order", "rows")
 
     def __init__(
         self,
@@ -688,42 +702,26 @@ class SplitTable(_Record):
         order: tuple[OrbitIndex, ...],
         rows: dict[OrbitIndex, dict[OrbitIndex, Laurent]],
     ):
-        self._set(d=d, cut=cut, r=r, order=order, rows=rows)
+        position = {idx: i for i, idx in enumerate(order)}
+        self._set(d=d, cut=cut, r=r, order=order, rows=rows, _position=position)
 
     def to_json_obj(self) -> dict:
         """{"d", "cut", "r", "rows": [{"r_index", "terms": [{"s_index",
-        "coeff"}, ...]}, ...]}, rows and terms in `order`.  Equal
-        coefficients, indices and terms share one sub-object, so the
-        object is read-only: copy.deepcopy it before mutating."""
-        position = {idx: i for i, idx in enumerate(self.order)}
-        parts = _JsonParts("s_index")
-        return {
-            "d": list(self.d),
-            "cut": self.cut,
-            "r": self.r,
-            "rows": [
-                {
-                    "r_index": parts.index(idx),
-                    "terms": parts.terms(
-                        sorted(self.rows[idx].items(), key=lambda kv: position[kv[0]])
-                    ),
-                }
-                for idx in self.order
-            ],
-        }
+        "coeff"}, ...]}, ...]} by _rows_json; read-only, equal values share
+        one object."""
+        header = {"d": list(self.d), "cut": self.cut, "r": self.r}
+        return _rows_json(self, header, "s_index", self.rows.__getitem__)
 
     def render(self) -> str:
-        position = {idx: i for i, idx in enumerate(self.order)}
-        lines = [f"split expansion d={format_index(self.d)} cut={self.cut} r={self.r}"]
-        for idx in self.order:
-            terms = render_terms(
-                (c, f"b{format_index(s[: self.cut])}*b{format_index(s[self.cut :])}")
-                for s, c in sorted(
-                    self.rows[idx].items(), key=lambda kv: -position[kv[0]]
-                )
-            )
-            lines.append(f"b{format_index(idx)} = {terms}")
-        return "\n".join(lines) + "\n"
+        """The table as text, one row per line, a term b(s')*b(s'')."""
+        cut = self.cut
+        header = f"split expansion d={format_index(self.d)} cut={cut} r={self.r}"
+        return _rows_text(
+            self,
+            header,
+            self.rows.__getitem__,
+            lambda s: f"b{format_index(s[:cut])}*b{format_index(s[cut:])}",
+        )
 
 
 def _split_rows(d: Composition, cut: int, r: int, memo: dict) -> dict:

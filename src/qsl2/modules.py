@@ -476,8 +476,10 @@ def inner_product(u: ModuleVector, w: ModuleVector) -> Laurent:
     # both vectors hold checked indices over the checked u.d, so the
     # memoized Gram entries are read directly; the products accumulate
     # as raw {half-exponent: coefficient} and one Laurent is built
-    acc: defaultdict[int, int] = defaultdict(int)
     small, large = (u, w) if len(u._terms) <= len(w._terms) else (w, u)
+    if large._terms.keys().isdisjoint(small._terms):
+        return ZERO
+    acc: defaultdict[int, int] = defaultdict(int)
     for idx, c in small._terms.items():
         cw = large._terms.get(idx)
         if cw is not None:

@@ -527,10 +527,7 @@ def suite_rmatrix(max_total: int) -> SuiteResult:
                             lambda: f"intertwining {x} at {idx} for {perm} on {d}",
                         )
                     res.check(
-                        all(
-                            c.is_in_a()
-                            for s, c in img.items()
-                        ),
+                        all(c.is_in_a() for c in img._terms.values()),
                         lambda: f"half power leak at {idx} for {perm} on {d}",
                     )
     return res

@@ -7,14 +7,16 @@ Run from the repository root, one check per process:
 
 The checks are canon-12 (canonical_basis((1,)*12, 6)), canon-14
 (canonical_basis((1,)*14, 7)), canon-json-12 (qsl2 canon --d 1,...,1
-(12 ones) --r 6 --format json) and split-12 (split_expand((1,)*12, 6,
-6)).  Each prints one line with the wall seconds of the part it bounds,
-the peak resident set of the process (VmHWM of /proc/self/status, so
-Linux only), read right after that part, and the sha256 of the output,
-and exits 0 only when the sha256 equals its pin and the peak is under
-its bound; the seconds are reported, not checked.  The peak is the
-whole process's, so a second check in the same process would read the
-first one's: run each in a process of its own.
+(12 ones) --r 6 --format json), split-12 (split_expand((1,)*12, 6, 6))
+and split-text-12 (qsl2 split --d 1,...,1 (12 ones) --at 6 --r 6, the
+table text).  Each prints one line with the wall seconds of the part it
+bounds, the peak resident set of the process (VmHWM of
+/proc/self/status, so Linux only), read right after that part, and the
+sha256 of the output, and exits 0 only when the sha256 equals its pin
+and the peak is under its bound; the seconds are reported, not
+checked.  The peak is the whole process's, so a second check in the
+same process would read the first one's: run each in a process of its
+own.
 """
 
 from __future__ import annotations
@@ -75,27 +77,26 @@ class _Digest:
         pass
 
 
-def _canon_json_12() -> bool:
+def _cli(argv: list[str], pinned: str, size: int, bound_mb: float) -> bool:
+    """qsl2.cli.main(argv), its stdout's sha256 and byte length pinned."""
     import qsl2.cli
 
     real, sys.stdout = sys.stdout, _Digest()
     start = time.perf_counter()
-    code = qsl2.cli.main(
-        ["canon", "--d", ",".join(["1"] * 12), "--r", "6", "--format", "json"]
-    )
+    code = qsl2.cli.main(argv)
     seconds = time.perf_counter() - start
     out, sys.stdout = sys.stdout, real
-    # the peak of the solve, the JSON document and its encoding
+    # the peak of the solve, the output and its encoding
     peak_mb = _peak_mb()
     print(
         f"exit {code}, {seconds:.2f} s, peak {peak_mb:.1f} MB, {out.size} bytes, "
         f"sha256 {out.sha.hexdigest()}"
     )
-    # `python -m qsl2.cli ... | sha256sum` and `| wc -c` before the JSON
-    # builders shared equal values
-    pinned = "950818b82b6eda03840867f057a2a07fd0d983022657c9b447ab17846b071395"
-    ok = code == 0 and out.sha.hexdigest() == pinned and out.size == 96_513_550
-    return ok and peak_mb < 64
+    ok = code == 0 and out.sha.hexdigest() == pinned and out.size == size
+    return ok and peak_mb < bound_mb
+
+
+_TWELVE = ",".join(["1"] * 12)
 
 
 def _split_12() -> bool:
@@ -118,8 +119,23 @@ CHECKS = {
     "canon-14": lambda: _canon(
         14, "39e2b5e3ca8fb21193432b22125c599bddc5556611782dfce3c26c66fd54693d", 256
     ),
-    "canon-json-12": _canon_json_12,
+    # `python -m qsl2.cli ... | sha256sum` and `| wc -c` before the JSON
+    # builders shared equal values
+    "canon-json-12": lambda: _cli(
+        ["canon", "--d", _TWELVE, "--r", "6", "--format", "json"],
+        "950818b82b6eda03840867f057a2a07fd0d983022657c9b447ab17846b071395",
+        96_513_550,
+        64,
+    ),
     "split-12": _split_12,
+    # `python -m qsl2.cli ... | sha256sum` and `| wc -c` before the two
+    # table classes shared one text writer
+    "split-text-12": lambda: _cli(
+        ["split", "--d", _TWELVE, "--at", "6", "--r", "6"],
+        "96d363e15a498ad4049c2ae55df6b2b2d3bfcac1002a9e5a0ac3f02280dc64fb",
+        414_892,
+        52,
+    ),
 }
 
 

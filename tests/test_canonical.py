@@ -40,6 +40,7 @@ from qsl2.errors import (
 )
 from qsl2.modules import (
     LinMap,
+    _JsonParts,
     _gram,
     _step_scalar,
     act_divided,
@@ -48,6 +49,8 @@ from qsl2.modules import (
     act_K,
     combine,
     enumerate_basis,
+    format_index,
+    render_terms,
     tensor,
     theta,
 )
@@ -1447,6 +1450,91 @@ def test_equal_values_share_one_sub_object():
     # '-q + q^-1' twice
     obj = bar_involution(V((1, 1, 1, 1), (0, 1, 0, 1))).to_json_obj()
     _assert_equal_values_shared([t["coeff"] for t in obj["terms"]])
+
+
+# -- table writers ------------------------------------------------------------------
+
+
+def _reference_canonical_json(table):
+    """CanonicalTable.to_json_obj as it was written before the shared row
+    writers: the terms in ModuleVector.items() order."""
+    parts = _JsonParts()
+    return {
+        "d": list(table.d),
+        "r": table.r,
+        "rows": [
+            {"r_index": parts.index(idx), "terms": parts.terms(table.rows[idx].items())}
+            for idx in table.order
+        ],
+    }
+
+
+def _reference_canonical_render(table):
+    """CanonicalTable.render as it was written before the shared row
+    writers, its positions taken from `order` rather than _position."""
+    position = {idx: i for i, idx in enumerate(table.order)}
+    labels = {idx: format_index(idx) for idx in table.order}
+    texts: dict = {}
+    lines = [f"canonical basis d={format_index(table.d)} r={table.r}"]
+    for idx in table.order:
+        row = sorted(table.rows[idx]._terms.items(), key=lambda kv: -position[kv[0]])
+        terms = render_terms(((c, f"v{labels[s]}") for s, c in row), texts)
+        lines.append(f"b{labels[idx]} = {terms}")
+    return "\n".join(lines) + "\n"
+
+
+def _reference_split_json(split):
+    """SplitTable.to_json_obj as it was written before the shared row writers."""
+    position = {idx: i for i, idx in enumerate(split.order)}
+    parts = _JsonParts("s_index")
+    return {
+        "d": list(split.d),
+        "cut": split.cut,
+        "r": split.r,
+        "rows": [
+            {
+                "r_index": parts.index(idx),
+                "terms": parts.terms(
+                    sorted(split.rows[idx].items(), key=lambda kv: position[kv[0]])
+                ),
+            }
+            for idx in split.order
+        ],
+    }
+
+
+def _reference_split_render(split):
+    """SplitTable.render as it was written before the shared row writers."""
+    position = {idx: i for i, idx in enumerate(split.order)}
+    lines = [f"split expansion d={format_index(split.d)} cut={split.cut} r={split.r}"]
+    for idx in split.order:
+        terms = render_terms(
+            (c, f"b{format_index(s[: split.cut])}*b{format_index(s[split.cut :])}")
+            for s, c in sorted(split.rows[idx].items(), key=lambda kv: -position[kv[0]])
+        )
+        lines.append(f"b{format_index(idx)} = {terms}")
+    return "\n".join(lines) + "\n"
+
+
+def _assert_same_bytes(table, reference_json, reference_render, case):
+    assert table.render() == reference_render(table), case
+    new = json.dumps(table.to_json_obj(), indent=2)
+    assert new == json.dumps(reference_json(table), indent=2), case
+
+
+def test_row_writers_match_the_reference_writers_byte_for_byte():
+    cases = [d for total in range(1, 7) for d in _compositions(total)] + [(0, 2, 0, 1)]
+    for d in cases:
+        for r in range(sum(d) + 1):
+            table = canonical_basis(d, r)
+            _assert_same_bytes(
+                table, _reference_canonical_json, _reference_canonical_render, (d, r)
+            )
+            for cut in range(1, len(d)):
+                split = split_expand(d, cut, r)
+                _assert_same_bytes(
+                    split, _reference_split_json, _reference_split_render, (d, cut, r)
+                )
 
 
 # -- refinement embedding --------------------------------------------------------

@@ -161,6 +161,23 @@ def test_copies_of_a_table_keep_its_product():
     assert copy.deepcopy(table).product is not table.product
 
 
+def test_split_table_position_is_derived_and_not_compared():
+    split = split_expand((1, 1, 1), 1, 1)
+    assert split._position == {idx: i for i, idx in enumerate(split.order)}
+    assert "_position" not in repr(split)
+    assert split.__reduce__()[1] == (split.d, split.cut, split.r, split.order, split.rows)
+    for dup in (copy.deepcopy(split), pickle.loads(pickle.dumps(split))):
+        assert dup == split and repr(dup) == repr(split)
+        assert dup._position == split._position and dup._position is not split._position
+        assert dup.render() == split.render()
+    # a record whose derived map differs still equals one whose fields match
+    other = SplitTable(split.d, split.cut, split.r, split.order, split.rows)
+    object.__setattr__(other, "_position", {})
+    assert other == split and repr(other) == repr(split)
+    with pytest.raises(AttributeError):
+        split._position = {}
+
+
 def test_suite_result_is_mutable_and_unhashable():
     a, b = SuiteResult("x"), SuiteResult("x")
     assert a.failures is not b.failures

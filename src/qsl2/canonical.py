@@ -347,16 +347,16 @@ def _rows_json(table, header: dict, key: str, terms: Callable) -> dict:
 
 def _rows_text(table, header: str, terms: Callable, label: Callable) -> str:
     """header, then one line `b(idx) = ...` per row in table.order: the
-    terms of terms(idx) as label(s), by descending position in
-    table._position, as str(vector) prints them.  Each label and each
-    distinct coefficient is formatted once per call."""
-    position, labels = table._position, {s: label(s) for s in table.order}
-    texts: dict = {}
-    lines = [header]
+    terms of terms(idx) as label(s, format_index(s)), by descending
+    position in table._position, as str(vector) prints them.  Each index,
+    each label and each distinct coefficient is formatted once per call."""
+    position, names = table._position, {s: format_index(s) for s in table.order}
+    labels = {s: label(s, name) for s, name in names.items()}
+    texts, lines = {}, [header]
     for idx in table.order:
         row = sorted(terms(idx).items(), key=lambda kv: position[kv[0]], reverse=True)
         text = render_terms(((c, labels[s]) for s, c in row), texts)
-        lines.append(f"b{format_index(idx)} = {text}")
+        lines.append(f"b{names[idx]} = {text}")
     return "\n".join(lines) + "\n"
 
 
@@ -395,18 +395,18 @@ class CanonicalTable(_Record):
                 )
         return self.rows[tuple(r_idx)].coeff(s_idx)
 
-    def _row_terms(self, idx: OrbitIndex) -> dict[OrbitIndex, Laurent]:
-        return self.rows[idx]._terms
-
     def to_json_obj(self) -> dict:
         """{"d", "r", "rows": [{"r_index", "terms": [{"r", "coeff"},
         ...]}, ...]} by _rows_json; read-only, equal values share one object."""
-        return _rows_json(self, {"d": list(self.d), "r": self.r}, "r", self._row_terms)
+        header = {"d": list(self.d), "r": self.r}
+        return _rows_json(self, header, "r", lambda idx: self.rows[idx]._terms)
 
     def render(self) -> str:
         """The table as text, one row per line as str(row) prints it."""
         header = f"canonical basis d={format_index(self.d)} r={self.r}"
-        return _rows_text(self, header, self._row_terms, lambda s: f"v{format_index(s)}")
+        return _rows_text(
+            self, header, lambda idx: self.rows[idx]._terms, lambda s, name: f"v{name}"
+        )
 
 
 def _add_scaled(
@@ -720,7 +720,7 @@ class SplitTable(_Record):
             self,
             header,
             self.rows.__getitem__,
-            lambda s: f"b{format_index(s[:cut])}*b{format_index(s[cut:])}",
+            lambda s, _: f"b{format_index(s[:cut])}*b{format_index(s[cut:])}",
         )
 
 

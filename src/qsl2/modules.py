@@ -148,6 +148,10 @@ class ModuleVector:
         """Terms in canonical order: level, then the linear extension."""
         return sorted(self._terms.items(), key=lambda kv: self._order_key(kv[0]))
 
+    def unordered_items(self) -> Iterable[tuple[OrbitIndex, Laurent]]:
+        """Terms in storage order, for callers that discard the order."""
+        return self._terms.items()
+
     def coeff(self, idx: OrbitIndex) -> Laurent:
         return self._terms.get(tuple(idx), ZERO)
 
@@ -476,10 +480,8 @@ def inner_product(u: ModuleVector, w: ModuleVector) -> Laurent:
     # both vectors hold checked indices over the checked u.d, so the
     # memoized Gram entries are read directly; the products accumulate
     # as raw {half-exponent: coefficient} and one Laurent is built
-    small, large = (u, w) if len(u._terms) <= len(w._terms) else (w, u)
-    if large._terms.keys().isdisjoint(small._terms):
-        return ZERO
     acc: defaultdict[int, int] = defaultdict(int)
+    small, large = (u, w) if len(u._terms) <= len(w._terms) else (w, u)
     for idx, c in small._terms.items():
         cw = large._terms.get(idx)
         if cw is not None:

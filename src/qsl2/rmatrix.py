@@ -103,14 +103,14 @@ def _cartan_step(u: ModuleVector) -> ModuleVector:
     c1, c2 = u.d
     data = {
         (a, b): coeff * q_half((c1 - 2 * a) * (c2 - 2 * b))
-        for (a, b), coeff in u._terms.items()
+        for (a, b), coeff in u.unordered_items()
     }
     return ModuleVector._make(u.d, data)
 
 
 def _swap_step(u: ModuleVector) -> ModuleVector:
     c1, c2 = u.d
-    data = {(b, a): coeff for (a, b), coeff in u._terms.items()}
+    data = {(b, a): coeff for (a, b), coeff in u.unordered_items()}
     return ModuleVector._make((c2, c1), data)
 
 
@@ -197,7 +197,7 @@ def _extend_pair(pair: LinMap, c: Composition, a: int) -> LinMap:
         for idx in enumerate_basis(c, r):
             data = {
                 idx[: a - 1] + pidx + idx[a + 1 :]: coeff
-                for pidx, coeff in pair.columns[idx[a - 1], idx[a]]._terms.items()
+                for pidx, coeff in pair.columns[idx[a - 1], idx[a]].unordered_items()
             }
             columns[idx] = ModuleVector._make(new_c, data)
     return LinMap(c, new_c, columns)

@@ -527,7 +527,7 @@ def suite_rmatrix(max_total: int) -> SuiteResult:
                             lambda: f"intertwining {x} at {idx} for {perm} on {d}",
                         )
                     res.check(
-                        all(c.is_in_a() for c in img._terms.values()),
+                        all(c.is_in_a() for _, c in img.unordered_items()),
                         lambda: f"half power leak at {idx} for {perm} on {d}",
                     )
     return res

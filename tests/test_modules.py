@@ -62,6 +62,13 @@ def test_vector_basics():
         v((2, 2), 1, 1) + v((2, 1), 1, 1)
 
 
+def test_unordered_items_are_the_items_in_storage_order():
+    u = v((2, 2), 2, 2) + v((2, 2), 0, 1).scale(Q) + v((2, 2), 1, 0)
+    assert list(u.unordered_items()) == [((2, 2), ONE), ((0, 1), Q), ((1, 0), ONE)]
+    assert sorted(u.unordered_items(), key=lambda kv: u._order_key(kv[0])) == u.items()
+    assert list(u.unordered_items()) != u.items()
+
+
 def test_vector_arithmetic_and_levels():
     a = v((2, 2), 1, 1).scale(Q) + v((2, 2), 2, 0).scale(3)
     assert a.coeff((1, 1)) == Q

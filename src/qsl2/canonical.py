@@ -301,7 +301,7 @@ def compute_quasi_r(n_max: int) -> list[Laurent]:
     closed form, each checked once against the Psi columns of
     Lambda_(n,n) and cached for the process.  No canonical table reads
     kappa, and Psi reads it column by column through _kappa_through."""
-    if n_max < 0:
+    if type(n_max) is not int or n_max < 0:
         raise ValueError("n_max must be >= 0")
     return _kappa_through(n_max)
 

@@ -416,7 +416,7 @@ def act_divided(u: ModuleVector, gen: str, n: int) -> ModuleVector:
     / [k] for k = 1 .. n, each division exact."""
     if gen not in ("E", "F"):
         raise ValueError(f"unknown generator {gen!r}")
-    if n < 0:
+    if type(n) is not int or n < 0:
         raise ValueError("divided power needs n >= 0")
     v = u
     for k in range(1, n + 1):
@@ -558,7 +558,8 @@ class _Record:
 class LinMap(_Record):
     """A column map between standard bases: domain index -> image vector.
 
-    Columns may span several weight levels; apply is linear over every
+    Columns may span several weight levels; every column is checked to
+    lie over target once, at construction.  apply is linear over every
     stored column and raises on indices outside the column set.
     """
 
@@ -570,14 +571,29 @@ class LinMap(_Record):
         target: Composition,
         columns: dict[OrbitIndex, ModuleVector],
     ):
+        for idx, col in columns.items():
+            if col.d != target:
+                raise AmbientMismatchError(
+                    f"column {format_index(idx)} lies over {col.d}, "
+                    f"not the target {target}"
+                )
         self._set(source=source, target=target, columns=columns)
 
     def apply(self, u: ModuleVector) -> ModuleVector:
+        """The image of u: a one-term vector is its column scaled (the
+        column itself for a coefficient 1), a longer one is accumulated
+        column by column into one dict."""
         if u.d != self.source:
             raise AmbientMismatchError(f"map on {self.source} applied to {u.d}")
-        return combine(
-            self.target, ((c, self.columns[idx]) for idx, c in u._terms.items())
-        )
+        columns = self.columns
+        if len(u._terms) == 1:
+            ((idx, c),) = u._terms.items()
+            return columns[idx].scale(c)
+        data: dict[OrbitIndex, Laurent] = {}
+        for idx, c in u._terms.items():
+            for jdx, x in columns[idx]._terms.items():
+                _accumulate(data, jdx, c, x)
+        return ModuleVector._make(self.target, data)
 
     def compose(self, inner: "LinMap") -> "LinMap":
         """self after inner."""
@@ -589,11 +605,19 @@ class LinMap(_Record):
         return LinMap(inner.source, self.target, cols)
 
     @classmethod
-    def identity(cls, d: Composition) -> "LinMap":
+    def of(
+        cls, d: Composition, op: Callable[[ModuleVector], ModuleVector]
+    ) -> "LinMap":
+        """The map of an operator on Lambda_d, one column op(v_idx) per
+        standard basis vector, every level."""
         d = orbits.check_composition(d)
         cols = {
-            idx: ModuleVector.basis(d, idx)
+            idx: op(ModuleVector._make(d, {idx: ONE}))
             for r in range(sum(d) + 1)
             for idx in enumerate_basis(d, r)
         }
         return cls(d, d, cols)
+
+    @classmethod
+    def identity(cls, d: Composition) -> "LinMap":
+        return cls.of(d, lambda u: u)

@@ -84,6 +84,14 @@ def test_quasi_r_frozen_values():
     assert ks[3] == Laurent({6: -1, 2: 1, -2: 1, -10: -1, -14: -1, -18: 1})
 
 
+def test_compute_quasi_r_refuses_a_bool():
+    # compute_quasi_r(True) once returned kappa_0 and kappa_1
+    for flag in (True, False):
+        with pytest.raises(ValueError, match="n_max must be >= 0"):
+            compute_quasi_r(flag)
+    assert len(compute_quasi_r(1)) == 2 and compute_quasi_r(0) == [ONE]
+
+
 def _closed_form_kappa(n):
     # kappa_n = (-1)^n q^(-n(n-1)/2) (q - q^-1)^n [n]!
     expected = (Q - QINV) ** n * quantum_factorial(n) * Laurent({-n * (n - 1): 1})

@@ -265,6 +265,45 @@ def test_linmap():
         ident.compose(LinMap.identity((2, 1)))
 
 
+def test_linmap_refuses_a_column_off_its_target():
+    cols = dict(LinMap.identity((1, 1)).columns)
+    cols[(1, 0)] = v((2,), 1)
+    named = r"column \(1,0\) lies over \(2,\), not the target \(1, 1\)"
+    with pytest.raises(AmbientMismatchError, match=named):
+        LinMap((1, 1), (1, 1), cols)
+
+
+def test_linmap_apply_of_a_unit_basis_vector_is_its_column():
+    e_map = LinMap.of((2, 1), act_E)
+    u = v((2, 1), 1, 1)
+    assert e_map.apply(u) is e_map.columns[(1, 1)]
+    assert e_map.apply(u.scale(Q)) == e_map.columns[(1, 1)].scale(Q)
+    assert e_map.apply(ModuleVector.zero((2, 1))) == ModuleVector.zero((2, 1))
+    with pytest.raises(AmbientMismatchError):
+        e_map.apply(v((1, 2), 1, 1))
+
+
+def test_linmap_of_an_operator_applies_as_the_operator():
+    # the verify suites check the module relations on these maps, column
+    # by column, which stands for the operator only if apply is linear
+    rng = random.Random(3303)
+    ops = {
+        "K": act_K,
+        "K^-1": lambda u: act_K(u, -1),
+        "E": act_E,
+        "F": act_F,
+        "E^(2)": lambda u: act_divided(u, "E", 2),
+        "F^(2)": lambda u: act_divided(u, "F", 2),
+    }
+    for d in compositions(5):
+        maps = {name: LinMap.of(d, op) for name, op in ops.items()}
+        for level in range(sum(d) + 1):
+            for _ in range(3):
+                u = _random_vector(rng, d, level)
+                for name, op in ops.items():
+                    assert maps[name].apply(u) == op(u), (name, u)
+
+
 def test_serialization_roundtrip():
     u = v((2, 2), 1, 1).scale(Laurent({-2: 1, -6: 1})) + v((2, 2), 2, 0)
     obj = u.to_json_obj()
@@ -295,6 +334,16 @@ def test_act_k_refuses_a_bool():
         with pytest.raises(ValueError, match=r"sign must be \+1 or -1"):
             act_K(u, flag)
     assert act_K(u, 1) == u.scale(Q) and act_K(u, -1) == u.scale(QINV)
+
+
+def test_act_divided_refuses_a_bool_or_a_float():
+    # act_divided(v, "E", True) once acted as E, and 1.0 escaped as a
+    # TypeError from range
+    u = v((2,), 2)
+    for n in (True, False, 1.0):
+        with pytest.raises(ValueError, match="divided power needs n >= 0"):
+            act_divided(u, "E", n)
+    assert act_divided(u, "E", 1) == act_E(u) and act_divided(u, "E", 0) == u
 
 
 def test_rendering():

@@ -183,6 +183,28 @@ def test_pow_refuses_a_bool():
     assert Q ** 1 == Q and Q ** 0 == ONE
 
 
+def test_quantum_integer_refuses_a_bool():
+    # quantum_integer(True) once returned [1], a bool read as the int 1
+    for flag in (True, False):
+        with pytest.raises(ValueError, match="quantum integer needs n >= 0"):
+            quantum_integer(flag)
+    assert quantum_integer(1) == ONE and quantum_integer(0) == ZERO
+
+
+def test_quantum_factorial_refuses_a_bool():
+    for flag in (True, False):
+        with pytest.raises(ValueError, match="quantum factorial needs n >= 0"):
+            quantum_factorial(flag)
+    assert quantum_factorial(1) == ONE and quantum_factorial(0) == ONE
+
+
+def test_quantum_binomial_refuses_a_bool_in_either_argument():
+    for n, r in ((True, 1), (True, 0), (1, True), (1, False), (True, True)):
+        with pytest.raises(ValueError, match=r"quantum binomial needs 0 <= r <= n"):
+            quantum_binomial(n, r)
+    assert quantum_binomial(1, 1) == ONE and quantum_binomial(1, 0) == ONE
+
+
 def test_powers_of_q():
     assert q_power(1) == Q
     assert q_power(-1) == QINV

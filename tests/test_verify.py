@@ -140,6 +140,26 @@ def test_suite_modules_catches_a_wrong_adjoint_of_e(monkeypatch):
     assert all(w.startswith("adjointness of E") for w in res.failures)
 
 
+def test_suite_modules_reads_the_e_that_verify_imports(monkeypatch):
+    # the operator maps are built from verify's own act_E binding, so a
+    # fault planted there breaks the commutator and the adjointness of E
+    real = verify_mod.act_E
+    monkeypatch.setattr(verify_mod, "act_E", lambda u: real(u).scale(Q))
+    res = SUITES["modules"](3)
+    assert len(res.failures) == _FAILURE_CAP and res.truncated
+    starts = ("EF-FE", "adjointness of E")
+    for start in starts:
+        assert any(w.startswith(start) for w in res.failures), start
+
+
+def test_suite_bar_reads_the_f_that_verify_imports(monkeypatch):
+    real = verify_mod.act_F
+    monkeypatch.setattr(verify_mod, "act_F", lambda u: real(u).scale(Q))
+    res = SUITES["bar"](3)
+    assert len(res.failures) == _FAILURE_CAP and res.truncated
+    assert all(w.startswith("Psi F") for w in res.failures)
+
+
 def _plant_perturbed_row(monkeypatch, product, solved=0):
     """Replace the memoized level-1 table of (1,1) by one whose row
     b(0,1) reads v(0,1) + q v(1,0) in place of v(0,1) + q^-1 v(1,0).

@@ -308,7 +308,7 @@ def q_half(h: int) -> Laurent:
 def quantum_integer(n: int) -> Laurent:
     """[n] = q^(n-1) + q^(n-3) + ... + q^(1-n); [0] = 0."""
     if type(n) is not int or n < 0:
-        raise ValueError(f"quantum integer needs n >= 0, got {n!r}")
+        raise ValueError(f"quantum integer needs n >= 0, got {n}")
     return Laurent({2 * (n - 1 - 2 * i): 1 for i in range(n)})
 
 
@@ -316,7 +316,7 @@ def quantum_integer(n: int) -> Laurent:
 def quantum_factorial(n: int) -> Laurent:
     """[n]! = [1][2]...[n]; [0]! = 1."""
     if type(n) is not int or n < 0:
-        raise ValueError(f"quantum factorial needs n >= 0, got {n!r}")
+        raise ValueError(f"quantum factorial needs n >= 0, got {n}")
     out = ONE
     for k in range(2, n + 1):
         out = out * quantum_integer(k)
@@ -328,7 +328,7 @@ def quantum_binomial(n: int, r: int) -> Laurent:
     """The quantum binomial via the product formula, one exact division
     per factor so integrality is checked at every step."""
     if type(n) is not int or type(r) is not int or not 0 <= r <= n:
-        raise ValueError(f"quantum binomial needs 0 <= r <= n, got n={n!r}, r={r!r}")
+        raise ValueError(f"quantum binomial needs 0 <= r <= n, got n={n}, r={r}")
     out = ONE
     for t in range(1, r + 1):
         out = exact_div(out * quantum_integer(n - r + t), quantum_integer(t))

@@ -10,10 +10,10 @@ The module, bar and braiding suites build, once per composition, the
 LinMap of each operator they apply to basis vectors (K, E, F, and E^(2)
 and F^(2) for the module relations) from the act_* names this module
 imports, check every relation column by column, and drop the maps when
-the sweep moves on.  The kernels still act on vectors that are not
-basis vectors: E, F and K^-1 of Psi(v) in the bar suite, K, E and F of
-R(v) in the braiding suite, and the rho images of the adjointness
-checks.
+the sweep moves on.  The kernels still act directly on vectors that
+are not basis vectors: E, F and K^-1 on Psi(v) in the bar suite, K, E
+and F on R(v) in the braiding suite, and rho_twist's composites (K
+after F or E) in the adjointness checks.
 """
 
 from __future__ import annotations

@@ -317,9 +317,8 @@ def bar_involution(u: ModuleVector, *, cut: int = 1) -> ModuleVector:
     column scaled, which is the column itself for a unit coefficient
     (vectors are immutable)."""
     l = len(u.d)
-    if l == 1:
-        cut = 1
-    elif type(cut) is not int or not 1 <= cut < l:
+    # one factor has no split: only the default cut 1 is accepted
+    if type(cut) is not int or not 1 <= cut < max(l, 2):
         raise ValueError(f"cut {cut!r} out of range for {l} slots")
     if len(u._terms) == 1:
         ((idx, c),) = u._terms.items()
@@ -778,10 +777,8 @@ def _assert_embedding(m: LinMap) -> None:
                 raise EmbeddingCheckFailedError(
                     f"embedding of Lambda_{src} fails to intertwine {name} at {idx}"
                 )
-    by_level: dict[int, list[OrbitIndex]] = {}
-    for idx in m.columns:
-        by_level.setdefault(sum(idx), []).append(idx)
-    for cols in by_level.values():
+    for r in range(sum(src) + 1):
+        cols = enumerate_basis(src, r)
         for i in cols:
             for j in cols:
                 lhs = inner_product(m.columns[i], m.columns[j])

@@ -609,14 +609,16 @@ class LinMap(_Record):
         cls, d: Composition, op: Callable[[ModuleVector], ModuleVector]
     ) -> "LinMap":
         """The map of an operator on Lambda_d, one column op(v_idx) per
-        standard basis vector, every level."""
+        standard basis vector, every level.  The target is the
+        composition of the level-0 column, op(v_(0,...,0)); every other
+        column must lie over it."""
         d = orbits.check_composition(d)
         cols = {
             idx: op(ModuleVector._make(d, {idx: ONE}))
             for r in range(sum(d) + 1)
             for idx in enumerate_basis(d, r)
         }
-        return cls(d, d, cols)
+        return cls(d, cols[(0,) * len(d)].d, cols)
 
     @classmethod
     def identity(cls, d: Composition) -> "LinMap":

@@ -18,12 +18,13 @@ The negative braiding is Psi R_+ Psi, built from the bar involutions
 of source and target and no canonical table.  Both canonical bases are
 Psi-fixed, so its canonical-basis matrix is the entrywise bar of the
 positive one's; it is checked to be the exact two-sided inverse of the
-positive braiding on construction.  Longer moves compose pair
-braidings letter by letter along a reduced word, tracking the evolving
-composition; the result depends only on the permutation, which the
-verification suite confirms by comparing reduced words.  Every braiding
-is a plain LinMap, its source and target the compositions before and
-after the move.
+positive braiding on construction.  A longer move carries each basis
+vector through the letters of a reduced word in turn, each letter's
+pair braiding acting on two adjacent slots of the evolving composition;
+the result depends only on the permutation, which the verification
+suite confirms by comparing reduced words.  Every braiding is a plain
+LinMap.of map, its source and target the compositions before and after
+the move.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .errors import (
     InverseCheckFailedError,
     NonReducedWordError,
 )
-from .modules import LinMap, ModuleVector, _Record, enumerate_basis
+from .modules import LinMap, ModuleVector, _Record, _accumulate, enumerate_basis
 from .qring import Laurent, ZERO, q_half
 
 __all__ = [
@@ -60,6 +61,8 @@ class PermWord(_Record):
     __slots__ = ("slots", "letters")
 
     def __init__(self, slots: int, letters: Iterable[int]):
+        if type(slots) is not int:
+            raise ValueError(f"slots {slots!r} is not an int")
         if slots < 1:
             raise ValueError("a word needs at least one slot")
         letters = tuple(letters)
@@ -120,13 +123,12 @@ def _r_plus_columns(d1: int, d2: int) -> dict[OrbitIndex, ModuleVector]:
     scalar.  F^(n) tensor E^(n) has bar-invariant entries on single
     factors, so Theta_R = bar Psi here, and bar Psi is linear."""
     scalar = Laurent({3 * d1 * d2: (-1) ** (d1 * d2)})
-    columns: dict[OrbitIndex, ModuleVector] = {}
-    for r in range(d1 + d2 + 1):
-        for idx in enumerate_basis((d1, d2), r):
-            u = bar_involution(ModuleVector.basis((d1, d2), idx))
-            u = u.map_coefficients(Laurent.bar)
-            columns[idx] = _swap_step(_cartan_step(u)).scale(scalar)
-    return columns
+
+    def op(u: ModuleVector) -> ModuleVector:
+        u = bar_involution(u).map_coefficients(Laurent.bar)
+        return _swap_step(_cartan_step(u)).scale(scalar)
+
+    return LinMap.of((d1, d2), op).columns
 
 
 def r_plus_pair(d1: int, d2: int) -> LinMap:
@@ -162,22 +164,14 @@ def r_minus_pair(d1: int, d2: int) -> LinMap:
     if cached is not None:
         return cached
     plus = r_plus_pair(d1, d2)
-    src, tgt = (d1, d2), (d2, d1)
-    columns = {
-        idx: bar_involution(plus.apply(bar_involution(ModuleVector.basis(src, idx))))
-        for r in range(d1 + d2 + 1)
-        for idx in enumerate_basis(src, r)
-    }
-    out = LinMap(src, tgt, columns)
+    out = LinMap.of((d1, d2), lambda u: bar_involution(plus.apply(bar_involution(u))))
 
     partner = r_plus_pair(d2, d1)
-    ident_src = LinMap.identity(src)
-    ident_tgt = LinMap.identity(tgt)
-    if partner.compose(out) != ident_src:
+    if partner.compose(out) != LinMap.identity((d1, d2)):
         raise InverseCheckFailedError(
             f"R_+({d2},{d1}) after R_-({d1},{d2}) is not the identity"
         )
-    if out.compose(partner) != ident_tgt:
+    if out.compose(partner) != LinMap.identity((d2, d1)):
         raise InverseCheckFailedError(
             f"R_-({d1},{d2}) after R_+({d2},{d1}) is not the identity"
         )
@@ -188,19 +182,17 @@ def r_minus_pair(d1: int, d2: int) -> LinMap:
 # -- moves along reduced words ----------------------------------------------------
 
 
-def _extend_pair(pair: LinMap, c: Composition, a: int) -> LinMap:
-    """id (x) pair (x) id, the pair map eating slots a-1 and a of
-    Lambda_c (letters are 1-based)."""
-    new_c = c[: a - 1] + (c[a], c[a - 1]) + c[a + 1 :]
-    columns: dict[OrbitIndex, ModuleVector] = {}
-    for r in range(sum(c) + 1):
-        for idx in enumerate_basis(c, r):
-            data = {
-                idx[: a - 1] + pidx + idx[a + 1 :]: coeff
-                for pidx, coeff in pair.columns[idx[a - 1], idx[a]].unordered_items()
-            }
-            columns[idx] = ModuleVector._make(new_c, data)
-    return LinMap(c, new_c, columns)
+def _pair_step(u: ModuleVector, pair: LinMap, a: int) -> ModuleVector:
+    """(id (x) pair (x) id) u, the pair map eating slots a-1 and a of u
+    (letters are 1-based): each term's two slots are replaced by the
+    pair column of its two indices, the other slots kept."""
+    c = u.d
+    data: dict[OrbitIndex, Laurent] = {}
+    for idx, coeff in u.unordered_items():
+        head, tail = idx[: a - 1], idx[a + 1 :]
+        for pidx, x in pair.columns[idx[a - 1], idx[a]].unordered_items():
+            _accumulate(data, head + pidx + tail, coeff, x)
+    return ModuleVector._make(c[: a - 1] + pair.target + c[a + 1 :], data)
 
 
 def _word_on(d: Composition, word: PermWord | Iterable[int]) -> PermWord:
@@ -216,9 +208,11 @@ def _word_on(d: Composition, word: PermWord | Iterable[int]) -> PermWord:
 def r_move(
     d: Composition, word: PermWord | Iterable[int], sign: str = "plus"
 ) -> LinMap:
-    """Compose pair braidings along a reduced word, one letter at a
-    time, left to right.  The result depends only on the permutation;
-    a non-reduced word is rejected rather than silently normalized."""
+    """The braiding along a reduced word: each basis vector is carried
+    through the letters left to right, each letter's pair braiding
+    picked once per call from the evolving composition.  The result
+    depends only on the permutation; a non-reduced word is rejected
+    rather than silently normalized."""
     d = orbits.check_composition(d)
     if sign not in ("plus", "minus"):
         raise ValueError(f"sign must be plus or minus, got {sign!r}")
@@ -228,20 +222,19 @@ def r_move(
             f"word {list(word.letters)} has length {len(word.letters)} "
             f"but only {word.inversions()} inversions"
         )
-    if not word.letters:
-        return LinMap.identity(d)
-    total = None
-    current = d
+    pair_of = r_plus_pair if sign == "plus" else r_minus_pair
+    steps, current = [], d
     for a in word.letters:
-        pair = (
-            r_plus_pair(current[a - 1], current[a])
-            if sign == "plus"
-            else r_minus_pair(current[a - 1], current[a])
-        )
-        step = _extend_pair(pair, current, a)
-        total = step if total is None else step.compose(total)
-        current = step.target
-    return total
+        pair = pair_of(current[a - 1], current[a])
+        steps.append((pair, a))
+        current = current[: a - 1] + pair.target + current[a + 1 :]
+
+    def move(u: ModuleVector) -> ModuleVector:
+        for pair, a in steps:
+            u = _pair_step(u, pair, a)
+        return u
+
+    return LinMap.of(d, move)
 
 
 def lift_word(d: Composition, word: PermWord | Iterable[int]) -> list[int]:

@@ -7,9 +7,10 @@ Run from the repository root, one check per process:
 
 The checks are canon-12 (canonical_basis((1,)*12, 6)), canon-14
 (canonical_basis((1,)*14, 7)), canon-json-12 (qsl2 canon --d 1,...,1
-(12 ones) --r 6 --format json), split-12 (split_expand((1,)*12, 6, 6))
-and split-text-12 (qsl2 split --d 1,...,1 (12 ones) --at 6 --r 6, the
-table text).  Each prints one line with the wall seconds of the part it
+(12 ones) --r 6 --format json), split-12 (split_expand((1,)*12, 6, 6)),
+split-text-12 (qsl2 split --d 1,...,1 (12 ones) --at 6 --r 6, the
+table text) and rmat-10 (r_move((1,)*10, w0, "minus"), w0 the longest
+word).  Each prints one line with the wall seconds of the part it
 bounds, the peak resident set of the process (VmHWM of
 /proc/self/status, so Linux only), read right after that part, and the
 sha256 of the output, and exits 0 only when the sha256 equals its pin
@@ -111,6 +112,29 @@ def _split_12() -> bool:
     return digest == pinned and peak_mb < 52
 
 
+def _rmat_10() -> bool:
+    """r_move((1,)*10, w0, "minus") along the bubble-sort word of the
+    longest permutation: the sha256 of the columns' terms, each column's
+    to_json_obj()["terms"] in LinMap.of order (levels up, each level in
+    enumerate_basis order), as one JSON list."""
+    d = (1,) * 10
+    w0 = [a for k in range(len(d) - 1, 0, -1) for a in range(1, k + 1)]
+    start = time.perf_counter()
+    move = qsl2.r_move(d, w0, "minus")
+    seconds = time.perf_counter() - start
+    # the peak of the move, read before the digest adds its own
+    peak_mb = _peak_mb()
+    digest = hashlib.sha256(b"[")
+    order = [idx for r in range(sum(d) + 1) for idx in qsl2.enumerate_basis(d, r)]
+    for i, idx in enumerate(order):
+        terms = move.columns[idx].to_json_obj()["terms"]
+        digest.update((b"," if i else b"") + _dump(terms))
+    digest.update(b"]")
+    print(f"{seconds:.2f} s, peak {peak_mb:.1f} MB, columns sha256 {digest.hexdigest()}")
+    pinned = "839e1f53ffaaf531fcb45c4809876447b14b0da0dcaecf2412a73d609b8ce444"
+    return digest.hexdigest() == pinned and peak_mb < 56
+
+
 CHECKS = {
     "canon-12": lambda: _canon(
         12, "aa1266127209c1f5d566ba20fe4c3aa1035331e8b27abe7432798a666bda2c15", 64
@@ -136,6 +160,8 @@ CHECKS = {
         414_892,
         52,
     ),
+    # pinned from the letter-by-letter composition of extended pair maps
+    "rmat-10": _rmat_10,
 }
 
 

@@ -5,6 +5,7 @@ import importlib.util
 import json
 import os
 import random
+import re
 import sys
 from collections import defaultdict
 
@@ -352,6 +353,16 @@ def test_bar_involution_cut_validation():
         bar_involution(u, cut=0)
     with pytest.raises(ValueError):
         bar_involution(u, cut=3)
+
+
+def test_bar_involution_of_one_factor_takes_only_cut_1():
+    # a single factor has no split, so only the default cut is accepted
+    u = V((2,), (1,))
+    assert bar_involution(u, cut=1) == bar_involution(u) == u
+    for cut in ("x", True, 7, 0, 1.0):
+        named = re.escape(f"cut {cut!r} out of range for 1 slots")
+        with pytest.raises(ValueError, match=named):
+            bar_involution(u, cut=cut)
 
 
 # -- canonical tables ----------------------------------------------------------

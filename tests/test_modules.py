@@ -273,6 +273,23 @@ def test_linmap_refuses_a_column_off_its_target():
         LinMap((1, 1), (1, 1), cols)
 
 
+def _swap_slots(u):
+    """A vector over (d1, d2) read over (d2, d1), each index reversed."""
+    return ModuleVector(u.d[::-1], {idx[::-1]: c for idx, c in u.items()})
+
+
+def test_linmap_of_takes_its_target_from_the_level_0_column():
+    swap = LinMap.of((1, 2), _swap_slots)
+    assert swap.source == (1, 2)
+    assert swap.target == (2, 1)
+    assert swap.apply(v((1, 2), 1, 2)) == v((2, 1), 2, 1)
+    # every column but the top one swapped: two compositions among the columns
+    split = lambda u: u if u.support() == {(1, 2)} else _swap_slots(u)
+    named = r"column \(1,2\) lies over \(1, 2\), not the target \(2, 1\)"
+    with pytest.raises(AmbientMismatchError, match=named):
+        LinMap.of((1, 2), split)
+
+
 def test_linmap_apply_of_a_unit_basis_vector_is_its_column():
     e_map = LinMap.of((2, 1), act_E)
     u = v((2, 1), 1, 1)

@@ -1,6 +1,8 @@
 """Braiding maps: pair braidings, composed moves along reduced words,
 matrix extraction, and the advertised failure modes."""
 
+import re
+
 import pytest
 
 from qsl2 import (
@@ -9,6 +11,7 @@ from qsl2 import (
     PermWord,
     canonical_basis,
     canonical_coords,
+    compositions,
     lift_word,
     matrix_in_basis,
     r_minus_pair,
@@ -58,6 +61,15 @@ def test_permword_stores_a_tuple_and_rejects_non_int_letters():
     assert w == PermWord(3, (1, 2))
     with pytest.raises(ValueError, match="letter 1.0 is not an int"):
         PermWord(3, (1.0,))
+
+
+def test_permword_rejects_a_non_int_slot_count():
+    for slots in (2.5, True, "3"):
+        named = re.escape(f"slots {slots!r} is not an int")
+        with pytest.raises(ValueError, match=named):
+            PermWord(slots, ())
+    with pytest.raises(ValueError, match=re.escape("slots 2.0 is not an int")):
+        r_move((1, 1), PermWord(2.0, [1]))
 
 
 def test_move_rejects_a_non_int_letter():
@@ -290,6 +302,68 @@ def test_move_rejects_non_reduced_words():
         r_move((1, 1, 1), [1, 2, 1, 2])
     with pytest.raises(ValueError):
         r_move((1, 1), [2])
+
+
+def _extend_pair(pair, c, a):
+    """id (x) pair (x) id, the pair map eating slots a-1 and a of
+    Lambda_c (letters are 1-based)."""
+    new_c = c[: a - 1] + (c[a], c[a - 1]) + c[a + 1 :]
+    columns = {}
+    for r in range(sum(c) + 1):
+        for idx in enumerate_basis(c, r):
+            data = {
+                idx[: a - 1] + pidx + idx[a + 1 :]: coeff
+                for pidx, coeff in pair.columns[idx[a - 1], idx[a]].unordered_items()
+            }
+            columns[idx] = ModuleVector._make(new_c, data)
+    return LinMap(c, new_c, columns)
+
+
+def _reference_r_move(d, word, sign, before=None):
+    """The move as the package once built it: each letter's pair
+    braiding extended to id (x) pair (x) id on the evolving composition,
+    the extensions composed letter by letter, left to right.  before,
+    if given, is this route's move along word[:-1], and only the last
+    letter is composed onto it."""
+    pair_of = r_plus_pair if sign == "plus" else r_minus_pair
+    total, letters = (LinMap.identity(d), word) if before is None else (before, word[-1:])
+    for a in letters:
+        c = total.target
+        total = _extend_pair(pair_of(c[a - 1], c[a]), c, a).compose(total)
+    return total
+
+
+def _one_reduced_word_per_permutation(slots):
+    """The first word reaching each permutation of S_slots, breadth
+    first, so the shortest and hence a reduced one."""
+    words = {PermWord(slots, ()).permutation(): ()}
+    frontier = [()]
+    while frontier:
+        grown = []
+        for w in frontier:
+            for a in range(1, slots):
+                perm = PermWord(slots, w + (a,)).permutation()
+                if perm not in words:
+                    words[perm] = w + (a,)
+                    grown.append(w + (a,))
+        frontier = grown
+    return list(words.values())
+
+
+def test_move_matches_the_extended_pair_route_on_four_and_five_slots():
+    # suite_rmatrix covers at most three slots
+    for d in compositions(6):
+        if len(d) not in (4, 5):
+            continue
+        words = _one_reduced_word_per_permutation(len(d))
+        assert len(words) == (24 if len(d) == 4 else 120)
+        for sign in ("plus", "minus"):
+            # breadth first, so each word's prefix is built before it
+            refs = {}
+            for word in words:
+                refs[word] = _reference_r_move(d, word, sign, refs.get(word[:-1]))
+                assert r_move(d, word, sign) == refs[word], (d, word, sign)
+            assert _reference_r_move(d, words[-1], sign) == refs[words[-1]]
 
 
 def test_move_empty_word_is_identity():

@@ -18,15 +18,15 @@ q-powers, so the convention is anchored to the module action itself:
 on the pair module Lambda_(n,n), Theta's n-th term is nonzero only on
 v_(0,n), so every other Psi column reads only kappa_k with k < n, and
 kappa_n is kept only once Psi(x u) = bar(x) Psi(u), x in {E, F}, holds
-there on every basis vector and kappa_n lies in Z[q, q^-1]; otherwise
-ConventionUnderdeterminedError is raised and nothing is kept.  Each Psi
-column reads kappa only as far as its own Theta can: Psi keeps the
-weight level, F^(n) of the left block vanishes past that block's total
-and E^(n) of the right block past its level, so the column of v_idx at
-cut c reads kappa_n for n <= min(sum(d[:c]) - sum(idx[:c]),
-sum(idx[c:])), and its nested cuts bound their own reads.  Every Psi
-column is built under the checked kappa into the one memo store _MEMO.
-No canonical table reads kappa.
+on every column of Psi's LinMap.of map there and kappa_n lies in
+Z[q, q^-1]; otherwise ConventionUnderdeterminedError is raised and
+nothing is kept.  Each Psi column reads kappa only as far as its own
+Theta can: Psi keeps the weight level, F^(n) of the left block vanishes
+past that block's total and E^(n) of the right block past its level,
+so the column of v_idx at cut c reads kappa_n for n <= min(sum(d[:c])
+- sum(idx[:c]), sum(idx[c:])), and its nested cuts bound their own
+reads.  Every Psi column is built under the checked kappa into the one
+memo store _MEMO.  No canonical table reads kappa.
 
 Canonical tables are solved one factor at a time from bar-invariant
 monomials (Lusztig, Introduction to Quantum Groups, 27.3).  Write
@@ -96,10 +96,11 @@ Theta step is bar Psi.
 
 The refinement embedding comes from the module structure alone: on each
 nonzero part it is the intertwiner v_a -> F^(a) v_(0,...,0) into that
-many single-box factors, and on Lambda_d the tensor product of these.
-It reads no canonical table: that it carries each b_r to the canonical
-basis element at the dense refinement of r is a consequence of purity,
-which the embed suite of verify checks, not a definition.
+many single-box factors, and on Lambda_d the tensor product of these,
+one LinMap.of column per standard basis vector.  It reads no canonical
+table: that it carries each b_r to the canonical basis element at the
+dense refinement of r is a consequence of purity, which the embed suite
+of verify checks, not a definition.
 """
 
 from __future__ import annotations
@@ -254,26 +255,29 @@ def _extend_kappa() -> None:
 
     Theta's n-th term F^(n) v_a tensor E^(n) v_b vanishes unless a = 0
     and b = n, so kappa_n enters Psi on Lambda_(n,n) only through the
-    column of v_(0,n).  Every other column reads only kappa_0 ..
-    kappa_(n-1) and is the memoized Psi column; the column of v_(0,n)
-    is built under the new value, outside _MEMO.  Psi(x u) = x Psi(u),
-    x in {E, F} (both bar-invariant), must then hold on every basis
-    vector before the value is kept."""
+    column of v_(0,n).  Psi is LinMap.of((n, n), column): every other
+    column reads only kappa_0 .. kappa_(n-1) and is the memoized Psi
+    column, and that of v_(0,n) is Theta under the new value, outside
+    _MEMO.  Psi(x u) = x Psi(u), x in {E, F} (both bar-invariant), must
+    then hold on every column before the value is kept."""
     n = len(_KAPPA)
     value = (QINV - Q) ** n * q_power(-n * (n - 1) // 2) * quantum_factorial(n)
     d = (n, n)
-    top = (0, n)
-    basis = [idx for level in range(2 * n + 1) for idx in enumerate_basis(d, level)]
-    columns = {idx: _psi_basis(d, idx, 1) for idx in basis if idx != top}
     v0, vn = ModuleVector.basis((n,), (0,)), ModuleVector.basis((n,), (n,))
-    columns[top] = theta(v0, vn, _KAPPA + [value])
-    psi = LinMap(d, d, columns)
+
+    def column(u: ModuleVector) -> ModuleVector:
+        ((idx, _),) = u.unordered_items()
+        if idx == (0, n):
+            return theta(v0, vn, _KAPPA + [value])
+        return _psi_basis(d, idx, 1)
+
+    psi = LinMap.of(d, column)
     # Psi(x v_idx) = sum_s bar(x_s) Psi(v_s) is the column map applied
     # to bar(x v_idx)
-    for idx in basis:
+    for idx, image in psi.columns.items():
         u = ModuleVector.basis(d, idx)
         for name, op in (("F", act_F), ("E", act_E)):
-            if psi.apply(op(u).map_coefficients(Laurent.bar)) != op(columns[idx]):
+            if psi.apply(op(u).map_coefficients(Laurent.bar)) != op(image):
                 raise ConventionUnderdeterminedError(
                     f"kappa_{n} = {value} fails Psi {name} = {name} Psi at {idx} "
                     f"on Lambda_{d}"
@@ -313,16 +317,13 @@ def bar_involution(u: ModuleVector, *, cut: int = 1) -> ModuleVector:
     """Psi(u) = sum bar(c) Psi(v_idx) over the terms c v_idx of u, from
     the memoized columns, each built under the checked coefficients as
     far as it reads them.  cut chooses where the top-level Theta splits
-    the slots (the result is nesting independent).  A single term is its
-    column scaled, which is the column itself for a unit coefficient
-    (vectors are immutable)."""
+    the slots (the result is nesting independent).  The sum is combine's,
+    so a single term is its column scaled, the column itself for a unit
+    coefficient (vectors are immutable)."""
     l = len(u.d)
     # one factor has no split: only the default cut 1 is accepted
     if type(cut) is not int or not 1 <= cut < max(l, 2):
         raise ValueError(f"cut {cut!r} out of range for {l} slots")
-    if len(u._terms) == 1:
-        ((idx, c),) = u._terms.items()
-        return _psi_basis(u.d, idx, cut).scale(c.bar())
     return combine(
         u.d, ((c.bar(), _psi_basis(u.d, idx, cut)) for idx, c in u._terms.items())
     )
@@ -798,19 +799,18 @@ def embed_refine(d: Composition) -> LinMap:
     embed suite of verify checks.  Intertwining and isometry are
     asserted on every construction, not assumed."""
     d = orbits.check_composition(d)
-    total = sum(d)
-    if total == 0:
+    if sum(d) == 0:
         raise ValueError("refinement of a zero composition has no slots")
     # images[n][a] = F^(a) v_(0,...,0) on n single-box factors
     images = {}
     for n in set(d) - {0}:
         top = ModuleVector.basis((1,) * n, (0,) * n)
         images[n] = [act_divided(top, "F", a) for a in range(n + 1)]
-    columns = {
-        idx: reduce(tensor, [images[n][a] for n, a in zip(d, idx) if n])
-        for r in range(total + 1)
-        for idx in enumerate_basis(d, r)
-    }
-    m = LinMap(d, (1,) * total, columns)
+
+    def column(u: ModuleVector) -> ModuleVector:
+        ((idx, _),) = u.unordered_items()
+        return reduce(tensor, [images[n][a] for n, a in zip(d, idx) if n])
+
+    m = LinMap.of(d, column)
     _assert_embedding(m)
     return m

@@ -19,7 +19,7 @@ Every kernel (combine, tensor, the E, F and K actions, theta) sums its
 terms through one helper in which a factor 1 multiplies nothing: the
 other factor is stored as it is, since vectors and ring values are
 immutable.  So E, F and K of a basis vector make no Laurent product,
-and combine of a single pair (1, u) is u itself.
+and combine of a single pair (c, u) is u scaled by c, u itself for c = 1.
 
 The twisted adjoint rho (rho(K) = K, rho(E) = qKF, rho(F) = qK^-1 E)
 makes the inner product contravariant: (x u, w) = (u, rho(x) w).  On
@@ -163,11 +163,6 @@ class ModuleVector:
 
     def levels(self) -> set[int]:
         return {sum(idx) for idx in self._terms}
-
-    def level(self) -> int | None:
-        """The common weight level, or None if mixed or zero."""
-        seen = self.levels()
-        return seen.pop() if len(seen) == 1 else None
 
     # -- linear structure -------------------------------------------------------
 
@@ -325,18 +320,19 @@ def tensor(u: ModuleVector, w: ModuleVector) -> ModuleVector:
 
 def combine(d: Composition, pairs: Iterable[tuple[Laurent, ModuleVector]]) -> ModuleVector:
     """The linear combination sum c u over (c, u) in pairs, every u over
-    d, accumulated into one dict; empty pairs give the zero vector.  A
-    zero c adds nothing and a c of 1 multiplies nothing, so one pair
-    (1, u) is u itself (vectors are immutable)."""
+    d and every c a ring element, accumulated into one dict; empty pairs
+    give the zero vector.  One pair (c, u) is u scaled by c, which is u
+    itself for c = 1 (vectors are immutable); otherwise a zero c adds
+    nothing and a c of 1 multiplies nothing."""
     pairs = list(pairs)
-    if len(pairs) == 1:
-        c, u = pairs[0]
-        if c._terms == _UNIT and u.d == d:
-            return u
     data: dict[OrbitIndex, Laurent] = {}
     for c, u in pairs:
         if u.d != d:
             raise AmbientMismatchError(f"cannot add a vector over {u.d} to one over {d}")
+        if not isinstance(c, Laurent):
+            raise TypeError(f"coefficient {c!r} is not a ring element")
+        if len(pairs) == 1:
+            return u.scale(c)
         if c._terms:
             for idx, x in u._terms.items():
                 _accumulate(data, idx, c, x)
@@ -609,7 +605,8 @@ class LinMap(_Record):
         cls, d: Composition, op: Callable[[ModuleVector], ModuleVector]
     ) -> "LinMap":
         """The map of an operator on Lambda_d, one column op(v_idx) per
-        standard basis vector, every level.  The target is the
+        standard basis vector, in the order of the columns: level by
+        level, each level in its linear extension.  The target is the
         composition of the level-0 column, op(v_(0,...,0)); every other
         column must lie over it."""
         d = orbits.check_composition(d)

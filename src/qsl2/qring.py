@@ -88,24 +88,8 @@ class Laurent:
         """JSON form: sorted [half_exponent, coefficient-as-decimal-string]."""
         return [[h, str(c)] for h, c in self.items()]
 
-    def coefficient(self, h: int) -> int:
-        return self._terms.get(h, 0)
-
-    def constant_term(self) -> int:
-        return self._terms.get(0, 0)
-
     def is_zero(self) -> bool:
         return not self._terms
-
-    def min_half_exponent(self) -> int:
-        if not self._terms:
-            raise ValueError("zero element has no exponents")
-        return min(self._terms)
-
-    def max_half_exponent(self) -> int:
-        if not self._terms:
-            raise ValueError("zero element has no exponents")
-        return max(self._terms)
 
     # -- ring operations ------------------------------------------------------
 

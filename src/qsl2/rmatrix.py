@@ -262,9 +262,17 @@ def matrix_in_basis(
     the refinement embedding); rows run over the target linear
     extension, columns over the source one.  Levels are the blocks of
     the weight decomposition, so the full map is the direct sum of the
-    returned matrices."""
+    returned matrices; a map between different totals, or with a column
+    off its index's level, is a ValueError before any matrix is built."""
     if basis not in ("standard", "canonical"):
         raise ValueError(f"basis must be standard or canonical, got {basis!r}")
+    if sum(m.source) != sum(m.target):
+        raise ValueError(
+            f"map from Lambda_{m.source} to Lambda_{m.target} changes the total weight"
+        )
+    for idx, image in m.columns.items():
+        if image.levels() - {sum(idx)}:
+            raise ValueError(f"map on Lambda_{m.source} sends {idx} off level {sum(idx)}")
     out: dict[int, list[list[Laurent]]] = {}
     for r in range(sum(m.source) + 1):
         src_order = enumerate_basis(m.source, r)

@@ -10,10 +10,13 @@ The module, bar and braiding suites build, once per composition, the
 LinMap of each operator they apply to basis vectors (K, E, F, and E^(2)
 and F^(2) for the module relations) from the act_* names this module
 imports, check every relation column by column, and drop the maps when
-the sweep moves on.  The kernels still act directly on vectors that
-are not basis vectors: E, F and K^-1 on Psi(v) in the bar suite, K, E
-and F on R(v) in the braiding suite, and rho_twist's composites (K
-after F or E) in the adjointness checks.
+the sweep moves on.  The bar suite walks the basis as the columns of
+LinMap.identity(d) and the braiding suite walks a move's own columns,
+both in LinMap.of's order: level by level, each level in its linear
+extension.  The kernels still act directly on vectors that are not
+basis vectors: E, F and K^-1 on Psi(v) in the bar suite, K, E and F on
+R(v) in the braiding suite, and rho_twist's composites (K after F or
+E) in the adjointness checks.
 """
 
 from __future__ import annotations
@@ -335,27 +338,23 @@ def suite_bar(max_total: int) -> SuiteResult:
     res = SuiteResult("bar")
     rng = random.Random(_SEED + 1)
     for d in compositions(max_total):
-        total = sum(d)
         ops = _generator_maps(d)
-        for r in range(total + 1):
-            for idx in enumerate_basis(d, r):
-                u = ModuleVector.basis(d, idx)
-                pu = bar_involution(u)
-                res.check(
-                    bar_involution(pu) == u, lambda: f"Psi^2 at {idx} in {d}"
-                )
-                delta = pu - u
-                res.check(
-                    all(
-                        s != idx and orbits.closure_leq(d, s, idx)
-                        for s in delta.support()
-                    ),
-                    lambda: f"bar matrix not unitriangular at {idx} in {d}",
-                )
-                for x, op, x_map in ops:
-                    lhs = bar_involution(x_map.columns[idx])
-                    rhs = act_K(pu, -1) if x == "K" else op(pu)
-                    res.check(lhs == rhs, lambda: f"Psi {x} at {idx} in {d}")
+        basis = LinMap.identity(d).columns
+        for idx, u in basis.items():
+            pu = bar_involution(u)
+            res.check(bar_involution(pu) == u, lambda: f"Psi^2 at {idx} in {d}")
+            delta = pu - u
+            res.check(
+                all(
+                    s != idx and orbits.closure_leq(d, s, idx)
+                    for s in delta.support()
+                ),
+                lambda: f"bar matrix not unitriangular at {idx} in {d}",
+            )
+            for x, op, x_map in ops:
+                lhs = bar_involution(x_map.columns[idx])
+                rhs = act_K(pu, -1) if x == "K" else op(pu)
+                res.check(lhs == rhs, lambda: f"Psi {x} at {idx} in {d}")
         v = _random_vector(rng, d)
         c = _random_laurent(rng)
         res.check(
@@ -363,13 +362,11 @@ def suite_bar(max_total: int) -> SuiteResult:
             lambda: f"anti-linearity on {d}",
         )
         if len(d) == 3:
-            for r in range(total + 1):
-                for idx in enumerate_basis(d, r):
-                    u = ModuleVector.basis(d, idx)
-                    res.check(
-                        bar_involution(u, cut=1) == bar_involution(u, cut=2),
-                        lambda: f"nesting dependence at {idx} in {d}",
-                    )
+            for idx, u in basis.items():
+                res.check(
+                    bar_involution(u, cut=1) == bar_involution(u, cut=2),
+                    lambda: f"nesting dependence at {idx} in {d}",
+                )
     return res
 
 
@@ -489,7 +486,6 @@ def suite_rmatrix(max_total: int) -> SuiteResult:
     for d in compositions(max_total):
         if len(d) > 3:
             continue
-        total = sum(d)
         identity = LinMap.identity(d)
         ops = _generator_maps(d)
         words = _reduced_words(len(d))
@@ -536,22 +532,21 @@ def suite_rmatrix(max_total: int) -> SuiteResult:
                 plus_back.compose(minus_fwd) == identity,
                 lambda: f"R_+ R_- != Id for {perm} on {d}",
             )
-            for r in range(total + 1):
-                for idx in enumerate_basis(d, r):
-                    img = move.apply(identity.columns[idx])
+            for idx, img in move.columns.items():
+                r = sum(idx)
+                res.check(
+                    all(sum(s) == r for s in img.support()),
+                    lambda: f"weight broken at {idx} for {perm} on {d}",
+                )
+                for x, op, x_map in ops:
                     res.check(
-                        all(sum(s) == r for s in img.support()),
-                        lambda: f"weight broken at {idx} for {perm} on {d}",
+                        move.apply(x_map.columns[idx]) == op(img),
+                        lambda: f"intertwining {x} at {idx} for {perm} on {d}",
                     )
-                    for x, op, x_map in ops:
-                        res.check(
-                            move.apply(x_map.columns[idx]) == op(img),
-                            lambda: f"intertwining {x} at {idx} for {perm} on {d}",
-                        )
-                    res.check(
-                        all(c.is_in_a() for _, c in img.unordered_items()),
-                        lambda: f"half power leak at {idx} for {perm} on {d}",
-                    )
+                res.check(
+                    all(c.is_in_a() for _, c in img.unordered_items()),
+                    lambda: f"half power leak at {idx} for {perm} on {d}",
+                )
     return res
 
 

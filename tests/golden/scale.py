@@ -9,8 +9,9 @@ The checks are canon-12 (canonical_basis((1,)*12, 6)), canon-14
 (canonical_basis((1,)*14, 7)), canon-json-12 (qsl2 canon --d 1,...,1
 (12 ones) --r 6 --format json), split-12 (split_expand((1,)*12, 6, 6)),
 split-text-12 (qsl2 split --d 1,...,1 (12 ones) --at 6 --r 6, the
-table text) and rmat-10 (r_move((1,)*10, w0, "minus"), w0 the longest
-word).  Each prints one line with the wall seconds of the part it
+table text), rmat-10 (r_move((1,)*10, w0, "minus"), w0 the longest
+word) and embed-12 (qsl2 embed --d 4,4,4 --basis canonical, the
+refinement embedding's canonical matrices as text).  Each prints one line with the wall seconds of the part it
 bounds, the peak resident set of the process (VmHWM of
 /proc/self/status, so Linux only), read right after that part, and the
 sha256 of the output, and exits 0 only when the sha256 equals its pin
@@ -162,6 +163,14 @@ CHECKS = {
     ),
     # pinned from the letter-by-letter composition of extended pair maps
     "rmat-10": _rmat_10,
+    # `python -m qsl2.cli ... | sha256sum` and `| wc -c` before the
+    # embedding was built through LinMap.of
+    "embed-12": lambda: _cli(
+        ["embed", "--d", "4,4,4", "--basis", "canonical"],
+        "fd2d9ccd0ae39fa493f02113b448ce9b6118ed5c30763e0dc792c08b9b572899",
+        6_077,
+        76,
+    ),
 }
 
 

@@ -568,7 +568,7 @@ def _is_bar_antisymmetric(g):
 
 
 def _has_zero_constant_term(g):
-    return g.constant_term() == 0
+    return g._terms.get(0, 0) == 0
 
 
 def _reference_table(d, r):

@@ -76,10 +76,8 @@ def test_vector_arithmetic_and_levels():
     assert (a - a).is_zero()
     assert (-a) + a == ModuleVector.zero((2, 2))
     assert a.levels() == {2}
-    assert a.level() == 2
     b = a + v((2, 2), 0, 0)
     assert b.levels() == {0, 2}
-    assert b.level() is None
     assert a.scale(ZERO).is_zero()
 
 
@@ -495,6 +493,14 @@ def test_combine_matches_reference_loop():
     assert combine((2, 1), []) == ModuleVector.zero((2, 1))
     with pytest.raises(AmbientMismatchError):
         combine((2, 1), [(ONE, v((1, 2), 0, 0))])
+
+
+def test_combine_refuses_a_coefficient_that_is_not_a_ring_element():
+    u, w = v((1,), 0), v((1,), 1)
+    for c in (2, None):
+        for pairs in ([(c, u)], [(c, u), (ONE, w)], [(ONE, u), (c, w)]):
+            with pytest.raises(TypeError, match="is not a ring element"):
+                combine((1,), pairs)
 
 
 def test_inner_product_matches_reference_loop():

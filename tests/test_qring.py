@@ -401,12 +401,3 @@ def test_rendering():
     assert (
         str(quantum_binomial(4, 2)) == "q^4 + q^2 + 2 + q^-2 + q^-4"
     )
-
-
-def test_constant_term_and_extremes():
-    a = Laurent({4: 2, 0: -5, -6: 1})
-    assert a.constant_term() == -5
-    assert a.coefficient(4) == 2
-    assert a.coefficient(2) == 0
-    assert a.min_half_exponent() == -6
-    assert a.max_half_exponent() == 4

@@ -400,6 +400,18 @@ def test_matrix_in_basis_accepts_linmap():
     assert mats[1] == [[ONE, ZERO], [ZERO, ONE]]
 
 
+def test_matrix_in_basis_refuses_a_map_that_does_not_preserve_weight():
+    # the level swap v0 <-> v1 on Lambda_(1), and Lambda_(1) -> Lambda_(2)
+    # dropping the target's level 2
+    swap = LinMap((1,), (1,), {(0,): V((1,), (1,)), (1,): V((1,), (0,))})
+    grow = LinMap((1,), (2,), {(0,): V((2,), (0,)), (1,): V((2,), (1,))})
+    for basis in ("standard", "canonical"):
+        with pytest.raises(ValueError, match=re.escape("sends (0,) off level 0")):
+            matrix_in_basis(swap, basis)
+        with pytest.raises(ValueError, match="changes the total weight"):
+            matrix_in_basis(grow, basis)
+
+
 def test_matrix_in_basis_rejects_unknown_basis():
     with pytest.raises(ValueError):
         matrix_in_basis(r_plus_pair(1, 1), "spectral")

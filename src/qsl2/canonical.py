@@ -123,6 +123,7 @@ from .modules import (
     LinMap,
     _JsonParts,
     _Record,
+    _basis_indices,
     _gram,
     _step_scalar,
     _times,
@@ -210,6 +211,7 @@ _CONSTANT_MEMOS = (
     quantum_binomial,
     _gram,
     _step_scalar,
+    _basis_indices,
     orbits._orbit_dim,
     orbits._linear_extension,
 )
@@ -220,8 +222,8 @@ def clear_caches() -> None:
     tables with their product coordinates, E^(n) coordinates, the shared
     coefficient values and their products, pair braidings, the checked
     quasi-R coefficients, the quantum integers, factorials and
-    binomials, the Gram entries, the E/F step scalars, the orbit
-    dimensions and the linear extensions."""
+    binomials, the Gram entries, the E/F step scalars, the basis index
+    sets, the orbit dimensions and the linear extensions."""
     _MEMO.clear()
     del _KAPPA[1:]
     for memo in _CONSTANT_MEMOS:

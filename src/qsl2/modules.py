@@ -308,6 +308,21 @@ def enumerate_basis(d: Composition, r: int) -> list[OrbitIndex]:
     return orbits.linear_extension(d, r)
 
 
+def _basis_order(d: Composition) -> Iterable[OrbitIndex]:
+    """Every standard basis index of Lambda_d: level by level, each
+    level in its linear extension."""
+    d = orbits.check_composition(d)
+    for r in range(sum(d) + 1):
+        yield from orbits._linear_extension(d, r)
+
+
+@lru_cache(maxsize=None)
+def _basis_indices(d: Composition) -> frozenset[OrbitIndex]:
+    """The set of every standard basis index of Lambda_d, memoized for
+    the process."""
+    return frozenset(_basis_order(d))
+
+
 def tensor(u: ModuleVector, w: ModuleVector) -> ModuleVector:
     """The product vector in Lambda_(d_u + d_w), indices concatenated."""
     d = u.d + w.d
@@ -554,9 +569,9 @@ class _Record:
 class LinMap(_Record):
     """A column map between standard bases: domain index -> image vector.
 
-    Columns may span several weight levels; every column is checked to
-    lie over target once, at construction.  apply is linear over every
-    stored column and raises on indices outside the column set.
+    There is exactly one column per standard basis index of source, and
+    columns may span several weight levels; both the keys and the
+    target of every column are checked once, at construction.
     """
 
     __slots__ = ("source", "target", "columns")
@@ -567,6 +582,17 @@ class LinMap(_Record):
         target: Composition,
         columns: dict[OrbitIndex, ModuleVector],
     ):
+        basis = _basis_indices(source)
+        if columns.keys() != basis:
+            for idx in columns:
+                if idx not in basis:
+                    raise AmbientMismatchError(
+                        f"column key {idx!r} is not a standard basis index of {source}"
+                    )
+            missing = next(idx for idx in _basis_order(source) if idx not in columns)
+            raise AmbientMismatchError(
+                f"no column for the basis index {format_index(missing)} of {source}"
+            )
         for idx, col in columns.items():
             if col.d != target:
                 raise AmbientMismatchError(
@@ -610,11 +636,7 @@ class LinMap(_Record):
         composition of the level-0 column, op(v_(0,...,0)); every other
         column must lie over it."""
         d = orbits.check_composition(d)
-        cols = {
-            idx: op(ModuleVector._make(d, {idx: ONE}))
-            for r in range(sum(d) + 1)
-            for idx in enumerate_basis(d, r)
-        }
+        cols = {idx: op(ModuleVector._make(d, {idx: ONE})) for idx in _basis_order(d)}
         return cls(d, cols[(0,) * len(d)].d, cols)
 
     @classmethod

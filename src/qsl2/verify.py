@@ -17,13 +17,21 @@ extension.  The kernels still act directly on vectors that are not
 basis vectors: E, F and K^-1 on Psi(v) in the bar suite, K, E and F on
 R(v) in the braiding suite, and rho_twist's composites (K after F or
 E) in the adjointness checks.
+
+run_all spreads the suites over the CPUs the process may use: it runs
+them in the calling process and in forked workers, each process pulling
+the next suite from one shared pipe, and returns the results in suite
+order.  Each process keeps its own memos, so every result, and every
+byte the verify command prints, is the same as on one CPU.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
 import random
+import threading
 from collections.abc import Callable
 
 from . import orbits
@@ -609,6 +617,134 @@ SUITES = {
 
 
 def run_all(max_total: int = 5) -> list[SuiteResult]:
+    """Every suite at max_total, in sorted(SUITES) order.
+
+    The suites run in this process and in one forked worker for each
+    further CPU of the affinity set, at most one process per suite;
+    there are no workers where fork is missing or the process runs
+    other threads, since forking those can deadlock.  Every process
+    pulls the next suite index from one shared pipe; a worker sends its
+    results back pickled over a pipe of its own, writes nothing else
+    and ends with os._exit.  A suite that raises stops its process
+    pulling, and the exception of the first such suite in suite order
+    is raised here with its type and message.  A worker that exits
+    without reporting raises RuntimeError naming the suites nobody
+    reported.  No worker outlives the call."""
+    if type(max_total) is not int:
+        raise ValueError(f"max_total must be an int, not {max_total!r}")
     if max_total < 1:
         raise ValueError("max_total must be at least 1")
-    return [SUITES[name](max_total) for name in sorted(SUITES)]
+    import pickle
+
+    names = sorted(SUITES)
+    suites = [SUITES[name] for name in names]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    forking = hasattr(os, "fork") and threading.active_count() == 1
+    task_r, task_w = os.pipe()
+    os.write(task_w, bytes(range(len(names))))
+    os.close(task_w)
+    done: dict[int, SuiteResult | Exception] = {}
+    workers: dict[int, int] = {}  # pid -> read end of its result pipe
+    lost = []
+    try:
+        for _ in range(min(cpus, len(names)) - 1 if forking else 0):
+            result_r, result_w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # out of processes: run on the ones there are
+                os.close(result_r)
+                os.close(result_w)
+                break
+            if pid == 0:
+                _worker(task_r, result_w, suites, max_total)
+            os.close(result_w)
+            workers[pid] = result_r
+        _pull(task_r, suites, max_total, done)
+        for pid, result_r in list(workers.items()):
+            data = _read_all(result_r)
+            os.close(result_r)
+            del workers[pid]
+            status = os.waitpid(pid, 0)[1]
+            try:
+                done.update(pickle.loads(data))
+            except Exception:
+                lost.append(
+                    f"pid {pid}, wait status {status},"
+                    f" exit code {os.waitstatus_to_exitcode(status)}"
+                )
+    finally:
+        os.close(task_r)
+        if workers:
+            import signal
+        for pid, result_r in workers.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(result_r)
+    if lost:
+        missing = ", ".join(n for i, n in enumerate(names) if i not in done)
+        raise RuntimeError(
+            f"verify worker exited without reporting ({'; '.join(lost)});"
+            f" unreported suites: {missing}"
+        )
+    for i in sorted(done):
+        if isinstance(done[i], Exception):
+            raise done[i]
+    return [done[i] for i in range(len(names))]
+
+
+def _pull(
+    task_r: int,
+    suites: list[Callable[[int], SuiteResult]],
+    max_total: int,
+    done: dict[int, SuiteResult | Exception],
+) -> None:
+    """Run the suite of each index read from task_r until the pipe is
+    empty or a suite raises; the raised exception is kept as the
+    suite's result, and the indices still in the pipe are taken and
+    dropped.  Every suite before one that raises has been taken by
+    then, so the first exception in suite order is always kept."""
+    while task := os.read(task_r, 1):
+        i = task[0]
+        try:
+            done[i] = suites[i](max_total)
+        except Exception as exc:
+            done[i] = exc
+            while os.read(task_r, len(suites)):
+                pass
+            return
+
+
+def _worker(
+    task_r: int,
+    result_w: int,
+    suites: list[Callable[[int], SuiteResult]],
+    max_total: int,
+) -> None:
+    """The body of a forked worker: pull suites, send the results, and
+    leave by os._exit whatever happens, so that no inherited buffer is
+    flushed and no exit hook runs.  An exception that does not survive
+    pickling is sent as a RuntimeError with its type and message."""
+    import pickle
+
+    code = 1
+    try:
+        done: dict[int, SuiteResult | Exception] = {}
+        _pull(task_r, suites, max_total, done)
+        for i, res in done.items():
+            if isinstance(res, Exception):
+                try:
+                    pickle.loads(pickle.dumps(res))
+                except Exception:
+                    done[i] = RuntimeError(f"{type(res).__name__}: {res}")
+        with open(result_w, "wb") as pipe:
+            pipe.write(pickle.dumps(done))
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _read_all(fd: int) -> bytes:
+    chunks = []
+    while chunk := os.read(fd, 1 << 16):
+        chunks.append(chunk)
+    return b"".join(chunks)

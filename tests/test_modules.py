@@ -271,6 +271,25 @@ def test_linmap_refuses_a_column_off_its_target():
         LinMap((1, 1), (1, 1), cols)
 
 
+def test_linmap_refuses_a_missing_column():
+    cols = dict(LinMap.identity((1, 1)).columns)
+    del cols[(0, 1)]
+    named = r"no column for the basis index \(0,1\) of \(1, 1\)"
+    with pytest.raises(AmbientMismatchError, match=named):
+        LinMap((1, 1), (1, 1), cols)
+
+
+def test_linmap_refuses_a_column_key_off_its_source():
+    v0 = v((1,), 0)
+    named = r"column key \(5,\) is not a standard basis index of \(1,\)"
+    with pytest.raises(AmbientMismatchError, match=named):
+        LinMap((1,), (1,), {(5,): v0})
+    # a key off the module is named even beside a full column set
+    cols = {**LinMap.identity((1,)).columns, (0, 1): v0}
+    with pytest.raises(AmbientMismatchError, match=r"column key \(0, 1\) is not"):
+        LinMap((1,), (1,), cols)
+
+
 def _swap_slots(u):
     """A vector over (d1, d2) read over (d2, d1), each index reversed."""
     return ModuleVector(u.d[::-1], {idx[::-1]: c for idx, c in u.items()})

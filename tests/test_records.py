@@ -80,8 +80,9 @@ def test_repr_strings():
     assert repr(PermWord(3, (1, 2))) == "PermWord(slots=3, letters=(1, 2))"
     assert repr(PermWord(1, ())) == "PermWord(slots=1, letters=())"
     v = ModuleVector((1,), {(0,): ONE})
-    assert repr(LinMap((1,), (1,), {(0,): v})) == (
-        f"LinMap(source=(1,), target=(1,), columns={{(0,): {v!r}}})"
+    w = ModuleVector((1,), {(1,): ONE})
+    assert repr(LinMap((1,), (1,), {(0,): v, (1,): w})) == (
+        f"LinMap(source=(1,), target=(1,), columns={{(0,): {v!r}, (1,): {w!r}}})"
     )
     table = canonical_basis((1, 1), 1)
     assert repr(table) == (

@@ -24,7 +24,7 @@ from qsl2 import (
     split_expand,
 )
 from qsl2.modules import act_F, act_K
-from qsl2.errors import PurityViolationError
+from qsl2.errors import AmbientMismatchError, PurityViolationError
 from qsl2.qring import ONE, Q, QINV, ZERO, Laurent
 from qsl2.verify import SUITES, _FAILURE_CAP
 
@@ -93,6 +93,206 @@ def test_run_all_rejects_empty_scope():
         run_all(0)
     with pytest.raises(ValueError):
         run_all(-2)
+
+
+def _no_fork(monkeypatch):
+    def refuse():
+        raise AssertionError("run_all forked a worker")
+
+    monkeypatch.setattr(os, "fork", refuse)
+
+
+@pytest.mark.parametrize("max_total", [True, 2.5, "3"])
+def test_run_all_refuses_a_max_total_that_is_not_an_int(monkeypatch, max_total):
+    _no_fork(monkeypatch)
+    for name in SUITES:
+        monkeypatch.setitem(SUITES, name, lambda m: pytest.fail("a suite ran"))
+    with pytest.raises(ValueError, match="max_total must be an int"):
+        run_all(max_total)
+
+
+# -- run_all across processes ------------------------------------------------------
+
+
+def _cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_run_all_on_one_cpu_equals_run_all_on_every_cpu(monkeypatch):
+    spread = run_all(4)
+    _cpus(monkeypatch, len(SUITES))
+    one_each = run_all(4)
+    _cpus(monkeypatch, 1)
+    _no_fork(monkeypatch)
+    serial = run_all(4)
+    assert [r.name for r in serial] == sorted(SUITES)
+    # SuiteResult equality is field by field
+    assert serial == spread == one_each
+    _assert_no_child_left()
+
+
+def test_run_all_forks_no_worker_beside_another_thread(monkeypatch):
+    import threading
+
+    _cpus(monkeypatch, 2)
+    _no_fork(monkeypatch)
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait)
+    waiter.start()
+    try:
+        assert [r.name for r in run_all(2)] == sorted(SUITES)
+    finally:
+        release.set()
+        waiter.join()
+
+
+@pytest.fixture
+def one_worker(monkeypatch):
+    """plant(in_worker, in_parent=None): two processes, every suite in
+    the worker replaced by in_worker(max_total), and in the parent by
+    in_parent when given.  The worker announces each suite it starts on
+    a pipe, and the parent's first suite waits for that, so the worker
+    always takes a suite.  plant returns a list that then holds the name
+    of the worker's first suite."""
+    import select
+
+    _cpus(monkeypatch, 2)
+    parent = os.getpid()
+    sync_r, sync_w = os.pipe()
+    seen = []
+
+    def plant(in_worker, in_parent=None):
+        def wrap(name, real):
+            def suite(max_total):
+                if os.getpid() != parent:
+                    os.write(sync_w, name.encode() + b"\n")
+                    return in_worker(max_total)
+                if not seen:
+                    assert select.select([sync_r], [], [], 10)[0], "no worker ran a suite"
+                    seen.append(os.read(sync_r, 256).decode().split()[0])
+                return (in_parent or real)(max_total)
+
+            return suite
+
+        for name, real in list(SUITES.items()):
+            monkeypatch.setitem(SUITES, name, wrap(name, real))
+        return seen
+
+    yield plant
+    os.close(sync_r)
+    os.close(sync_w)
+
+
+def _raising(text):
+    def suite(max_total):
+        raise AmbientMismatchError(text)
+
+    return suite
+
+
+def test_run_all_reraises_a_suite_error_from_a_worker(one_worker):
+    one_worker(_raising("planted"))
+    with pytest.raises(AmbientMismatchError) as err:
+        run_all(2)
+    assert type(err.value) is AmbientMismatchError
+    assert str(err.value) == "planted"
+    _assert_no_child_left()
+
+
+class _TwoPartError(Exception):
+    """An exception that pickles but cannot be unpickled: its __init__
+    does not take its own args back."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a} and {b}")
+
+
+def test_run_all_sends_an_unpicklable_suite_error_as_its_type_and_text(one_worker):
+    def broken(max_total):
+        raise _TwoPartError("one", "two")
+
+    one_worker(broken)
+    with pytest.raises(RuntimeError, match=r"^_TwoPartError: one and two$"):
+        run_all(2)
+    _assert_no_child_left()
+
+
+def test_run_all_reraises_the_first_suite_error_in_suite_order(monkeypatch):
+    # the third suite raises first, in the other process; the second
+    # raises only after that, and its error is the one run_all raises
+    import select
+
+    names = sorted(SUITES)
+    _cpus(monkeypatch, 2)
+    raised_r, raised_w = os.pipe()
+
+    def second(max_total):
+        assert select.select([raised_r], [], [], 10)[0], "the third suite did not raise"
+        raise AmbientMismatchError(names[1])
+
+    def third(max_total):
+        os.write(raised_w, b"x")
+        raise AmbientMismatchError(names[3])
+
+    monkeypatch.setitem(SUITES, names[1], second)
+    monkeypatch.setitem(SUITES, names[3], third)
+    try:
+        with pytest.raises(AmbientMismatchError, match=f"^{names[1]}$"):
+            run_all(2)
+    finally:
+        os.close(raised_r)
+        os.close(raised_w)
+    _assert_no_child_left()
+
+
+def test_run_all_on_one_cpu_stops_at_the_first_suite_error(monkeypatch):
+    _cpus(monkeypatch, 1)
+    names = sorted(SUITES)
+    monkeypatch.setitem(SUITES, names[0], _raising("planted"))
+    for name in names[1:]:
+        monkeypatch.setitem(SUITES, name, lambda m: pytest.fail("a later suite ran"))
+    with pytest.raises(AmbientMismatchError, match="planted"):
+        run_all(2)
+
+
+def test_run_all_names_the_suite_of_a_worker_that_died(one_worker):
+    seen = one_worker(lambda max_total: os._exit(3))
+    with pytest.raises(RuntimeError, match="exited without reporting") as err:
+        run_all(2)
+    assert f"unreported suites: {seen[0]}" in str(err.value)
+    assert "exit code 3" in str(err.value)
+    _assert_no_child_left()
+
+
+def test_run_all_kills_its_workers_when_interrupted(one_worker):
+    import time
+
+    def interrupt(max_total):
+        raise KeyboardInterrupt
+
+    def stall(max_total):
+        time.sleep(60)
+        os._exit(1)
+
+    t0 = time.monotonic()
+    one_worker(stall, in_parent=interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        run_all(2)
+    _assert_no_child_left()
+    assert time.monotonic() - t0 < 30
+
+
+def test_run_all_writes_nothing_to_stdout_or_stderr(monkeypatch, capfd):
+    _cpus(monkeypatch, len(SUITES))
+    capfd.readouterr()
+    assert all(r.passed for r in run_all(3))
+    assert capfd.readouterr() == ("", "")
+    _assert_no_child_left()
 
 
 def test_suites_are_deterministic():

@@ -20,13 +20,11 @@ v_(0,n), so every other Psi column reads only kappa_k with k < n, and
 kappa_n is kept only once Psi(x u) = bar(x) Psi(u), x in {E, F}, holds
 on every column of Psi's LinMap.of map there and kappa_n lies in
 Z[q, q^-1]; otherwise ConventionUnderdeterminedError is raised and
-nothing is kept.  Each Psi column reads kappa only as far as its own
-Theta can: Psi keeps the weight level, F^(n) of the left block vanishes
-past that block's total and E^(n) of the right block past its level,
-so the column of v_idx at cut c reads kappa_n for n <= min(sum(d[:c])
-- sum(idx[:c]), sum(idx[c:])), and its nested cuts bound their own
-reads.  Every Psi column is built under the checked kappa into the one
-memo store _MEMO.  No canonical table reads kappa.
+nothing is kept.  Theta reads kappa_n through _kappa only when its sum
+reaches the n-th term, so each Psi column checks kappa exactly as far
+as its own Theta goes, and no reach is computed beforehand.  Every Psi
+column is built under the checked kappa into the one memo store _MEMO.
+No canonical table reads kappa.
 
 Canonical tables are solved one factor at a time from bar-invariant
 monomials (Lusztig, Introduction to Quantum Groups, 27.3).  Write
@@ -235,9 +233,9 @@ def clear_caches() -> None:
 
 def _psi_basis(d: Composition, idx: OrbitIndex, cut: int) -> ModuleVector:
     """Psi(v_idx) with the top-level Theta at cut, memoized in _MEMO.
-    Theta reads kappa_n only for n <= min(sum(d[:cut]) - sum(idx[:cut]),
-    sum(idx[cut:])), past which F^(n) of the left block or E^(n) of the
-    right block vanishes; kappa is checked that far, and no further."""
+    Theta reads each kappa_n through _kappa as its sum reaches it, so
+    kappa is checked as far as this column's Theta goes, and no
+    further."""
     if len(d) == 1:
         return ModuleVector.basis(d, idx)
     key = ("psi", d, cut, idx)
@@ -245,8 +243,7 @@ def _psi_basis(d: Composition, idx: OrbitIndex, cut: int) -> ModuleVector:
     if out is None:
         left = _psi_basis(d[:cut], idx[:cut], 1)
         right = _psi_basis(d[cut:], idx[cut:], 1)
-        reach = min(sum(d[:cut]) - sum(idx[:cut]), sum(idx[cut:]))
-        out = _MEMO[key] = theta(left, right, _kappa_through(reach))
+        out = _MEMO[key] = theta(left, right, _kappa)
     return out
 
 
@@ -270,7 +267,7 @@ def _extend_kappa() -> None:
     def column(u: ModuleVector) -> ModuleVector:
         ((idx, _),) = u.unordered_items()
         if idx == (0, n):
-            return theta(v0, vn, _KAPPA + [value])
+            return theta(v0, vn, lambda k: value if k == n else _KAPPA[k])
         return _psi_basis(d, idx, 1)
 
     psi = LinMap.of(d, column)
@@ -291,25 +288,25 @@ def _extend_kappa() -> None:
     _KAPPA.append(value)
 
 
-def _kappa_through(n: int) -> list[Laurent]:
-    """kappa_0 .. kappa_n as a fresh list, checking and appending the
-    missing ones in order: the read of every Psi column.  Psi does not
-    read through compute_quasi_r, as the check builds Psi columns and
-    would nest that function inside itself; perfbench's tracer sums its
+def _kappa(n: int) -> Laurent:
+    """kappa_n, checking and appending the missing coefficients through
+    n in order: the read of every Psi column's Theta.  Psi does not read
+    through compute_quasi_r, as the check builds Psi columns and would
+    nest that function inside itself; perfbench's tracer sums its
     inclusive time on the assumption that it never nests."""
     while len(_KAPPA) <= n:
         _extend_kappa()
-    return _KAPPA[: n + 1]
+    return _KAPPA[n]
 
 
 def compute_quasi_r(n_max: int) -> list[Laurent]:
     """kappa_0 .. kappa_(n_max); kappa_0 = 1 and the rest come from the
     closed form, each checked once against the Psi columns of
     Lambda_(n,n) and cached for the process.  No canonical table reads
-    kappa, and Psi reads it column by column through _kappa_through."""
+    kappa, and Psi reads it term by term through _kappa."""
     if type(n_max) is not int or n_max < 0:
         raise ValueError("n_max must be >= 0")
-    return _kappa_through(n_max)
+    return [_kappa(n) for n in range(n_max + 1)]
 
 
 # -- the bar involution -----------------------------------------------------------
@@ -589,10 +586,6 @@ def _compute_table(d: Composition, r: int) -> CanonicalTable:
     # the closure tests compare prefix sums computed once per index,
     # which also tells an index of this level from any other
     prefix = {idx: orbits.prefix_sums(idx) for idx in order}
-    factors = {
-        a: _sub_table(d[1:], r - a)
-        for a in range(max(0, r - sum(d[1:])), min(r, d[0]) + 1)
-    }
     # every row is keyed by the index tuples of order, one copy per level
     shared = {idx: idx for idx in order}
     table = CanonicalTable(d, r, order, {}, {})  # _peel reads only rows solved
@@ -625,9 +618,8 @@ def _compute_table(d: Composition, r: int) -> CanonicalTable:
         # b_r = sum_s p_s v_(s_0) tensor b''_(s[1:]), one entry per index
         expanded: dict[OrbitIndex, Laurent | defaultdict] = {}
         for s, p in coeffs.items():
-            _add_scaled(
-                expanded, p, factors[s[0]].rows[s[1:]]._terms, s[:1], shared=True
-            )
+            factor = _sub_table(d[1:], r - s[0]).rows[s[1:]]
+            _add_scaled(expanded, p, factor._terms, s[:1], shared=True)
         data = {}
         for idx, raw in expanded.items():
             if type(raw) is Laurent:

@@ -13,7 +13,8 @@ every factor to the right.  Divided powers are built one step at a
 time, X^(k) u = X(X^(k-1) u) / [k], and every division is exact; a
 failed one is an integrality bug and is surfaced as such rather than
 repaired.  The quasi-R operator theta acts on two factor vectors u and
-w, as sum_n c_n F^(n) u tensor E^(n) w, walking the same steps.
+w, as sum_n c(n) F^(n) u tensor E^(n) w, walking the same steps and
+calling the coefficient function c only for the terms it sums.
 
 Every kernel (combine, tensor, the E, F and K actions, theta) sums its
 terms through one helper in which a factor 1 multiplies nothing: the
@@ -436,28 +437,25 @@ def act_divided(u: ModuleVector, gen: str, n: int) -> ModuleVector:
 
 
 def theta(
-    left: ModuleVector, right: ModuleVector, coeffs: list[Laurent]
+    left: ModuleVector, right: ModuleVector, kappa: Callable[[int], Laurent]
 ) -> ModuleVector:
-    """sum_n coeffs[n] F^(n) left tensor E^(n) right, on
+    """sum_n kappa(n) F^(n) left tensor E^(n) right, on
     Lambda_(left.d + right.d).  Both halves are built one step at a
     time, F^(n) left from F^(n-1) left and E^(n) right from
     E^(n-1) right, so a sum of N terms costs N actions per side.  The sum
     stops at the first n whose F or E half vanishes, as every later one
-    vanishes too; a nonzero term beyond the end of coeffs is a
-    ValueError.  Each term is summed straight into the result, its
-    coefficient multiplied once into each entry of the F half."""
+    vanishes too, and kappa is called once for each term summed, n = 0
+    first, so it is read exactly as far as the sum reaches.  Each term is
+    summed straight into the result, its coefficient multiplied once
+    into each entry of the F half."""
     d = left.d + right.d
     data: dict[OrbitIndex, Laurent] = {}
     f_part, e_part = left, right
     n = 0
     while f_part._terms and e_part._terms:
-        if n >= len(coeffs):
-            raise ValueError(
-                f"coefficient sequence of length {len(coeffs)} too short "
-                f"for Lambda_{d}"
-            )
+        c = kappa(n)
         for iu, cu in f_part._terms.items():
-            scalar = coeffs[n] * cu
+            scalar = c * cu
             for iw, cw in e_part._terms.items():
                 _accumulate(data, iu + iw, scalar, cw)
         n += 1

@@ -27,6 +27,7 @@ byte the verify command prints, is the same as on one CPU.
 
 from __future__ import annotations
 
+import io
 import itertools
 import math
 import os
@@ -644,7 +645,7 @@ def run_all(max_total: int = 5) -> list[SuiteResult]:
     os.write(task_w, bytes(range(len(names))))
     os.close(task_w)
     done: dict[int, SuiteResult | Exception] = {}
-    workers: dict[int, int] = {}  # pid -> read end of its result pipe
+    workers: dict[int, io.BufferedReader] = {}  # pid -> its result pipe, read end
     lost = []
     try:
         for _ in range(min(cpus, len(names)) - 1 if forking else 0):
@@ -658,11 +659,11 @@ def run_all(max_total: int = 5) -> list[SuiteResult]:
             if pid == 0:
                 _worker(task_r, result_w, suites, max_total)
             os.close(result_w)
-            workers[pid] = result_r
+            workers[pid] = open(result_r, "rb")
         _pull(task_r, suites, max_total, done)
-        for pid, result_r in list(workers.items()):
-            data = _read_all(result_r)
-            os.close(result_r)
+        for pid, pipe in list(workers.items()):
+            data = pipe.read()
+            pipe.close()
             del workers[pid]
             status = os.waitpid(pid, 0)[1]
             try:
@@ -676,10 +677,10 @@ def run_all(max_total: int = 5) -> list[SuiteResult]:
         os.close(task_r)
         if workers:
             import signal
-        for pid, result_r in workers.items():
+        for pid, pipe in workers.items():
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-            os.close(result_r)
+            pipe.close()
     if lost:
         missing = ", ".join(n for i, n in enumerate(names) if i not in done)
         raise RuntimeError(
@@ -741,10 +742,3 @@ def _worker(
         code = 0
     finally:
         os._exit(code)
-
-
-def _read_all(fd: int) -> bytes:
-    chunks = []
-    while chunk := os.read(fd, 1 << 16):
-        chunks.append(chunk)
-    return b"".join(chunks)

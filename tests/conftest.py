@@ -20,21 +20,32 @@ from qsl2.qring import Laurent  # noqa: E402
 def solved_under(kappa):
     """Within the block, every Psi column (bar_involution, the pair
     braidings, and the test references built on canonical._psi_basis)
-    reads the coefficient list kappa, as given and unchecked, in place
-    of the checked closed-form quasi-R coefficients: it replaces
-    canonical._kappa_through, the one read of kappa by Psi, and so
-    compute_quasi_r too.  A zero entry just adds nothing to Theta.
+    reads kappa_n as kappa[n] from the coefficient list kappa, as given
+    and unchecked, in place of the checked closed-form quasi-R
+    coefficients: it replaces canonical._kappa, the one read of kappa by
+    Psi, and so compute_quasi_r too.  A zero entry just adds nothing to
+    Theta; a read past the end of the list is a ValueError, "too short",
+    raised here, since the package itself hands Theta no list.
     Canonical tables read no kappa, so a table solved in the block is
     the true one.
     Every cache is cleared on entry and on exit, so no result of the
     block outlives it and no earlier result leaks into it."""
-    real = canonical_mod._kappa_through
+    kappa = list(kappa)
+
+    def planted(n):
+        if n >= len(kappa):
+            raise ValueError(
+                f"coefficient list of length {len(kappa)} too short for kappa_{n}"
+            )
+        return kappa[n]
+
+    real = canonical_mod._kappa
     canonical_mod.clear_caches()
-    canonical_mod._kappa_through = lambda n: list(kappa)
+    canonical_mod._kappa = planted
     try:
         yield
     finally:
-        canonical_mod._kappa_through = real
+        canonical_mod._kappa = real
         canonical_mod.clear_caches()
 
 

@@ -24,6 +24,7 @@ from qsl2 import (
     canonical_basis,
     canonical_coords,
     clear_caches,
+    compositions,
     compute_quasi_r,
     embed_refine,
     inner_product,
@@ -122,7 +123,10 @@ def _reference_next_kappa(kappa):
         LinMap(
             d,
             d,
-            {idx: theta(V((n,), idx[:1]), V((n,), idx[1:]), trial) for idx in basis},
+            {
+                idx: theta(V((n,), idx[:1]), V((n,), idx[1:]), trial.__getitem__)
+                for idx in basis
+            },
         )
         for trial in (kappa + [ZERO], kappa + [ONE])
     )
@@ -282,6 +286,37 @@ def test_kappa_override_solves_no_coefficient():
     assert table == canonical_basis((2, 2), 2)
     assert image == bar_involution(u)
     assert len(canonical_mod._KAPPA) == 3
+
+
+def _reference_reach(d, idx, cut):
+    """The last n at which Theta's terms on Psi(v_idx) at cut can be
+    nonzero, as the package once computed it before each column: F^(n)
+    of the left block vanishes past its total minus its level, and
+    E^(n) of the right block past its level."""
+    return min(sum(d[:cut]) - sum(idx[:cut]), sum(idx[cut:]))
+
+
+def test_theta_reads_kappa_in_order_as_far_as_the_reference_reach():
+    # Theta calls kappa once per term it sums, n = 0 first, so a column
+    # reads exactly kappa_0 .. kappa_m, m the reach the package once
+    # computed before each column, and under the true kappa its sum is
+    # Psi(v_idx) at that cut
+    for d in compositions(6):
+        for cut in range(1, len(d)):
+            for r in range(sum(d) + 1):
+                for idx in enumerate_basis(d, r):
+                    reads = []
+
+                    def recording(n):
+                        reads.append(n)
+                        return compute_quasi_r(n)[n]
+
+                    left = canonical_mod._psi_basis(d[:cut], idx[:cut], 1)
+                    right = canonical_mod._psi_basis(d[cut:], idx[cut:], 1)
+                    image = theta(left, right, recording)
+                    m = _reference_reach(d, idx, cut)
+                    assert reads == list(range(m + 1)), (d, cut, idx)
+                    assert image == bar_involution(V(d, idx), cut=cut), (d, cut, idx)
 
 
 @pytest.mark.parametrize(
@@ -789,13 +824,13 @@ def test_equal_stored_coefficients_are_one_object():
 
 
 def test_solved_under_leaves_every_memo_empty():
-    real = canonical_mod._kappa_through
+    real = canonical_mod._kappa
     ks = compute_quasi_r(2)
     with solved_under([ks[0], neg(ks[1]), ks[2]]):
         canonical_basis((2, 2), 2)
         r_plus_pair(1, 2)
         assert canonical_mod._MEMO.values and canonical_mod._MEMO.products
-    assert canonical_mod._kappa_through is real
+    assert canonical_mod._kappa is real
     assert canonical_mod.compute_quasi_r is compute_quasi_r
     assert canonical_mod._MEMO == {}
     assert canonical_mod._MEMO.values == {}

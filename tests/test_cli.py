@@ -2,6 +2,7 @@
 import, the ignored --cache-dir option and QSL2_CACHE_DIR variable, the
 one-command parser, and the exit-code contract."""
 
+import hashlib
 import importlib.util
 import io
 import json
@@ -11,6 +12,7 @@ import sys
 
 import pytest
 
+import qsl2.canonical as canonical_mod
 import qsl2.cli as cli_mod
 from qsl2.cli import main
 from qsl2.errors import HalfPowerLeakError
@@ -87,6 +89,37 @@ def test_positivity_sweep_matches_golden():
 
 
 # -- determinism -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv, size, digest, kappas",
+    [
+        (
+            ["bar", "--d", "10,10", "--vector", "0,10"],
+            1285,
+            "8fce2e8f2c7c686fb565379b989f8dd3511632edef18dda5e678bd033443ee03",
+            11,
+        ),
+        (
+            ["bar", "--d", ",".join("1" * 12), "--vector", "0,0,0,0,0,0,1,1,1,1,1,1"],
+            68259,
+            "32f30475c6c3de6344d507abb1eb68c28cda4bcf63ab165172b3f9096b81be8a",
+            2,
+        ),
+    ],
+    ids=["10-10-at-0-10", "1x12-at-6-ones"],
+)
+def test_bar_above_verify_reach_is_pinned(argv, size, digest, kappas, capsys):
+    # two bar images beyond verify's compositions, pinned by size and
+    # sha256 of stdout, with the number of quasi-R coefficients checked
+    # on the way from cold caches: kappa_0 .. kappa_10 for the pair,
+    # kappa_0 and kappa_1 for the twelve single boxes
+    canonical_mod.clear_caches()
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    data = out.encode("utf-8")
+    assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
+    assert len(canonical_mod._KAPPA) == kappas
 
 
 def test_json_output_is_byte_identical_across_runs(capsys):

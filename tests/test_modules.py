@@ -682,7 +682,7 @@ def test_theta_on_two_factors_matches_the_slot_range_reference():
             for r in range(sum(d) + 1):
                 for idx in enumerate_basis(d, r):
                     left, right = v(d[:cut], *idx[:cut]), v(d[cut:], *idx[cut:])
-                    assert theta(left, right, kappa) == _reference_theta(
+                    assert theta(left, right, kappa.__getitem__) == _reference_theta(
                         v(d, *idx), cut, kappa
                     ), (d, cut, idx)
     # scaled factors and drawn coefficient lists: fresh units, -1, 0,
@@ -699,7 +699,7 @@ def test_theta_on_two_factors_matches_the_slot_range_reference():
                     right = v(d[cut:], *idx[cut:]).scale(b)
                     whole = v(d, *idx).scale(a * b)
                     for cs in (kappa, coeffs):
-                        assert theta(left, right, cs) == _reference_theta(
+                        assert theta(left, right, cs.__getitem__) == _reference_theta(
                             whole, cut, cs
                         ), (d, cut, idx, a, b, cs)
 
@@ -754,4 +754,4 @@ def test_a_faulty_action_breaks_integrality_on_both_paths(monkeypatch):
     with pytest.raises(IntegralityViolationError):
         _reference_act_divided(u, "F", 2)
     with pytest.raises(IntegralityViolationError):
-        theta(u, v((2,), 2), [ONE, ONE, ONE])
+        theta(u, v((2,), 2), [ONE, ONE, ONE].__getitem__)

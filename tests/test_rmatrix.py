@@ -187,7 +187,7 @@ def _reference_r_plus(d1, d2):
     scalar = Laurent({3 * d1 * d2: (-1) ** (d1 * d2)})
     return {
         (a, b): _swap_step(
-            _cartan_step(theta(V((d1,), (a,)), V((d2,), (b,)), coeffs))
+            _cartan_step(theta(V((d1,), (a,)), V((d2,), (b,)), coeffs.__getitem__))
         ).scale(scalar)
         for r in range(d1 + d2 + 1)
         for a, b in enumerate_basis((d1, d2), r)

@@ -64,10 +64,10 @@ on every coefficient it walks and raises PurityViolationError.
 
 Every coefficient the solve stores (table rows, product coordinates
 and E^(n) coordinates) is the one shared instance of its value in
-_MEMO: the Kazhdan-Lusztig polynomials of the tables are few and
+_VALUES: the Kazhdan-Lusztig polynomials of the tables are few and
 repeat across rows and tables.  A row's first summand p_s e, with
-e an entry of a d'' row, is read from _MEMO's table of products of
-shared values, so a repeated product costs one lookup; an entry with
+e an entry of a d'' row, is read from _PRODUCTS, the table of products
+of shared values, so a repeated product costs one lookup; an entry with
 two or more summands is summed as a raw map and shared when finished.
 
 Every solved table keeps its product coordinates p_{s,r} in its
@@ -108,7 +108,7 @@ from collections.abc import Callable, Mapping
 from functools import reduce
 from heapq import heapify, heappop, heappush
 
-from . import orbits
+from . import modules, orbits, qring
 from .errors import (
     AmbientMismatchError,
     ConventionUnderdeterminedError,
@@ -121,9 +121,6 @@ from .modules import (
     LinMap,
     _JsonParts,
     _Record,
-    _basis_indices,
-    _gram,
-    _step_scalar,
     _times,
     act_E,
     act_F,
@@ -147,7 +144,6 @@ from .qring import (
     q_power,
     quantum_binomial,
     quantum_factorial,
-    quantum_integer,
 )
 
 __all__ = [
@@ -170,59 +166,40 @@ OrbitIndex = orbits.OrbitIndex
 _KAPPA: list[Laurent] = [ONE]
 
 
-class _Store(dict):
-    """A memo store of solved results, with the two tables that keep
-    each stored coefficient value once: values maps a coefficient to the
-    one shared instance of its value, and products maps a pair (c, e) to
-    the shared value of c * e.  Both are keyed by value, not by id, so
-    no entry can be mistaken for another after its factors are gone.
-    clear() empties all three."""
-
-    __slots__ = ("values", "products")
-
-    def __init__(self):
-        super().__init__()
-        self.values: dict[Laurent, Laurent] = {}
-        self.products: dict[tuple[Laurent, Laurent], Laurent] = {}
-
-    def clear(self) -> None:
-        super().clear()
-        self.values.clear()
-        self.products.clear()
-
-
 # Per-process results, keyed by (kind, *args): ("psi", d, cut, idx) ->
 # Psi(v_idx), ("table", d, r) -> CanonicalTable (with its product
 # coordinates when len(d) > 1), ("E", d, idx, n) -> the canonical
 # coordinates of E^(n) b_idx (len(d) > 1), and ("pair", d1, d2, sign)
-# -> LinMap (filled by rmatrix).  Emptied, with _KAPPA and the shared
-# values of its tables, by clear_caches.
-_MEMO = _Store()
+# -> LinMap (filled by rmatrix).  Each kind is read and written only by
+# the function that computes it.
+_MEMO: dict[tuple, object] = {}
 
+# The tables that keep each stored coefficient value once: _VALUES maps
+# a coefficient to the one shared instance of its value, and _PRODUCTS
+# maps a pair (c, e) to the shared value of c * e.  Both are keyed by
+# value, not by id, so no entry can be mistaken for another after its
+# factors are gone.  They intern values only; results live in _MEMO.
+# clear_caches empties all three, with _KAPPA.
+_VALUES: dict[Laurent, Laurent] = {}
+_PRODUCTS: dict[tuple[Laurent, Laurent], Laurent] = {}
 
-# The memoized constants of qring, orbits, modules and this module, held
-# here as the cached functions themselves so clear_caches reaches them
-# whatever later rebinds the module attributes.
-_CONSTANT_MEMOS = (
-    quantum_integer,
-    quantum_factorial,
-    quantum_binomial,
-    _gram,
-    _step_scalar,
-    _basis_indices,
-    orbits._orbit_dim,
-    orbits._linear_extension,
-)
+# The memoized constants of qring, orbits and modules: each module's
+# _MEMOS, the cached functions themselves, so clear_caches reaches them
+# whatever later rebinds a module attribute.
+_CONSTANT_MEMOS = (*qring._MEMOS, *orbits._MEMOS, *modules._MEMOS)
 
 
 def clear_caches() -> None:
     """Forget every per-process result: memoized Psi images, canonical
-    tables with their product coordinates, E^(n) coordinates, the shared
-    coefficient values and their products, pair braidings, the checked
-    quasi-R coefficients, the quantum integers, factorials and
-    binomials, the Gram entries, the E/F step scalars, the basis index
-    sets, the orbit dimensions and the linear extensions."""
-    _MEMO.clear()
+    tables with their product coordinates, E^(n) coordinates, pair
+    braidings (_MEMO), the shared coefficient values (_VALUES) and their
+    products (_PRODUCTS), the checked quasi-R coefficients, and the
+    constant memos of qring, orbits and modules: the quantum integers,
+    factorials and binomials, the Gram entries, the E/F step scalars,
+    the basis index sets, the orbit dimensions and the linear
+    extensions."""
+    for store in (_MEMO, _VALUES, _PRODUCTS):
+        store.clear()
     del _KAPPA[1:]
     for memo in _CONSTANT_MEMOS:
         memo.cache_clear()
@@ -421,11 +398,11 @@ def _add_scaled(
     immutable), and from the second summand on a raw map
     {half-exponent: coefficient} that starts as a copy of that Laurent's
     terms and is never one of them; _entry reads either kind.  When
-    shared, a one-summand product c * terms[w] is read from _MEMO's
-    product table, and computed and shared only on a miss."""
+    shared, a one-summand product c * terms[w] is read from _PRODUCTS,
+    and computed and shared through _VALUES only on a miss."""
     c_items = c._terms.items()
     unit = c._terms == ONE._terms
-    products = _MEMO.products if shared else None
+    products = _PRODUCTS if shared else None
     for w, e in terms.items():
         key = head + w
         raw = acc.get(key)
@@ -453,17 +430,8 @@ def _entry(raw: Laurent | defaultdict) -> Laurent:
 
 
 def _shared(c: Laurent) -> Laurent:
-    """The shared instance of c's value in _MEMO, c itself on a miss."""
-    return _MEMO.values.setdefault(c, c)
-
-
-def _sub_table(d: Composition, r: int) -> CanonicalTable:
-    """The table of (d, r) from _MEMO, solved into it on a miss."""
-    key = ("table", d, r)
-    table = _MEMO.get(key)
-    if table is None:
-        table = _MEMO[key] = _compute_table(d, r)
-    return table
+    """The shared instance of c's value in _VALUES, c itself on a miss."""
+    return _VALUES.setdefault(c, c)
 
 
 def _add_e_image(
@@ -573,16 +541,24 @@ def _peel(
             raise TriangularityViolationError(f"{leftover}{idx}")
 
 
-def _compute_table(d: Composition, r: int) -> CanonicalTable:
-    """Solve the table of (d, r), product coordinates included, from the
-    monomials of _monomial, reading no kappa; the factor tables, the
-    E^(n) coordinates and the shared coefficient values live in _MEMO."""
+def _sub_table(d: Composition, r: int) -> CanonicalTable:
+    """The table of (d, r) from _MEMO, solved into it on a miss, product
+    coordinates included, from the monomials of _monomial, reading no
+    kappa; the factor tables and the E^(n) coordinates come from _MEMO,
+    and every stored coefficient is shared through _VALUES.  The table
+    is stored only after its last row, so a solve that raises leaves
+    nothing in _MEMO."""
+    key = ("table", d, r)
+    table = _MEMO.get(key)
+    if table is not None:
+        return table
     order = tuple(orbits.linear_extension(d, r))
     if len(d) == 1:
         rows = {idx: ModuleVector._make(d, {idx: ONE}) for idx in order}
-        return CanonicalTable(d, r, order, rows)
-    # every diagonal entry is ONE, so ONE is the shared 1 of the store
-    _MEMO.values.setdefault(ONE, ONE)
+        table = _MEMO[key] = CanonicalTable(d, r, order, rows)
+        return table
+    # every diagonal entry is ONE, so ONE is the shared 1 of _VALUES
+    _VALUES.setdefault(ONE, ONE)
     # the closure tests compare prefix sums computed once per index,
     # which also tells an index of this level from any other
     prefix = {idx: orbits.prefix_sums(idx) for idx in order}
@@ -629,6 +605,7 @@ def _compute_table(d: Composition, r: int) -> CanonicalTable:
             if not c.is_zero():
                 data[shared[idx]] = _shared(c)
         table.rows[r_idx] = ModuleVector._make(d, data)
+    _MEMO[key] = table
     return table
 
 

@@ -640,3 +640,7 @@ class LinMap(_Record):
     @classmethod
     def identity(cls, d: Composition) -> "LinMap":
         return cls.of(d, lambda u: u)
+
+
+# This module's lru_cache functions, held for qsl2.clear_caches.
+_MEMOS = (_basis_indices, _step_scalar, _gram)

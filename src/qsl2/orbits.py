@@ -224,3 +224,7 @@ def poset_dot(d: Composition, r: int) -> str:
         lines.append(f'  "{format_index(s)}" -> "{format_index(t)}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+# This module's lru_cache functions, held for qsl2.clear_caches.
+_MEMOS = (_orbit_dim, _linear_extension)

@@ -338,8 +338,6 @@ def exact_div(a: Laurent, d: Laurent) -> Laurent:
     d_lo, d_hi = min(d_terms), max(d_terms)
     deg_a = a_hi - a_lo
     deg_d = d_hi - d_lo
-    if deg_a < deg_d:
-        raise NonDivisibleError(f"({a}) is not divisible by ({d})")
 
     # Dense remainder for x = q^(1/2), lowest degree first; the divisor
     # below its leading term as (degree, coefficient) pairs.
@@ -360,7 +358,12 @@ def exact_div(a: Laurent, d: Laurent) -> Laurent:
         c = quot[shift + i] = top // lead
         for j, dc in tail:
             num[i + j] -= c * dc
-    # every degree from deg_d up was cancelled as the leading term
+    # every degree from deg_d up was cancelled as the leading term; a of
+    # lower degree than d is all remainder, its top term nonzero
     if any(num[:deg_d]):
         raise NonDivisibleError(f"({a}) is not divisible by ({d})")
     return Laurent._from_raw(quot)
+
+
+# This module's lru_cache functions, held for qsl2.clear_caches.
+_MEMOS = (quantum_integer, quantum_factorial, quantum_binomial)

@@ -13,6 +13,7 @@ import pytest
 
 import qsl2.canonical as canonical_mod
 import qsl2.modules as modules_mod
+import qsl2.qring as qring_mod
 from conftest import solved_under
 from qsl2 import orbits
 from qsl2 import (
@@ -43,8 +44,6 @@ from qsl2.errors import (
 from qsl2.modules import (
     LinMap,
     _JsonParts,
-    _gram,
-    _step_scalar,
     act_divided,
     act_E,
     act_F,
@@ -62,11 +61,11 @@ from qsl2.qring import (
     QINV,
     ZERO,
     exact_div,
+    q_half,
     q_power,
-    quantum_binomial,
     quantum_factorial,
-    quantum_integer,
 )
+from qsl2.verify import SUITES
 
 V = ModuleVector.basis
 
@@ -227,6 +226,22 @@ def test_a_wrong_closed_form_is_refused(monkeypatch, n, fault):
         compute_quasi_r(n)
     assert canonical_mod._KAPPA == [_closed_form_kappa(k) for k in range(n)]
     assert ("psi", (n, n), 1, (0, n)) not in canonical_mod._MEMO
+    clear_caches()
+
+
+def test_a_kappa_outside_z_q_is_refused(monkeypatch):
+    # with E and F zero maps every column intertwines, so only the ring
+    # check can refuse the closed form built on [1]! = q^(1/2); nothing
+    # is kept
+    clear_caches()
+    zero = lambda u: ModuleVector.zero(u.d)
+    monkeypatch.setattr(canonical_mod, "act_E", zero)
+    monkeypatch.setattr(canonical_mod, "act_F", zero)
+    monkeypatch.setattr(canonical_mod, "quantum_factorial", lambda n: q_half(1))
+    with pytest.raises(ConventionUnderdeterminedError) as info:
+        compute_quasi_r(1)
+    assert str(info.value) == "kappa_1 = -q^(3/2) + q^(-1/2) escaped Z[q, q^-1]"
+    assert canonical_mod._KAPPA == [ONE]
     clear_caches()
 
 
@@ -756,6 +771,15 @@ def test_product_solve_matches_standard_basis_recursion_under_kappa_override():
 # -- per-process memo store ----------------------------------------------------
 
 
+def _lru_memos(module):
+    """Every lru_cache function module defines, found among its globals."""
+    return {
+        obj
+        for obj in vars(module).values()
+        if hasattr(obj, "cache_clear") and obj.__module__ == module.__name__
+    }
+
+
 def test_clear_caches_empties_store_and_resets_kappa():
     first = canonical_basis((2, 2), 2)
     # a factor with two slots, so that some E^(n) coordinates are memoized
@@ -770,18 +794,16 @@ def test_clear_caches_empties_store_and_resets_kappa():
     kinds = {key[0] for key in canonical_mod._MEMO}
     assert kinds == {"psi", "table", "E", "pair"}
     assert len(canonical_mod._KAPPA) > 1
-    constants = (
-        quantum_integer,
-        quantum_factorial,
-        quantum_binomial,
-        _gram,
-        _step_scalar,
-        orbits._orbit_dim,
-        orbits._linear_extension,
+    # every memo defined in these modules is listed for clear_caches
+    constants = set().union(
+        *map(_lru_memos, (qring_mod, orbits, modules_mod, canonical_mod))
     )
+    assert constants == set(canonical_mod._CONSTANT_MEMOS)
+    assert len(constants) == len(canonical_mod._CONSTANT_MEMOS)
     assert all(memo.cache_info().currsize > 0 for memo in constants)
     clear_caches()
     assert canonical_mod._MEMO == {}
+    assert canonical_mod._VALUES == {} and canonical_mod._PRODUCTS == {}
     assert canonical_mod._KAPPA == [ONE]
     for memo in constants:
         assert memo.cache_info().currsize == 0
@@ -816,7 +838,7 @@ def test_equal_stored_coefficients_are_one_object():
     stored = 0
     for c in _stored_coefficients(canonical_mod._MEMO):
         assert first.setdefault(c, c) is c, c
-        assert canonical_mod._MEMO.values[c] is c, c
+        assert canonical_mod._VALUES[c] is c, c
         stored += 1
     assert first[ONE] is ONE
     # the Kazhdan-Lusztig polynomials repeat: far fewer values than entries
@@ -829,12 +851,12 @@ def test_solved_under_leaves_every_memo_empty():
     with solved_under([ks[0], neg(ks[1]), ks[2]]):
         canonical_basis((2, 2), 2)
         r_plus_pair(1, 2)
-        assert canonical_mod._MEMO.values and canonical_mod._MEMO.products
+        assert canonical_mod._VALUES and canonical_mod._PRODUCTS
     assert canonical_mod._kappa is real
     assert canonical_mod.compute_quasi_r is compute_quasi_r
     assert canonical_mod._MEMO == {}
-    assert canonical_mod._MEMO.values == {}
-    assert canonical_mod._MEMO.products == {}
+    assert canonical_mod._VALUES == {}
+    assert canonical_mod._PRODUCTS == {}
     assert canonical_mod._KAPPA == [ONE]
     for memo in canonical_mod._CONSTANT_MEMOS:
         assert memo.cache_info().currsize == 0, memo
@@ -845,11 +867,11 @@ def test_solved_under_leaves_every_memo_empty():
 
 def test_clear_caches_empties_the_value_and_product_tables():
     canonical_basis((1,) * 6, 3)
-    assert canonical_mod._MEMO.values
-    assert canonical_mod._MEMO.products
+    assert canonical_mod._VALUES
+    assert canonical_mod._PRODUCTS
     clear_caches()
-    assert canonical_mod._MEMO.values == {}
-    assert canonical_mod._MEMO.products == {}
+    assert canonical_mod._VALUES == {}
+    assert canonical_mod._PRODUCTS == {}
 
 
 def test_kappa_override_leaves_the_shared_values_alone():
@@ -864,8 +886,8 @@ def test_kappa_override_leaves_the_shared_values_alone():
     ks = compute_quasi_r(1)
     flipped = [ks[0], neg(ks[1])]
     stored = len(canonical_mod._MEMO)
-    values = dict(canonical_mod._MEMO.values)
-    products = dict(canonical_mod._MEMO.products)
+    values = dict(canonical_mod._VALUES)
+    products = dict(canonical_mod._PRODUCTS)
     with solved_under(flipped):
         assert bar_involution(u) != clean
         assert r_plus_pair(1, 1) != clean_pair
@@ -873,14 +895,14 @@ def test_kappa_override_leaves_the_shared_values_alone():
     # the wrong values left with the block; a fresh solve shares the
     # same values and products as before it
     assert canonical_mod._MEMO == {}
-    assert canonical_mod._MEMO.values == {}
+    assert canonical_mod._VALUES == {}
     assert bar_involution(u) == clean
     assert r_plus_pair(1, 1) == clean_pair
     canonical_basis((1,) * 6, 3)
     assert len(canonical_mod._MEMO) == stored
-    assert canonical_mod._MEMO.values == values
-    assert canonical_mod._MEMO.products == products
-    assert all(v is c for c, v in canonical_mod._MEMO.values.items())
+    assert canonical_mod._VALUES == values
+    assert canonical_mod._PRODUCTS == products
+    assert all(v is c for c, v in canonical_mod._VALUES.items())
 
 
 def test_every_memoized_table_keeps_its_product_coordinates():
@@ -1160,7 +1182,6 @@ def test_add_scaled_matches_reference_loop_without_aliasing():
 
 def test_add_scaled_shares_one_summand_products_through_the_store():
     clear_caches()
-    store = canonical_mod._MEMO
     c = Laurent({-2: 1, -4: 1})
     e = Laurent({-2: 2, 0: 1})
     # two equal entries held as different objects
@@ -1170,8 +1191,8 @@ def test_add_scaled_shares_one_summand_products_through_the_store():
     product = acc[(0,)]
     assert acc[(1,)] is product
     assert product._terms == (c * e)._terms
-    assert store.products == {(c, e): product}
-    assert store.values == {product: product}
+    assert canonical_mod._PRODUCTS == {(c, e): product}
+    assert canonical_mod._VALUES == {product: product}
     again = {}
     canonical_mod._add_scaled(again, c, row, (5,), shared=True)
     assert again[(5, 0)] is product
@@ -1671,6 +1692,43 @@ def test_embedding_check_rejects_a_column_across_two_levels():
     with pytest.raises(EmbeddingCheckFailedError, match=r"sends \(1, 0\) off level 1"):
         canonical_mod._assert_embedding(LinMap(m.source, m.target, columns))
     canonical_mod._assert_embedding(m)
+
+
+def test_embed_refine_refuses_an_image_that_is_not_an_isometry(monkeypatch):
+    # every image F^(a) v_(0,...,0) scaled by q still intertwines and
+    # keeps its level, but pairs with itself to q^2 times its Gram entry
+    real = canonical_mod.act_divided
+    clear_caches()
+    monkeypatch.setattr(
+        canonical_mod, "act_divided", lambda u, gen, a: real(u, gen, a).scale(Q)
+    )
+    with pytest.raises(EmbeddingCheckFailedError) as info:
+        embed_refine((2,))
+    assert str(info.value) == (
+        "embedding of Lambda_(2,) is not an isometry at ((0,), (0,))"
+    )
+    # the embed suite records each refusal and goes on to the next
+    # composition
+    res = SUITES["embed"](2)
+    assert res.failures == [
+        f"embed_refine({d}) raised EmbeddingCheckFailedError" for d in compositions(2)
+    ]
+    clear_caches()
+
+
+def test_embed_refine_refuses_an_image_off_its_level(monkeypatch):
+    # v_a goes to F^(a+1) v_(0,...,0), capped at the slot count
+    real = canonical_mod.act_divided
+    clear_caches()
+    monkeypatch.setattr(
+        canonical_mod,
+        "act_divided",
+        lambda u, gen, a: real(u, gen, min(a + 1, len(u.d))),
+    )
+    with pytest.raises(EmbeddingCheckFailedError) as info:
+        embed_refine((2,))
+    assert str(info.value) == "embedding of Lambda_(2,) sends (0,) off level 0"
+    clear_caches()
 
 
 def test_embed_refine_rejects_zero_total():

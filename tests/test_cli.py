@@ -459,6 +459,21 @@ def test_verify_failure_exits_1_with_witness(monkeypatch, capsys):
     assert "FAILED at max total 2" in out
 
 
+def test_verify_truncated_suite_exits_1(monkeypatch, capsys):
+    # a suite that stopped recording witnesses fails with no witness shown
+    def fake_run_all(max_total):
+        return [SuiteResult("x", 1, [], True)]
+
+    monkeypatch.setattr(cli_mod, "run_all", fake_run_all)
+    code, out, _ = run(["verify", "--max-total", "2"], capsys)
+    assert code == 1
+    assert out == (
+        "suite x                1 checks,   0 failures  [FAIL]\n"
+        "  (more failures suppressed)\n"
+        "FAILED at max total 2\n"
+    )
+
+
 def test_verify_success_exits_0(capsys):
     code, out, _ = run(["verify", "--max-total", "2"], capsys)
     assert code == 0

@@ -514,6 +514,12 @@ def test_combine_matches_reference_loop():
         combine((2, 1), [(ONE, v((1, 2), 0, 0))])
 
 
+def test_module_vector_refuses_a_coefficient_that_is_not_a_ring_element():
+    with pytest.raises(TypeError) as info:
+        ModuleVector((1,), {(0,): 1})
+    assert str(info.value) == "coefficient of (0,) is not a ring element"
+
+
 def test_combine_refuses_a_coefficient_that_is_not_a_ring_element():
     u, w = v((1,), 0), v((1,), 1)
     for c in (2, None):

@@ -294,6 +294,14 @@ def test_exact_div():
         exact_div(Q + ONE, Q + Q)
 
 
+def test_exact_div_refuses_a_divisor_of_higher_degree():
+    # a dividend spanning fewer exponents than the divisor is all
+    # remainder: the long division takes no step
+    with pytest.raises(NonDivisibleError) as info:
+        exact_div(ONE, Q + ONE)
+    assert str(info.value) == "(1) is not divisible by (q + 1)"
+
+
 def test_exact_div_leftover_remainder():
     # q^2 + 1 = (q + 1)(q - 1) + 2, and q^4 + q^2 + 1 = (q^2 + 1) q^2 + 1:
     # every leading quotient is an integer, the remainder is not zero

@@ -5,6 +5,8 @@ import re
 
 import pytest
 
+import qsl2.canonical as canonical_mod
+import qsl2.rmatrix as rmatrix_mod
 from qsl2 import (
     Laurent,
     ModuleVector,
@@ -18,7 +20,7 @@ from qsl2 import (
     r_move,
     r_plus_pair,
 )
-from qsl2.errors import NonReducedWordError
+from qsl2.errors import InverseCheckFailedError, NonReducedWordError
 from qsl2.modules import LinMap, act_E, act_F, act_K, combine, enumerate_basis, theta
 from qsl2.qring import ONE, Q, QINV, ZERO, q_power, quantum_factorial
 from qsl2.rmatrix import _cartan_step, _r_plus_columns, _swap_step
@@ -255,6 +257,31 @@ def test_pair_validation():
         r_minus_pair(2, -1)
 
 
+@pytest.mark.parametrize(
+    "d1, d2, message",
+    [
+        (1, 2, "R_+(2,1) after R_-(1,2) is not the identity"),
+        (2, 1, "R_+(1,2) after R_-(2,1) is not the identity"),
+    ],
+)
+def test_r_minus_pair_refuses_a_braiding_it_does_not_invert(
+    monkeypatch, d1, d2, message
+):
+    # with the Cartan step before Theta_R, Psi R_+ Psi no longer inverts
+    # the partner R_+, and nothing is memoized
+    canonical_mod.clear_caches()
+    monkeypatch.setattr(
+        rmatrix_mod,
+        "_r_plus_columns",
+        lambda a, b: r_plus_columns(a, b, step_order=("cartan", "theta", "swap")),
+    )
+    with pytest.raises(InverseCheckFailedError) as info:
+        r_minus_pair(d1, d2)
+    assert str(info.value) == message
+    assert ("pair", d1, d2, "minus") not in canonical_mod._MEMO
+    canonical_mod.clear_caches()
+
+
 def test_pair_factor_sizes_are_ints_before_the_memo_is_read():
     # True == 1 and hash(True) == hash(1), so a key built before the
     # check would serve the (1, 1) braiding; 1.0 would reach Laurent
@@ -293,6 +320,16 @@ def test_move_satisfies_braid_relation():
         a = r_move(d, [1, 2, 1])
         b = r_move(d, [2, 1, 2])
         assert a.columns == b.columns
+
+
+def test_move_rejects_an_unknown_sign():
+    with pytest.raises(ValueError) as info:
+        r_move((1, 1), [1], "up")
+    assert str(info.value) == "sign must be plus or minus, got 'up'"
+
+
+def test_move_takes_a_permword_as_its_letters():
+    assert r_move((1, 1), PermWord(2, (1,))) == r_move((1, 1), [1])
 
 
 def test_move_rejects_non_reduced_words():

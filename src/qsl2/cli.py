@@ -58,19 +58,95 @@ def _parse_composition(text: str) -> tuple[int, ...]:
 
 
 _JSON_BLOCK = 1 << 16
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _scalar_json(v) -> str | None:
+    """The JSON text of an int or a str, or None for anything else."""
+    t = type(v)
+    if t is int:
+        return int.__repr__(v)
+    if t is str:
+        return _encode_str(v)
+    return None
+
+
+def _leaf_json(v: list, depth: int, nested: bool = True) -> str | None:
+    """The indented text, its bracket opening at depth, of a list of
+    scalars or, when nested, of scalar lists (a coefficient's pairs, an
+    index); None for any other list."""
+    if not v:
+        return "[]"
+    texts = []
+    for x in v:
+        text = _scalar_json(x)
+        if text is None and nested and type(x) is list:
+            text = _leaf_json(x, depth + 1, False)
+        if text is None:
+            return None
+        texts.append(text)
+    inner = "\n" + "  " * (depth + 1)
+    return "[" + inner + ("," + inner).join(texts) + inner[:-2] + "]"
 
 
 def _emit_json(obj) -> None:
-    """Write json.dumps(obj, indent=2) and a newline to stdout, the
-    encoder's many small chunks joined into writes of about 64 KiB."""
-    block, size = [], 0
-    for chunk in json.JSONEncoder(indent=2).iterencode(obj):
-        block.append(chunk)
-        size += len(chunk)
+    """Write json.dumps(obj, indent=2) and a newline to stdout through a
+    writer of its own, which takes only dicts with str keys, lists, str
+    and int (anything else is a TypeError).  Each list of scalars or of
+    scalar lists, such as a coefficient's pairs or an index, is a leaf:
+    its text is formatted once per (object, depth) in a call, so a leaf
+    the document shares costs one encoding at each depth it appears at.
+    Dicts and other lists are rebuilt around those texts every time and
+    never memoized.  The text goes out in writes of about _JSON_BLOCK
+    characters, each overrunning the block by at most its last piece."""
+    write, block, leaves = sys.stdout.write, [], {}
+    size = 0
+
+    def put(text: str) -> None:
+        nonlocal size
+        block.append(text)
+        size += len(text)
         if size >= _JSON_BLOCK:
-            sys.stdout.write("".join(block))
-            block, size = [], 0
-    sys.stdout.write("".join(block) + "\n")
+            write("".join(block))
+            block.clear()
+            size = 0
+
+    def value(v, depth: int) -> None:
+        t = type(v)
+        if t is list:
+            key = id(v), depth
+            text = leaves.get(key) or _leaf_json(v, depth)
+            if text is not None:
+                leaves[key] = text
+                put(text)
+                return
+            inner = "\n" + "  " * (depth + 1)
+            sep = "[" + inner
+            for x in v:
+                put(sep)
+                value(x, depth + 1)
+                sep = "," + inner
+            put(inner[:-2] + "]")
+        elif t is dict:
+            if not v:
+                put("{}")
+                return
+            inner = "\n" + "  " * (depth + 1)
+            sep = "{" + inner
+            for k, x in v.items():
+                # a key that is not a str is a TypeError of the encoder
+                put(sep + _encode_str(k) + ": ")
+                value(x, depth + 1)
+                sep = "," + inner
+            put(inner[:-2] + "}")
+        else:
+            text = _scalar_json(v)
+            if text is None:
+                raise TypeError(f"{t.__name__} is not written as JSON here")
+            put(text)
+
+    value(obj, 0)
+    write("".join(block) + "\n")
 
 
 def _emit(args: argparse.Namespace, obj, text) -> None:

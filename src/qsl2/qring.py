@@ -9,8 +9,9 @@ act without a field extension; a predicate gates re-entry into A.
 
 The quantum integer [n] = (q^n - q^-n)/(q - q^-1) = q^(n-1) + q^(n-3)
 + ... + q^(1-n), the factorial [n]! and the binomial are computed here
-exactly; the binomial uses the product formula with iterated exact
-division, so a failed division is always a bug, never rounding.  The
+exactly.  The binomial is the Gaussian binomial in x = q^2, built on one
+dense list of ints by exact passes that multiply by 1 - x^m and divide
+by 1 - x^i, so a failed division is always a bug, never rounding.  The
 three constants are memoized for the process (qsl2.clear_caches empties
 the memos); Laurent values are never mutated, so sharing them is safe.
 """
@@ -309,14 +310,39 @@ def quantum_factorial(n: int) -> Laurent:
 
 @lru_cache(maxsize=None, typed=True)
 def quantum_binomial(n: int, r: int) -> Laurent:
-    """The quantum binomial via the product formula, one exact division
-    per factor so integrality is checked at every step."""
+    """[n choose r] = q^(-r(n-r)) prod_(i=1..r) (1 - x^(n-r+i)) / (1 - x^i)
+    with x = q^2: the Gaussian binomial, which counts the F_(q^2)-points
+    of the Grassmannian Gr(r, n), shifted to be bar invariant.
+
+    Its coefficients in x, lowest degree first, are one dense list of
+    ints.  Each factor is one pass that multiplies by 1 - x^m and one
+    that divides by 1 - x^i; the top i entries the division leaves are
+    its remainder, and a nonzero one raises NonDivisibleError.
+    """
     if type(n) is not int or type(r) is not int or not 0 <= r <= n:
         raise ValueError(f"quantum binomial needs 0 <= r <= n, got n={n}, r={r}")
-    out = ONE
-    for t in range(1, r + 1):
-        out = exact_div(out * quantum_integer(n - r + t), quantum_integer(t))
-    return out
+    coeffs = [1]
+    for i in range(1, r + 1):
+        m = n - r + i
+        coeffs += [0] * m
+        for j in range(len(coeffs) - 1, m - 1, -1):
+            coeffs[j] -= coeffs[j - m]
+        _divide_one_minus(coeffs, i)
+        if any(coeffs[-i:]):
+            raise NonDivisibleError(
+                f"quantum binomial ({n}, {r}): 1 - q^{2 * i} leaves a remainder"
+            )
+        del coeffs[-i:]
+    low = -2 * r * (n - r)
+    return Laurent._from_raw(dict(zip(range(low, -low + 1, 4), coeffs)))
+
+
+def _divide_one_minus(coeffs: list[int], i: int) -> None:
+    """Divide the polynomial coeffs in x by 1 - x^i in place, in one
+    pass: entry j becomes the sum of entries j, j - i, j - 2i, ... .  The
+    top i entries are then the remainder, and the rest the quotient."""
+    for j in range(i, len(coeffs)):
+        coeffs[j] += coeffs[j - i]
 
 
 def exact_div(a: Laurent, d: Laurent) -> Laurent:

@@ -10,15 +10,17 @@ The checks are canon-12 (canonical_basis((1,)*12, 6)), canon-14
 (12 ones) --r 6 --format json), split-12 (split_expand((1,)*12, 6, 6)),
 split-text-12 (qsl2 split --d 1,...,1 (12 ones) --at 6 --r 6, the
 table text), rmat-10 (r_move((1,)*10, w0, "minus"), w0 the longest
-word) and embed-12 (qsl2 embed --d 4,4,4 --basis canonical, the
-refinement embedding's canonical matrices as text).  Each prints one line with the wall seconds of the part it
-bounds, the peak resident set of the process (VmHWM of
-/proc/self/status, so Linux only), read right after that part, and the
-sha256 of the output, and exits 0 only when the sha256 equals its pin
-and the peak is under its bound; the seconds are reported, not
-checked.  The peak is the whole process's, so a second check in the
-same process would read the first one's: run each in a process of its
-own.
+word), embed-12 (qsl2 embed --d 4,4,4 --basis canonical, the
+refinement embedding's canonical matrices as text) and inner-120 (qsl2
+inner --d 120 --r 60 --format json, one Gram entry read from the
+quantum binomial [120 choose 60]).  Each prints one line with the wall
+seconds of the part it bounds, the peak resident set of the process
+(VmHWM of /proc/self/status, so Linux only), read right after that
+part, and the sha256 of the output, and exits 0 only when the sha256
+equals its pin and the peak is under its bound; the seconds are
+reported, not checked.  The peak is the whole process's, so a second
+check in the same process would read the first one's: run each in a
+process of its own.
 """
 
 from __future__ import annotations
@@ -170,6 +172,14 @@ CHECKS = {
         "fd2d9ccd0ae39fa493f02113b448ce9b6118ed5c30763e0dc792c08b9b572899",
         6_077,
         76,
+    ),
+    # `python -m qsl2.cli ... | sha256sum` and `| wc -c` while the quantum
+    # binomial was an iterated exact division of Laurent products
+    "inner-120": lambda: _cli(
+        ["inner", "--d", "120", "--r", "60", "--format", "json"],
+        "47a8533865e880589cbff73950c62d47a6d7eeacf19163e65c547e3769d78b89",
+        274_470,
+        32,
     ),
 }
 

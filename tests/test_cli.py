@@ -1,12 +1,14 @@
-"""Command-line surface: golden outputs, byte determinism, a light
-import, the ignored --cache-dir option and QSL2_CACHE_DIR variable, the
-one-command parser, and the exit-code contract."""
+"""Command-line surface: golden outputs, byte determinism, the JSON
+writer, a light import, the ignored --cache-dir option and
+QSL2_CACHE_DIR variable, the one-command parser, and the exit-code
+contract."""
 
 import hashlib
 import importlib.util
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -206,6 +208,109 @@ def test_json_is_written_in_blocks(monkeypatch):
     monkeypatch.setattr(sys, "stdout", out)
     cli_mod._emit_json([])
     assert (out.getvalue(), out.writes) == ("[]\n", [3])
+
+
+def _written_json(monkeypatch, obj) -> str:
+    out = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", out)
+    cli_mod._emit_json(obj)
+    monkeypatch.undo()
+    return out.getvalue()
+
+
+_STRINGS = [
+    "", "plain", 'a "quote"', "back\\slash", "\x00\x1f\n\t\r\b\f", "é€", "\U0001d11e"
+]
+_INTS = [0, 7, -3, 10**40, -(10**40) + 1]
+
+
+def _random_json(rng, depth):
+    """A random document of dicts, lists, str and int: leaves, lists of
+    scalars or of scalar lists, and deeper lists and dicts, with empty
+    lists and dicts among them."""
+    kind = rng.randrange(7 if depth < 5 else 4)
+    if kind == 0:
+        return rng.choice(_INTS)
+    if kind == 1:
+        return rng.choice(_STRINGS)
+    if kind == 2:
+        return [rng.choice(_INTS + _STRINGS) for _ in range(rng.randrange(4))]
+    if kind == 3:
+        size = rng.randrange(3)
+        return [[rng.choice(_INTS), rng.choice(_STRINGS)] for _ in range(size)]
+    if kind == 4:
+        return [_random_json(rng, depth + 1) for _ in range(rng.randrange(4))]
+    keys = rng.sample(_STRINGS, rng.randrange(4))
+    return {key: _random_json(rng, depth + 1) for key in keys}
+
+
+def _with_empties(depth):
+    """A dict holding an empty list and an empty dict at every depth to
+    depth, in dicts and in lists."""
+    inner = {"list": [], "dict": {}}
+    for _ in range(depth):
+        inner = {"list": [], "dict": {}, "next": inner, "in a list": [[], {}, inner]}
+    return inner
+
+
+def test_json_writer_matches_json_dumps(monkeypatch):
+    shared, pairs = [1, -2, "x"], [[-4, "1"], [0, "-12"]]
+    documents = [
+        [],
+        {},
+        [[]],
+        [{}],
+        5,
+        "s",
+        _with_empties(6),
+        [_with_empties(3), [_with_empties(2)]],
+        # one list object at two depths, and a scalar list shared inside
+        # a list of scalar lists
+        {"index": shared, "rows": [{"r_index": shared, "c": pairs}, [pairs, shared]]},
+        [shared, [shared, [shared]], {"k": [shared, pairs]}],
+        {key: key for key in _STRINGS},
+        [_INTS, _STRINGS, [_INTS, _STRINGS]],
+    ]
+    rng = random.Random(29)
+    documents += [_random_json(rng, 0) for _ in range(300)]
+    for obj in documents:
+        assert _written_json(monkeypatch, obj) == json.dumps(obj, indent=2) + "\n", obj
+
+
+def test_json_writer_formats_each_leaf_once_per_depth(monkeypatch):
+    # leaves are lists of scalars or of scalar lists; a list holding a
+    # list of lists is rebuilt around its items' texts
+    pairs, index = [[0, "1"], [4, "-2"]], [1, 2]
+    deeper = [pairs]
+    rows = [[pairs, deeper], [index, [5]]]
+    obj = {"rows": rows, "index": index, "again": [index]}
+    leaf, formatted = cli_mod._leaf_json, []
+
+    def spy(v, depth, nested=True):
+        text = leaf(v, depth, nested)
+        if nested and text is not None:
+            formatted.append((id(v), depth))
+        return text
+
+    monkeypatch.setattr(cli_mod, "_leaf_json", spy)
+    assert _written_json(monkeypatch, obj) == json.dumps(obj, indent=2) + "\n"
+    leaves = [(pairs, 3), (pairs, 4), (rows[1], 2), (index, 1), (obj["again"], 1)]
+    assert sorted(formatted) == sorted((id(v), depth) for v, depth in leaves)
+
+
+@pytest.mark.parametrize("bad", [True, False, None, 1.5, (1, 2)], ids=repr)
+def test_json_writer_refuses_values_no_document_holds(monkeypatch, bad):
+    nested = ([bad], [1, bad], [[1, bad]], [[bad], {}], {"k": bad}, [{"k": [bad]}])
+    for obj in (bad, *nested):
+        with pytest.raises(TypeError):
+            _written_json(monkeypatch, obj)
+
+
+@pytest.mark.parametrize("key", [1, None, True, 1.5, ("a",)], ids=repr)
+def test_json_writer_refuses_keys_that_are_not_str(monkeypatch, key):
+    for obj in ({key: 1}, [{"a": 1, key: []}], {"a": {key: "x"}}):
+        with pytest.raises(TypeError):
+            _written_json(monkeypatch, obj)
 
 
 @pytest.mark.parametrize(

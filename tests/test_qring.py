@@ -6,6 +6,7 @@ from collections import defaultdict
 
 import pytest
 
+import qsl2.qring as qring_mod
 from qsl2.errors import NonDivisibleError
 from qsl2.qring import (
     Laurent,
@@ -272,6 +273,70 @@ def test_quantum_binomial_identities():
             )
             # every coefficient of a quantum binomial is a positive count
             assert all(c > 0 for _, c in b.items())
+
+
+def _reference_binomial(n, r):
+    """[n - r + t choose t] for t = 0..r, by the product formula: step t
+    multiplies the last value by [n - r + t] through a Laurent product
+    and divides it by [t] with exact_div.  The last is [n choose r]."""
+    out = [ONE]
+    for t in range(1, r + 1):
+        out.append(exact_div(out[-1] * quantum_integer(n - r + t), quantum_integer(t)))
+    return out
+
+
+def test_quantum_binomial_matches_the_product_formula():
+    # one run of the product formula checks a whole diagonal n - r = k:
+    # every (n, r) with n <= 40, and r <= 3 up to n = 300
+    runs = [(40, 40 - k) for k in range(41)] + [(n, 3) for n in range(41, 301)]
+    for n, r in runs:
+        for t, value in enumerate(_reference_binomial(n, r)):
+            assert quantum_binomial(n - r + t, t) == value, (n - r + t, t)
+
+
+def test_cold_quantum_binomial_takes_no_laurent_product_or_division(monkeypatch):
+    calls = []
+    mul, div = Laurent.__mul__, qring_mod.exact_div
+    monkeypatch.setattr(Laurent, "__mul__", lambda a, b: calls.append("mul") or mul(a, b))
+    monkeypatch.setattr(
+        qring_mod, "exact_div", lambda a, b: calls.append("div") or div(a, b)
+    )
+    quantum_binomial.cache_clear()
+    b = quantum_binomial(5000, 2)
+    monkeypatch.undo()
+    quantum_binomial.cache_clear()
+    assert calls == []
+    # the Gaussian binomial at x = 1 counts 2-subsets, and its degree in
+    # x is r(n - r)
+    terms = b._terms
+    assert sum(terms.values()) == 5000 * 4999 // 2
+    assert sorted(terms) == list(range(-4 * 4998, 4 * 4998 + 1, 4))
+    assert b.bar() == b
+
+
+_DIVISION = qring_mod._divide_one_minus
+
+
+def _short_division(coeffs, i):
+    # stops one entry short, so the top entry keeps the product's
+    for j in range(i, len(coeffs) - 1):
+        coeffs[j] += coeffs[j - i]
+
+
+def _division_by_the_next_power(coeffs, i):
+    _DIVISION(coeffs, i + 1)
+
+
+@pytest.mark.parametrize("fault", [_short_division, _division_by_the_next_power])
+def test_a_faulty_division_pass_raises_naming_n_and_r(monkeypatch, fault):
+    quantum_binomial.cache_clear()
+    monkeypatch.setattr(qring_mod, "_divide_one_minus", fault)
+    with pytest.raises(NonDivisibleError, match=r"^quantum binomial \(7, 3\): "):
+        quantum_binomial(7, 3)
+    monkeypatch.undo()
+    quantum_binomial.cache_clear()
+    # the true pass leaves no remainder
+    assert quantum_binomial(7, 3) == _reference_binomial(7, 3)[-1]
 
 
 def test_exact_div():

@@ -49,10 +49,19 @@ coefficient c splits as beta_s + p_{s,t}, with p_{s,t} in q^-1 Z[q^-1]
 the product coordinate of b_t and beta_s = c_0 + sum_(h>0) c_h (q^h +
 q^-h) bar-invariant; beta_s b_s is subtracted, the heap takes the
 positions it adds, and b_t = M_t - sum_s beta_s b_s.  An entry never
-reached is a TriangularityViolationError.  Each row is then expanded
-once into the standard basis through the d'' rows.  Its off-diagonal
-coefficients land in q^-1 Z_{>=0}[q^-1], and Psi(b_t) = b_t under the
-checked kappa: the verify suite checks both from outside the solve.
+reached is a TriangularityViolationError, whose text is formatted only
+then.  Each row is then expanded once into the standard basis by
+_expand_row, one block per head s_0 = x: the part
+sum_(s_0 = x) p_s b''_(s[1:]) is summed over the indices of the d''
+table at level r - x, whose rows are read once per head per table, and
+re-keyed onto the level's own index tuples in one pass.  The block of
+P_t itself starts as a C-level copy of the d'' row.  By 27.3 every
+off-diagonal p_{s,t} changes the first factor's weight, so no other
+summand shares that head (none does in any table of total <= 8), yet
+the block is a copy, never the d'' row's own map.  The row's
+off-diagonal coefficients land in q^-1 Z_{>=0}[q^-1], and
+Psi(b_t) = b_t under the checked kappa: the verify suite checks both
+from outside the solve.
 
 The source paper's geometry fixes the shape of the multiplicities
 beta_s of b_s in M_t.  Canonical basis elements are simple perverse
@@ -65,10 +74,13 @@ on every coefficient it walks and raises PurityViolationError.
 Every coefficient the solve stores (table rows, product coordinates
 and E^(n) coordinates) is the one shared instance of its value in
 _VALUES: the Kazhdan-Lusztig polynomials of the tables are few and
-repeat across rows and tables.  A row's first summand p_s e, with
-e an entry of a d'' row, is read from _PRODUCTS, the table of products
-of shared values, so a repeated product costs one lookup; an entry with
-two or more summands is summed as a raw map and shared when finished.
+repeat across rows and tables.  In a row's expansion, the diagonal
+block takes the d'' row's shared entries as they are; any other entry's
+first summand p_s e, with e an entry of a d'' row, is read from
+_PRODUCTS, the table of products of shared values keyed by (p_s, e), so
+a repeated product costs one lookup; an entry with two or more summands
+is summed as a raw map and shared when its block is done.  Every row
+key is the tuple of the level's order, one tuple per index per level.
 
 Every solved table keeps its product coordinates p_{s,r} in its
 product field, and E^(n) b and split expansions are computed from
@@ -390,32 +402,22 @@ def _add_scaled(
     c: Laurent,
     terms: dict[OrbitIndex, Laurent],
     head: OrbitIndex = (),
-    shared: bool = False,
 ) -> None:
     """acc[head + w] += c * terms[w] for every w.  An entry of acc is
     the Laurent c * terms[w] while it has one summand (when c or
     terms[w] is 1, the other factor itself, shared as values are
     immutable), and from the second summand on a raw map
     {half-exponent: coefficient} that starts as a copy of that Laurent's
-    terms and is never one of them; _entry reads either kind.  When
-    shared, a one-summand product c * terms[w] is read from _PRODUCTS,
-    and computed and shared through _VALUES only on a miss."""
+    terms and is never one of them; _entry reads either kind.  It serves
+    the monomials, E^(n) images, splits and back-substitutions, whose
+    sums are small; a row's expansion is _expand_row's."""
     c_items = c._terms.items()
     unit = c._terms == ONE._terms
-    products = _PRODUCTS if shared else None
     for w, e in terms.items():
         key = head + w
         raw = acc.get(key)
         if raw is None:
-            if unit:
-                acc[key] = e
-            elif products is None:
-                acc[key] = _times(c, e)
-            else:
-                ce = products.get((c, e))
-                if ce is None:
-                    ce = products[c, e] = _shared(_times(c, e))
-                acc[key] = ce
+            acc[key] = e if unit else _times(c, e)
             continue
         if type(raw) is Laurent:
             raw = acc[key] = defaultdict(int, raw._terms)
@@ -432,6 +434,60 @@ def _entry(raw: Laurent | defaultdict) -> Laurent:
 def _shared(c: Laurent) -> Laurent:
     """The shared instance of c's value in _VALUES, c itself on a miss."""
     return _VALUES.setdefault(c, c)
+
+
+def _expand_row(
+    coeffs: dict[OrbitIndex, Laurent], heads: dict[int, tuple[dict, dict]]
+) -> dict[OrbitIndex, Laurent]:
+    """The standard-basis terms of b_t = sum_s p_s v_(s_0) tensor
+    b''_(s[1:]), from its product coordinates coeffs = {s: p_s}, block
+    by block over the head x = s_0.  heads[x] is the row map of the d''
+    table at level r - x and a map from each index w of that table to
+    the level's own tuple (x,) + w.  A block whose first summand has
+    coefficient 1 (the diagonal P_t) starts as a copy of its d'' row's
+    term map, never that map itself.  Every further summand adds p e for
+    each entry e of its d'' row: read from _PRODUCTS, keyed by value,
+    where the index is new, and summed into a raw map where it is not;
+    a raw map becomes a Laurent shared through _VALUES once its block is
+    done, and is dropped if zero.  Each block is then re-keyed into the
+    row at once, so every key is a tuple of the level's order and every
+    coefficient a shared value."""
+    blocks: dict[int, list[tuple[OrbitIndex, Laurent]]] = {}
+    for s, p in coeffs.items():
+        blocks.setdefault(s[0], []).append((s[1:], p))
+    data: dict[OrbitIndex, Laurent] = {}
+    for x, summands in blocks.items():
+        rows, keys = heads[x]
+        block: dict[OrbitIndex, Laurent | defaultdict] = {}
+        raws = []
+        for i, (u, p) in enumerate(summands):
+            terms = rows[u]._terms
+            if not i and p._terms == ONE._terms:
+                block = dict(terms)
+                continue
+            p_items = p._terms.items()
+            for w, e in terms.items():
+                raw = block.get(w)
+                if raw is None:
+                    pe = _PRODUCTS.get((p, e))
+                    if pe is None:
+                        pe = _PRODUCTS[p, e] = _shared(_times(p, e))
+                    block[w] = pe
+                    continue
+                if type(raw) is Laurent:
+                    raw = block[w] = defaultdict(int, raw._terms)
+                    raws.append(w)
+                for h1, c1 in p_items:
+                    for h2, c2 in e._terms.items():
+                        raw[h1 + h2] += c1 * c2
+        for w in raws:
+            c = Laurent._from_raw(block[w])
+            if c._terms:
+                block[w] = _shared(c)
+            else:
+                del block[w]
+        data.update(zip(map(keys.__getitem__, block), block.values()))
+    return data
 
 
 def _add_e_image(
@@ -471,7 +527,9 @@ def _e_coords(d: Composition, t: OrbitIndex, n: int) -> dict[OrbitIndex, Laurent
         coords = {}
         if image:
             lower = _sub_table(d, r - n)
-            coords = _back_substitute(image, lower, lower.product.get, f"E^({n}) b{t}")
+            coords = _back_substitute(
+                image, lower, lower.product.get, lambda: f"E^({n}) b{t}"
+            )
             coords = {u: _shared(c) for u, c in coords.items()}
         _MEMO[key] = coords
     return coords
@@ -512,14 +570,15 @@ def _peel(
     top: int,
     row: Callable[[OrbitIndex], Mapping[OrbitIndex, Laurent]],
     split: Callable[[OrbitIndex, Laurent], Laurent],
-    leftover: str,
+    leftover: Callable[[], str],
 ) -> None:
     """Peel remainder, an _add_scaled accumulator, down the unitriangular
     rows row(idx) of table: a max-heap pops its highest position below
     top, subtracts split(idx, c) row(idx) for a nonzero coefficient c,
     drops what that puts back at idx and pushes the keys it adds below.
     A nonzero entry never reached raises TriangularityViolationError:
-    leftover, then the index."""
+    the text leftover() returns, then the index.  leftover is called
+    only then, so a walk that leaves nothing formats no text."""
     order, position = table.order, table._position
     heap = [-i for i in map(position.get, remainder) if i is not None and i < top]
     heapify(heap)
@@ -538,16 +597,19 @@ def _peel(
             remainder.pop(idx, None)
     for idx, raw in remainder.items():
         if raw if type(raw) is Laurent else any(raw.values()):
-            raise TriangularityViolationError(f"{leftover}{idx}")
+            raise TriangularityViolationError(f"{leftover()}{idx}")
 
 
 def _sub_table(d: Composition, r: int) -> CanonicalTable:
     """The table of (d, r) from _MEMO, solved into it on a miss, product
     coordinates included, from the monomials of _monomial, reading no
     kappa; the factor tables and the E^(n) coordinates come from _MEMO,
-    and every stored coefficient is shared through _VALUES.  The table
-    is stored only after its last row, so a solve that raises leaves
-    nothing in _MEMO."""
+    and every stored coefficient is shared through _VALUES.  Each row is
+    expanded from its product coordinates by _expand_row, through the
+    d'' rows of each head read once for the table and a map from each
+    d'' index to this level's own tuple, so every row is keyed by the
+    tuples of order.  The table is stored only after its last row, so a
+    solve that raises leaves nothing in _MEMO."""
     key = ("table", d, r)
     table = _MEMO.get(key)
     if table is not None:
@@ -562,16 +624,24 @@ def _sub_table(d: Composition, r: int) -> CanonicalTable:
     # the closure tests compare prefix sums computed once per index,
     # which also tells an index of this level from any other
     prefix = {idx: orbits.prefix_sums(idx) for idx in order}
-    # every row is keyed by the index tuples of order, one copy per level
-    shared = {idx: idx for idx in order}
+    # per head x: the rows of the d'' table at r - x, read once, and each
+    # index w of that table (its own tuple) mapped to this level's own
+    # tuple (x,) + w, so that every row is keyed by the tuples of order
+    # and no index gets a second tuple
+    own = {idx: idx for idx in order}
+    heads: dict[int, tuple[dict, dict]] = {}
+    for x in dict.fromkeys(idx[0] for idx in order):
+        rows = _sub_table(d[1:], r - x).rows
+        heads[x] = (rows, {w: own[(x,) + w] for w in rows})
     table = CanonicalTable(d, r, order, {}, {})  # _peel reads only rows solved
     for top, r_idx in enumerate(order):
         coeffs = table.product[r_idx] = {r_idx: ONE}
+        dim_t = orbits._orbit_dim(d, r_idx)
 
         def split(s, c):
             # c = beta_s + p_{s,t}; purity and positivity as in the
             # module docstring
-            parity = 2 * ((orbits._orbit_dim(d, r_idx) - orbits._orbit_dim(d, s)) % 2)
+            parity = 2 * ((dim_t - orbits._orbit_dim(d, s)) % 2)
             p = (c - c.bar()).negative_half()
             beta = c - p
             if any(h % 4 != parity for h in c._terms):
@@ -589,22 +659,15 @@ def _sub_table(d: Composition, r: int) -> CanonicalTable:
             return beta
 
         # M_t - sum_s beta_s b_s, down to the product coordinates of b_t
-        walk = f"the walk of b{r_idx} on Lambda_{d} left a remainder at "
-        _peel(_monomial(d, r_idx, prefix), table, top, table.product.get, split, walk)
-        # b_r = sum_s p_s v_(s_0) tensor b''_(s[1:]), one entry per index
-        expanded: dict[OrbitIndex, Laurent | defaultdict] = {}
-        for s, p in coeffs.items():
-            factor = _sub_table(d[1:], r - s[0]).rows[s[1:]]
-            _add_scaled(expanded, p, factor._terms, s[:1], shared=True)
-        data = {}
-        for idx, raw in expanded.items():
-            if type(raw) is Laurent:
-                data[shared[idx]] = raw
-                continue
-            c = Laurent._from_raw(raw)
-            if not c.is_zero():
-                data[shared[idx]] = _shared(c)
-        table.rows[r_idx] = ModuleVector._make(d, data)
+        _peel(
+            _monomial(d, r_idx, prefix),
+            table,
+            top,
+            table.product.get,
+            split,
+            lambda: f"the walk of b{r_idx} on Lambda_{d} left a remainder at ",
+        )
+        table.rows[r_idx] = ModuleVector._make(d, _expand_row(coeffs, heads))
     _MEMO[key] = table
     return table
 
@@ -619,15 +682,22 @@ def canonical_basis(d: Composition, r: int) -> CanonicalTable:
 
 
 def _back_substitute(
-    remainder: dict, table: CanonicalTable, row: Callable, what: str
+    remainder: dict, table: CanonicalTable, row: Callable, what: Callable[[], str]
 ) -> dict[OrbitIndex, Laurent]:
     """Coordinates of remainder, an _add_scaled accumulator, over the
     unitriangular term maps row(idx) of table, by _peel: setdefault keeps
     each coefficient it pops (none pops twice), highest position first.
-    A leftover names what escaped, the table and the index."""
+    A leftover names what escaped (the text what() returns, formatted
+    only then), the table and the index."""
     coords: dict[OrbitIndex, Laurent] = {}
-    escaped = f"{what} escaped the level-{table.r} table of Lambda_{table.d} at "
-    _peel(remainder, table, len(table.order), row, coords.setdefault, escaped)
+    _peel(
+        remainder,
+        table,
+        len(table.order),
+        row,
+        coords.setdefault,
+        lambda: f"{what()} escaped the level-{table.r} table of Lambda_{table.d} at ",
+    )
     return coords
 
 
@@ -649,7 +719,9 @@ def canonical_coords(
             f"table of Lambda_{table.d}"
         )
     rows = table.rows
-    coords = _back_substitute(dict(u._terms), table, lambda i: rows[i]._terms, "vector")
+    coords = _back_substitute(
+        dict(u._terms), table, lambda i: rows[i]._terms, lambda: "vector"
+    )
     return list(reversed(coords.items()))  # coords come highest position first
 
 
@@ -710,11 +782,15 @@ def _split_rows(d: Composition, cut: int, r: int, memo: dict) -> dict:
             for xy, c in _split_rows(d[1:], cut - 1, r - s[0], memo)[s[1:]].items():
                 acc = by_right.setdefault(xy[cut - 1 :], {})
                 _add_scaled(acc, p, {xy[: cut - 1]: c}, s[:1])
-        what = f"split of b{t} on Lambda_{d} at cut {cut}"
         rows[t] = {}
         for y, acc in by_right.items():
             left = _sub_table(d[:cut], r - sum(y))
-            zs = _back_substitute(acc, left, left.product.get, what)
+            zs = _back_substitute(
+                acc,
+                left,
+                left.product.get,
+                lambda: f"split of b{t} on Lambda_{d} at cut {cut}",
+            )
             rows[t].update((z + y, c) for z, c in zs.items())
     return rows
 

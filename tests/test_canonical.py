@@ -537,9 +537,12 @@ def test_canonical_coords_leftover_on_the_level_is_a_triangularity_violation():
     # not the vector, is at fault
     t = canonical_basis((1, 1), 1)
     partial = CanonicalTable(t.d, t.r, ((1, 0),), {(1, 0): t.rows[(1, 0)]})
-    message = r"escaped the level-1 table of Lambda_\(1, 1\) at \(0, 1\)"
-    with pytest.raises(TriangularityViolationError, match=message):
+    with pytest.raises(TriangularityViolationError) as info:
         canonical_coords(partial, V((1, 1), (0, 1)))
+    # the exact text, which is formatted only on a leftover
+    assert str(info.value) == (
+        "vector escaped the level-1 table of Lambda_(1, 1) at (0, 1)"
+    )
     assert not issubclass(TriangularityViolationError, ValueError)
 
 
@@ -551,12 +554,30 @@ def test_split_leftover_names_the_row_cut_and_factor_table(monkeypatch):
     t = canonical_basis((1, 1), 1)
     partial = CanonicalTable(t.d, t.r, ((1, 0),), t.rows, t.product)
     monkeypatch.setitem(canonical_mod._MEMO, ("table", (1, 1), 1), partial)
-    message = (
-        r"split of b\(0, [01], [01]\) on Lambda_\(1, 1, 1\) at cut 2 escaped "
-        r"the level-1 table of Lambda_\(1, 1\) at \(0, 1\)"
-    )
-    with pytest.raises(TriangularityViolationError, match=message):
+    with pytest.raises(TriangularityViolationError) as info:
         split_expand((1, 1, 1), 2, 1)
+    assert str(info.value) == (
+        "split of b(0, 1, 0) on Lambda_(1, 1, 1) at cut 2 escaped "
+        "the level-1 table of Lambda_(1, 1) at (0, 1)"
+    )
+    monkeypatch.undo()
+    clear_caches()
+
+
+def test_e_coords_leftover_names_the_image_and_the_lower_table(monkeypatch):
+    # E b(1, 1) of (1, 1) lands on v(0, 1) among others, which a level-1
+    # table missing that row cannot take back
+    clear_caches()
+    canonical_basis((1, 1), 2)
+    t = canonical_basis((1, 1), 1)
+    partial = CanonicalTable(t.d, t.r, ((1, 0),), t.rows, t.product)
+    monkeypatch.setitem(canonical_mod._MEMO, ("table", (1, 1), 1), partial)
+    with pytest.raises(TriangularityViolationError) as info:
+        canonical_mod._e_coords((1, 1), (1, 1), 1)
+    assert str(info.value) == (
+        "E^(1) b(1, 1) escaped the level-1 table of Lambda_(1, 1) at (0, 1)"
+    )
+    assert ("E", (1, 1), (1, 1), 1) not in canonical_mod._MEMO
     monkeypatch.undo()
     clear_caches()
 
@@ -905,17 +926,22 @@ def test_kappa_override_leaves_the_shared_values_alone():
     assert all(v is c for c, v in canonical_mod._VALUES.items())
 
 
+def _multi_factor_tables():
+    """Every memoized canonical table with two or more factors."""
+    return [
+        table
+        for key, table in canonical_mod._MEMO.items()
+        if key[0] == "table" and len(key[1]) > 1
+    ]
+
+
 def test_every_memoized_table_keeps_its_product_coordinates():
     # _e_coords reads the product field of every factor table it meets
     clear_caches()
     canonical_basis((1,) * 7, 3)
     split_expand((2, 1, 1), 1, 2)
     embed_refine((2, 1))
-    tables = [
-        table
-        for key, table in canonical_mod._MEMO.items()
-        if key[0] == "table" and len(key[1]) > 1
-    ]
+    tables = _multi_factor_tables()
     assert len(tables) > 10
     for table in tables:
         assert tuple(table.product) == table.order, (table.d, table.r)
@@ -1054,9 +1080,10 @@ def test_every_back_substitution_matches_the_linear_scan(monkeypatch):
         copy = _copy_accumulator(remainder)
         coords = kernel(remainder, table, row, what)
         # the same coordinates in the same order, highest position first
-        ref = _reference_back_substitute(copy, table, row, what)
-        assert list(coords.items()) == list(ref.items()), what
-        checked.append((table.d, what))
+        text = what()
+        ref = _reference_back_substitute(copy, table, row, text)
+        assert list(coords.items()) == list(ref.items()), text
+        checked.append((table.d, text))
         return coords
 
     clear_caches()
@@ -1180,28 +1207,118 @@ def test_add_scaled_matches_reference_loop_without_aliasing():
         assert [{w: dict(e._terms) for w, e in row.items()} for row in rows] == before
 
 
-def test_add_scaled_shares_one_summand_products_through_the_store():
+def test_expand_row_shares_each_product_through_the_store():
+    # a d'' table of (1, 1) at level 1 whose row of (1, 0) holds two
+    # equal entries as different objects, under heads 0 and 1, with
+    # each head's keys built as fresh tuples
     clear_caches()
     c = Laurent({-2: 1, -4: 1})
     e = Laurent({-2: 2, 0: 1})
-    # two equal entries held as different objects
-    row = {(0,): e, (1,): Laurent({-2: 2, 0: 1})}
-    acc = {}
-    canonical_mod._add_scaled(acc, c, row, (), shared=True)
-    product = acc[(0,)]
-    assert acc[(1,)] is product
+    top = {(1, 0): e, (0, 1): Laurent({-2: 2, 0: 1})}
+    rows = {
+        (1, 0): ModuleVector._make((1, 1), top),
+        (0, 1): ModuleVector._make((1, 1), {(0, 1): e}),
+    }
+    heads = {x: (rows, {w: (x,) + w for w in rows}) for x in (0, 1)}
+    before = [(w, v, dict(v._terms)) for w, v in top.items()]
+    data = canonical_mod._expand_row({(1, 1, 0): c, (0, 1, 0): c}, heads)
+    # one product object for the value c e, wherever it lands
+    product = data[(1, 1, 0)]
     assert product._terms == (c * e)._terms
+    assert set(data) == {(1, 1, 0), (1, 0, 1), (0, 1, 0), (0, 0, 1)}
+    assert all(value is product for value in data.values())
     assert canonical_mod._PRODUCTS == {(c, e): product}
     assert canonical_mod._VALUES == {product: product}
-    again = {}
-    canonical_mod._add_scaled(again, c, row, (5,), shared=True)
-    assert again[(5, 0)] is product
-    # a second summand turns the entry into a raw map and leaves the
-    # shared product as it was
-    canonical_mod._add_scaled(acc, ONE, row, (), shared=True)
-    assert type(acc[(0,)]) is not Laurent
-    assert canonical_mod._entry(acc[(0,)])._terms == (c * e + e)._terms
+    # every key is its head's own tuple, not a new concatenation
+    for key in data:
+        assert key is heads[key[0]][1][key[1:]]
+    # a unit first summand copies its d'' row, whose entries it shares;
+    # a second summand on the same head sums into a raw map, and leaves
+    # the shared product, the d'' row and its entries as they were
+    again = canonical_mod._expand_row({(0, 1, 0): ONE, (0, 0, 1): c}, heads)
+    assert again[(0, 1, 0)] is e
+    assert again[(0, 0, 1)]._terms == (e + c * e)._terms
+    assert canonical_mod._VALUES[again[(0, 0, 1)]] is again[(0, 0, 1)]
     assert product._terms == (c * e)._terms
+    assert [(w, v, dict(v._terms)) for w, v in top.items()] == before
+    assert all(after is v for (_, v, _), after in zip(before, top.values()))
+    # a product met before is read, not computed again
+    assert canonical_mod._expand_row({(1, 1, 0): c}, heads)[(1, 1, 0)] is product
+    assert canonical_mod._PRODUCTS == {(c, e): product}
+
+
+def _reference_expand(table):
+    """The per-entry expansion that _expand_row replaced: each row b_t =
+    sum_s p_s v_(s_0) tensor b''_(s[1:]) summed term by term through
+    tensor and combine, from the product coordinates and the d'' rows."""
+    d = table.d
+    return {
+        t: combine(
+            d,
+            (
+                (p, tensor(V(d[:1], s[:1]), canonical_basis(d[1:], table.r - s[0]).rows[s[1:]]))
+                for s, p in coords.items()
+            ),
+        )
+        for t, coords in table.product.items()
+    }
+
+
+def test_rows_match_the_per_entry_expansion():
+    # the block expansion against the sum through tensor and combine, on
+    # every memoized table with more than one factor
+    clear_caches()
+    for total in range(1, 8):
+        for d in _compositions(total):
+            for r in range(total + 1):
+                canonical_basis(d, r)
+    canonical_basis((1,) * 9, 4)
+    canonical_basis((2, 1, 3, 1), 3)
+    tables = _multi_factor_tables()
+    # the 861 levels of total <= 7 with two or more parts, and (1,)*8 at
+    # levels 3 and 4 and (1,)*9 at level 4
+    assert len(tables) == 864
+    for table in tables:
+        assert table.rows == _reference_expand(table), (table.d, table.r)
+
+
+def test_expansion_leaves_the_factor_rows_as_they_were():
+    # every row of (1,)*9 at level 4 is expanded through the rows of
+    # (1,)*8 at levels 3 and 4, which no block may write into
+    clear_caches()
+
+    def snapshot(table):
+        return {
+            t: [(w, c, dict(c._terms)) for w, c in row._terms.items()]
+            for t, row in table.rows.items()
+        }
+
+    factors = [canonical_basis((1,) * 8, r) for r in (3, 4)]
+    before = [snapshot(table) for table in factors]
+    canonical_basis((1,) * 9, 4)
+    assert [snapshot(table) for table in factors] == before
+
+
+def test_rows_keep_one_index_tuple_per_level_and_shared_coefficients():
+    # what keeps the eager tables small at scale: every term of every
+    # row is keyed by the tuple in its table's order, and every
+    # coefficient is the _VALUES instance of its value
+    clear_caches()
+    for total in range(2, 7):
+        for d in _compositions(total):
+            for r in range(total + 1):
+                canonical_basis(d, r)
+    canonical_basis((1,) * 9, 4)
+    tables = _multi_factor_tables()
+    assert len(tables) > 300
+    values = canonical_mod._VALUES
+    for table in tables:
+        own = {idx: idx for idx in table.order}
+        for t, row in table.rows.items():
+            assert t is own[t]
+            for w, c in row._terms.items():
+                assert w is own[w], (table.d, table.r, t, w)
+                assert values[c] is c, (table.d, table.r, t, w)
 
 
 def test_no_unit_products_in_the_solve_helpers_scale_or_gram(monkeypatch):
@@ -1335,7 +1452,9 @@ def test_walk_leftover_raises(monkeypatch):
     _plant_in_monomial(monkeypatch, bottom, {above: QINV})
     monkeypatch.setattr(orbits, "prefix_dominates", lambda ps, pr: True)
     message = _refusal(TriangularityViolationError, bottom, above)
-    assert "left a remainder" in message
+    assert message == (
+        "the walk of b(1, 0, 0) on Lambda_(1, 1, 1) left a remainder at (0, 0, 1)"
+    )
 
 
 def test_negative_multiplicity_raises(monkeypatch):

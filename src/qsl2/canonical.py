@@ -74,13 +74,14 @@ on every coefficient it walks and raises PurityViolationError.
 Every coefficient the solve stores (table rows, product coordinates
 and E^(n) coordinates) is the one shared instance of its value in
 _VALUES: the Kazhdan-Lusztig polynomials of the tables are few and
-repeat across rows and tables.  In a row's expansion, the diagonal
-block takes the d'' row's shared entries as they are; any other entry's
-first summand p_s e, with e an entry of a d'' row, is read from
-_PRODUCTS, the table of products of shared values keyed by (p_s, e), so
-a repeated product costs one lookup; an entry with two or more summands
-is summed as a raw map and shared when its block is done.  Every row
-key is the tuple of the level's order, one tuple per index per level.
+repeat across rows and tables, as do those of the memoized Psi
+columns, also shared.  In a row's expansion, the diagonal block takes
+the d'' row's shared entries as they are; any other entry's first
+summand p_s e, with e an entry of a d'' row, is read from _PRODUCTS,
+the table of products of shared values keyed by (p_s, e), so a repeated
+product costs one lookup; an entry with two or more summands is summed
+as a raw map and shared when its block is done.  Every row key is the
+tuple of the level's order, one tuple per index per level.
 
 Every solved table keeps its product coordinates p_{s,r} in its
 product field, and E^(n) b and split expansions are computed from
@@ -133,7 +134,9 @@ from .modules import (
     LinMap,
     _JsonParts,
     _Record,
+    _accumulate,
     _times,
+    _value,
     act_E,
     act_F,
     act_K,
@@ -221,7 +224,8 @@ def clear_caches() -> None:
 
 
 def _psi_basis(d: Composition, idx: OrbitIndex, cut: int) -> ModuleVector:
-    """Psi(v_idx) with the top-level Theta at cut, memoized in _MEMO.
+    """Psi(v_idx) with the top-level Theta at cut, memoized in _MEMO
+    with each coefficient the shared instance of its value in _VALUES.
     Theta reads each kappa_n through _kappa as its sum reaches it, so
     kappa is checked as far as this column's Theta goes, and no
     further."""
@@ -233,6 +237,9 @@ def _psi_basis(d: Composition, idx: OrbitIndex, cut: int) -> ModuleVector:
         left = _psi_basis(d[:cut], idx[:cut], 1)
         right = _psi_basis(d[cut:], idx[cut:], 1)
         out = _MEMO[key] = theta(left, right, _kappa)
+        # theta's dict is the column's own: its values are shared in place
+        for i, c in out._terms.items():
+            out._terms[i] = _shared(c)
     return out
 
 
@@ -397,40 +404,6 @@ class CanonicalTable(_Record):
         )
 
 
-def _add_scaled(
-    acc: dict[OrbitIndex, Laurent | defaultdict],
-    c: Laurent,
-    terms: dict[OrbitIndex, Laurent],
-    head: OrbitIndex = (),
-) -> None:
-    """acc[head + w] += c * terms[w] for every w.  An entry of acc is
-    the Laurent c * terms[w] while it has one summand (when c or
-    terms[w] is 1, the other factor itself, shared as values are
-    immutable), and from the second summand on a raw map
-    {half-exponent: coefficient} that starts as a copy of that Laurent's
-    terms and is never one of them; _entry reads either kind.  It serves
-    the monomials, E^(n) images, splits and back-substitutions, whose
-    sums are small; a row's expansion is _expand_row's."""
-    c_items = c._terms.items()
-    unit = c._terms == ONE._terms
-    for w, e in terms.items():
-        key = head + w
-        raw = acc.get(key)
-        if raw is None:
-            acc[key] = e if unit else _times(c, e)
-            continue
-        if type(raw) is Laurent:
-            raw = acc[key] = defaultdict(int, raw._terms)
-        for h1, c1 in c_items:
-            for h2, c2 in e._terms.items():
-                raw[h1 + h2] += c1 * c2
-
-
-def _entry(raw: Laurent | defaultdict) -> Laurent:
-    """An entry of an _add_scaled accumulator as a Laurent."""
-    return raw if type(raw) is Laurent else Laurent._from_raw(raw)
-
-
 def _shared(c: Laurent) -> Laurent:
     """The shared instance of c's value in _VALUES, c itself on a miss."""
     return _VALUES.setdefault(c, c)
@@ -451,7 +424,8 @@ def _expand_row(
     a raw map becomes a Laurent shared through _VALUES once its block is
     done, and is dropped if zero.  Each block is then re-keyed into the
     row at once, so every key is a tuple of the level's order and every
-    coefficient a shared value."""
+    coefficient a shared value.  It keeps a loop of its own, not
+    _accumulate's, as its first summands are read from _PRODUCTS."""
     blocks: dict[int, list[tuple[OrbitIndex, Laurent]]] = {}
     for s, p in coeffs.items():
         blocks.setdefault(s[0], []).append((s[1:], p))
@@ -495,7 +469,7 @@ def _add_e_image(
 ) -> None:
     """image += p E^(n) P_s in the product basis of level sum(s) - n, by
     the coproduct formula of the module docstring, for image an
-    _add_scaled accumulator."""
+    _accumulate dict."""
     d0, s0, rest = d[0], s[0], s[1:]
     for a in range(min(n, s0) + 1):
         b = n - a
@@ -503,7 +477,8 @@ def _add_e_image(
         if part:
             shift = q_power(a * b + b * (d0 - 2 * s0))
             scalar = _times(p, shift, quantum_binomial(d0 - s0 + a, a))
-            _add_scaled(image, scalar, part, (s0 - a,))
+            for w, e in part.items():
+                _accumulate(image, (s0 - a,) + w, scalar, e)
 
 
 def _e_coords(d: Composition, t: OrbitIndex, n: int) -> dict[OrbitIndex, Laurent]:
@@ -521,7 +496,7 @@ def _e_coords(d: Composition, t: OrbitIndex, n: int) -> dict[OrbitIndex, Laurent
     coords = _MEMO.get(key)
     if coords is None:
         r = sum(t)
-        image: dict[OrbitIndex, Laurent | defaultdict] = {}
+        image: dict = {}
         for s, p in _sub_table(d, r).product[t].items():
             _add_e_image(image, d, s, p, n)
         coords = {}
@@ -537,15 +512,15 @@ def _e_coords(d: Composition, t: OrbitIndex, n: int) -> dict[OrbitIndex, Laurent
 
 def _monomial(
     d: Composition, t: OrbitIndex, prefix: dict[OrbitIndex, tuple[int, ...]]
-) -> dict[OrbitIndex, Laurent | defaultdict]:
+) -> dict:
     """M_t = E^(d_0 - t_0) (v_(d_0) tensor b''_(t[1:])) without its entry
-    at t, as an _add_scaled accumulator over the product basis, after
+    at t, as an _accumulate dict over the product basis, after
     checking that the entry at t is 1 and every other entry lies on the
     level strictly below t in the closure order, by prefix, the prefix
     sums of each index of the level."""
-    image: dict[OrbitIndex, Laurent | defaultdict] = {}
+    image: dict = {}
     _add_e_image(image, d, (d[0],) + t[1:], ONE, d[0] - t[0])
-    lead = _entry(image.pop(t, ZERO))
+    lead = _value(image.pop(t, ZERO))
     if lead != ONE:
         raise TriangularityViolationError(
             f"the monomial of b{t} on Lambda_{d} has leading coefficient "
@@ -565,14 +540,14 @@ def _monomial(
 
 
 def _peel(
-    remainder: dict[OrbitIndex, Laurent | defaultdict],
+    remainder: dict,
     table: CanonicalTable,
     top: int,
     row: Callable[[OrbitIndex], Mapping[OrbitIndex, Laurent]],
     split: Callable[[OrbitIndex, Laurent], Laurent],
     leftover: Callable[[], str],
 ) -> None:
-    """Peel remainder, an _add_scaled accumulator, down the unitriangular
+    """Peel remainder, an _accumulate dict, down the unitriangular
     rows row(idx) of table: a max-heap pops its highest position below
     top, subtracts split(idx, c) row(idx) for a nonzero coefficient c,
     drops what that puts back at idx and pushes the keys it adds below.
@@ -585,18 +560,18 @@ def _peel(
     while heap:
         i = -heappop(heap)
         idx = order[i]
-        c = _entry(remainder.pop(idx))
+        c = _value(remainder.pop(idx))
         x = split(idx, c) if c._terms else c
         if x._terms:
-            terms = row(idx)
-            for w in terms:
+            x = -x
+            for w, e in row(idx).items():
                 j = position.get(w, i)
                 if j < i and w not in remainder:
                     heappush(heap, -j)
-            _add_scaled(remainder, -x, terms)
+                _accumulate(remainder, w, x, e)
             remainder.pop(idx, None)
     for idx, raw in remainder.items():
-        if raw if type(raw) is Laurent else any(raw.values()):
+        if _value(raw)._terms:
             raise TriangularityViolationError(f"{leftover()}{idx}")
 
 
@@ -684,7 +659,7 @@ def canonical_basis(d: Composition, r: int) -> CanonicalTable:
 def _back_substitute(
     remainder: dict, table: CanonicalTable, row: Callable, what: Callable[[], str]
 ) -> dict[OrbitIndex, Laurent]:
-    """Coordinates of remainder, an _add_scaled accumulator, over the
+    """Coordinates of remainder, an _accumulate dict, over the
     unitriangular term maps row(idx) of table, by _peel: setdefault keeps
     each coefficient it pops (none pops twice), highest position first.
     A leftover names what escaped (the text what() returns, formatted
@@ -781,7 +756,7 @@ def _split_rows(d: Composition, cut: int, r: int, memo: dict) -> dict:
         for s, p in coords.items():
             for xy, c in _split_rows(d[1:], cut - 1, r - s[0], memo)[s[1:]].items():
                 acc = by_right.setdefault(xy[cut - 1 :], {})
-                _add_scaled(acc, p, {xy[: cut - 1]: c}, s[:1])
+                _accumulate(acc, s[:1] + xy[: cut - 1], p, c)
         rows[t] = {}
         for y, acc in by_right.items():
             left = _sub_table(d[:cut], r - sum(y))

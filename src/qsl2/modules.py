@@ -16,12 +16,13 @@ repaired.  The quasi-R operator theta acts on two factor vectors u and
 w, as sum_n c(n) F^(n) u tensor E^(n) w, walking the same steps and
 calling the coefficient function c only for the terms it sums.
 
-Every kernel (combine, tensor, the E, F and K actions, theta) sums its
-terms through one helper in which a factor 1 multiplies nothing: the
-other factor is stored as it is, since vectors and ring values are
-immutable.  So E, F and K of a basis vector make no Laurent product,
-and combine of a single pair (c, u) is u scaled by c, u itself for c = 1.
-
+Every sum of scaled vectors (combine, tensor, E, F, K, theta,
+LinMap.apply, rmatrix's pair steps, canonical's monomials and peels)
+goes through one kernel, _accumulate.  An index's first summand is a
+Laurent in which a factor 1 multiplies nothing, the other factor kept
+as it is (values are immutable), so E, F and K of a basis vector make
+no Laurent product; later summands add term by term into a raw map,
+which _finish turns back into a Laurent once the vector is complete.
 The twisted adjoint rho (rho(K) = K, rho(E) = qKF, rho(F) = qK^-1 E)
 makes the inner product contravariant: (x u, w) = (u, rho(x) w).  On
 standard basis vectors the inner product is the product over factors of
@@ -64,28 +65,45 @@ OrbitIndex = orbits.OrbitIndex
 _UNIT = ONE._terms
 
 
-def _accumulate(
-    data: dict[OrbitIndex, Laurent], idx: OrbitIndex, c: Laurent, x: Laurent
-) -> None:
-    """Add c * x to data[idx], dropping an entry that cancels.  A factor
-    equal to 1 (by value) multiplies nothing, the other is taken as it
-    is, and a first entry is stored as it is: values are immutable."""
-    if c._terms == _UNIT:
-        value = x
-    elif x._terms == _UNIT:
-        value = c
-    else:
-        value = c * x
+def _accumulate(data: dict, idx: OrbitIndex, c: Laurent, x: Laurent) -> None:
+    """Add c * x to data[idx].  A first summand is stored as a Laurent, x
+    for c = 1 and c for x = 1 (by value), and not at all if zero; from
+    the second on, the entry is a raw map {half-exponent: coefficient}
+    copied from it, never a Laurent's own terms.  _value reads an entry."""
     prev = data.get(idx)
     if prev is None:
+        if c._terms == _UNIT:
+            value = x
+        elif x._terms == _UNIT:
+            value = c
+        else:
+            value = c * x
         if value._terms:
             data[idx] = value
         return
-    total = prev + value
-    if total._terms:
-        data[idx] = total
-    else:
-        del data[idx]
+    if type(prev) is Laurent:
+        prev = data[idx] = defaultdict(int, prev._terms)
+    for h1, c1 in c._terms.items():
+        for h2, c2 in x._terms.items():
+            prev[h1 + h2] += c1 * c2
+
+
+def _value(raw: Laurent | defaultdict) -> Laurent:
+    """An entry of an _accumulate dict as a Laurent."""
+    return raw if type(raw) is Laurent else Laurent._from_raw(raw)
+
+
+def _finish(data: dict) -> dict[OrbitIndex, Laurent]:
+    """data, an _accumulate dict, made a dict of Laurents in place, an
+    entry that cancelled dropped.  act_K and tensor never repeat an
+    index, so they skip it."""
+    for idx in [i for i, raw in data.items() if type(raw) is not Laurent]:
+        value = Laurent._from_raw(data[idx])
+        if value._terms:
+            data[idx] = value
+        else:
+            del data[idx]
+    return data
 
 
 def _times(*factors: Laurent) -> Laurent:
@@ -119,9 +137,8 @@ class ModuleVector:
             idx = orbits.check_index(self.d, idx)
             if not isinstance(c, Laurent):
                 raise TypeError(f"coefficient of {idx} is not a ring element")
-            if not c.is_zero():
-                _accumulate(data, idx, ONE, c)
-        self._terms = data
+            _accumulate(data, idx, ONE, c)
+        self._terms = _finish(data)
 
     @classmethod
     def _make(cls, d: Composition, data: dict[OrbitIndex, Laurent]) -> "ModuleVector":
@@ -175,7 +192,7 @@ class ModuleVector:
         data = dict(self._terms)
         for idx, c in other._terms.items():
             _accumulate(data, idx, ONE, c)
-        return ModuleVector._make(self.d, data)
+        return ModuleVector._make(self.d, _finish(data))
 
     def __sub__(self, other: "ModuleVector") -> "ModuleVector":
         if not isinstance(other, ModuleVector):
@@ -352,7 +369,7 @@ def combine(d: Composition, pairs: Iterable[tuple[Laurent, ModuleVector]]) -> Mo
         if c._terms:
             for idx, x in u._terms.items():
                 _accumulate(data, idx, c, x)
-    return ModuleVector._make(d, data)
+    return ModuleVector._make(d, _finish(data))
 
 
 # -- the integral quantum sl2 action ------------------------------------------
@@ -389,7 +406,7 @@ def act_E(u: ModuleVector) -> ModuleVector:
                 scalar = _step_scalar(d[k] - rk + 1, kweight)
                 _accumulate(data, idx[:k] + (rk - 1,) + idx[k + 1 :], c, scalar)
             kweight += d[k] - 2 * rk
-    return ModuleVector._make(d, data)
+    return ModuleVector._make(d, _finish(data))
 
 
 def act_F(u: ModuleVector) -> ModuleVector:
@@ -405,7 +422,7 @@ def act_F(u: ModuleVector) -> ModuleVector:
             if rk < d[k]:
                 scalar = _step_scalar(rk + 1, -tail)
                 _accumulate(data, idx[:k] + (rk + 1,) + idx[k + 1 :], c, scalar)
-    return ModuleVector._make(d, data)
+    return ModuleVector._make(d, _finish(data))
 
 
 def _divided_step(v: ModuleVector, gen: str, k: int) -> ModuleVector:
@@ -462,7 +479,7 @@ def theta(
         f_part = _divided_step(f_part, "F", n)
         if f_part._terms:
             e_part = _divided_step(e_part, "E", n)
-    return ModuleVector._make(d, data)
+    return ModuleVector._make(d, _finish(data))
 
 
 # -- inner product and the adjoint twist ---------------------------------------
@@ -483,7 +500,8 @@ def _gram(d: Composition, idx: OrbitIndex) -> Laurent:
 
 def inner_product(u: ModuleVector, w: ModuleVector) -> Laurent:
     """Bilinear, symmetric, standard basis orthogonal with gram_entry on
-    the diagonal.  No bar twist on either argument."""
+    the diagonal.  No bar twist on either argument.  It keeps a raw loop
+    of its own, not _accumulate's, as it sums one scalar, not a vector."""
     if u.d != w.d:
         raise AmbientMismatchError(f"inner product across {u.d} and {w.d}")
     # both vectors hold checked indices over the checked u.d, so the
@@ -613,7 +631,7 @@ class LinMap(_Record):
         for idx, c in u._terms.items():
             for jdx, x in columns[idx]._terms.items():
                 _accumulate(data, jdx, c, x)
-        return ModuleVector._make(self.target, data)
+        return ModuleVector._make(self.target, _finish(data))
 
     def compose(self, inner: "LinMap") -> "LinMap":
         """self after inner."""

@@ -38,7 +38,7 @@ from .errors import (
     InverseCheckFailedError,
     NonReducedWordError,
 )
-from .modules import LinMap, ModuleVector, _Record, _accumulate, enumerate_basis
+from .modules import LinMap, ModuleVector, _Record, _accumulate, _finish, enumerate_basis
 from .qring import Laurent, ZERO, q_half
 
 __all__ = [
@@ -192,7 +192,7 @@ def _pair_step(u: ModuleVector, pair: LinMap, a: int) -> ModuleVector:
         head, tail = idx[: a - 1], idx[a + 1 :]
         for pidx, x in pair.columns[idx[a - 1], idx[a]].unordered_items():
             _accumulate(data, head + pidx + tail, coeff, x)
-    return ModuleVector._make(c[: a - 1] + pair.target + c[a + 1 :], data)
+    return ModuleVector._make(c[: a - 1] + pair.target + c[a + 1 :], _finish(data))
 
 
 def _word_on(d: Composition, word: PermWord | Iterable[int]) -> PermWord:

@@ -6,8 +6,10 @@ import random
 
 import pytest
 
+import qsl2.canonical as canonical_mod
 import qsl2.modules as modules_mod
-from qsl2 import compositions, compute_quasi_r
+import qsl2.rmatrix as rmatrix_mod
+from qsl2 import clear_caches, compositions, compute_quasi_r
 from qsl2.errors import (
     AmbientMismatchError,
     IntegralityViolationError,
@@ -42,6 +44,7 @@ from qsl2.qring import (
     quantum_factorial,
     quantum_integer,
 )
+from qsl2.verify import SUITES
 
 
 def v(d, *idx):
@@ -512,6 +515,120 @@ def test_combine_matches_reference_loop():
     assert combine((2, 1), []) == ModuleVector.zero((2, 1))
     with pytest.raises(AmbientMismatchError):
         combine((2, 1), [(ONE, v((1, 2), 0, 0))])
+
+
+def _reference_accumulate(data, idx, c, x):
+    """c * x added to data[idx] as the package once summed it: one
+    Laurent product and one Laurent sum per summand, a factor 1
+    multiplying nothing, and an entry that cancels deleted."""
+    if c._terms == ONE._terms:
+        value = x
+    elif x._terms == ONE._terms:
+        value = c
+    else:
+        value = c * x
+    prev = data.get(idx)
+    if prev is None:
+        if value._terms:
+            data[idx] = value
+        return
+    total = prev + value
+    if total._terms:
+        data[idx] = total
+    else:
+        del data[idx]
+
+
+def test_accumulate_matches_reference_loop_without_aliasing():
+    rng = random.Random(5150)
+    coeffs = [ZERO, ONE, -ONE, Q, QINV, Laurent({1: 1}), Laurent({-3: -2})]
+    coeffs += [Laurent({rng.randrange(-9, 10): rng.choice([-3, -1, 1, 2])}) for _ in range(6)]
+    coeffs += [
+        Laurent({rng.randrange(-7, 8): rng.randrange(-3, 4) for _ in range(rng.randrange(0, 5))})
+        for _ in range(6)
+    ]
+    indices = [(i,) for i in range(5)]
+    for trial in range(200):
+        rows = [
+            {w: rng.choice(coeffs[1:]) for w in rng.sample(indices, rng.randrange(1, 5))}
+            for _ in range(4)
+        ]
+        before = [{w: dict(e._terms) for w, e in row.items()} for row in rows]
+        acc, ref = {}, {}
+        for _ in range(rng.randrange(1, 7)):
+            c, row, head = rng.choice(coeffs), rng.choice(rows), rng.choice([(), (7,)])
+            for w, e in row.items():
+                modules_mod._accumulate(acc, head + w, c, e)
+            # the general loop on plain int maps
+            for w, e in row.items():
+                raw = ref.setdefault(head + w, {})
+                for h1, c1 in c.items():
+                    for h2, c2 in e.items():
+                        raw[h1 + h2] = raw.get(h1 + h2, 0) + c1 * c2
+        expected = {key: {h: x for h, x in raw.items() if x} for key, raw in ref.items()}
+        expected = {key: terms for key, terms in expected.items() if terms}
+        # every entry reads as its sum before the finish
+        for key, value in acc.items():
+            assert modules_mod._value(value)._terms == expected.get(key, {}), (trial, key)
+        # the finish works in place and keeps the nonzero entries only
+        assert modules_mod._finish(acc) is acc
+        assert all(type(value) is Laurent for value in acc.values())
+        assert {key: value._terms for key, value in acc.items()} == expected, trial
+        # an entry may be a row's own Laurent, but a later summand never
+        # writes into that Laurent's terms
+        assert [{w: dict(e._terms) for w, e in row.items()} for row in rows] == before
+
+
+def test_duplicate_indices_that_cancel_leave_no_entry():
+    c = Laurent({-1: 2, 3: -1})
+    u = ModuleVector((2, 1), [((1, 0), c), ((0, 1), Q), ((1, 0), -c)])
+    assert u._terms == {(0, 1): Q}
+    assert ModuleVector((2, 1), [((1, 0), c), ((1, 0), -c)])._terms == {}
+    assert ModuleVector((2, 1), [((1, 0), c), ((1, 0), c)]) == v((2, 1), 1, 0).scale(c + c)
+
+
+def test_the_kernel_matches_the_reference_on_every_vector_the_suites_build(monkeypatch):
+    # every _accumulate call of the bar, modules, rmatrix and embed suites
+    # is mirrored into a reference dict of the per-summand Laurent loop,
+    # its entry compared at once, and each finished vector compared whole
+    kernel, finish, value = modules_mod._accumulate, modules_mod._finish, modules_mod._value
+    mirrors = {}  # id(data) -> (data, its reference dict); data is kept alive
+    finished = []
+
+    def accumulate(data, idx, c, x):
+        mirror = mirrors.get(id(data))
+        if mirror is None:
+            # a sum may start from a copy of a vector's terms
+            mirror = mirrors[id(data)] = (data, {k: value(e) for k, e in data.items()})
+        ref = mirror[1]
+        if idx not in data:
+            # never stored, or taken out by the canonical peel
+            ref.pop(idx, None)
+        kernel(data, idx, c, x)
+        _reference_accumulate(ref, idx, c, x)
+        assert (value(data[idx]) if idx in data else ZERO) == ref.get(idx, ZERO), (idx, c, x)
+
+    def spied_finish(data):
+        # a dict no summand reached is compared with itself
+        _, ref = mirrors.pop(id(data), (data, {k: value(e) for k, e in data.items()}))
+        out = finish(data)
+        assert all(type(e) is Laurent and e._terms for e in out.values())
+        assert out == ref
+        finished.append(len(out))
+        return out
+
+    for mod in (modules_mod, rmatrix_mod, canonical_mod):
+        monkeypatch.setattr(mod, "_accumulate", accumulate)
+    for mod in (modules_mod, rmatrix_mod):
+        monkeypatch.setattr(mod, "_finish", spied_finish)
+    for name in ("bar", "modules", "rmatrix", "embed"):
+        for total in range(1, 6):
+            clear_caches()
+            assert SUITES[name](total).passed, (name, total)
+            mirrors.clear()
+    monkeypatch.undo()
+    clear_caches()
+    assert len(finished) > 10_000 and max(finished) > 1
 
 
 def test_module_vector_refuses_a_coefficient_that_is_not_a_ring_element():

@@ -51,14 +51,12 @@ q^-h) bar-invariant; beta_s b_s is subtracted, the heap takes the
 positions it adds, and b_t = M_t - sum_s beta_s b_s.  An entry never
 reached is a TriangularityViolationError, whose text is formatted only
 then.  Each row is then expanded once into the standard basis by
-_expand_row, one block per head s_0 = x: the part
-sum_(s_0 = x) p_s b''_(s[1:]) is summed over the indices of the d''
-table at level r - x, whose rows are read once per head per table, and
-re-keyed onto the level's own index tuples in one pass.  The block of
-P_t itself starts as a C-level copy of the d'' row.  By 27.3 every
-off-diagonal p_{s,t} changes the first factor's weight, so no other
-summand shares that head (none does in any table of total <= 8), yet
-the block is a copy, never the d'' row's own map.  The row's
+_expand_row, into one dict keyed by the level's own index tuples: each
+summand p_s v_(s_0) tensor b''_(s[1:]) is read off the row of the d''
+table at level r - s_0, whose rows and whose map from each d'' index to
+the level's tuple are read once per head per table.  The summand of P_t
+itself comes first and is a C-level copy of its d'' row, re-keyed in
+the same pass, never the d'' row's own map.  The row's
 off-diagonal coefficients land in q^-1 Z_{>=0}[q^-1], and
 Psi(b_t) = b_t under the checked kappa: the verify suite checks both
 from outside the solve.
@@ -75,13 +73,15 @@ Every coefficient the solve stores (table rows, product coordinates
 and E^(n) coordinates) is the one shared instance of its value in
 _VALUES: the Kazhdan-Lusztig polynomials of the tables are few and
 repeat across rows and tables, as do those of the memoized Psi
-columns, also shared.  In a row's expansion, the diagonal block takes
-the d'' row's shared entries as they are; any other entry's first
-summand p_s e, with e an entry of a d'' row, is read from _PRODUCTS,
-the table of products of shared values keyed by (p_s, e), so a repeated
-product costs one lookup; an entry with two or more summands is summed
-as a raw map and shared when its block is done.  Every row key is the
-tuple of the level's order, one tuple per index per level.
+columns, also shared.  In a row's expansion, the diagonal summand takes
+the d'' row's shared entries as they are; any other summand p_s e, with
+e an entry of a d'' row, is read from _PRODUCTS, the table of products
+of shared values keyed by (p_s, e), and where the index already holds a
+value a, the sum a + p_s e is read from _SUMS, the table of sums keyed
+by (a, p_s e).  As the values are few (purity), a repeated product or
+sum costs one lookup, and no entry is ever summed term by term.  Every
+row key is the tuple of the level's order, one tuple per index per
+level.
 
 Every solved table keeps its product coordinates p_{s,r} in its
 product field, and E^(n) b and split expansions are computed from
@@ -116,7 +116,6 @@ of verify checks, not a definition.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from collections.abc import Callable, Mapping
 from functools import reduce
 from heapq import heapify, heappop, heappush
@@ -190,13 +189,18 @@ _KAPPA: list[Laurent] = [ONE]
 _MEMO: dict[tuple, object] = {}
 
 # The tables that keep each stored coefficient value once: _VALUES maps
-# a coefficient to the one shared instance of its value, and _PRODUCTS
-# maps a pair (c, e) to the shared value of c * e.  Both are keyed by
-# value, not by id, so no entry can be mistaken for another after its
-# factors are gone.  They intern values only; results live in _MEMO.
-# clear_caches empties all three, with _KAPPA.
+# a coefficient to the one shared instance of its value, _PRODUCTS maps
+# a pair (c, e) to the shared value of c * e, and _SUMS a pair (a, c) to
+# the shared value of a + c.  All three are keyed by value, not by id,
+# so no entry can be mistaken for another after its operands are gone.
+# _INDICES does the same for the index tuples that key the Psi columns
+# (a table's rows are keyed by the tuples of its order instead).  They
+# intern values only; results live in _MEMO.  clear_caches empties all
+# five, with _KAPPA.
 _VALUES: dict[Laurent, Laurent] = {}
 _PRODUCTS: dict[tuple[Laurent, Laurent], Laurent] = {}
+_SUMS: dict[tuple[Laurent, Laurent], Laurent] = {}
+_INDICES: dict[OrbitIndex, OrbitIndex] = {}
 
 # The memoized constants of qring, orbits and modules: each module's
 # _MEMOS, the cached functions themselves, so clear_caches reaches them
@@ -207,13 +211,14 @@ _CONSTANT_MEMOS = (*qring._MEMOS, *orbits._MEMOS, *modules._MEMOS)
 def clear_caches() -> None:
     """Forget every per-process result: memoized Psi images, canonical
     tables with their product coordinates, E^(n) coordinates, pair
-    braidings (_MEMO), the shared coefficient values (_VALUES) and their
-    products (_PRODUCTS), the checked quasi-R coefficients, and the
+    braidings (_MEMO), the shared coefficient values (_VALUES), their
+    products (_PRODUCTS) and sums (_SUMS), the shared index tuples of the
+    Psi columns (_INDICES), the checked quasi-R coefficients, and the
     constant memos of qring, orbits and modules: the quantum integers,
     factorials and binomials, the Gram entries, the E/F step scalars,
     the basis index sets, the orbit dimensions and the linear
     extensions."""
-    for store in (_MEMO, _VALUES, _PRODUCTS):
+    for store in (_MEMO, _VALUES, _PRODUCTS, _SUMS, _INDICES):
         store.clear()
     del _KAPPA[1:]
     for memo in _CONSTANT_MEMOS:
@@ -224,8 +229,9 @@ def clear_caches() -> None:
 
 
 def _psi_basis(d: Composition, idx: OrbitIndex, cut: int) -> ModuleVector:
-    """Psi(v_idx) with the top-level Theta at cut, memoized in _MEMO
-    with each coefficient the shared instance of its value in _VALUES.
+    """Psi(v_idx) with the top-level Theta at cut, memoized in _MEMO,
+    each key the shared tuple of its index in _INDICES and each
+    coefficient the shared instance of its value in _VALUES.
     Theta reads each kappa_n through _kappa as its sum reaches it, so
     kappa is checked as far as this column's Theta goes, and no
     further."""
@@ -236,10 +242,10 @@ def _psi_basis(d: Composition, idx: OrbitIndex, cut: int) -> ModuleVector:
     if out is None:
         left = _psi_basis(d[:cut], idx[:cut], 1)
         right = _psi_basis(d[cut:], idx[cut:], 1)
-        out = _MEMO[key] = theta(left, right, _kappa)
-        # theta's dict is the column's own: its values are shared in place
-        for i, c in out._terms.items():
-            out._terms[i] = _shared(c)
+        column = theta(left, right, _kappa)._terms.items()
+        out = _MEMO[key] = ModuleVector._make(
+            d, {_INDICES.setdefault(i, i): _shared(c) for i, c in column}
+        )
     return out
 
 
@@ -413,54 +419,41 @@ def _expand_row(
     coeffs: dict[OrbitIndex, Laurent], heads: dict[int, tuple[dict, dict]]
 ) -> dict[OrbitIndex, Laurent]:
     """The standard-basis terms of b_t = sum_s p_s v_(s_0) tensor
-    b''_(s[1:]), from its product coordinates coeffs = {s: p_s}, block
-    by block over the head x = s_0.  heads[x] is the row map of the d''
-    table at level r - x and a map from each index w of that table to
-    the level's own tuple (x,) + w.  A block whose first summand has
-    coefficient 1 (the diagonal P_t) starts as a copy of its d'' row's
-    term map, never that map itself.  Every further summand adds p e for
-    each entry e of its d'' row: read from _PRODUCTS, keyed by value,
-    where the index is new, and summed into a raw map where it is not;
-    a raw map becomes a Laurent shared through _VALUES once its block is
-    done, and is dropped if zero.  Each block is then re-keyed into the
-    row at once, so every key is a tuple of the level's order and every
-    coefficient a shared value.  It keeps a loop of its own, not
-    _accumulate's, as its first summands are read from _PRODUCTS."""
-    blocks: dict[int, list[tuple[OrbitIndex, Laurent]]] = {}
-    for s, p in coeffs.items():
-        blocks.setdefault(s[0], []).append((s[1:], p))
+    b''_(s[1:]), from its product coordinates coeffs = {s: p_s}, in one
+    dict keyed by the level's own tuples.  heads[x] is the row map of
+    the d'' table at level r - x and a map from each index w of that
+    table to the level's own tuple (x,) + w.  A first summand with
+    coefficient 1 (the diagonal P_t) is its d'' row's term map, copied
+    and re-keyed in one pass, never that map itself.  Every further
+    summand adds p e for each entry e of its d'' row, read from
+    _PRODUCTS; where the index already holds a, a + p e is read from
+    _SUMS, and an entry that cancels is dropped.  Both tables are keyed
+    by value, so every coefficient is a shared value.  It keeps a loop
+    of its own, not _accumulate's, as its summands are read from those
+    tables."""
     data: dict[OrbitIndex, Laurent] = {}
-    for x, summands in blocks.items():
-        rows, keys = heads[x]
-        block: dict[OrbitIndex, Laurent | defaultdict] = {}
-        raws = []
-        for i, (u, p) in enumerate(summands):
-            terms = rows[u]._terms
-            if not i and p._terms == ONE._terms:
-                block = dict(terms)
+    for s, p in coeffs.items():
+        rows, keys = heads[s[0]]
+        terms = rows[s[1:]]._terms
+        if not data and p._terms == ONE._terms:
+            data = dict(zip(map(keys.__getitem__, terms), terms.values()))
+            continue
+        for w, e in terms.items():
+            pe = _PRODUCTS.get((p, e))
+            if pe is None:
+                pe = _PRODUCTS[p, e] = _shared(_times(p, e))
+            idx = keys[w]
+            a = data.get(idx)
+            if a is None:
+                data[idx] = pe
                 continue
-            p_items = p._terms.items()
-            for w, e in terms.items():
-                raw = block.get(w)
-                if raw is None:
-                    pe = _PRODUCTS.get((p, e))
-                    if pe is None:
-                        pe = _PRODUCTS[p, e] = _shared(_times(p, e))
-                    block[w] = pe
-                    continue
-                if type(raw) is Laurent:
-                    raw = block[w] = defaultdict(int, raw._terms)
-                    raws.append(w)
-                for h1, c1 in p_items:
-                    for h2, c2 in e._terms.items():
-                        raw[h1 + h2] += c1 * c2
-        for w in raws:
-            c = Laurent._from_raw(block[w])
-            if c._terms:
-                block[w] = _shared(c)
+            total = _SUMS.get((a, pe))
+            if total is None:
+                total = _SUMS[a, pe] = _shared(a + pe)
+            if total._terms:
+                data[idx] = total
             else:
-                del block[w]
-        data.update(zip(map(keys.__getitem__, block), block.values()))
+                del data[idx]
     return data
 
 
@@ -580,10 +573,11 @@ def _sub_table(d: Composition, r: int) -> CanonicalTable:
     coordinates included, from the monomials of _monomial, reading no
     kappa; the factor tables and the E^(n) coordinates come from _MEMO,
     and every stored coefficient is shared through _VALUES.  Each row is
-    expanded from its product coordinates by _expand_row, through the
-    d'' rows of each head read once for the table and a map from each
-    d'' index to this level's own tuple, so every row is keyed by the
-    tuples of order.  The table is stored only after its last row, so a
+    expanded from its product coordinates by _expand_row into one dict,
+    through the d'' rows of each head read once for the table and a map
+    from each d'' index to this level's own tuple, so every row is keyed
+    by the tuples of order and every coefficient read from _VALUES,
+    _PRODUCTS or _SUMS.  The table is stored only after its last row, so a
     solve that raises leaves nothing in _MEMO."""
     key = ("table", d, r)
     table = _MEMO.get(key)

@@ -825,6 +825,7 @@ def test_clear_caches_empties_store_and_resets_kappa():
     clear_caches()
     assert canonical_mod._MEMO == {}
     assert canonical_mod._VALUES == {} and canonical_mod._PRODUCTS == {}
+    assert canonical_mod._SUMS == {} and canonical_mod._INDICES == {}
     assert canonical_mod._KAPPA == [ONE]
     for memo in constants:
         assert memo.cache_info().currsize == 0
@@ -872,12 +873,16 @@ def test_solved_under_leaves_every_memo_empty():
     with solved_under([ks[0], neg(ks[1]), ks[2]]):
         canonical_basis((2, 2), 2)
         r_plus_pair(1, 2)
+        canonical_basis((1,) * 4, 2)
         assert canonical_mod._VALUES and canonical_mod._PRODUCTS
+        assert canonical_mod._SUMS
     assert canonical_mod._kappa is real
     assert canonical_mod.compute_quasi_r is compute_quasi_r
     assert canonical_mod._MEMO == {}
     assert canonical_mod._VALUES == {}
     assert canonical_mod._PRODUCTS == {}
+    assert canonical_mod._SUMS == {}
+    assert canonical_mod._INDICES == {}
     assert canonical_mod._KAPPA == [ONE]
     for memo in canonical_mod._CONSTANT_MEMOS:
         assert memo.cache_info().currsize == 0, memo
@@ -890,9 +895,11 @@ def test_clear_caches_empties_the_value_and_product_tables():
     canonical_basis((1,) * 6, 3)
     assert canonical_mod._VALUES
     assert canonical_mod._PRODUCTS
+    assert canonical_mod._SUMS
     clear_caches()
     assert canonical_mod._VALUES == {}
     assert canonical_mod._PRODUCTS == {}
+    assert canonical_mod._SUMS == {}
 
 
 def test_every_psi_column_value_is_its_shared_instance():
@@ -910,6 +917,24 @@ def test_every_psi_column_value_is_its_shared_instance():
     clear_caches()
 
 
+def test_every_psi_key_is_its_shared_index_tuple():
+    # the bar suite fills the Psi store; each column keys every index by
+    # the one tuple of it in _INDICES, which clear_caches empties with
+    # the store
+    clear_caches()
+    assert SUITES["bar"](5).passed
+    columns = [col for key, col in canonical_mod._MEMO.items() if key[0] == "psi"]
+    assert len(columns) > 500
+    indices = canonical_mod._INDICES
+    keys = [i for col in columns for i in col._terms]
+    assert all(indices[i] is i for i in keys)
+    # one object per distinct index, far fewer than the keys
+    assert len({id(i) for i in keys}) == len(set(keys)) == len(indices)
+    assert 4 * len(indices) < len(keys)
+    clear_caches()
+    assert canonical_mod._INDICES == {}
+
+
 def test_kappa_override_leaves_the_shared_values_alone():
     # the negated kappa_1 reaches the Psi images that read it, a bar
     # image and the pair braiding, and no table; it leaves with the block
@@ -924,6 +949,8 @@ def test_kappa_override_leaves_the_shared_values_alone():
     stored = len(canonical_mod._MEMO)
     values = dict(canonical_mod._VALUES)
     products = dict(canonical_mod._PRODUCTS)
+    sums = dict(canonical_mod._SUMS)
+    assert sums
     with solved_under(flipped):
         assert bar_involution(u) != clean
         assert r_plus_pair(1, 1) != clean_pair
@@ -932,12 +959,14 @@ def test_kappa_override_leaves_the_shared_values_alone():
     # same values and products as before it
     assert canonical_mod._MEMO == {}
     assert canonical_mod._VALUES == {}
+    assert canonical_mod._SUMS == {}
     assert bar_involution(u) == clean
     assert r_plus_pair(1, 1) == clean_pair
     canonical_basis((1,) * 6, 3)
     assert len(canonical_mod._MEMO) == stored
     assert canonical_mod._VALUES == values
     assert canonical_mod._PRODUCTS == products
+    assert canonical_mod._SUMS == sums
     assert all(v is c for c, v in canonical_mod._VALUES.items())
 
 
@@ -1218,11 +1247,14 @@ def test_expand_row_shares_each_product_through_the_store():
     for key in data:
         assert key is heads[key[0]][1][key[1:]]
     # a unit first summand copies its d'' row, whose entries it shares;
-    # a second summand on the same head sums into a raw map, and leaves
-    # the shared product, the d'' row and its entries as they were
+    # a second summand on the same head that meets an entry a reads
+    # a + c e from _SUMS, shared through _VALUES, and leaves the shared
+    # product, the d'' row and its entries as they were
     again = canonical_mod._expand_row({(0, 1, 0): ONE, (0, 0, 1): c}, heads)
     assert again[(0, 1, 0)] is e
     assert again[(0, 0, 1)]._terms == (e + c * e)._terms
+    assert canonical_mod._SUMS == {(top[(0, 1)], product): again[(0, 0, 1)]}
+    assert again[(0, 0, 1)] is canonical_mod._SUMS[e, product]
     assert canonical_mod._VALUES[again[(0, 0, 1)]] is again[(0, 0, 1)]
     assert product._terms == (c * e)._terms
     assert [(w, v, dict(v._terms)) for w, v in top.items()] == before
@@ -1230,6 +1262,44 @@ def test_expand_row_shares_each_product_through_the_store():
     # a product met before is read, not computed again
     assert canonical_mod._expand_row({(1, 1, 0): c}, heads)[(1, 1, 0)] is product
     assert canonical_mod._PRODUCTS == {(c, e): product}
+    clear_caches()
+
+
+def test_expand_row_drops_a_sum_that_cancels():
+    # no table of total <= 8, nor (1,)*14 at level 7, has a sum that
+    # cancels, so synthetic d'' rows of (1, 1, 1) at level 1 under head
+    # 0: the summands e and -e of (1, 0, 0) and (0, 1, 0) cancel at
+    # (0, 1, 0)
+    clear_caches()
+    e, f = Laurent({-1: 1}), Laurent({0: 1, -2: 3})
+    d = (1, 1, 1, 1)
+    rows = {
+        (1, 0, 0): ModuleVector._make(d[1:], {(1, 0, 0): ONE, (0, 1, 0): e}),
+        (0, 1, 0): ModuleVector._make(d[1:], {(0, 1, 0): ONE}),
+        (0, 0, 1): ModuleVector._make(d[1:], {(0, 0, 1): ONE, (0, 1, 0): f}),
+    }
+    heads = {0: (rows, {w: (0,) + w for w in rows})}
+    coeffs = {(0, 1, 0, 0): ONE, (0, 0, 1, 0): -e}
+    cancelled = canonical_mod._expand_row(coeffs, heads)
+    # the entry is dropped: no zero reaches the row
+    assert cancelled == {(0, 1, 0, 0): ONE}
+    assert canonical_mod._SUMS[e, -e]._terms == {}
+    # a third summand adds the index back: the per-entry sum
+    coeffs[(0, 0, 0, 1)] = QINV
+    again = canonical_mod._expand_row(coeffs, heads)
+    expected = combine(
+        d, ((p, tensor(V((1,), s[:1]), rows[s[1:]])) for s, p in coeffs.items())
+    )
+    assert again == expected._terms
+    assert set(again) == {(0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)}
+    assert again[(0, 0, 1, 0)] == QINV * f
+    # the copied diagonal entry is the d'' row's own; the rest are shared
+    assert again[(0, 1, 0, 0)] is ONE
+    for w, v in again.items():
+        assert w is heads[0][1][w[1:]]
+        if v is not ONE:
+            assert canonical_mod._VALUES[v] is v, w
+    clear_caches()
 
 
 def _reference_expand(table):

@@ -67,10 +67,11 @@ def test_the_scan_sees_an_unused_import():
 
 
 # The functions that may build a raw map, defaultdict(int, ...): the one
-# kernel for sums of scaled vectors, and the two loops kept apart from
-# it (a row expansion reading its products from a table, and a sum of
-# one scalar).  A new sum of scaled vectors goes through the kernel.
-RAW_MAP_BUILDERS = {"_accumulate", "_expand_row", "inner_product"}
+# kernel for sums of scaled vectors, and the sum of one scalar kept apart
+# from it.  The canonical row expansion reads its products and sums from
+# value tables and builds none.  A new sum of scaled vectors goes
+# through the kernel.
+RAW_MAP_BUILDERS = {"_accumulate", "inner_product"}
 
 
 def _raw_map_builders(tree: ast.Module) -> set[str]:

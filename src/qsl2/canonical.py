@@ -50,16 +50,18 @@ the product coordinate of b_t and beta_s = c_0 + sum_(h>0) c_h (q^h +
 q^-h) bar-invariant; beta_s b_s is subtracted, the heap takes the
 positions it adds, and b_t = M_t - sum_s beta_s b_s.  An entry never
 reached is a TriangularityViolationError, whose text is formatted only
-then.  Each row is then expanded once into the standard basis by
-_expand_row, into one dict keyed by the level's own index tuples: each
-summand p_s v_(s_0) tensor b''_(s[1:]) is read off the row of the d''
-table at level r - s_0, whose rows and whose map from each d'' index to
-the level's tuple are read once per head per table.  The summand of P_t
-itself comes first and is a C-level copy of its d'' row, re-keyed in
-the same pass, never the d'' row's own map.  The row's
-off-diagonal coefficients land in q^-1 Z_{>=0}[q^-1], and
-Psi(b_t) = b_t under the checked kappa: the verify suite checks both
-from outside the solve.
+then.  The solve keeps the product coordinates alone.  The standard
+rows are built on the first read of a table's rows, all at once, each
+by _expand_row into one dict keyed by the level's own index tuples:
+each summand p_s v_(s_0) tensor b''_(s[1:]) is read off the row of the
+d'' table at level r - s_0, whose rows (expanded on that read in turn)
+and whose map from each d'' index to the level's tuple are read once
+per head per table.  The summand of P_t itself comes first and is a
+C-level copy of its d'' row, re-keyed in the same pass, never the d''
+row's own map.  So only tables whose rows something reads are ever
+expanded, and a split reads none.  The row's off-diagonal coefficients
+land in q^-1 Z_{>=0}[q^-1], and Psi(b_t) = b_t under the checked
+kappa: the verify suite checks both from outside the solve.
 
 The source paper's geometry fixes the shape of the multiplicities
 beta_s of b_s in M_t.  Canonical basis elements are simple perverse
@@ -67,10 +69,15 @@ sheaves and E^(a) is convolution along a proper map, so by the
 decomposition theorem (Beilinson-Bernstein-Deligne) every beta_s lies
 in N[q, q^-1], and by purity (Deligne's weights) every exponent of c is
 an integer with the parity of dim O_t - dim O_s.  The solve checks both
-on every coefficient it walks and raises PurityViolationError.
+on every coefficient it walks and raises PurityViolationError.  As
+purity leaves few distinct coefficients (5 in the 126 rows of (1,)*9
+at level 4), each split c -> (beta_s, p_{s,t}) is kept in _SPLITS,
+keyed by c and the parity, once c has passed both tests: a coefficient
+met again is split by one lookup, and one that fails is never kept, so
+it fails wherever it occurs, with the text of its own row and index.
 
-Every coefficient the solve stores (table rows, product coordinates
-and E^(n) coordinates) is the one shared instance of its value in
+Every stored coefficient (table rows, product coordinates and E^(n)
+coordinates) is the one shared instance of its value in
 _VALUES: the Kazhdan-Lusztig polynomials of the tables are few and
 repeat across rows and tables, as do those of the memoized Psi
 columns, also shared.  In a row's expansion, the diagonal summand takes
@@ -183,7 +190,8 @@ _KAPPA: list[Laurent] = [ONE]
 # Per-process results, keyed by (kind, *args): ("psi", d, cut, idx) ->
 # Psi(v_idx), ("table", d, r) -> CanonicalTable (with its product
 # coordinates when len(d) > 1), ("E", d, idx, n) -> the canonical
-# coordinates of E^(n) b_idx (len(d) > 1), and ("pair", d1, d2, sign)
+# coordinates of E^(n) b_idx (len(d) > 1; d and idx are the tuples of
+# the table of (d, sum(idx))), and ("pair", d1, d2, sign)
 # -> LinMap (filled by rmatrix).  Each kind is read and written only by
 # the function that computes it.
 _MEMO: dict[tuple, object] = {}
@@ -194,13 +202,17 @@ _MEMO: dict[tuple, object] = {}
 # the shared value of a + c.  All three are keyed by value, not by id,
 # so no entry can be mistaken for another after its operands are gone.
 # _INDICES does the same for the index tuples that key the Psi columns
-# (a table's rows are keyed by the tuples of its order instead).  They
-# intern values only; results live in _MEMO.  clear_caches empties all
-# five, with _KAPPA.
+# (a table's rows are keyed by the tuples of its order instead).
+# _SPLITS maps a coefficient the solve pops and the parity its exponents
+# must have, (c, parity), to the shared pair (beta, p) of its split
+# c = beta + p, kept only once c has passed the purity and positivity
+# tests.  They intern values only; results live in _MEMO.  clear_caches
+# empties all six, with _KAPPA.
 _VALUES: dict[Laurent, Laurent] = {}
 _PRODUCTS: dict[tuple[Laurent, Laurent], Laurent] = {}
 _SUMS: dict[tuple[Laurent, Laurent], Laurent] = {}
 _INDICES: dict[OrbitIndex, OrbitIndex] = {}
+_SPLITS: dict[tuple[Laurent, int], tuple[Laurent, Laurent]] = {}
 
 # The memoized constants of qring, orbits and modules: each module's
 # _MEMOS, the cached functions themselves, so clear_caches reaches them
@@ -213,12 +225,13 @@ def clear_caches() -> None:
     tables with their product coordinates, E^(n) coordinates, pair
     braidings (_MEMO), the shared coefficient values (_VALUES), their
     products (_PRODUCTS) and sums (_SUMS), the shared index tuples of the
-    Psi columns (_INDICES), the checked quasi-R coefficients, and the
+    Psi columns (_INDICES), the splits of the solve's coefficients
+    (_SPLITS), the checked quasi-R coefficients, and the
     constant memos of qring, orbits and modules: the quantum integers,
     factorials and binomials, the Gram entries, the E/F step scalars,
     the basis index sets, the orbit dimensions and the linear
     extensions."""
-    for store in (_MEMO, _VALUES, _PRODUCTS, _SUMS, _INDICES):
+    for store in (_MEMO, _VALUES, _PRODUCTS, _SUMS, _INDICES, _SPLITS):
         store.clear()
     del _KAPPA[1:]
     for memo in _CONSTANT_MEMOS:
@@ -371,6 +384,12 @@ class CanonicalTable(_Record):
     factor and takes no part in equality, hash or repr, nor does
     _position, each index's position in `order`, built once per table
     and read by the row writers _rows_json and _rows_text.
+
+    Given rows None, the table keeps only its product coordinates, and
+    the first read of rows builds every row by _expand_rows (the
+    standard basis for one factor) and keeps them as a plain dict, so
+    that every later read, equality, repr, copy and pickle sees the
+    table as if built from explicit rows.
     """
 
     __slots__ = ("d", "r", "order", "rows", "product", "_position")
@@ -381,11 +400,21 @@ class CanonicalTable(_Record):
         d: Composition,
         r: int,
         order: tuple[OrbitIndex, ...],
-        rows: dict[OrbitIndex, ModuleVector],
+        rows: dict[OrbitIndex, ModuleVector] | None,
         product: dict | None = None,
     ):
         position = {idx: i for i, idx in enumerate(order)}
-        self._set(d=d, r=r, order=order, rows=rows, product=product, _position=position)
+        self._set(d=d, r=r, order=order, product=product, _position=position)
+        if rows is not None:
+            self._set(rows=rows)
+
+    def __getattr__(self, name):
+        # reached only for an unset slot: rows before its first read
+        if name != "rows":
+            raise AttributeError(name)
+        rows = _expand_rows(self)
+        self._set(rows=rows)
+        return rows
 
     def coefficient(self, r_idx: OrbitIndex, s_idx: OrbitIndex) -> Laurent:
         """c_{r,s}; a ValueError when either index is off the level."""
@@ -481,16 +510,17 @@ def _e_coords(d: Composition, t: OrbitIndex, n: int) -> dict[OrbitIndex, Laurent
     v_(t_0 - n).  Otherwise E^(n) is applied to b_t = sum_s p_{s,t} P_s
     term by term by _add_e_image and back-substituted against the
     product coordinates of the level below.  Memoized in _MEMO for
-    len(d) > 1."""
+    len(d) > 1, under the key ("E", d, t, n) of the table's own d and
+    order tuple, so no key keeps a slice of its caller's."""
     d0, t0 = d[0], t[0]
     if len(d) == 1:
         return {(t0 - n,): quantum_binomial(d0 - t0 + n, n)} if n <= t0 else {}
-    key = ("E", d, t, n)
-    coords = _MEMO.get(key)
+    coords = _MEMO.get(("E", d, t, n))
     if coords is None:
         r = sum(t)
+        table = _sub_table(d, r)
         image: dict = {}
-        for s, p in _sub_table(d, r).product[t].items():
+        for s, p in table.product[t].items():
             _add_e_image(image, d, s, p, n)
         coords = {}
         if image:
@@ -499,7 +529,7 @@ def _e_coords(d: Composition, t: OrbitIndex, n: int) -> dict[OrbitIndex, Laurent
                 image, lower, lower.product.get, lambda: f"E^({n}) b{t}"
             )
             coords = {u: _shared(c) for u, c in coords.items()}
-        _MEMO[key] = coords
+        _MEMO["E", table.d, table.order[table._position[t]], n] = coords
     return coords
 
 
@@ -568,63 +598,76 @@ def _peel(
             raise TriangularityViolationError(f"{leftover()}{idx}")
 
 
+def _expand_rows(table: CanonicalTable) -> dict[OrbitIndex, ModuleVector]:
+    """Every row of table in the standard basis: for one factor the
+    standard basis itself, otherwise each row by _expand_row, whose heads
+    hold the rows of the d'' table at level r - x of each head x (read,
+    and so expanded, once for the table) and a map from each d'' index w
+    to this level's own tuple (x,) + w."""
+    d, r, order = table.d, table.r, table.order
+    if table.product is None:
+        return {idx: ModuleVector._make(d, {idx: ONE}) for idx in order}
+    own = {idx: idx for idx in order}
+    heads: dict[int, tuple[dict, dict]] = {}
+    for x in dict.fromkeys(idx[0] for idx in order):
+        rows = _sub_table(d[1:], r - x).rows
+        heads[x] = (rows, {w: own[(x,) + w] for w in rows})
+    return {
+        t: ModuleVector._make(d, _expand_row(coeffs, heads))
+        for t, coeffs in table.product.items()
+    }
+
+
 def _sub_table(d: Composition, r: int) -> CanonicalTable:
-    """The table of (d, r) from _MEMO, solved into it on a miss, product
-    coordinates included, from the monomials of _monomial, reading no
-    kappa; the factor tables and the E^(n) coordinates come from _MEMO,
-    and every stored coefficient is shared through _VALUES.  Each row is
-    expanded from its product coordinates by _expand_row into one dict,
-    through the d'' rows of each head read once for the table and a map
-    from each d'' index to this level's own tuple, so every row is keyed
-    by the tuples of order and every coefficient read from _VALUES,
-    _PRODUCTS or _SUMS.  The table is stored only after its last row, so a
-    solve that raises leaves nothing in _MEMO."""
+    """The table of (d, r) from _MEMO, solved into it on a miss as its
+    product coordinates alone, from the monomials of _monomial, reading
+    no kappa; the factor tables and the E^(n) coordinates come from
+    _MEMO, and every stored coefficient is shared through _VALUES.  The
+    standard rows are left to the table's first read of rows
+    (_expand_rows).  Each popped coefficient is split through _SPLITS,
+    so the purity and positivity tests run once per value and parity.
+    The table is stored only after its last row, so a solve that raises
+    leaves nothing in _MEMO."""
     key = ("table", d, r)
     table = _MEMO.get(key)
     if table is not None:
         return table
     order = tuple(orbits.linear_extension(d, r))
     if len(d) == 1:
-        rows = {idx: ModuleVector._make(d, {idx: ONE}) for idx in order}
-        table = _MEMO[key] = CanonicalTable(d, r, order, rows)
+        table = _MEMO[key] = CanonicalTable(d, r, order, None)
         return table
     # every diagonal entry is ONE, so ONE is the shared 1 of _VALUES
     _VALUES.setdefault(ONE, ONE)
     # the closure tests compare prefix sums computed once per index,
     # which also tells an index of this level from any other
     prefix = {idx: orbits.prefix_sums(idx) for idx in order}
-    # per head x: the rows of the d'' table at r - x, read once, and each
-    # index w of that table (its own tuple) mapped to this level's own
-    # tuple (x,) + w, so that every row is keyed by the tuples of order
-    # and no index gets a second tuple
-    own = {idx: idx for idx in order}
-    heads: dict[int, tuple[dict, dict]] = {}
-    for x in dict.fromkeys(idx[0] for idx in order):
-        rows = _sub_table(d[1:], r - x).rows
-        heads[x] = (rows, {w: own[(x,) + w] for w in rows})
-    table = CanonicalTable(d, r, order, {}, {})  # _peel reads only rows solved
+    table = CanonicalTable(d, r, order, None, {})  # _peel reads only rows solved
     for top, r_idx in enumerate(order):
         coeffs = table.product[r_idx] = {r_idx: ONE}
         dim_t = orbits._orbit_dim(d, r_idx)
 
         def split(s, c):
-            # c = beta_s + p_{s,t}; purity and positivity as in the
-            # module docstring
+            # c = beta_s + p_{s,t}, read from _SPLITS; on a miss, purity
+            # and positivity as in the module docstring
             parity = 2 * ((dim_t - orbits._orbit_dim(d, s)) % 2)
-            p = (c - c.bar()).negative_half()
-            beta = c - p
-            if any(h % 4 != parity for h in c._terms):
-                raise PurityViolationError(
-                    f"multiplicity ({c}) at {s} in b{r_idx} on Lambda_{d} "
-                    f"has an exponent off the parity of dim O{r_idx} - dim O{s}"
-                )
-            if any(x < 0 for x in beta._terms.values()):
-                raise PurityViolationError(
-                    f"multiplicity ({c}) at {s} in b{r_idx} on Lambda_{d} "
-                    f"has a negative bar-invariant part ({beta})"
-                )
+            parts = _SPLITS.get((c, parity))
+            if parts is None:
+                p = (c - c.bar()).negative_half()
+                beta = c - p
+                if any(h % 4 != parity for h in c._terms):
+                    raise PurityViolationError(
+                        f"multiplicity ({c}) at {s} in b{r_idx} on Lambda_{d} "
+                        f"has an exponent off the parity of dim O{r_idx} - dim O{s}"
+                    )
+                if any(x < 0 for x in beta._terms.values()):
+                    raise PurityViolationError(
+                        f"multiplicity ({c}) at {s} in b{r_idx} on Lambda_{d} "
+                        f"has a negative bar-invariant part ({beta})"
+                    )
+                parts = _SPLITS[_shared(c), parity] = (_shared(beta), _shared(p))
+            beta, p = parts
             if p._terms:
-                coeffs[s] = _shared(p)
+                coeffs[s] = p
             return beta
 
         # M_t - sum_s beta_s b_s, down to the product coordinates of b_t
@@ -636,7 +679,6 @@ def _sub_table(d: Composition, r: int) -> CanonicalTable:
             split,
             lambda: f"the walk of b{r_idx} on Lambda_{d} left a remainder at ",
         )
-        table.rows[r_idx] = ModuleVector._make(d, _expand_row(coeffs, heads))
     _MEMO[key] = table
     return table
 

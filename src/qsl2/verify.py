@@ -593,11 +593,12 @@ def suite_embed(max_total: int) -> SuiteResult:
                 try:
                     move = r_move(d, [1], sign)
                     lifted = r_move(fine, lift_word(d, [1]), sign)
+                    onto = embed_refine(move.target)
                 except AlgebraError as e:
                     name = type(e).__name__
                     res.check(False, f"R_{sign} on {d} or its lift raised {name}")
                     continue
-                lhs = embed_refine(move.target).compose(move)
+                lhs = onto.compose(move)
                 rhs = lifted.compose(m)
                 res.check(
                     lhs == rhs,

@@ -5,8 +5,10 @@ Run from the repository root, one check per process:
 
     python3 tests/golden/scale.py canon-12
 
-The checks are canon-12 (canonical_basis((1,)*12, 6)), canon-14
-(canonical_basis((1,)*14, 7)), canon-json-12 (qsl2 canon --d 1,...,1
+The checks are canon-12 (canonical_basis((1,)*12, 6) and a read of its
+rows, which expands them), canon-14 (the same for (1,)*14 at level 7),
+canon-16 (canonical_basis((1,)*16, 8), its product coordinates alone,
+no row read), canon-json-12 (qsl2 canon --d 1,...,1
 (12 ones) --r 6 --format json), split-12 (split_expand((1,)*12, 6, 6)),
 split-text-12 (qsl2 split --d 1,...,1 (12 ones) --at 6 --r 6, the
 table text), rmat-10 (r_move((1,)*10, w0, "minus"), w0 the longest
@@ -14,7 +16,8 @@ word), embed-12 (qsl2 embed --d 4,4,4 --basis canonical, the
 refinement embedding's canonical matrices as text) and inner-120 (qsl2
 inner --d 120 --r 60 --format json, one Gram entry read from the
 quantum binomial [120 choose 60]).  Each prints one line with the wall
-seconds of the part it bounds, the peak resident set of the process
+seconds of the part it bounds (canon-12 and canon-14 the solve and the
+expansion apart), the peak resident set of the process
 (VmHWM of /proc/self/status, so Linux only), read right after that
 part, and the sha256 of the output, and exits 0 only when the sha256
 equals its pin and the peak is under its bound; the seconds are
@@ -45,25 +48,61 @@ def _dump(obj) -> bytes:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
 
 
-def _canon(n: int, pinned: str, bound_mb: float) -> bool:
-    """canonical_basis((1,)*n, n // 2): the sha256 of
-    _dump(table.to_json_obj()), fed one row at a time."""
-    start = time.perf_counter()
-    table = qsl2.canonical_basis((1,) * n, n // 2)
-    seconds = time.perf_counter() - start
-    # the table solve reads no quasi-R coefficient past kappa_0
-    assert len(qsl2.canonical._KAPPA) == 1, qsl2.canonical._KAPPA
-    # the peak of the solve, read before the digest adds its own
-    peak_mb = _peak_mb()
+def _table_digest(table, terms) -> str:
+    """The sha256 of _dump({"d", "r", "rows": [{"r_index", "terms":
+    terms(idx)}, ...]}), the rows in table order, fed one row at a time."""
     digest = hashlib.sha256(
         b'{"d":' + _dump(list(table.d)) + b',"r":' + _dump(table.r) + b',"rows":['
     )
     for i, idx in enumerate(table.order):
-        row = {"r_index": list(idx), "terms": table.rows[idx].to_json_obj()["terms"]}
+        row = {"r_index": list(idx), "terms": terms(idx)}
         digest.update((b"," if i else b"") + _dump(row))
     digest.update(b"]}")
-    print(f"{seconds:.2f} s, peak {peak_mb:.1f} MB, table sha256 {digest.hexdigest()}")
-    return digest.hexdigest() == pinned and peak_mb < bound_mb
+    return digest.hexdigest()
+
+
+def _canon(n: int, pinned: str, bound_mb: float) -> bool:
+    """canonical_basis((1,)*n, n // 2) and a read of its rows: the sha256
+    of _dump(table.to_json_obj())."""
+    start = time.perf_counter()
+    table = qsl2.canonical_basis((1,) * n, n // 2)
+    solved = time.perf_counter()
+    # rows are expanded on their first read, which the peak must cover
+    rows = table.rows
+    expanded = time.perf_counter()
+    # the table solve reads no quasi-R coefficient past kappa_0
+    assert len(qsl2.canonical._KAPPA) == 1, qsl2.canonical._KAPPA
+    # the peak of the solve and the expansion, read before the digest
+    # adds its own
+    peak_mb = _peak_mb()
+    sha = _table_digest(table, lambda idx: rows[idx].to_json_obj()["terms"])
+    print(
+        f"{solved - start:.2f} s solve, {expanded - solved:.2f} s expansion, "
+        f"peak {peak_mb:.1f} MB, table sha256 {sha}"
+    )
+    return sha == pinned and peak_mb < bound_mb
+
+
+def _product(n: int, pinned: str, bound_mb: float) -> bool:
+    """canonical_basis((1,)*n, n // 2), its product coordinates alone:
+    the sha256 of _dump({"d", "r", "rows": [{"r_index", "terms": [{"s",
+    "coeff"}, ...]}, ...]}), each row's terms by ascending position in
+    table order.  No row is read, so no standard row is built."""
+    start = time.perf_counter()
+    table = qsl2.canonical_basis((1,) * n, n // 2)
+    seconds = time.perf_counter() - start
+    assert len(qsl2.canonical._KAPPA) == 1, qsl2.canonical._KAPPA
+    # the peak of the solve, read before the digest adds its own
+    peak_mb = _peak_mb()
+    position = table._position
+
+    def terms(t):
+        coords = sorted(table.product[t].items(), key=lambda sc: position[sc[0]])
+        return [{"s": list(s), "coeff": c.to_pairs()} for s, c in coords]
+
+    sha = _table_digest(table, terms)
+    print(f"{seconds:.2f} s, peak {peak_mb:.1f} MB, product sha256 {sha}")
+    return sha == pinned and peak_mb < bound_mb
 
 
 class _Digest:
@@ -145,6 +184,10 @@ CHECKS = {
     # pinned from the product-basis Theta solve that the monomial route replaced
     "canon-14": lambda: _canon(
         14, "39e2b5e3ca8fb21193432b22125c599bddc5556611782dfce3c26c66fd54693d", 256
+    ),
+    # pinned from the eager solve with its row expansion deleted
+    "canon-16": lambda: _product(
+        16, "c82b4ab05f00b9b675903b18337da3a6f67f8c1194cddd1e01a33b6407434695", 72
     ),
     # `python -m qsl2.cli ... | sha256sum` and `| wc -c` before the JSON
     # builders shared equal values

@@ -1,9 +1,11 @@
 """Bar involution, quasi-R coefficients, canonical bases, split
 expansion, and the refinement embedding."""
 
+import copy
 import importlib.util
 import json
 import os
+import pickle
 import random
 import re
 import sys
@@ -873,9 +875,11 @@ def test_solved_under_leaves_every_memo_empty():
     with solved_under([ks[0], neg(ks[1]), ks[2]]):
         canonical_basis((2, 2), 2)
         r_plus_pair(1, 2)
-        canonical_basis((1,) * 4, 2)
+        # rows are expanded on their first read, which fills the products
+        # and sums
+        canonical_basis((1,) * 4, 2).rows
         assert canonical_mod._VALUES and canonical_mod._PRODUCTS
-        assert canonical_mod._SUMS
+        assert canonical_mod._SUMS and canonical_mod._SPLITS
     assert canonical_mod._kappa is real
     assert canonical_mod.compute_quasi_r is compute_quasi_r
     assert canonical_mod._MEMO == {}
@@ -883,6 +887,7 @@ def test_solved_under_leaves_every_memo_empty():
     assert canonical_mod._PRODUCTS == {}
     assert canonical_mod._SUMS == {}
     assert canonical_mod._INDICES == {}
+    assert canonical_mod._SPLITS == {}
     assert canonical_mod._KAPPA == [ONE]
     for memo in canonical_mod._CONSTANT_MEMOS:
         assert memo.cache_info().currsize == 0, memo
@@ -892,14 +897,18 @@ def test_solved_under_leaves_every_memo_empty():
 
 
 def test_clear_caches_empties_the_value_and_product_tables():
-    canonical_basis((1,) * 6, 3)
+    # the solve fills the splits, the first read of rows the products
+    # and sums
+    canonical_basis((1,) * 6, 3).rows
     assert canonical_mod._VALUES
     assert canonical_mod._PRODUCTS
     assert canonical_mod._SUMS
+    assert canonical_mod._SPLITS
     clear_caches()
     assert canonical_mod._VALUES == {}
     assert canonical_mod._PRODUCTS == {}
     assert canonical_mod._SUMS == {}
+    assert canonical_mod._SPLITS == {}
 
 
 def test_every_psi_column_value_is_its_shared_instance():
@@ -943,30 +952,35 @@ def test_kappa_override_leaves_the_shared_values_alone():
     clean = bar_involution(u)
     clean_pair = r_plus_pair(1, 1)
     clean_table = canonical_basis((1,) * 4, 2)
-    canonical_basis((1,) * 6, 3)
+    # rows are expanded on their first read, which fills the products
+    # and sums
+    canonical_basis((1,) * 6, 3).rows
     ks = compute_quasi_r(1)
     flipped = [ks[0], neg(ks[1])]
     stored = len(canonical_mod._MEMO)
     values = dict(canonical_mod._VALUES)
     products = dict(canonical_mod._PRODUCTS)
     sums = dict(canonical_mod._SUMS)
-    assert sums
+    splits = dict(canonical_mod._SPLITS)
+    assert sums and splits
     with solved_under(flipped):
         assert bar_involution(u) != clean
         assert r_plus_pair(1, 1) != clean_pair
         assert canonical_basis((1,) * 4, 2) == clean_table
     # the wrong values left with the block; a fresh solve shares the
-    # same values and products as before it
+    # same values, products, sums and splits as before it
     assert canonical_mod._MEMO == {}
     assert canonical_mod._VALUES == {}
     assert canonical_mod._SUMS == {}
+    assert canonical_mod._SPLITS == {}
     assert bar_involution(u) == clean
     assert r_plus_pair(1, 1) == clean_pair
-    canonical_basis((1,) * 6, 3)
+    canonical_basis((1,) * 6, 3).rows
     assert len(canonical_mod._MEMO) == stored
     assert canonical_mod._VALUES == values
     assert canonical_mod._PRODUCTS == products
     assert canonical_mod._SUMS == sums
+    assert canonical_mod._SPLITS == splits
     assert all(v is c for c, v in canonical_mod._VALUES.items())
 
 
@@ -1350,12 +1364,112 @@ def test_expansion_leaves_the_factor_rows_as_they_were():
 
     factors = [canonical_basis((1,) * 8, r) for r in (3, 4)]
     before = [snapshot(table) for table in factors]
-    canonical_basis((1,) * 9, 4)
+    canonical_basis((1,) * 9, 4).rows
     assert [snapshot(table) for table in factors] == before
 
 
+def _rows_built(table):
+    """Whether table has built its rows, read without building them."""
+    try:
+        object.__getattribute__(table, "rows")
+    except AttributeError:
+        return False
+    return True
+
+
+def _memo_tables():
+    return [table for key, table in canonical_mod._MEMO.items() if key[0] == "table"]
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [lambda: canonical_basis((1,) * 6, 3), lambda: split_expand((1,) * 6, 3, 3)],
+    ids=["canonical_basis", "split_expand"],
+)
+def test_a_solve_builds_no_rows_until_they_are_read(solve):
+    # the solve keeps product coordinates only; the first read of rows
+    # expands the table and, through its heads, the d'' tables it reads
+    clear_caches()
+    solve()
+    tables = _memo_tables()
+    # (1,)*k at the levels the solve read, for k = 2 .. 6
+    assert len(tables) == 13
+    assert not any(map(_rows_built, tables))
+    assert canonical_mod._PRODUCTS == {} and canonical_mod._SUMS == {}
+    assert canonical_mod._SPLITS
+    unread = canonical_basis((1,) * 6, 4)
+    top = canonical_basis((1,) * 6, 3)
+    rows = top.rows
+    assert top.rows is rows
+    assert canonical_mod._PRODUCTS and canonical_mod._SUMS
+    # the read expanded the table and, head by head, each d'' table below
+    # it down to one factor, and no other
+    built = {(len(t.d), t.r) for t in _memo_tables() if _rows_built(t)}
+    heads = {(k, r) for k in range(1, 7) for r in range(max(k - 3, 0), min(k, 3) + 1)}
+    assert built == heads
+    assert not _rows_built(unread)
+    for table in _memo_tables():
+        if _rows_built(table) and len(table.d) > 1:
+            assert table.rows == _reference_expand(table), (table.d, table.r)
+    clear_caches()
+
+
+def test_a_table_with_unread_rows_equals_one_built_from_explicit_rows():
+    # equality, copy and pickle read the rows as fields, so an unread
+    # table expands on the first of them and behaves as one built from
+    # explicit rows
+    clear_caches()
+    d, r = (1, 2, 1, 1), 2
+    lazy = canonical_basis(d, r)
+    explicit = CanonicalTable(d, r, lazy.order, _reference_expand(lazy), lazy.product)
+    assert not _rows_built(lazy)
+    assert lazy == explicit
+    assert _rows_built(lazy)
+    for how in (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
+        clear_caches()
+        unread = canonical_basis(d, r)
+        assert not _rows_built(unread)
+        again = how(unread)
+        assert again == explicit and again.product == explicit.product
+        assert type(again) is CanonicalTable and _rows_built(again)
+    clear_caches()
+
+
+def test_each_coefficient_value_is_split_once():
+    # purity leaves the solve of (1,)*9 at level 4 a handful of distinct
+    # coefficients to split, each kept once with its parity, and every
+    # part shared through _VALUES
+    clear_caches()
+    canonical_basis((1,) * 9, 4)
+    splits = canonical_mod._SPLITS
+    assert len(splits) == 5
+    values = canonical_mod._VALUES
+    for (c, parity), (beta, p) in splits.items():
+        assert parity in (0, 2)
+        assert beta + p == c and beta == beta.bar()
+        assert all(h < 0 for h in p._terms)
+        for v in (c, beta, p):
+            assert values[v] is v
+    clear_caches()
+
+
+def test_every_e_key_holds_its_tables_own_tuples():
+    # an E^(n) memo key keeps the composition and the index tuple of the
+    # table it reads, not a fresh slice of its caller's
+    clear_caches()
+    canonical_basis((1,) * 10, 5)
+    keys = [key for key in canonical_mod._MEMO if key[0] == "E"]
+    assert len(keys) > 400
+    for _, d, t, n in keys:
+        table = canonical_mod._MEMO["table", d, sum(t)]
+        assert d is table.d and t is table.order[table._position[t]]
+    # one composition object per table, far fewer than the keys
+    assert len({id(key[1]) for key in keys}) < 30
+    clear_caches()
+
+
 def test_rows_keep_one_index_tuple_per_level_and_shared_coefficients():
-    # what keeps the eager tables small at scale: every term of every
+    # what keeps the expanded rows small at scale: every term of every
     # row is keyed by the tuple in its table's order, and every
     # coefficient is the _VALUES instance of its value
     clear_caches()
@@ -1519,6 +1633,7 @@ def test_negative_multiplicity_raises(monkeypatch):
     _plant_in_monomial(monkeypatch, row, {s: -ONE})
     message = _refusal(PurityViolationError, row, s)
     assert "negative" in message
+    assert _assert_no_split_of(-ONE, row, s) == message
 
 
 @pytest.mark.parametrize(
@@ -1532,6 +1647,30 @@ def test_multiplicity_of_the_wrong_parity_raises(monkeypatch, s, c):
     _plant_in_monomial(monkeypatch, row, {s: c})
     message = _refusal(PurityViolationError, row, s)
     assert "parity" in message
+    assert _assert_no_split_of(c, row, s) == message
+
+
+def _assert_no_split_of(c, row, s):
+    """A coefficient c refused at s in b_row on (1,1,1) leaves no split
+    behind, so a second solve refuses it again with the same text."""
+    d = (1, 1, 1)
+    parity = 2 * ((orbits._orbit_dim(d, row) - orbits._orbit_dim(d, s)) % 2)
+    assert (c, parity) not in canonical_mod._SPLITS
+    message = _refusal(PurityViolationError, row, s)
+    assert (c, parity) not in canonical_mod._SPLITS
+    return message
+
+
+def test_a_value_split_at_one_parity_is_refused_at_the_other(monkeypatch):
+    # the factor table (1,1) at level 1 splits q^-1 at an odd distance;
+    # the same value at the even distance dim O(0,0,1) - dim O(1,0,0) = 2
+    # is still refused, with its own row and index
+    row, s = (0, 0, 1), (1, 0, 0)
+    _plant_in_monomial(monkeypatch, row, {s: QINV})
+    assert (QINV, 2) in canonical_mod._SPLITS
+    message = _refusal(PurityViolationError, row, s)
+    assert "parity" in message
+    assert _assert_no_split_of(QINV, row, s) == message
 
 
 def test_kappa_fault_raises_on_non_antisymmetric_obstruction():

@@ -24,7 +24,11 @@ from qsl2 import (
     split_expand,
 )
 from qsl2.modules import act_F, act_K
-from qsl2.errors import AmbientMismatchError, PurityViolationError
+from qsl2.errors import (
+    AmbientMismatchError,
+    EmbeddingCheckFailedError,
+    PurityViolationError,
+)
 from qsl2.qring import ONE, Q, QINV, ZERO, Laurent
 from qsl2.verify import SUITES, _FAILURE_CAP
 
@@ -366,11 +370,12 @@ def _plant_perturbed_row(monkeypatch, product, solved=0):
     With product, its product coordinates say the same,
     b(0,1) = P(0,1) + q P(1,0); without, they are the good table's.
     Every table of total at most solved is solved first, from the good
-    table, so the planted one is read only as a factor of a split."""
+    table, and its rows are read, as rows are expanded on their first
+    read, so the planted one is read only as a factor of a split."""
     clear_caches()
     for e in compositions(solved):
         for r in range(sum(e) + 1):
-            canonical_basis(e, r)
+            canonical_basis(e, r).rows
     d = (1, 1)
     good = canonical_basis(d, 1)
     assert good.rows[(0, 1)] == ModuleVector.basis(d, (0, 1)) + ModuleVector.basis(
@@ -521,6 +526,32 @@ def test_suite_rmatrix_records_an_error_from_r_move(monkeypatch, capsys, cleared
     suites = [line.split()[1] for line in out.splitlines() if line.startswith("suite ")]
     assert suites == sorted(SUITES)
     assert out.endswith("FAILED at max total 2\n")
+
+
+def test_suite_embed_records_a_refusal_of_the_target_embedding(monkeypatch, cleared):
+    # the embedding of a move's target is built inside the suite's try:
+    # a refusal there is one recorded failure in place of the
+    # compatibility check, and the sweep goes on to every composition
+    clean = SUITES["embed"](3)
+    real, calls = verify_mod.embed_refine, []
+
+    def refusing(d):
+        # the first call on a composition is the suite's own; a later one
+        # on (1, 2) embeds the target of a move on (2, 1)
+        calls.append(d)
+        if d == (1, 2) and calls.count(d) > 1:
+            raise EmbeddingCheckFailedError(f"planted refusal on Lambda_{d}")
+        return real(d)
+
+    monkeypatch.setattr(verify_mod, "embed_refine", refusing)
+    res = SUITES["embed"](3)
+    assert res.failures == [
+        f"R_{sign} on (2, 1) or its lift raised EmbeddingCheckFailedError"
+        for sign in ("plus", "minus")
+    ]
+    assert res.checks == clean.checks
+    # every composition was embedded, those after (2, 1) included
+    assert list(dict.fromkeys(calls)) == list(compositions(3))
 
 
 def test_suite_rmatrix_catches_a_negated_kappa(cleared):

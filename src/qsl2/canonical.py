@@ -76,8 +76,8 @@ keyed by c and the parity, once c has passed both tests: a coefficient
 met again is split by one lookup, and one that fails is never kept, so
 it fails wherever it occurs, with the text of its own row and index.
 
-Every stored coefficient (table rows, product coordinates and E^(n)
-coordinates) is the one shared instance of its value in
+Every stored coefficient (table rows, product coordinates, E^(n)
+coordinates and split rows) is the one shared instance of its value in
 _VALUES: the Kazhdan-Lusztig polynomials of the tables are few and
 repeat across rows and tables, as do those of the memoized Psi
 columns, also shared.  In a row's expansion, the diagonal summand takes
@@ -87,8 +87,8 @@ of shared values keyed by (p_s, e), and where the index already holds a
 value a, the sum a + p_s e is read from _SUMS, the table of sums keyed
 by (a, p_s e).  As the values are few (purity), a repeated product or
 sum costs one lookup, and no entry is ever summed term by term.  Every
-row key is the tuple of the level's order, one tuple per index per
-level.
+row and Psi column key is the tuple of its level's order in
+orbits._level, which is every table's order: one tuple per index.
 
 Every solved table keeps its product coordinates p_{s,r} in its
 product field, and E^(n) b and split expansions are computed from
@@ -201,17 +201,14 @@ _MEMO: dict[tuple, object] = {}
 # a pair (c, e) to the shared value of c * e, and _SUMS a pair (a, c) to
 # the shared value of a + c.  All three are keyed by value, not by id,
 # so no entry can be mistaken for another after its operands are gone.
-# _INDICES does the same for the index tuples that key the Psi columns
-# (a table's rows are keyed by the tuples of its order instead).
 # _SPLITS maps a coefficient the solve pops and the parity its exponents
 # must have, (c, parity), to the shared pair (beta, p) of its split
 # c = beta + p, kept only once c has passed the purity and positivity
 # tests.  They intern values only; results live in _MEMO.  clear_caches
-# empties all six, with _KAPPA.
+# empties all five, with _KAPPA.
 _VALUES: dict[Laurent, Laurent] = {}
 _PRODUCTS: dict[tuple[Laurent, Laurent], Laurent] = {}
 _SUMS: dict[tuple[Laurent, Laurent], Laurent] = {}
-_INDICES: dict[OrbitIndex, OrbitIndex] = {}
 _SPLITS: dict[tuple[Laurent, int], tuple[Laurent, Laurent]] = {}
 
 # The memoized constants of qring, orbits and modules: each module's
@@ -224,14 +221,12 @@ def clear_caches() -> None:
     """Forget every per-process result: memoized Psi images, canonical
     tables with their product coordinates, E^(n) coordinates, pair
     braidings (_MEMO), the shared coefficient values (_VALUES), their
-    products (_PRODUCTS) and sums (_SUMS), the shared index tuples of the
-    Psi columns (_INDICES), the splits of the solve's coefficients
-    (_SPLITS), the checked quasi-R coefficients, and the
+    products (_PRODUCTS) and sums (_SUMS), the splits of the solve's
+    coefficients (_SPLITS), the checked quasi-R coefficients, and the
     constant memos of qring, orbits and modules: the quantum integers,
     factorials and binomials, the Gram entries, the E/F step scalars,
-    the basis index sets, the orbit dimensions and the linear
-    extensions."""
-    for store in (_MEMO, _VALUES, _PRODUCTS, _SUMS, _INDICES, _SPLITS):
+    the basis index sets and each level's order, dimensions and positions."""
+    for store in (_MEMO, _VALUES, _PRODUCTS, _SUMS, _SPLITS):
         store.clear()
     del _KAPPA[1:]
     for memo in _CONSTANT_MEMOS:
@@ -243,7 +238,7 @@ def clear_caches() -> None:
 
 def _psi_basis(d: Composition, idx: OrbitIndex, cut: int) -> ModuleVector:
     """Psi(v_idx) with the top-level Theta at cut, memoized in _MEMO,
-    each key the shared tuple of its index in _INDICES and each
+    each key its level's own tuple in orbits._level and each
     coefficient the shared instance of its value in _VALUES.
     Theta reads each kappa_n through _kappa as its sum reaches it, so
     kappa is checked as far as this column's Theta goes, and no
@@ -256,8 +251,9 @@ def _psi_basis(d: Composition, idx: OrbitIndex, cut: int) -> ModuleVector:
         left = _psi_basis(d[:cut], idx[:cut], 1)
         right = _psi_basis(d[cut:], idx[cut:], 1)
         column = theta(left, right, _kappa)._terms.items()
+        order, position = orbits._level(d, sum(idx))[0], orbits._positions(d, sum(idx))
         out = _MEMO[key] = ModuleVector._make(
-            d, {_INDICES.setdefault(i, i): _shared(c) for i, c in column}
+            d, {order[position[i]]: _shared(c) for i, c in column}
         )
     return out
 
@@ -381,7 +377,7 @@ class CanonicalTable(_Record):
     in the linear-extension order of `order`.  For len(d) > 1, product
     maps each index t, in that order, to the coordinates {s: p_{s,t}}
     of b_t over the product basis P_s of the solve; it is None for one
-    factor and takes no part in equality, hash or repr, nor does
+    factor and takes no part in equality or repr, nor does
     _position, each index's position in `order`, built once per table
     and read by the row writers _rows_json and _rows_text.
 
@@ -417,13 +413,19 @@ class CanonicalTable(_Record):
         return rows
 
     def coefficient(self, r_idx: OrbitIndex, s_idx: OrbitIndex) -> Laurent:
-        """c_{r,s}; a ValueError when either index is off the level."""
-        for idx in (r_idx, s_idx):
-            if tuple(idx) not in self.rows:
+        """c_{r,s}; a ValueError when either index is off the level.  A
+        table with product coordinates reads the entry through them by
+        _entry, building no row; one without (one factor, or explicit
+        rows) reads its rows."""
+        t, s = tuple(r_idx), tuple(s_idx)
+        for idx in (t, s):
+            if idx not in self._position:
                 raise ValueError(
-                    f"index {tuple(idx)} is not on level {self.r} of Lambda_{self.d}"
+                    f"index {idx} is not on level {self.r} of Lambda_{self.d}"
                 )
-        return self.rows[tuple(r_idx)].coeff(s_idx)
+        if self.product is None:
+            return self.rows[t].coeff(s)
+        return _entry(self.d, self.r, self.product[t], s)
 
     def to_json_obj(self) -> dict:
         """{"d", "r", "rows": [{"r_index", "terms": [{"r", "coeff"},
@@ -484,6 +486,27 @@ def _expand_row(
             else:
                 del data[idx]
     return data
+
+
+def _entry(
+    d: Composition, r: int, coords: dict[OrbitIndex, Laurent], s: OrbitIndex
+) -> Laurent:
+    """The coefficient of v_s in b_t on level r of Lambda_d, from the
+    product coordinates coords = {u: p_u} of b_t:
+    c_(t,s) = sum over u with u_0 = s_0 of p_u c''_(u[1:], s[1:]), each
+    c'' read the same way from the solved d'' table at level r - s_0,
+    down to the Kronecker delta on one factor.  No row is read."""
+    rest, s0, x = d[1:], s[0], s[1:]
+    lower = _sub_table(rest, r - s0).product if len(rest) > 1 else None
+    out = ZERO
+    for u, p in coords.items():
+        if u[0] != s0:
+            continue
+        if lower is not None:
+            out = out + p * _entry(rest, r - s0, lower[u[1:]], x)
+        elif u[1:] == x:
+            out = out + p
+    return out
 
 
 def _add_e_image(
@@ -604,14 +627,13 @@ def _expand_rows(table: CanonicalTable) -> dict[OrbitIndex, ModuleVector]:
     hold the rows of the d'' table at level r - x of each head x (read,
     and so expanded, once for the table) and a map from each d'' index w
     to this level's own tuple (x,) + w."""
-    d, r, order = table.d, table.r, table.order
+    d, r, order, position = table.d, table.r, table.order, table._position
     if table.product is None:
         return {idx: ModuleVector._make(d, {idx: ONE}) for idx in order}
-    own = {idx: idx for idx in order}
     heads: dict[int, tuple[dict, dict]] = {}
     for x in dict.fromkeys(idx[0] for idx in order):
         rows = _sub_table(d[1:], r - x).rows
-        heads[x] = (rows, {w: own[(x,) + w] for w in rows})
+        heads[x] = (rows, {w: order[position[(x,) + w]] for w in rows})
     return {
         t: ModuleVector._make(d, _expand_row(coeffs, heads))
         for t, coeffs in table.product.items()
@@ -632,7 +654,7 @@ def _sub_table(d: Composition, r: int) -> CanonicalTable:
     table = _MEMO.get(key)
     if table is not None:
         return table
-    order = tuple(orbits.linear_extension(d, r))
+    order, dims = orbits._level(d, r)
     if len(d) == 1:
         table = _MEMO[key] = CanonicalTable(d, r, order, None)
         return table
@@ -644,12 +666,11 @@ def _sub_table(d: Composition, r: int) -> CanonicalTable:
     table = CanonicalTable(d, r, order, None, {})  # _peel reads only rows solved
     for top, r_idx in enumerate(order):
         coeffs = table.product[r_idx] = {r_idx: ONE}
-        dim_t = orbits._orbit_dim(d, r_idx)
 
         def split(s, c):
             # c = beta_s + p_{s,t}, read from _SPLITS; on a miss, purity
             # and positivity as in the module docstring
-            parity = 2 * ((dim_t - orbits._orbit_dim(d, s)) % 2)
+            parity = 2 * ((dims[top] - dims[table._position[s]]) % 2)
             parts = _SPLITS.get((c, parity))
             if parts is None:
                 p = (c - c.bar()).negative_half()
@@ -743,7 +764,7 @@ class SplitTable(_Record):
     """Rows re-express b_r over the product basis b_{s'} tensor b_{s''}
     after cutting the slots at `cut`; keys are full concatenated s.
     _position, each index's position in `order`, is derived as in
-    CanonicalTable and takes no part in equality, hash or repr."""
+    CanonicalTable and takes no part in equality or repr."""
 
     __slots__ = ("d", "cut", "r", "order", "rows", "_position")
     _compared = ("d", "cut", "r", "order", "rows")
@@ -802,7 +823,7 @@ def _split_rows(d: Composition, cut: int, r: int, memo: dict) -> dict:
                 left.product.get,
                 lambda: f"split of b{t} on Lambda_{d} at cut {cut}",
             )
-            rows[t].update((z + y, c) for z, c in zs.items())
+            rows[t].update((z + y, _shared(c)) for z, c in zs.items())
     return rows
 
 

@@ -159,12 +159,12 @@ class ModuleVector:
 
     # -- views ----------------------------------------------------------------
 
-    def _order_key(self, idx: OrbitIndex):
-        return (sum(idx), orbits._orbit_dim(self.d, idx), idx)
-
     def items(self) -> list[tuple[OrbitIndex, Laurent]]:
         """Terms in canonical order: level, then the linear extension."""
-        return sorted(self._terms.items(), key=lambda kv: self._order_key(kv[0]))
+        d, at = self.d, orbits._positions
+        return sorted(
+            self._terms.items(), key=lambda kv: (r := sum(kv[0]), at(d, r)[kv[0]])
+        )
 
     def unordered_items(self) -> Iterable[tuple[OrbitIndex, Laurent]]:
         """Terms in storage order, for callers that discard the order."""
@@ -331,7 +331,7 @@ def _basis_order(d: Composition) -> Iterable[OrbitIndex]:
     level in its linear extension."""
     d = orbits.check_composition(d)
     for r in range(sum(d) + 1):
-        yield from orbits._linear_extension(d, r)
+        yield from orbits._level(d, r)[0]
 
 
 @lru_cache(maxsize=None)
@@ -541,7 +541,8 @@ class _Record:
     __slots__, in constructor order, and sets them in __init__ with
     _set, followed by any slot derived from them, whose name starts with
     an underscore; `_compared` (default: every field) names the fields
-    that take part in equality, hash and repr.  Assignment raises
+    that take part in equality and repr.  A record is unhashable unless
+    its subclass defines __hash__, as most hold dicts.  Assignment raises
     AttributeError, and __reduce__ rebuilds a record from its fields for
     copy and pickle."""
 
@@ -561,8 +562,7 @@ class _Record:
             return NotImplemented
         return self._key() == other._key()
 
-    def __hash__(self) -> int:
-        return hash(self._key())
+    __hash__ = None
 
     def __repr__(self) -> str:
         fields = ", ".join(

@@ -11,9 +11,9 @@ only jump up under specialization.
 orbit_dim comes from the iterated fibration of an orbit over a product
 of Grassmannians: sum r_k (d_k - r_k) for the fibers within blocks, plus
 sum over i < j of r_j (d_i - r_i) for the relative positions.  Every
-vector and matrix in the package is ordered by linear_extension, which
-sorts by this dimension and breaks ties lexicographically; it refines
-the closure order since a proper closure drops the dimension.
+vector, table and matrix is ordered by _level alone (linear_extension):
+by this dimension, ties broken lexicographically, which refines the
+closure order since a proper closure drops the dimension.
 """
 
 from __future__ import annotations
@@ -111,9 +111,8 @@ def orbit_dim(d: Composition, r: OrbitIndex) -> int:
     return _orbit_dim(d, check_index(d, r))
 
 
-@lru_cache(maxsize=None)
 def _orbit_dim(d: Composition, r: OrbitIndex) -> int:
-    """orbit_dim on checked arguments, memoized for the process; room
+    """orbit_dim on checked arguments, not memoized (see _level); room
     is the running sum of d_i - r_i over the slots before slot k."""
     dim = room = 0
     for rk, dk in zip(r, d):
@@ -168,15 +167,21 @@ def linear_extension(d: Composition, r: int) -> list[OrbitIndex]:
     """All level-r indices, smallest closure first: sorted by orbit_dim
     ascending with lexicographic tie-break.  Deterministic, and a linear
     extension of closure_leq.  Each call returns a fresh list."""
-    return list(_linear_extension(check_composition(d), r))
+    return list(_level(check_composition(d), r)[0])
 
 
 @lru_cache(maxsize=None)
-def _linear_extension(d: Composition, r: int) -> tuple[OrbitIndex, ...]:
-    """linear_extension on a checked composition, memoized for the process."""
-    return tuple(
-        sorted(_indices_at_level(d, r), key=lambda idx: (_orbit_dim(d, idx), idx))
-    )
+def _level(d: Composition, r: int) -> tuple[tuple[OrbitIndex, ...], tuple[int, ...]]:
+    """(linear_extension(d, r), its orbit dimensions by position), memoized
+    on a checked composition; the sort computes each dimension once."""
+    ranked = sorted((_orbit_dim(d, idx), idx) for idx in _indices_at_level(d, r))
+    return tuple(idx for _, idx in ranked), tuple(dim for dim, _ in ranked)
+
+
+@lru_cache(maxsize=None)
+def _positions(d: Composition, r: int) -> dict[OrbitIndex, int]:
+    """Each index's position in _level(d, r)'s order, memoized; read-only."""
+    return {idx: i for i, idx in enumerate(_level(d, r)[0])}
 
 
 def covering_relations(d: Composition, r: int) -> list[tuple[OrbitIndex, OrbitIndex]]:
@@ -227,4 +232,4 @@ def poset_dot(d: Composition, r: int) -> str:
 
 
 # This module's lru_cache functions, held for qsl2.clear_caches.
-_MEMOS = (_orbit_dim, _linear_extension)
+_MEMOS = (_level, _positions)

@@ -73,6 +73,9 @@ class PermWord(_Record):
                 raise ValueError(f"letter {a} out of range for {slots} slots")
         self._set(slots=slots, letters=letters)
 
+    def __hash__(self) -> int:
+        return hash(self._key())
+
     def permutation(self) -> tuple[int, ...]:
         """arrangement[pos] = the original slot now sitting at pos."""
         arr = list(range(self.slots))

@@ -79,12 +79,12 @@ _SEED = 58214
 
 class SuiteResult(_Record):
     """The running tally of one suite.  Unlike the other records it is
-    mutable, and so unhashable; equality and repr are field-wise."""
+    mutable; it is unhashable, as a _Record is, and equality and repr
+    are field-wise."""
 
     __slots__ = ("name", "checks", "failures", "truncated")
     __setattr__ = object.__setattr__
     __delattr__ = object.__delattr__
-    __hash__ = None
 
     def __init__(
         self,

@@ -8,7 +8,7 @@ Run from the repository root, one check per process:
 The checks are canon-12 (canonical_basis((1,)*12, 6) and a read of its
 rows, which expands them), canon-14 (the same for (1,)*14 at level 7),
 canon-16 (canonical_basis((1,)*16, 8), its product coordinates alone,
-no row read), canon-json-12 (qsl2 canon --d 1,...,1
+no row read), canon-18 (the same for (1,)*18 at level 9), canon-json-12 (qsl2 canon --d 1,...,1
 (12 ones) --r 6 --format json), split-12 (split_expand((1,)*12, 6, 6)),
 split-text-12 (qsl2 split --d 1,...,1 (12 ones) --at 6 --r 6, the
 table text), rmat-10 (r_move((1,)*10, w0, "minus"), w0 the longest
@@ -188,6 +188,11 @@ CHECKS = {
     # pinned from the eager solve with its row expansion deleted
     "canon-16": lambda: _product(
         16, "c82b4ab05f00b9b675903b18337da3a6f67f8c1194cddd1e01a33b6407434695", 72
+    ),
+    # pinned from the solve that memoized every orbit dimension; the
+    # bound lies below that solve's peak (185 MB on a 2-core machine)
+    "canon-18": lambda: _product(
+        18, "b6a7172d57b41bc0c080513bd1d090ae71c04960d96b63f89fc02214c550268a", 175
     ),
     # `python -m qsl2.cli ... | sha256sum` and `| wc -c` before the JSON
     # builders shared equal values

@@ -2,7 +2,9 @@
 expansion, and the refinement embedding."""
 
 import copy
+import functools
 import importlib.util
+import itertools
 import json
 import os
 import pickle
@@ -31,6 +33,7 @@ from qsl2 import (
     compute_quasi_r,
     embed_refine,
     inner_product,
+    linear_extension,
     r_plus_pair,
     run_all,
     split_expand,
@@ -827,7 +830,7 @@ def test_clear_caches_empties_store_and_resets_kappa():
     clear_caches()
     assert canonical_mod._MEMO == {}
     assert canonical_mod._VALUES == {} and canonical_mod._PRODUCTS == {}
-    assert canonical_mod._SUMS == {} and canonical_mod._INDICES == {}
+    assert canonical_mod._SUMS == {} and canonical_mod._SPLITS == {}
     assert canonical_mod._KAPPA == [ONE]
     for memo in constants:
         assert memo.cache_info().currsize == 0
@@ -886,7 +889,6 @@ def test_solved_under_leaves_every_memo_empty():
     assert canonical_mod._VALUES == {}
     assert canonical_mod._PRODUCTS == {}
     assert canonical_mod._SUMS == {}
-    assert canonical_mod._INDICES == {}
     assert canonical_mod._SPLITS == {}
     assert canonical_mod._KAPPA == [ONE]
     for memo in canonical_mod._CONSTANT_MEMOS:
@@ -928,20 +930,112 @@ def test_every_psi_column_value_is_its_shared_instance():
 
 def test_every_psi_key_is_its_shared_index_tuple():
     # the bar suite fills the Psi store; each column keys every index by
-    # the one tuple of it in _INDICES, which clear_caches empties with
-    # the store
+    # the one tuple of it in its level's order in orbits._level, which
+    # the level's canonical table keeps as its order
     clear_caches()
     assert SUITES["bar"](5).passed
     columns = [col for key, col in canonical_mod._MEMO.items() if key[0] == "psi"]
     assert len(columns) > 500
-    indices = canonical_mod._INDICES
-    keys = [i for col in columns for i in col._terms]
-    assert all(indices[i] is i for i in keys)
-    # one object per distinct index, far fewer than the keys
-    assert len({id(i) for i in keys}) == len(set(keys)) == len(indices)
-    assert 4 * len(indices) < len(keys)
+    for col in columns:
+        for i in col._terms:
+            table = canonical_basis(col.d, sum(i))
+            assert table.order is orbits._level(col.d, sum(i))[0]
+            assert i is table.order[table._position[i]]
+    # one object per distinct index of each composition, far fewer than
+    # the keys
+    keys = [(col.d, i) for col in columns for i in col._terms]
+    assert len({id(i) for _, i in keys}) == len(set(keys))
+    assert 3 * len(set(keys)) < len(keys)
     clear_caches()
-    assert canonical_mod._INDICES == {}
+
+
+def _reversed_ties(level):
+    """A replacement for orbits._level that reverses each run of indices
+    of equal orbit dimension, keeping the dimensions aligned: another
+    linear extension of the closure order, as a proper closure drops the
+    dimension."""
+
+    @functools.lru_cache(maxsize=None)
+    def replaced(d, r):
+        order, dims = level(d, r)
+        runs = itertools.groupby(zip(dims, order), key=lambda pair: pair[0])
+        pairs = [pair for _, run in runs for pair in reversed(list(run))]
+        return tuple(idx for _, idx in pairs), tuple(dim for dim, _ in pairs)
+
+    return replaced
+
+
+def test_the_level_order_of_orbits_orders_vectors_and_tables(monkeypatch):
+    # orbits alone orders a level: with its order replaced, vector terms
+    # and a solved table follow the new order, and the table's rows, which
+    # do not depend on the linear extension, are unchanged
+    d, r = (1, 2, 1, 1), 2
+    clear_caches()
+    true = canonical_basis(d, r)
+    rows = {t: dict(row._terms) for t, row in true.rows.items()}
+    clear_caches()
+    monkeypatch.setattr(orbits, "_level", _reversed_ties(orbits._level))
+    order = orbits._level(d, r)[0]
+    assert order != true.order and sorted(order) == sorted(true.order)
+    assert linear_extension(d, r) == list(order)
+    below = orbits._level(d, r - 1)[0]
+    u = combine(d, ((ONE, ModuleVector.basis(d, idx)) for idx in below + order))
+    assert [idx for idx, _ in u.items()] == list(below + order)
+    table = canonical_basis(d, r)
+    assert table.order is order
+    assert {t: dict(row._terms) for t, row in table.rows.items()} == rows
+    top = table.rows[order[-1]]
+    assert [idx for idx, _ in top.items()] == [s for s in order if s in top._terms]
+    monkeypatch.undo()
+    clear_caches()
+
+
+def test_a_cold_solve_computes_each_orbit_dimension_once_per_index(monkeypatch):
+    # the solve reads every orbit dimension by position from orbits._level,
+    # whose sort computes each once: none is computed per coefficient
+    clear_caches()
+    calls = []
+    real = orbits._orbit_dim
+
+    def counted(d, idx):
+        calls.append((d, idx))
+        return real(d, idx)
+
+    monkeypatch.setattr(orbits, "_orbit_dim", counted)
+    canonical_basis((1,) * 9, 4)
+    count = len(calls)
+    levels = [key[1:] for key in canonical_mod._MEMO if key[0] == "table"]
+    assert len(levels) > 20
+    indices = [(d, idx) for d, r in levels for idx in orbits._level(d, r)[0]]
+    assert count == len(set(calls)) == len(indices)
+    assert set(calls) == set(indices)
+    for d, r in levels:
+        assert canonical_mod._MEMO["table", d, r].order is orbits._level(d, r)[0]
+    monkeypatch.undo()
+    clear_caches()
+
+
+def test_coefficient_reads_the_product_coordinates_and_builds_no_row():
+    # each entry is read through the product coordinates of the table
+    # and of the d'' tables below it, down to one factor, with no row built
+    clear_caches()
+    table = canonical_basis((1,) * 8, 4)
+    entries = {(t, s): table.coefficient(t, s) for t in table.order for s in table.order}
+    assert not any(map(_rows_built, _memo_tables()))
+    assert all(table.rows[t].coeff(s) == c for (t, s), c in entries.items())
+    nonzero = sum(1 for c in entries.values() if c._terms)
+    assert nonzero == sum(len(row._terms) for row in table.rows.values())
+    clear_caches()
+
+
+def test_every_split_coefficient_is_its_shared_instance():
+    clear_caches()
+    values = canonical_mod._VALUES
+    for d, cut, r in [((1,) * 8, 4, 4), ((2, 1, 2, 1), 2, 3), ((1, 1, 1), 1, 1)]:
+        split = split_expand(d, cut, r)
+        coefficients = [c for row in split.rows.values() for c in row.values()]
+        assert coefficients and all(values[c] is c for c in coefficients), (d, cut, r)
+    clear_caches()
 
 
 def test_kappa_override_leaves_the_shared_values_alone():

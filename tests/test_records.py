@@ -1,6 +1,6 @@
 """The value records (LinMap, CanonicalTable, SplitTable, PermWord,
-SuiteResult): field-wise equality, hash and repr, frozen fields, and
-copy and pickle round trips."""
+SuiteResult): field-wise equality and repr, a by-value hash for
+PermWord alone, frozen fields, and copy and pickle round trips."""
 
 import copy
 import pickle
@@ -108,6 +108,7 @@ def test_permword_hash_is_stable_and_by_value():
 @pytest.mark.parametrize("kind", [k for k in RECORDS if k != "PermWord"])
 def test_records_holding_a_dict_are_unhashable(kind):
     rec, _, _ = _records()[kind]
+    assert type(rec).__hash__ is None
     with pytest.raises(TypeError):
         hash(rec)
 

@@ -87,8 +87,9 @@ of shared values keyed by (p_s, e), and where the index already holds a
 value a, the sum a + p_s e is read from _SUMS, the table of sums keyed
 by (a, p_s e).  As the values are few (purity), a repeated product or
 sum costs one lookup, and no entry is ever summed term by term.  Every
-row and Psi column key is the tuple of its level's order in
-orbits._level, which is every table's order: one tuple per index.
+row, split row and Psi column key is the tuple of its level's order in
+orbits._level, which is every table's order: one tuple per index, and
+every table and split on that order reads the level's position map.
 
 Every solved table keeps its product coordinates p_{s,r} in its
 product field, and E^(n) b and split expansions are computed from
@@ -225,7 +226,8 @@ def clear_caches() -> None:
     coefficients (_SPLITS), the checked quasi-R coefficients, and the
     constant memos of qring, orbits and modules: the quantum integers,
     factorials and binomials, the Gram entries, the E/F step scalars,
-    the basis index sets and each level's order, dimensions and positions."""
+    the basis index sets and orbits._level, the one memo of each level's
+    order, dimensions and positions, which tables and splits share."""
     for store in (_MEMO, _VALUES, _PRODUCTS, _SUMS, _SPLITS):
         store.clear()
     del _KAPPA[1:]
@@ -251,7 +253,7 @@ def _psi_basis(d: Composition, idx: OrbitIndex, cut: int) -> ModuleVector:
         left = _psi_basis(d[:cut], idx[:cut], 1)
         right = _psi_basis(d[cut:], idx[cut:], 1)
         column = theta(left, right, _kappa)._terms.items()
-        order, position = orbits._level(d, sum(idx))[0], orbits._positions(d, sum(idx))
+        order, _, position = orbits._level(d, sum(idx))
         out = _MEMO[key] = ModuleVector._make(
             d, {order[position[i]]: _shared(c) for i, c in column}
         )
@@ -370,6 +372,19 @@ def _rows_text(table, header: str, terms: Callable, label: Callable) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _position_of(
+    d: Composition, r: int, order: tuple[OrbitIndex, ...]
+) -> dict[OrbitIndex, int]:
+    """Each index's position in a record's order: the position map of
+    orbits._level when order is the level's order, as on every record
+    the package builds and on copies and pickles of one, else a map
+    built from order alone."""
+    level, _, position = orbits._level(d, r)
+    if order == level:
+        return position
+    return {idx: i for i, idx in enumerate(order)}
+
+
 class CanonicalTable(_Record):
     """For fixed (d, r): b_idx = v_idx + sum over lower s of c_{idx,s} v_s.
 
@@ -378,8 +393,9 @@ class CanonicalTable(_Record):
     maps each index t, in that order, to the coordinates {s: p_{s,t}}
     of b_t over the product basis P_s of the solve; it is None for one
     factor and takes no part in equality or repr, nor does
-    _position, each index's position in `order`, built once per table
-    and read by the row writers _rows_json and _rows_text.
+    _position, each index's position in `order` (_position_of: the
+    level's own map when `order` is the level's order), read by the
+    solve and by the row writers _rows_json and _rows_text.
 
     Given rows None, the table keeps only its product coordinates, and
     the first read of rows builds every row by _expand_rows (the
@@ -399,7 +415,7 @@ class CanonicalTable(_Record):
         rows: dict[OrbitIndex, ModuleVector] | None,
         product: dict | None = None,
     ):
-        position = {idx: i for i, idx in enumerate(order)}
+        position = _position_of(d, r, order)
         self._set(d=d, r=r, order=order, product=product, _position=position)
         if rows is not None:
             self._set(rows=rows)
@@ -654,7 +670,7 @@ def _sub_table(d: Composition, r: int) -> CanonicalTable:
     table = _MEMO.get(key)
     if table is not None:
         return table
-    order, dims = orbits._level(d, r)
+    order, dims, _ = orbits._level(d, r)
     if len(d) == 1:
         table = _MEMO[key] = CanonicalTable(d, r, order, None)
         return table
@@ -762,9 +778,10 @@ def canonical_coords(
 
 class SplitTable(_Record):
     """Rows re-express b_r over the product basis b_{s'} tensor b_{s''}
-    after cutting the slots at `cut`; keys are full concatenated s.
-    _position, each index's position in `order`, is derived as in
-    CanonicalTable and takes no part in equality or repr."""
+    after cutting the slots at `cut`; keys are full concatenated s, each
+    the level's own tuple in orbits._level.  _position, each index's
+    position in `order`, is derived by _position_of as in CanonicalTable
+    and takes no part in equality or repr."""
 
     __slots__ = ("d", "cut", "r", "order", "rows", "_position")
     _compared = ("d", "cut", "r", "order", "rows")
@@ -777,7 +794,7 @@ class SplitTable(_Record):
         order: tuple[OrbitIndex, ...],
         rows: dict[OrbitIndex, dict[OrbitIndex, Laurent]],
     ):
-        position = {idx: i for i, idx in enumerate(order)}
+        position = _position_of(d, r, order)
         self._set(d=d, cut=cut, r=r, order=order, rows=rows, _position=position)
 
     def to_json_obj(self) -> dict:
@@ -801,10 +818,12 @@ class SplitTable(_Record):
 
 def _split_rows(d: Composition, cut: int, r: int, memo: dict) -> dict:
     """The rows of split_expand(d, cut, r), by the recursion of the
-    module docstring; memo holds the sub-splits of one call."""
+    module docstring, each key the level's own tuple in orbits._level;
+    memo holds the sub-splits of one call."""
     if (d, cut, r) in memo:
         return memo[d, cut, r]
     rows = memo[d, cut, r] = {}
+    order, _, position = orbits._level(d, r)
     for t, coords in _sub_table(d, r).product.items():
         if cut == 1:
             rows[t] = dict(coords)
@@ -823,7 +842,7 @@ def _split_rows(d: Composition, cut: int, r: int, memo: dict) -> dict:
                 left.product.get,
                 lambda: f"split of b{t} on Lambda_{d} at cut {cut}",
             )
-            rows[t].update((z + y, _shared(c)) for z, c in zs.items())
+            rows[t].update((order[position[z + y]], _shared(c)) for z, c in zs.items())
     return rows
 
 

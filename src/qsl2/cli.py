@@ -31,8 +31,9 @@ from .canonical import (
     embed_refine,
     split_expand,
 )
-from .errors import AlgebraError, NonReducedWordError
+from .errors import AlgebraError, NonReducedWordError, PurityViolationError
 from .modules import ModuleVector, _JsonParts, enumerate_basis, format_index, inner_product
+from .qring import ONE, ZERO
 from .rmatrix import matrix_in_basis, r_move
 from .verify import run_all
 
@@ -205,8 +206,29 @@ def _emit_map(args: argparse.Namespace, linmap, header: str) -> None:
 # -- subcommands -----------------------------------------------------------------
 
 
+def _check_positive(table) -> None:
+    """Refuse a table whose rows are not those of a canonical basis: each
+    diagonal entry 1 and every other coefficient in q^-1 Z_{>=0}[q^-1],
+    else PurityViolationError naming the level, the row and the term."""
+
+    def refuse(t, s, c, want: str) -> None:
+        raise PurityViolationError(
+            f"row b{t} of the level-{table.r} table of Lambda_{table.d} has "
+            f"coefficient ({c}) at v{s}, not {want}"
+        )
+
+    for t in table.order:
+        terms = table.rows[t]._terms
+        if terms.get(t) != ONE:
+            refuse(t, t, terms.get(t, ZERO), "1")
+        for s, c in terms.items():
+            if s != t and not c.is_in_qinv_z_nonneg():
+                refuse(t, s, c, "in q^-1 Z_{>=0}[q^-1]")
+
+
 def _cmd_canon(args: argparse.Namespace) -> int:
     table = canonical_basis(_parse_composition(args.d), args.r)
+    _check_positive(table)
     _emit(args, table.to_json_obj, table.render)
     return 0
 

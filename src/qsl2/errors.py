@@ -55,7 +55,9 @@ class TriangularityViolationError(AlgebraError):
 
 class PurityViolationError(AlgebraError):
     """A multiplicity of the table solve has a negative coefficient or an
-    exponent off the parity of its orbit dimensions."""
+    exponent off the parity of its orbit dimensions, or a row that
+    `qsl2 canon` is about to print has a diagonal entry other than 1 or
+    an off-diagonal coefficient outside q^-1 Z_{>=0}[q^-1]."""
 
 
 class HalfPowerLeakError(AlgebraError):

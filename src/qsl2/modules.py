@@ -161,9 +161,9 @@ class ModuleVector:
 
     def items(self) -> list[tuple[OrbitIndex, Laurent]]:
         """Terms in canonical order: level, then the linear extension."""
-        d, at = self.d, orbits._positions
+        d, level = self.d, orbits._level
         return sorted(
-            self._terms.items(), key=lambda kv: (r := sum(kv[0]), at(d, r)[kv[0]])
+            self._terms.items(), key=lambda kv: (r := sum(kv[0]), level(d, r)[2][kv[0]])
         )
 
     def unordered_items(self) -> Iterable[tuple[OrbitIndex, Laurent]]:

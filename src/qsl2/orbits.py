@@ -13,7 +13,9 @@ of Grassmannians: sum r_k (d_k - r_k) for the fibers within blocks, plus
 sum over i < j of r_j (d_i - r_i) for the relative positions.  Every
 vector, table and matrix is ordered by _level alone (linear_extension):
 by this dimension, ties broken lexicographically, which refines the
-closure order since a proper closure drops the dimension.
+closure order since a proper closure drops the dimension.  _level is
+the one memo of a level: its order, the dimensions and each index's
+position, which vectors, tables and splits all read.
 """
 
 from __future__ import annotations
@@ -171,17 +173,19 @@ def linear_extension(d: Composition, r: int) -> list[OrbitIndex]:
 
 
 @lru_cache(maxsize=None)
-def _level(d: Composition, r: int) -> tuple[tuple[OrbitIndex, ...], tuple[int, ...]]:
-    """(linear_extension(d, r), its orbit dimensions by position), memoized
-    on a checked composition; the sort computes each dimension once."""
+def _level(
+    d: Composition, r: int
+) -> tuple[tuple[OrbitIndex, ...], tuple[int, ...], dict[OrbitIndex, int]]:
+    """(order, dims, position) of level r, memoized on a checked
+    composition: order is linear_extension(d, r), dims the orbit
+    dimensions by position, each computed once by the sort, and position
+    maps each index of order to its position (read-only).  The one memo
+    of a level: vectors sort by it, and tables and splits on this order
+    share its position map."""
     ranked = sorted((_orbit_dim(d, idx), idx) for idx in _indices_at_level(d, r))
-    return tuple(idx for _, idx in ranked), tuple(dim for dim, _ in ranked)
-
-
-@lru_cache(maxsize=None)
-def _positions(d: Composition, r: int) -> dict[OrbitIndex, int]:
-    """Each index's position in _level(d, r)'s order, memoized; read-only."""
-    return {idx: i for i, idx in enumerate(_level(d, r)[0])}
+    order = tuple(idx for _, idx in ranked)
+    dims = tuple(dim for dim, _ in ranked)
+    return order, dims, {idx: i for i, idx in enumerate(order)}
 
 
 def covering_relations(d: Composition, r: int) -> list[tuple[OrbitIndex, OrbitIndex]]:
@@ -232,4 +236,4 @@ def poset_dot(d: Composition, r: int) -> str:
 
 
 # This module's lru_cache functions, held for qsl2.clear_caches.
-_MEMOS = (_level, _positions)
+_MEMOS = (_level,)

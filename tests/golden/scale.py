@@ -8,8 +8,9 @@ Run from the repository root, one check per process:
 The checks are canon-12 (canonical_basis((1,)*12, 6) and a read of its
 rows, which expands them), canon-14 (the same for (1,)*14 at level 7),
 canon-16 (canonical_basis((1,)*16, 8), its product coordinates alone,
-no row read), canon-18 (the same for (1,)*18 at level 9), canon-json-12 (qsl2 canon --d 1,...,1
-(12 ones) --r 6 --format json), split-12 (split_expand((1,)*12, 6, 6)),
+no row read), canon-18 (the same for (1,)*18 at level 9), canon-json-12
+(qsl2 canon --d 1,...,1 (12 ones) --r 6 --format json), split-12
+(split_expand((1,)*12, 6, 6)), split-16 (split_expand((1,)*16, 8, 8)),
 split-text-12 (qsl2 split --d 1,...,1 (12 ones) --at 6 --r 6, the
 table text), rmat-10 (r_move((1,)*10, w0, "minus"), w0 the longest
 word), embed-12 (qsl2 embed --d 4,4,4 --basis canonical, the
@@ -142,16 +143,17 @@ def _cli(argv: list[str], pinned: str, size: int, bound_mb: float) -> bool:
 _TWELVE = ",".join(["1"] * 12)
 
 
-def _split_12() -> bool:
+def _split(n: int, pinned: str, bound_mb: float) -> bool:
+    """split_expand((1,)*n, n // 2, n // 2): the sha256 of
+    _dump(split.to_json_obj())."""
     start = time.perf_counter()
-    split = qsl2.split_expand((1,) * 12, 6, 6)
+    split = qsl2.split_expand((1,) * n, n // 2, n // 2)
     seconds = time.perf_counter() - start
     # the peak of the solve and the split, read before the digest adds its own
     peak_mb = _peak_mb()
     digest = hashlib.sha256(_dump(split.to_json_obj())).hexdigest()
     print(f"{seconds:.2f} s, peak {peak_mb:.1f} MB, split sha256 {digest}")
-    pinned = "71ad514a0bf61feae868ca7a44f1ed3a90e64001ac550caeade460eb61d2bae3"
-    return digest == pinned and peak_mb < 52
+    return digest == pinned and peak_mb < bound_mb
 
 
 def _rmat_10() -> bool:
@@ -202,7 +204,14 @@ CHECKS = {
         96_513_550,
         64,
     ),
-    "split-12": _split_12,
+    "split-12": lambda: _split(
+        12, "71ad514a0bf61feae868ca7a44f1ed3a90e64001ac550caeade460eb61d2bae3", 52
+    ),
+    # pinned from the split whose entry keys were fresh tuples; the bound
+    # lies below that split's peak (180 MB on a 2-core machine)
+    "split-16": lambda: _split(
+        16, "0862337ba85111c56afa3a30deecb8ca3e0ac977cfc53054a3672214bc16de44", 96
+    ),
     # `python -m qsl2.cli ... | sha256sum` and `| wc -c` before the two
     # table classes shared one text writer
     "split-text-12": lambda: _cli(

@@ -25,6 +25,7 @@ from qsl2 import (
     Laurent,
     ModuleVector,
     PermWord,
+    SplitTable,
     bar_involution,
     canonical_basis,
     canonical_coords,
@@ -951,16 +952,18 @@ def test_every_psi_key_is_its_shared_index_tuple():
 
 def _reversed_ties(level):
     """A replacement for orbits._level that reverses each run of indices
-    of equal orbit dimension, keeping the dimensions aligned: another
-    linear extension of the closure order, as a proper closure drops the
-    dimension."""
+    of equal orbit dimension, keeping the dimensions and positions
+    aligned: another linear extension of the closure order, as a proper
+    closure drops the dimension."""
 
     @functools.lru_cache(maxsize=None)
     def replaced(d, r):
-        order, dims = level(d, r)
+        order, dims, _ = level(d, r)
         runs = itertools.groupby(zip(dims, order), key=lambda pair: pair[0])
         pairs = [pair for _, run in runs for pair in reversed(list(run))]
-        return tuple(idx for _, idx in pairs), tuple(dim for dim, _ in pairs)
+        order = tuple(idx for _, idx in pairs)
+        dims = tuple(dim for dim, _ in pairs)
+        return order, dims, {idx: i for i, idx in enumerate(order)}
 
     return replaced
 
@@ -1036,6 +1039,49 @@ def test_every_split_coefficient_is_its_shared_instance():
         coefficients = [c for row in split.rows.values() for c in row.values()]
         assert coefficients and all(values[c] is c for c in coefficients), (d, cut, r)
     clear_caches()
+
+
+def test_every_split_key_is_its_levels_tuple():
+    # at every cut, each row and entry key is the one tuple of its index
+    # in orbits._level, not a concatenation made for the entry
+    clear_caches()
+    for d, cut, r in [((1,) * 8, 4, 4), ((2, 1, 2, 1), 2, 3), ((1,) * 6, 5, 3)]:
+        order, _, position = orbits._level(d, r)
+        rows = split_expand(d, cut, r).rows
+        keys = [s for row in rows.values() for s in row]
+        assert len(keys) > len(rows), (d, cut, r)
+        for s in [*rows, *keys]:
+            assert s is order[position[s]], (d, cut, r, s)
+    clear_caches()
+
+
+def test_tables_and_splits_share_their_levels_position_map():
+    # orbits._level is the one memo of a level: every stored table and the
+    # split read its position map rather than building their own
+    clear_caches()
+    assert orbits._MEMOS == (orbits._level,)
+    assert not hasattr(orbits, "_positions")
+    canonical_basis((1,) * 6, 3)
+    split = split_expand((1,) * 6, 3, 3)
+    assert split._position is orbits._level((1,) * 6, 3)[2]
+    tables = [v for key, v in canonical_mod._MEMO.items() if key[0] == "table"]
+    assert len(tables) > 10
+    for table in tables:
+        assert table._position is orbits._level(table.d, table.r)[2]
+        dup = pickle.loads(pickle.dumps(table))
+        assert dup._position is table._position
+    clear_caches()
+
+
+def test_a_record_on_another_order_builds_its_own_position_map():
+    t = canonical_basis((1, 1), 1)
+    partial = CanonicalTable(t.d, t.r, ((1, 0),), t.rows, t.product)
+    assert partial._position == {(1, 0): 0}
+    split = split_expand((1, 1, 1), 1, 1)
+    reversed_order = split.order[::-1]
+    other = SplitTable(split.d, split.cut, split.r, reversed_order, split.rows)
+    assert other._position == {idx: i for i, idx in enumerate(reversed_order)}
+    assert other._position is not split._position
 
 
 def test_kappa_override_leaves_the_shared_values_alone():

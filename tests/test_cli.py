@@ -16,8 +16,10 @@ import pytest
 
 import qsl2.canonical as canonical_mod
 import qsl2.cli as cli_mod
+from qsl2 import clear_caches
 from qsl2.cli import main
 from qsl2.errors import HalfPowerLeakError
+from qsl2.qring import q_power
 from qsl2.verify import SuiteResult
 from test_canonical import _assert_equal_values_shared
 
@@ -551,6 +553,31 @@ def test_internal_assertion_exits_1(monkeypatch, capsys):
     code, _, err = run(["canon", "--d", "1,1", "--r", "1"], capsys)
     assert code == 1
     assert "half power" in err
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_canon_refuses_a_row_it_cannot_prove_positive(fmt, monkeypatch, capsys):
+    # a planted fault in the two-factor E^(1) coordinates leaves a negative
+    # off-diagonal coefficient in a row of (1, 1, 2) at level 2, which the
+    # solve's own tests pass; canon prints nothing and exits 1
+    real = canonical_mod._e_coords
+
+    def planted(d, t, n):
+        coords = real(d, t, n)
+        if len(d) == 2 and n == 1 and coords:
+            coords = dict(coords)
+            first = next(iter(coords))
+            coords[first] = coords[first] * q_power(2)
+        return coords
+
+    clear_caches()
+    monkeypatch.setattr(canonical_mod, "_e_coords", planted)
+    code, out, err = run(["canon", "--d", "1,1,2", "--r", "2", "--format", fmt], capsys)
+    monkeypatch.undo()
+    clear_caches()
+    assert code == 1
+    assert out == ""
+    assert "(1, 1, 2)" in err and "level-2" in err and "b(0, 1, 1)" in err
 
 
 def test_verify_failure_exits_1_with_witness(monkeypatch, capsys):
